@@ -193,22 +193,15 @@ def cmd_norms(args) -> tuple[ResultDocument, int]:
                          flags={"n_max": args.n_max, "k_max": args.k_max})
     compact, unbounded = args.nodes or (Q._DEFAULT_COMPACT_NODES, Q._DEFAULT_UNBOUNDED_NODES)
     grid = Q.build_grid(config, compact_nodes=compact, unbounded_nodes=unbounded)
-    idxs = [
-        S.BasisIndex(n=n, k=k)
-        for n in S._integer_box(config.r, args.n_max)
-        for k in S._multi_indices(config.g - config.r, args.k_max)
-    ]
-    fam = S.basis_family(config, idxs)
-    G, _ = Q.gram_matrix(config, fam, grid)
+    battery = verify.norms_battery(config, grid, args.n_max, args.k_max)
     ok = True
-    for i, idx in enumerate(idxs):
-        closed = S.basis_norm_sq(config, idx)
-        oracle = float(G[i, i].real)
-        defect = abs(oracle - closed) / closed
-        good = defect <= 1e-6
+    for idx, closed, oracle, defect in zip(
+        battery.indices, battery.closed, battery.oracle, battery.defects
+    ):
+        good = bool(defect <= 1e-6)
         ok = ok and good
-        doc.add(f"norm_sq[n={list(idx.n)},k={list(idx.k)}]", closed, passed=good,
-                oracle=oracle, rel_defect=defect)
+        doc.add(f"norm_sq[n={list(idx.n)},k={list(idx.k)}]", float(closed), passed=good,
+                oracle=float(oracle), rel_defect=float(defect))
     if not ok:
         doc.status = "property-failure"
         return doc, EXIT_PROPERTY

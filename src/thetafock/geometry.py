@@ -41,7 +41,6 @@ __all__ = [
     "coordinates",
     "to_ambient",
     "coordinates_many",
-    "to_ambient_many",
     "coordinate_conjugate",
     "b_form",
     "b_form_full",
@@ -335,14 +334,6 @@ def coordinates_many(lattice: IsotropicLattice, points):
         raise DimensionMismatch(f"expected vectors of length {lattice.g}")
     zfull = pts @ lattice.inv_basis_matrix.T
     return zfull[..., : lattice.r], zfull[..., lattice.r :]
-
-
-def to_ambient_many(lattice: IsotropicLattice, z, z_perp) -> np.ndarray:
-    zfull = np.concatenate(
-        [np.atleast_2d(np.asarray(z, dtype=complex)), np.atleast_2d(np.asarray(z_perp, dtype=complex))],
-        axis=-1,
-    )
-    return zfull @ lattice.basis_matrix.T
 
 
 def coordinate_conjugate(lattice: IsotropicLattice, u) -> np.ndarray:

@@ -5,18 +5,31 @@ with weight exp(-nu H(u,u)) = exp(-nu (x^T B x + y^T B y + |z_perp|^2))
 for z = x + iy.  Gauss-Legendre handles the compact box; Gauss-Hermite
 handles every unbounded direction after the quadratic form 2 nu B (in y)
 and nu I (in z_perp) are diagonalized into the Hermite weight.  The
-leftover exp(nu (y^T B y - x^T B x)) is folded into the integrand, which
-stays bounded for members of the space since their own Gaussian growth
-cancels it.
+leftover exp(nu (y^T B y - x^T B x)) is folded into the node weights; it
+stays bounded against members of the space since their own Gaussian
+growth cancels it.
+
+Both the weight and the tensor grid factor into blocks: the lattice block
+([0,1] x R)^r (r Legendre times r Hermite axes, carrying the correction
+above and the Jacobian of the y substitution) and one two-dimensional
+Hermite grid per perpendicular coordinate (carrying a factor 1/nu).  The
+integrands built by thetafock.space carry a ``factored`` attribute
+(:class:`Factored`): each member is a sum of products of one lattice
+factor and one factor per perpendicular coordinate.  A tensor sum of a
+product is the product of the per-block sums, so those integrands are
+reduced block by block.  The nodes and weights are the same as for the
+full tensor grid; only the order of summation differs.  Any other
+callable is summed as one block over the whole tensor grid.
 
 This module is the verification oracle: it never consults the closed-form
-norms or kernels it is used to check.
+norms or kernels it is used to check.  It only evaluates each integrand,
+or each of its factors, at its own nodes.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,19 +42,19 @@ from .errors import (
     NotSymmetric,
     RealPartNotPositiveDefinite,
 )
-from .util import fsum_complex, max_threads
 
 __all__ = [
     "FundamentalDomain",
     "QuadratureGrid",
     "InnerProductResult",
+    "Factored",
     "gaussian_integral",
     "build_grid",
     "inner_product",
     "gram_matrix",
 ]
 
-_CHUNK = 1 << 16
+_CHUNK = 1 << 14
 _DEFAULT_COMPACT_NODES = 32
 _DEFAULT_UNBOUNDED_NODES = 48
 _REDUCED_NODE_LIMIT = 24  # g = 3 is allowed only at or below this count
@@ -95,19 +108,41 @@ class FundamentalDomain:
 
 
 @dataclass(frozen=True)
+class Factored:
+    """A family of integrands written as sums of products over the grid blocks.
+
+    Member i is sum_t coeffs[i, t] * term_t, where term t multiplies the
+    lattice factor ``terms[t, 0]`` with the factor ``terms[t, 1 + j]`` of
+    every perpendicular coordinate j.  ``lattice`` maps lattice
+    coordinates (n, r) to the (L, n) values of its distinct factors;
+    ``perp[j]`` maps values (n,) of coordinate j to (P_j, n).
+    """
+
+    lattice: Callable
+    perp: tuple
+    terms: np.ndarray  # (n_terms, 1 + g - r) integer factor rows
+    coeffs: np.ndarray  # (n_members, n_terms) complex
+
+
+@dataclass(frozen=True)
 class _Level:
     compact_nodes: np.ndarray
     compact_weights: np.ndarray
     herm_nodes: np.ndarray
     herm_weights: np.ndarray
     y_transform: np.ndarray  # (r, r): y = s @ T.T
-    jacobian: float  # det factors from both substitutions
+    lattice_jacobian: float  # det factor of the y substitution
+    perp_jacobian: float  # 1/nu per perpendicular coordinate
     shape: tuple  # per-dim node counts: r compact, r Hermite, 2(g-r) Hermite
 
 
 @dataclass(frozen=True)
 class QuadratureGrid:
-    """Tensor grid; ``fine`` doubles every node count for error estimates."""
+    """Tensor grid; ``fine`` doubles every node count for error estimates.
+
+    Level shapes and ``total_nodes`` describe the logical tensor grid,
+    whichever way an integrand is reduced over it.
+    """
 
     config: object
     base: _Level
@@ -137,7 +172,6 @@ def _make_level(config, n_compact: int, n_unbounded: int) -> _Level:
     else:
         T = np.zeros((0, 0))
         jac_y = 1.0
-    jac = jac_y * nu ** (-(g - r))
     shape = (n_compact,) * r + (n_unbounded,) * r + (n_unbounded,) * (2 * (g - r))
     return _Level(
         compact_nodes=0.5 * (xt + 1.0),
@@ -145,7 +179,8 @@ def _make_level(config, n_compact: int, n_unbounded: int) -> _Level:
         herm_nodes=ht,
         herm_weights=hw,
         y_transform=T,
-        jacobian=jac,
+        lattice_jacobian=jac_y,
+        perp_jacobian=1.0 / nu,
         shape=shape,
     )
 
@@ -217,88 +252,139 @@ def build_grid(
 
 
 def _calibrate(config, grid) -> float:
-    """Grid defect on Gaussian-times-polynomial integrands with closed forms."""
+    """Grid defect on Gaussian-times-polynomial integrands with closed forms.
+
+    The integrand exp(nu/2 z^T B z + 2 pi i a.z) z_perp^k is checked
+    against the Gaussian integral; for r > 0 its cross term with the
+    frequency a + 1 must vanish.
+    """
     r, g, nu = config.r, config.g, config.nu
+    m = g - r
+    B = config.lattice.B
     a_lin = 0.3 + np.arange(r, dtype=float)
-    k_cal = tuple(2 if j == 0 else 1 for j in range(g - r))
+    k_cal = tuple(2 if j == 0 else 1 for j in range(m))
+    freqs = [a_lin, a_lin + 1.0] if r else [a_lin]
 
-    def f(z, z_perp):
-        quad = (
-            np.einsum("...j,jk,...k->...", z, config.lattice.B, z) if r else 0.0
-        )
-        mono = (
-            np.prod(z_perp ** np.array(k_cal, dtype=np.int64), axis=-1) if k_cal else 1.0
-        )
-        return np.exp(0.5 * nu * quad + 2j * np.pi * (z @ a_lin if r else 0.0)) * mono
+    def lattice(z):
+        quad = 0.5 * nu * np.einsum("...j,jk,...k->...", z, B, z) if r else 0.0
+        return np.array([np.exp(quad + 2j * np.pi * (z @ a)) for a in freqs])
 
-    closed = complex(gaussian_integral(2.0 * nu, config.lattice.B, -4.0 * math.pi * a_lin))
+    form = Factored(
+        lattice=lattice,
+        perp=tuple((lambda w, k=k: (w**k)[None, :]) for k in k_cal),
+        terms=np.array([[i] + [0] * m for i in range(len(freqs))]),
+        coeffs=np.eye(len(freqs), dtype=complex),
+    )
+    got = _factored_sum(config, grid.base, grid.box_offset, form, form)
+
+    closed = complex(gaussian_integral(2.0 * nu, B, -4.0 * math.pi * a_lin))
     for kj in k_cal:
         closed *= math.pi / nu * math.factorial(kj) / nu**kj
-    got = _integrate_level(config, grid.base, f, f, grid.box_offset)
-    defect = abs(got - closed) / max(abs(closed), 1e-300)
-
+    scale = max(abs(closed), 1e-300)
+    defect = abs(got[0, 0] - closed) / scale
     if r:
-        # cross term with integer frequency offset must vanish
-        def f2(z, z_perp):
-            quad = np.einsum("...j,jk,...k->...", z, config.lattice.B, z)
-            mono = (
-                np.prod(z_perp ** np.array(k_cal, dtype=np.int64), axis=-1) if k_cal else 1.0
-            )
-            return np.exp(0.5 * nu * quad + 2j * np.pi * (z @ (a_lin + 1.0))) * mono
-
-        cross = _integrate_level(config, grid.base, f, f2, grid.box_offset)
-        defect = max(defect, abs(cross) / max(abs(closed), 1e-300))
+        defect = max(defect, abs(got[0, 1]) / scale)
     return float(defect)
 
 
-def _chunk_points(config, level: _Level, offset, start: int, stop: int):
-    """Assemble grid points and weights for flat indices [start, stop)."""
-    r, g = config.r, config.g
-    m = g - r
-    idx = np.unravel_index(np.arange(start, stop), level.shape) if level.shape else ()
-    n_pts = stop - start
-    weights = np.ones(n_pts)
-    X = np.empty((n_pts, r))
-    S = np.empty((n_pts, r))
-    P = np.empty((n_pts, 2 * m))
-    for d in range(r):
-        X[:, d] = level.compact_nodes[idx[d]] + offset[d]
-        weights *= level.compact_weights[idx[d]]
-    for d in range(r):
-        S[:, d] = level.herm_nodes[idx[r + d]]
-        weights *= level.herm_weights[idx[r + d]]
-    for d in range(2 * m):
-        P[:, d] = level.herm_nodes[idx[2 * r + d]]
-        weights *= level.herm_weights[idx[2 * r + d]]
-    Y = S @ level.y_transform.T if r else S
-    Z = X + 1j * Y
-    scale = 1.0 / math.sqrt(config.nu)
-    Zp = scale * (P[:, :m] + 1j * P[:, m:])
-    # exp(-nu H) has been absorbed into the Hermite weights up to this factor
-    correction = np.exp(
-        0.5 * np.einsum("ij,ij->i", S, S)
-        - config.nu * (np.einsum("ij,jk,ik->i", X, config.lattice.B, X) if r else 0.0)
+def _box(nodes, weights, d: int):
+    """d-fold tensor grid of a 1-D rule: points (n^d, d) and weights (n^d,)."""
+    n = len(nodes)
+    idx = np.indices((n,) * d).reshape(d, n**d)
+    return nodes[idx].T, np.prod(weights[idx], axis=0)
+
+
+def _perp_grid(config, level: _Level):
+    """Nodes (n^2,) and weights of one perpendicular coordinate's Hermite grid."""
+    p, w = _box(level.herm_nodes, level.herm_weights, 2)
+    return (p[:, 0] + 1j * p[:, 1]) / math.sqrt(config.nu), w
+
+
+def _tensor_chunks(config, level: _Level, offset, with_perp: bool):
+    """Yield (points, weights) over the whole tensor grid or the lattice block.
+
+    Points are (Z, Zp) with ``with_perp``, else (Z,); at most _CHUNK nodes
+    are assembled at a time.  The weights carry the correction
+    exp(|s|^2/2 - nu x^T B x), split into its x and s parts, but no
+    Jacobian.
+    """
+    r, nu = config.r, config.nu
+    m = config.g - r if with_perp else 0
+    x, wx = _box(level.compact_nodes, level.compact_weights, r)
+    x = x + offset
+    wx = wx * np.exp(-nu * np.einsum("ij,jk,ik->i", x, config.lattice.B, x))
+    t = level.herm_nodes
+    s, ws = _box(t, level.herm_weights * np.exp(0.5 * t * t), r)
+    iy = 1j * (s @ level.y_transform.T)
+    zp, wp = _perp_grid(config, level)
+    sizes = (len(wx), len(ws)) + (len(wp),) * m
+    total = math.prod(sizes)
+    for start in range(0, total, _CHUNK):
+        idx = np.unravel_index(np.arange(start, min(start + _CHUNK, total)), sizes)
+        Z = x[idx[0]] + iy[idx[1]]
+        w = wx[idx[0]] * ws[idx[1]]
+        if not with_perp:
+            yield (Z,), w
+            continue
+        Zp = np.empty((Z.shape[0], m), dtype=complex)
+        for j in range(m):
+            Zp[:, j] = zp[idx[2 + j]]
+            w = w * wp[idx[2 + j]]
+        yield (Z, Zp), w
+
+
+def _block_sum(chunks, f, h, same: bool) -> np.ndarray:
+    """sum_nodes w f_a conj(h_b) for factor maps f, h: an (A, B) matrix."""
+    out = 0.0
+    for points, w in chunks:
+        U = f(*points)
+        V = U if same else h(*points)
+        out = out + (U * w) @ V.conj().T
+    return out
+
+
+def _factored_sum(config, level: _Level, offset, ff: Factored, hf: Factored) -> np.ndarray:
+    """Level sum of the Factored families ff, hf, block by block."""
+    same = ff is hf
+    blocks = [
+        level.lattice_jacobian
+        * _block_sum(_tensor_chunks(config, level, offset, False), ff.lattice, hf.lattice, same)
+    ]
+    zp, wp = _perp_grid(config, level)
+    for fj, hj in zip(ff.perp, hf.perp):
+        blocks.append(level.perp_jacobian * _block_sum([((zp,), wp)], fj, hj, same))
+    terms = np.ones((ff.terms.shape[0], hf.terms.shape[0]), dtype=complex)
+    for b, M in enumerate(blocks):
+        terms *= M[np.ix_(ff.terms[:, b], hf.terms[:, b])]
+    return ff.coeffs @ terms @ hf.coeffs.conj().T
+
+
+def _values(funcs, Z, Zp) -> np.ndarray:
+    """(n_members, n_points) values of a closure, a family closure or a list."""
+    if isinstance(funcs, (list, tuple)):
+        out = np.empty((len(funcs), Z.shape[0]), dtype=complex)
+        for i, fn in enumerate(funcs):
+            out[i] = fn(Z, Zp)
+        return out
+    return np.atleast_2d(funcs(Z, Zp))
+
+
+def _level_sum(config, level: _Level, offset, fs, hs) -> np.ndarray:
+    """Matrix of level sums of f_i conj(h_k) against exp(-nu H(u,u)).
+
+    Integrands that both carry a ``factored`` attribute are reduced block
+    by block; otherwise the whole tensor grid is one block.
+    """
+    ff, hf = getattr(fs, "factored", None), getattr(hs, "factored", None)
+    if ff is not None and hf is not None:
+        return _factored_sum(config, level, offset, ff, hf)
+    jacobian = level.lattice_jacobian * level.perp_jacobian ** (config.g - config.r)
+    return jacobian * _block_sum(
+        _tensor_chunks(config, level, offset, True),
+        lambda Z, Zp: _values(fs, Z, Zp),
+        lambda Z, Zp: _values(hs, Z, Zp),
+        fs is hs,
     )
-    return Z, Zp, weights * correction
-
-
-def _integrate_level(config, level: _Level, f, h, offset) -> complex:
-    total = int(np.prod(level.shape)) if level.shape else 1
-    starts = list(range(0, total, _CHUNK))
-
-    def one(start):
-        stop = min(start + _CHUNK, total)
-        Z, Zp, W = _chunk_points(config, level, offset, start, stop)
-        vals = f(Z, Zp) * np.conj(h(Z, Zp))
-        return complex(W @ vals)
-
-    workers = max_threads()
-    if workers > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(one, starts))
-    else:
-        partials = [one(s) for s in starts]
-    return level.jacobian * fsum_complex(partials)
 
 
 def inner_product(config, f, h, grid: QuadratureGrid, refine: bool = True) -> InnerProductResult:
@@ -310,10 +396,10 @@ def inner_product(config, f, h, grid: QuadratureGrid, refine: bool = True) -> In
     coarse_rtol * (|value| + 1).  With refine=False only the base grid is
     used and no estimate is produced.
     """
-    v0 = _integrate_level(config, grid.base, f, h, grid.box_offset)
+    v0 = complex(_level_sum(config, grid.base, grid.box_offset, f, h)[0, 0])
     if not refine:
         return InnerProductResult(value=v0, error_estimate=None, nodes=grid.total_nodes)
-    v1 = _integrate_level(config, grid.fine, f, h, grid.box_offset)
+    v1 = complex(_level_sum(config, grid.fine, grid.box_offset, f, h)[0, 0])
     err = abs(v1 - v0)
     if err > grid.coarse_rtol * (abs(v1) + 1.0):
         raise GridTooCoarse(
@@ -324,46 +410,17 @@ def inner_product(config, f, h, grid: QuadratureGrid, refine: bool = True) -> In
     )
 
 
-def _gram_level(config, level: _Level, funcs, offset) -> np.ndarray:
-    total = int(np.prod(level.shape)) if level.shape else 1
-    starts = list(range(0, total, _CHUNK))
-    family = callable(funcs)
-    nf = funcs.size if family else len(funcs)
-
-    def one(start):
-        stop = min(start + _CHUNK, total)
-        Z, Zp, W = _chunk_points(config, level, offset, start, stop)
-        if family:
-            V = funcs(Z, Zp)
-        else:
-            V = np.empty((nf, stop - start), dtype=complex)
-            for i, fn in enumerate(funcs):
-                V[i] = fn(Z, Zp)
-        return (V * W) @ V.conj().T
-
-    workers = max_threads()
-    if workers > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(one, starts))
-    else:
-        partials = [one(s) for s in starts]
-    out = np.zeros((nf, nf), dtype=complex)
-    for p in partials:
-        out += p
-    return level.jacobian * out
-
-
 def gram_matrix(config, funcs, grid: QuadratureGrid, refine: bool = True):
     """All pairwise inner products of ``funcs`` in one sweep.
 
     ``funcs`` is either a list of per-function closures or a single family
-    closure returning a (n_funcs, n_points) matrix (see
-    space.basis_family, the fast path).  Returns (G, E): the Gram matrix
-    from the finest level used and the entrywise difference between
-    levels (zeros when refine=False).
+    closure returning a (n_funcs, n_points) matrix.  A family from
+    space.basis_family is reduced block by block (the fast path).
+    Returns (G, E): the Gram matrix from the finest level used and the
+    entrywise difference between levels (zeros when refine=False).
     """
-    g0 = _gram_level(config, grid.base, funcs, grid.box_offset)
+    g0 = _level_sum(config, grid.base, grid.box_offset, funcs, funcs)
     if not refine:
         return g0, np.zeros_like(g0, dtype=float)
-    g1 = _gram_level(config, grid.fine, funcs, grid.box_offset)
+    g1 = _level_sum(config, grid.fine, grid.box_offset, funcs, funcs)
     return g1, np.abs(g1 - g0)

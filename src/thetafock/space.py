@@ -13,6 +13,12 @@ series times Gaussian weight factors.  All evaluation routines accept
 batches; points with large real lattice coordinates are first translated
 back near the fundamental domain using the exact automorphy factor, which
 keeps exp(nu/2 B(z,z)) in range.
+
+The closures returned by basis_family, basis_function,
+synthesized_function and kernel_section also carry their block-factored
+form as a ``factored`` attribute (quadrature.Factored): a lattice factor
+in z times one factor per perpendicular coordinate, which the quadrature
+oracle sums block by block.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ import numpy as np
 from . import theta as _theta
 from .errors import DimensionMismatch
 from .geometry import Character, IsotropicLattice, PointCoordinates
+from .quadrature import Factored
 
 __all__ = [
     "SpaceConfig",
@@ -248,18 +255,53 @@ def basis_eval_many(config: SpaceConfig, indices, z, z_perp, normalized: bool = 
     return out
 
 
+def _factored(config: SpaceConfig, indices, coeffs) -> Factored:
+    """Block form of the combinations coeffs @ [e_idx for idx in indices].
+
+    e_{n,k} is the lattice factor e_{n,0}(z) times z_perp_j^k_j for every
+    perpendicular coordinate j; each distinct factor is evaluated once.
+    """
+    m = config.g - config.r
+    ns = {n: i for i, n in enumerate(sorted({idx.n for idx in indices}))}
+    ks = [{k: i for i, k in enumerate(sorted({idx.k[j] for idx in indices}))} for j in range(m)]
+    lattice_indices = [BasisIndex(n=n, k=(0,) * m) for n in ns]
+    origin = np.zeros((1, m))
+
+    def lattice(z):
+        return basis_eval_many(config, lattice_indices, z, origin)
+
+    def monomials(exponents):
+        def perp(w):
+            table = _power_table(w, exponents)
+            return np.array([table[e] for e in exponents]).reshape(len(exponents), w.shape[0])
+
+        return perp
+
+    terms = np.array(
+        [[ns[idx.n]] + [ks[j][idx.k[j]] for j in range(m)] for idx in indices], dtype=np.intp
+    ).reshape(len(indices), 1 + m)
+    return Factored(
+        lattice=lattice,
+        perp=tuple(monomials(list(kj)) for kj in ks),
+        terms=terms,
+        coeffs=np.asarray(coeffs, dtype=complex),
+    )
+
+
 def basis_family(config: SpaceConfig, indices, normalized: bool = False):
     """Batch closure (z, z_perp) -> (len(indices), n_points) value matrix.
 
     Shares the Gaussian base and the phase power tables across the family;
-    this is the fast path for Gram-matrix batteries.
+    with its ``factored`` form this is the fast path for Gram batteries.
     """
     indices = list(indices)
 
     def fam(z, z_perp):
         return basis_eval_many(config, indices, z, z_perp, normalized)
 
+    scale = [1.0 / math.sqrt(basis_norm_sq(config, i)) if normalized else 1.0 for i in indices]
     fam.size = len(indices)
+    fam.factored = _factored(config, indices, np.diag(scale))
     return fam
 
 
@@ -277,6 +319,8 @@ def basis_function(config: SpaceConfig, idx: BasisIndex, normalized: bool = Fals
     def f(z, z_perp):
         return basis_eval_many(config, [idx], z, z_perp, normalized)[0]
 
+    scale = 1.0 / math.sqrt(basis_norm_sq(config, idx)) if normalized else 1.0
+    f.factored = _factored(config, [idx], [[scale]])
     return f
 
 
@@ -355,6 +399,7 @@ def synthesized_function(config: SpaceConfig, coeffs: CoefficientField):
             return np.zeros(Z.shape[0], dtype=complex)
         return a @ basis_eval_many(config, idxs, z, z_perp)
 
+    f.factored = _factored(config, idxs, a[None, :])
     return f
 
 
@@ -390,7 +435,11 @@ def kernel_section(config: SpaceConfig, v: PointCoordinates, tol: float):
 
     The theta factor is evaluated at a per-point absolute tolerance equal
     to tol divided by the magnitude of the outer Gaussian factors, so the
-    overall kernel error stays below tol.
+    overall kernel error stays below tol.  In the ``factored`` form the
+    lattice factor is the closure at z_perp = 0 and the factor of
+    coordinate j is exp(nu z_j conj(v_j)); its theta tolerance is tol over
+    the lattice part alone, so its error is tol times the perpendicular
+    factors.
     """
     if v.z.shape[0] != config.r or v.z_perp.shape[0] != config.g - config.r:
         raise DimensionMismatch("v does not match the configuration dimensions")
@@ -398,6 +447,15 @@ def kernel_section(config: SpaceConfig, v: PointCoordinates, tol: float):
     zv = v.z[None, :]
     zv_red, log_fv = _reduce_batch(config, zv)
     half_v = 0.5 * config.nu * np.conj(_bilinear(config, zv_red, zv_red)[0]) + np.conj(log_fv[0])
+
+    def with_theta(Zr, outer):
+        if config.r == 0:
+            return outer
+        theta_tol = tol / np.maximum(np.abs(outer), 1e-290)
+        vals, _ = _theta.theta_eval_many(
+            config.theta_params, Zr - np.conj(zv_red), theta_tol
+        )
+        return outer * vals
 
     def f(z, z_perp):
         Z, Zp = _as_batch(config, z, z_perp)
@@ -408,15 +466,23 @@ def kernel_section(config: SpaceConfig, v: PointCoordinates, tol: float):
             + config.nu * perp_inner(Zp, np.broadcast_to(v.z_perp, Zp.shape))
             + log_fu
         )
-        outer = C * np.exp(outer_log)
-        if config.r == 0:
-            return outer
-        theta_tol = tol / np.maximum(np.abs(outer), 1e-290)
-        vals, _ = _theta.theta_eval_many(
-            config.theta_params, Zr - np.conj(zv_red), theta_tol
-        )
-        return outer * vals
+        return with_theta(Zr, C * np.exp(outer_log))
 
+    def lattice(z):
+        Zr, log_fu = _reduce_batch(config, z)
+        outer = C * np.exp(0.5 * config.nu * _bilinear(config, Zr, Zr) + half_v + log_fu)
+        return with_theta(Zr, outer)[None, :]
+
+    def perp_factor(vj):
+        return lambda w: np.exp(config.nu * w * np.conj(vj))[None, :]
+
+    m = config.g - config.r
+    f.factored = Factored(
+        lattice=lattice,
+        perp=tuple(perp_factor(vj) for vj in v.z_perp),
+        terms=np.zeros((1, 1 + m), dtype=np.intp),
+        coeffs=np.ones((1, 1), dtype=complex),
+    )
     return f
 
 

@@ -43,6 +43,8 @@ __all__ = [
     "random_point",
     "verify_geometry",
     "verify_theta",
+    "NormsBattery",
+    "norms_battery",
     "verify_orthogonality",
     "verify_reproducing",
     "verify_bounds",
@@ -339,6 +341,37 @@ def verify_theta(config: S.SpaceConfig, rng) -> list[PropertyOutcome]:
 # orthogonality suite
 
 
+@dataclass(frozen=True)
+class NormsBattery:
+    """Oracle Gram matrix of a basis index box against the closed-form norms."""
+
+    indices: list
+    oracle: np.ndarray  # real part of the oracle Gram diagonal
+    closed: np.ndarray  # closed-form squared norms
+    defects: np.ndarray  # relative diagonal defects
+    off_diagonal: float  # worst |G_ij| / sqrt(closed_i closed_j) over i != j
+
+
+def norms_battery(config: S.SpaceConfig, grid, n_max: int, k_max: int) -> NormsBattery:
+    """Gram battery over |n_j| <= n_max, |k| <= k_max on the given grid."""
+    idxs = [
+        S.BasisIndex(n=n, k=k)
+        for n in S._integer_box(config.r, n_max)
+        for k in S._multi_indices(config.g - config.r, k_max)
+    ]
+    G, _ = Q.gram_matrix(config, S.basis_family(config, idxs), grid)
+    closed = np.array([S.basis_norm_sq(config, i) for i in idxs])
+    oracle = np.diag(G).real
+    off = np.abs(G - np.diag(np.diag(G))) / np.sqrt(np.outer(closed, closed))
+    return NormsBattery(
+        indices=idxs,
+        oracle=oracle,
+        closed=closed,
+        defects=np.abs(oracle - closed) / closed,
+        off_diagonal=float(off.max()),
+    )
+
+
 def verify_orthogonality(
     config: S.SpaceConfig,
     rng,
@@ -353,19 +386,9 @@ def verify_orthogonality(
     )
     out.append(_outcome("grid-self-calibration", grid.estimated_error, 1e-9))
 
-    idxs = [
-        S.BasisIndex(n=n, k=k)
-        for n in S._integer_box(config.r, n_inf)
-        for k in S._multi_indices(config.g - config.r, k_total)
-    ]
-    fam = S.basis_family(config, idxs)
-    G, _ = Q.gram_matrix(config, fam, grid)
-    norms = np.array([S.basis_norm_sq(config, i) for i in idxs])
-    diag_defect = float((np.abs(np.diag(G).real - norms) / norms).max())
-    out.append(_outcome("norms-match-closed-form", diag_defect, 1e-6))
-    geo = np.sqrt(np.outer(norms, norms))
-    off = np.abs(G - np.diag(np.diag(G))) / geo
-    out.append(_outcome("off-diagonal-orthogonality", float(off.max()), 1e-6))
+    battery = norms_battery(config, grid, n_inf, k_total)
+    out.append(_outcome("norms-match-closed-form", float(battery.defects.max()), 1e-6))
+    out.append(_outcome("off-diagonal-orthogonality", battery.off_diagonal, 1e-6))
 
     # Parseval for a random finite field
     coeffs = random_field(rng, config)

@@ -1,5 +1,5 @@
+import functools
 import math
-import os
 
 import numpy as np
 import pytest
@@ -11,6 +11,7 @@ import thetafock as tf
 from thetafock import errors
 from thetafock import quadrature as Q
 from thetafock import space as S
+from thetafock import verify
 
 
 @pytest.fixture(scope="module")
@@ -181,20 +182,6 @@ def test_integration_deterministic(cfg_g1r1, grid_g1r1):
     assert a == b
 
 
-def test_threaded_integration_identical(cfg_g1r1, monkeypatch):
-    # partial sums are reduced in a fixed order, so the thread cap
-    # cannot change the bits
-    sp = tf.validate_space(np.eye(2))
-    lat = tf.build_lattice(sp, [[1.0, 0.0]])
-    cfg = tf.make_config(lat, [0.2], math.pi)
-    grid = tf.build_grid(cfg, compact_nodes=8, unbounded_nodes=24)
-    f = S.basis_function(cfg, tf.BasisIndex(n=(1,), k=(1,)))
-    serial = tf.inner_product(cfg, f, f, grid).value
-    monkeypatch.setenv("THETAFOCK_THREADS", "4")
-    threaded = tf.inner_product(cfg, f, f, grid).value
-    assert serial == threaded
-
-
 def test_skewed_lattice_battery_reduced_range():
     # non-diagonal Gram matrix still verified, over the index range the
     # default node counts can resolve
@@ -214,3 +201,88 @@ def test_skewed_lattice_battery_reduced_range():
     geo = np.sqrt(np.outer(norms, norms))
     off = np.abs(G - np.diag(np.diag(G))) / geo
     assert float(off.max()) <= 1e-6
+
+
+# --- block-factored reduction ------------------------------------------------
+
+
+@pytest.fixture(scope="module", params=["g2r0", "g2r1"])
+def small_case(request):
+    if request.param == "g2r0":
+        lat = tf.build_lattice(tf.validate_space(np.eye(2)), [])
+        cfg = tf.make_config(lat, [], 2.5)
+        offset = None
+    else:
+        H = np.array([[1.0, 0.2j], [-0.2j, 1.3]])
+        lat = tf.build_lattice(tf.validate_space(H), [[1.0, 0.4 + 0.1j]])
+        cfg = tf.make_config(lat, [0.3], math.pi)
+        offset = [0.37]
+    return cfg, tf.build_grid(cfg, compact_nodes=10, unbounded_nodes=14, box_offset=offset)
+
+
+def _one_block(fn):
+    # drops the factored attribute, so the whole tensor grid is one block
+    return lambda z, zp: fn(z, zp)
+
+
+@pytest.mark.parametrize("refine", [True, False])
+def test_factored_matches_one_block(small_case, refine):
+    cfg, grid = small_case
+    idxs = [
+        tf.BasisIndex(n=n, k=k)
+        for n in S._integer_box(cfg.r, 1)
+        for k in S._multi_indices(cfg.g - cfg.r, 2)
+    ]
+    fam = S.basis_family(cfg, idxs)
+    G, E = tf.gram_matrix(cfg, fam, grid, refine=refine)
+    G1, E1 = tf.gram_matrix(cfg, _one_block(fam), grid, refine=refine)
+    assert np.abs(G - G1).max() <= 1e-13 * np.abs(G1).max()
+    assert np.abs(E - E1).max() <= 1e-13 * np.abs(G1).max()
+
+    rng = np.random.default_rng(12)
+    coeffs = verify.random_field(rng, cfg, max_terms=3, n_inf=1, k_total=1)
+    v = verify.random_point(rng, cfg, scale=0.3)
+    f = S.synthesized_function(cfg, coeffs)
+    section = S.kernel_section(cfg, v, 1e-10)
+    empty = S.synthesized_function(cfg, S.CoefficientField.from_dict({}))
+    for a, b in ((f, f), (f, section), (section, f), (empty, section)):
+        got = tf.inner_product(cfg, a, b, grid, refine=refine).value
+        want = tf.inner_product(cfg, _one_block(a), _one_block(b), grid, refine=refine).value
+        assert abs(got - want) <= 1e-13 * abs(want)
+
+
+def test_oracle_never_reads_closed_forms(small_case, monkeypatch):
+    cfg, _ = small_case
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the oracle consulted a closed form")
+
+    for name in ("basis_norm_sq", "basis_norm_sq_log", "growth_functional",
+                 "kernel_eval", "kernel_diagonal"):
+        monkeypatch.setattr(S, name, forbidden)
+    grid = tf.build_grid(cfg, compact_nodes=8, unbounded_nodes=12)
+    idxs = [tf.BasisIndex(n=(0,) * cfg.r, k=k) for k in S._multi_indices(cfg.g - cfg.r, 1)]
+    G, _ = tf.gram_matrix(cfg, S.basis_family(cfg, idxs), grid)
+    assert np.all(np.diag(G).real > 0)
+    coeffs = S.CoefficientField.from_dict({idxs[-1]: 1.0 - 0.5j})
+    v = tf.PointCoordinates(np.full(cfg.r, 0.1 + 0.2j), np.full(cfg.g - cfg.r, 0.2 - 0.1j))
+    f = S.synthesized_function(cfg, coeffs)
+    value = tf.inner_product(cfg, f, S.kernel_section(cfg, v, 1e-10), grid).value
+    assert np.isfinite(value)
+
+
+def test_wrapped_family_keeps_block_path(small_case):
+    # functools.wraps copies the attributes but not the closure itself,
+    # as tracing wrappers do; the block path must still be taken
+    cfg, grid = small_case
+    idxs = [tf.BasisIndex(n=(n,) * cfg.r, k=(1,) * (cfg.g - cfg.r)) for n in (-1, 0, 1)]
+    fam = S.basis_family(cfg, idxs)
+
+    @functools.wraps(fam)
+    def wrapped(z, zp):
+        return fam(z, zp)
+
+    assert wrapped.factored is fam.factored
+    G, E = tf.gram_matrix(cfg, fam, grid)
+    Gw, Ew = tf.gram_matrix(cfg, wrapped, grid)
+    assert np.array_equal(G, Gw) and np.array_equal(E, Ew)
