@@ -86,6 +86,10 @@ class DimensionCapExceeded(BudgetError):
     pass
 
 
+class ValueOutOfRange(BudgetError, OverflowError):
+    """A result lies outside the double range and would be inf or NaN."""
+
+
 class ParseError(ThetaFockError):
     """Problem file could not be parsed; ``field`` names the bad entry."""
 

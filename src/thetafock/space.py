@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import theta as _theta
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, ValueOutOfRange
 from .geometry import Character, IsotropicLattice, PointCoordinates
 from .quadrature import Factored
 
@@ -346,38 +346,17 @@ def basis_norm_sq_log(config: SpaceConfig, idx: BasisIndex) -> float:
 
 
 def basis_norm_sq(config: SpaceConfig, idx: BasisIndex) -> float:
-    """||e_{n,k}||^2 in closed form.
+    """||e_{n,k}||^2 in closed form, exp(basis_norm_sq_log).
 
-    Small factorials are taken exactly; beyond |k| = 30 the value is
-    assembled in log space.  Raises OverflowError when the result exceeds
-    the double range (use basis_norm_sq_log then).
+    Raises ValueOutOfRange (an OverflowError) when the result exceeds the
+    double range; retrieve it with basis_norm_sq_log then.
     """
-    _check_index(config, idx)
     log_value = basis_norm_sq_log(config, idx)
     if log_value > _LOG_OVERFLOW:
-        raise OverflowError(
+        raise ValueOutOfRange(
             f"||e||^2 has log {log_value:.1f}; retrieve it with basis_norm_sq_log"
         )
-    r, g, nu = config.r, config.g, config.nu
-    ktot = sum(idx.k)
-    if ktot > 30:
-        return math.exp(log_value)
-    n = np.array(idx.n, dtype=float)
-    quad = (
-        (2.0 * math.pi**2 / nu) * float((n + config.alpha) @ config.lattice.B_inv @ (n + config.alpha))
-        if r
-        else 0.0
-    )
-    fact = 1.0
-    for kj in idx.k:
-        fact *= math.factorial(kj)
-    return (
-        config.lattice.det_b ** (-0.5)
-        * (math.pi / (2.0 * nu)) ** (r / 2.0)
-        * (math.pi / nu) ** (g - r)
-        * (fact / nu**ktot)
-        * math.exp(quad)
-    )
+    return math.exp(log_value)
 
 
 def synthesize(config: SpaceConfig, coeffs: CoefficientField, u: PointCoordinates) -> complex:
@@ -430,48 +409,48 @@ def _kernel_prefactor(config: SpaceConfig) -> float:
     )
 
 
+def _kernel_batch(config: SpaceConfig, Z, perp_log, v: PointCoordinates, tol: float):
+    """Outer factors and theta factors of K(u, v) at the lattice points Z.
+
+    perp_log is nu <z_perp, v_perp> per point (0 drops the perpendicular
+    factor).  The theta factor is evaluated at a per-point absolute
+    tolerance equal to tol divided by the magnitude of the outer factor,
+    so their product is within tol of the kernel.
+    """
+    Zr, log_fu = _reduce_batch(config, Z)
+    zvr, log_fv = _reduce_batch(config, v.z[None, :])
+    outer = _kernel_prefactor(config) * np.exp(
+        0.5 * config.nu * _bilinear(config, Zr, Zr)
+        + np.conj(0.5 * config.nu * _bilinear(config, zvr, zvr)[0] + log_fv[0])
+        + perp_log
+        + log_fu
+    )
+    theta_tol = tol / np.maximum(np.abs(outer), 1e-290)
+    vals, _ = _theta.theta_eval_many(config.theta_params, Zr - np.conj(zvr), theta_tol)
+    return outer, vals
+
+
 def kernel_section(config: SpaceConfig, v: PointCoordinates, tol: float):
     """Closure u -> K(u, v) evaluating the closed form on point batches.
 
-    The theta factor is evaluated at a per-point absolute tolerance equal
-    to tol divided by the magnitude of the outer Gaussian factors, so the
-    overall kernel error stays below tol.  In the ``factored`` form the
-    lattice factor is the closure at z_perp = 0 and the factor of
+    The overall kernel error stays below tol.  In the ``factored`` form
+    the lattice factor is the closure at z_perp = 0 and the factor of
     coordinate j is exp(nu z_j conj(v_j)); its theta tolerance is tol over
     the lattice part alone, so its error is tol times the perpendicular
     factors.
     """
     if v.z.shape[0] != config.r or v.z_perp.shape[0] != config.g - config.r:
         raise DimensionMismatch("v does not match the configuration dimensions")
-    C = _kernel_prefactor(config)
-    zv = v.z[None, :]
-    zv_red, log_fv = _reduce_batch(config, zv)
-    half_v = 0.5 * config.nu * np.conj(_bilinear(config, zv_red, zv_red)[0]) + np.conj(log_fv[0])
-
-    def with_theta(Zr, outer):
-        if config.r == 0:
-            return outer
-        theta_tol = tol / np.maximum(np.abs(outer), 1e-290)
-        vals, _ = _theta.theta_eval_many(
-            config.theta_params, Zr - np.conj(zv_red), theta_tol
-        )
-        return outer * vals
 
     def f(z, z_perp):
         Z, Zp = _as_batch(config, z, z_perp)
-        Zr, log_fu = _reduce_batch(config, Z)
-        outer_log = (
-            0.5 * config.nu * _bilinear(config, Zr, Zr)
-            + half_v
-            + config.nu * perp_inner(Zp, np.broadcast_to(v.z_perp, Zp.shape))
-            + log_fu
-        )
-        return with_theta(Zr, C * np.exp(outer_log))
+        perp_log = config.nu * perp_inner(Zp, np.broadcast_to(v.z_perp, Zp.shape))
+        outer, vals = _kernel_batch(config, Z, perp_log, v, tol)
+        return outer * vals
 
     def lattice(z):
-        Zr, log_fu = _reduce_batch(config, z)
-        outer = C * np.exp(0.5 * config.nu * _bilinear(config, Zr, Zr) + half_v + log_fu)
-        return with_theta(Zr, outer)[None, :]
+        outer, vals = _kernel_batch(config, z, 0.0, v, tol)
+        return (outer * vals)[None, :]
 
     def perp_factor(vj):
         return lambda w: np.exp(config.nu * w * np.conj(vj))[None, :]
@@ -489,41 +468,29 @@ def kernel_section(config: SpaceConfig, v: PointCoordinates, tol: float):
 def kernel_eval(config: SpaceConfig, u: PointCoordinates, v: PointCoordinates, tol: float) -> complex:
     """Reproducing kernel K(u, v) with absolute accuracy tol.
 
-    Scalar path: the theta factor is summed in the deterministic plan
-    order with compensated accumulation.  In the degenerate ranks the
-    absent factors are exact floating-point no-ops (theta term 1 for
-    r = 0, empty perpendicular inner product for r = g).
+    A batch of one through the kernel_section path, so the two agree.  In
+    the degenerate ranks the absent factors are exact floating-point
+    no-ops (theta value 1 for r = 0, empty perpendicular inner product for
+    r = g).  Raises ValueOutOfRange when the theta factor leaves the
+    double range.
     """
     if u.z.shape[0] != config.r or v.z.shape[0] != config.r:
         raise DimensionMismatch("points do not match the configuration rank")
     if u.z_perp.shape[0] != config.g - config.r or v.z_perp.shape[0] != config.g - config.r:
         raise DimensionMismatch("points do not match the configuration dimensions")
-    C = _kernel_prefactor(config)
-    zur, log_fu = _reduce_batch(config, u.z[None, :])
-    zvr, log_fv = _reduce_batch(config, v.z[None, :])
-    outer_log = (
-        0.5 * config.nu * _bilinear(config, zur, zur)[0]
-        + np.conj(0.5 * config.nu * _bilinear(config, zvr, zvr)[0] + log_fv[0])
-        + config.nu * perp_inner(u.z_perp, v.z_perp)
-        + log_fu[0]
-    )
-    outer = C * np.exp(outer_log)
-    if config.r == 0:
-        theta_val = complex(1.0)
-    else:
-        theta_tol = tol / max(abs(outer), 1e-290)
-        theta_val = _theta.theta_eval(
-            config.theta_params, (zur - np.conj(zvr))[0], theta_tol
-        ).value
-    return complex(outer * theta_val)
+    perp_log = config.nu * perp_inner(u.z_perp, v.z_perp)
+    outer, vals = _kernel_batch(config, u.z[None, :], perp_log, v, tol)
+    # a scalar product: the array product can differ in the last bit
+    return complex(outer[0] * vals[0])
 
 
 def kernel_diagonal(config: SpaceConfig, u: PointCoordinates, tol: float) -> float:
-    """K(u, u) through the all-real diagonal series; strictly positive.
+    """K(u, u), strictly positive.
 
-    For the purely imaginary F of a space configuration every diagonal
-    theta term is a positive real exponential, so the sum is taken in real
-    arithmetic (compensated, in plan order).
+    The outer factor is real.  For the purely imaginary F of a space
+    configuration the theta factor at 2i Im z (z reduced) is a sum of
+    positive real terms, so its real part is taken.  Raises
+    ValueOutOfRange when that factor leaves the double range.
     """
     z = np.asarray(u.z, dtype=complex)[None, :]
     zp = np.asarray(u.z_perp, dtype=complex)
@@ -541,16 +508,8 @@ def kernel_diagonal(config: SpaceConfig, u: PointCoordinates, tol: float) -> flo
     )
     if config.r == 0:
         return outer
-    params = config.theta_params
-    plan = _theta.truncation_plan(params, (zr - np.conj(zr))[0], tol / max(outer, 1e-290))
-    t = plan.index_set + params.alpha
-    y = np.imag(zr[0])
-    exponents = (
-        -(2.0 * math.pi**2 / config.nu) * np.einsum("ij,jk,ik->i", t, config.lattice.B_inv, t)
-        - 4.0 * math.pi * (t @ y)
-    )
-    theta_diag = _theta._neumaier(np.exp(exponents))
-    return outer * theta_diag
+    theta_diag = _theta.theta_eval(config.theta_params, 2j * zr[0].imag, tol / max(outer, 1e-290))
+    return outer * theta_diag.value.real
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,16 @@ image point, so
 
 which is evaluated in closed form through upper incomplete gamma
 functions.  The bound is crude but certified and monotone in R.
+
+Every entry point goes through one planner and one reducer.  The planner
+takes the rows s = Im(z + b) of a batch, finds one radius for the
+tightest row, and enumerates one index set covering every row's
+ellipsoid; a single point is a batch of one.  The reducer sums the
+planned terms of each row in plan order (dominant terms first) with
+numpy's pairwise summation, so the rounding error is about
+log2(K) eps sum |terms| for K terms, and a row's value does not depend on
+the other rows of its batch.  A sum that leaves the double range raises
+ValueOutOfRange instead of returning inf or NaN.
 """
 
 from __future__ import annotations
@@ -37,6 +47,7 @@ from .errors import (
     ImaginaryPartNotPositiveDefinite,
     NotSymmetric,
     TailBoundUnreachable,
+    ValueOutOfRange,
 )
 
 __all__ = [
@@ -53,6 +64,9 @@ __all__ = [
 
 _RADIUS_STEP = 0.5
 _MAX_INDICES = 5_000_000
+# Cap on the bytes of one complex (points x terms) temporary in the reducer;
+# batches are summed in chunks of rows that stay under it.
+_CHUNK_BYTES = 1 << 24
 
 
 def _readonly(a):
@@ -189,11 +203,6 @@ def _find_radius(params: ThetaParameters, log_target: float, max_radius: float):
     )
 
 
-def _tail_from_logs(log_prefactor: float, log_shell: float) -> float:
-    # floor keeps the reported bound positive down to the subnormal range
-    return math.exp(max(min(log_prefactor + log_shell, 709.0), -744.0))
-
-
 def _enumerate_box(params: ThetaParameters, lo: np.ndarray, hi: np.ndarray, R: float) -> np.ndarray:
     """Integer points within Y-distance R of the box [lo, hi]."""
     extents = R * np.sqrt(np.diag(params.y_inv))
@@ -211,6 +220,27 @@ def _enumerate_box(params: ThetaParameters, lo: np.ndarray, hi: np.ndarray, R: f
     nearest = np.clip(pts, lo, hi)
     dist = np.linalg.norm((pts - nearest) @ params.y_sqrt.T, axis=1)
     return pts[dist <= R + 1e-12]
+
+
+def _plan(params: ThetaParameters, S: np.ndarray, log_tol, max_radius: float | None):
+    """One truncation plan for the rows S = Im(Z + beta) of a batch.
+
+    The radius meets the tightest row's target log_tol - log_prefactor;
+    the index set covers every row's ellipsoid, so extra indices only
+    tighten the other rows.  Returns (radius, index set, centers,
+    log_prefactors, tails), the tails being each row's certified bound on
+    the omitted mass.
+    """
+    SY = S @ params.y_inv.T
+    centers = -params.alpha - SY
+    log_pref = math.pi * np.einsum("ij,ij->i", SY, S)
+    budget = params.max_radius if max_radius is None else float(max_radius)
+    R, log_sb = _find_radius(params, float((log_tol - log_pref).min()), budget)
+    lo, hi = centers.min(axis=0), centers.max(axis=0)
+    idx = _sort_indices(params, _enumerate_box(params, lo, hi, R), 0.5 * (lo + hi))
+    # the floor keeps a reported bound positive down to the subnormal range
+    tails = np.exp(np.minimum(np.maximum(log_pref + log_sb, -744.0), 709.0))
+    return R, idx, centers, log_pref, tails
 
 
 def truncation_plan(
@@ -235,19 +265,15 @@ def truncation_plan(
     z = np.asarray(z, dtype=complex).reshape(-1)
     if z.shape[0] != params.r:
         raise DimensionMismatch(f"z must have length {params.r}")
-    s = np.imag(z + params.beta)
-    center = -params.alpha - params.y_inv @ s
-    log_pref = math.pi * float(s @ params.y_inv @ s)
-    budget = params.max_radius if max_radius is None else float(max_radius)
-    R, log_sb = _find_radius(params, math.log(tol) - log_pref, budget)
-    idx = _enumerate_box(params, center, center, R)
-    idx = _sort_indices(params, idx, center)
+    R, idx, centers, log_pref, tails = _plan(
+        params, np.imag(z + params.beta)[None, :], np.log(tol), max_radius
+    )
     return TruncationPlan(
         radius=R,
         index_set=idx,
-        tail_bound=_tail_from_logs(log_pref, log_sb),
-        center=center,
-        log_prefactor=log_pref,
+        tail_bound=float(tails[0]),
+        center=centers[0],
+        log_prefactor=float(log_pref[0]),
     )
 
 
@@ -260,32 +286,49 @@ def _sort_indices(params: ThetaParameters, idx: np.ndarray, center: np.ndarray) 
     return idx[np.lexsort(keys)]
 
 
-def _neumaier(values: np.ndarray) -> float:
-    s = 0.0
-    c = 0.0
-    for x in values:
-        t = s + x
-        if abs(s) >= abs(x):
-            c += (s - t) + x
-        else:
-            c += (x - t) + s
-        s = t
-    return s + c
-
-
 def _term_exponents(params: ThetaParameters, z: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """2 pi i (1/2 t F t + t.(z + beta)) for t = idx + alpha.
+
+    z of shape (..., r) gives shape (..., K).  The linear part is built
+    one coordinate at a time, so each entry is computed the same way
+    whatever the number of points.
+    """
     t = idx + params.alpha
-    quad = 0.5 * np.einsum("ij,jk,ik->i", t, params.F, t)
-    return 2j * np.pi * (quad + t @ (z + params.beta))
+    zb = z + params.beta
+    out = 0.5 * np.einsum("ij,jk,ik->i", t, params.F, t) + zb[..., :1] * t[:, 0]
+    for j in range(1, params.r):
+        out += zb[..., j : j + 1] * t[:, j]
+    out *= 2j * np.pi
+    return out
+
+
+def _sum_terms(params: ThetaParameters, Z: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Sum of the planned terms at each row of Z (N, r), in plan order.
+
+    Rows are processed in chunks whose (rows x terms) temporaries stay
+    under _CHUNK_BYTES; the chunking does not change any value.  Raises
+    ValueOutOfRange when a sum is not finite.
+    """
+    rows = max(1, _CHUNK_BYTES // (16 * max(idx.shape[0], 1)))
+    out = np.empty(Z.shape[0], dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, Z.shape[0], rows):
+            terms = _term_exponents(params, Z[start : start + rows], idx)
+            out[start : start + rows] = np.sum(np.exp(terms, out=terms), axis=1)
+    if not np.isfinite(out).all():
+        bad = int(np.argmin(np.isfinite(out)))
+        raise ValueOutOfRange(
+            f"theta sum at point {bad} is {out[bad]}: the value leaves the double range"
+        )
+    return out
 
 
 def eval_with_plan(params: ThetaParameters, z, plan: TruncationPlan) -> complex:
-    """Sum the planned terms in plan order with compensated accumulation."""
+    """Sum the planned terms at z in plan order (pairwise summation)."""
     if params.r == 0:
         return complex(1.0)
-    z = np.asarray(z, dtype=complex).reshape(-1)
-    terms = np.exp(_term_exponents(params, z, plan.index_set))
-    return complex(_neumaier(terms.real), _neumaier(terms.imag))
+    z = np.asarray(z, dtype=complex).reshape(1, -1)
+    return complex(_sum_terms(params, z, plan.index_set)[0])
 
 
 def theta_eval(
@@ -293,7 +336,9 @@ def theta_eval(
 ) -> ThetaResult:
     """Evaluate the series at z with |error| <= tail_bound <= tol.
 
-    Deterministic: the same inputs give bit-identical results.
+    Deterministic: the same inputs give bit-identical results, equal to
+    those of theta_eval_many on the batch [z].  Raises ValueOutOfRange when
+    the value leaves the double range.
     """
     if params.r == 0:
         return ThetaResult(value=complex(1.0), tail_bound=0.0, terms=1)
@@ -302,26 +347,21 @@ def theta_eval(
     return ThetaResult(value=value, tail_bound=plan.tail_bound, terms=plan.index_set.shape[0])
 
 
-def theta_eval_many(
-    params: ThetaParameters,
-    Z,
-    tol,
-    max_radius: float | None = None,
-    chunk: int = 1 << 16,
-):
+def theta_eval_many(params: ThetaParameters, Z, tol, max_radius: float | None = None):
     """Batch evaluation over points Z of shape (N, r).
 
-    ``tol`` is a scalar or per-point array of absolute error targets.  A
-    single index set covering the union of the per-point ellipsoids is
-    used; extra indices only tighten the result, so the per-point tail
-    bounds returned remain certified.  Within the batch path the
-    summation order is the shared index order (still deterministic for
-    identical inputs).  Returns (values (N,), tails (N,)).
+    ``tol`` is a scalar or per-point array of absolute error targets.  One
+    index set covering the union of the per-point ellipsoids is summed at
+    every point, in its plan order; extra indices only tighten the result,
+    so the per-point tail bounds returned remain certified.  Each point's
+    value depends only on that point and the shared index set, and a
+    batch of one gives theta_eval's value and tail bit for bit.  Raises
+    ValueOutOfRange when a value leaves the double range.  Returns
+    (values (N,), tails (N,)).
     """
-    if params.r == 0:
-        n = np.atleast_2d(np.asarray(Z, dtype=complex)).shape[0]
-        return np.ones(n, dtype=complex), np.zeros(n)
     Z = np.atleast_2d(np.asarray(Z, dtype=complex))
+    if params.r == 0:
+        return np.ones(Z.shape[0], dtype=complex), np.zeros(Z.shape[0])
     if Z.shape[1] != params.r:
         raise DimensionMismatch(f"points must have {params.r} columns")
     if Z.shape[0] == 0:
@@ -329,22 +369,8 @@ def theta_eval_many(
     tol_arr = np.broadcast_to(np.asarray(tol, dtype=float), (Z.shape[0],))
     if np.any(tol_arr <= 0):
         raise ValueError("tol must be positive")
-    S = np.imag(Z + params.beta)
-    centers = -params.alpha - S @ params.y_inv.T
-    log_pref = math.pi * np.einsum("ij,ij->i", S @ params.y_inv.T, S)
-    budget = params.max_radius if max_radius is None else float(max_radius)
-    R, log_sb = _find_radius(params, float(np.min(np.log(tol_arr) - log_pref)), budget)
-    idx = _enumerate_box(params, centers.min(axis=0), centers.max(axis=0), R)
-    idx = _sort_indices(params, idx, centers.mean(axis=0))
-    t = idx + params.alpha
-    quad = 0.5 * np.einsum("ij,jk,ik->i", t, params.F, t)
-    values = np.empty(Z.shape[0], dtype=complex)
-    for start in range(0, Z.shape[0], chunk):
-        zc = Z[start : start + chunk]
-        args = 2j * np.pi * (quad[None, :] + (zc + params.beta) @ t.T)
-        values[start : start + chunk] = np.exp(args).sum(axis=1)
-    tails = np.array([_tail_from_logs(lp, log_sb) for lp in log_pref])
-    return values, tails
+    _, idx, _, _, tails = _plan(params, np.imag(Z + params.beta), np.log(tol_arr), max_radius)
+    return _sum_terms(params, Z, idx), tails
 
 
 def theta_quasiperiodicity_defect(params: ThetaParameters, z, m, m2, tol: float) -> float:

@@ -103,6 +103,13 @@ def test_theta_budget_failure(tmp_path):
     assert result(doc, "budget")["value"] == "TailBoundUnreachable"
 
 
+def test_theta_out_of_range(tmp_path):
+    code, doc = run(tmp_path, "theta", write(tmp_path, G1R1), "--z=0.1,30")
+    assert code == 3
+    assert doc["status"] == "budget-failure"
+    assert result(doc, "budget")["value"] == "ValueOutOfRange"
+
+
 def test_kernel_symmetry_spot_check(tmp_path):
     path = write(tmp_path, G2R1)
     code, doc = run(

@@ -7,7 +7,7 @@ from scipy.integrate import quad
 import thetafock as tf
 from thetafock import space as S
 from thetafock import verify
-from thetafock.errors import DimensionMismatch
+from thetafock.errors import DimensionMismatch, ValueOutOfRange
 from thetafock.geometry import PointCoordinates, b_form
 
 
@@ -23,6 +23,13 @@ def cfg_g2r1():
     sp = tf.validate_space(np.eye(2))
     lat = tf.build_lattice(sp, [[1.0, 1j]])
     return tf.make_config(lat, [0.3], math.pi)
+
+
+@pytest.fixture(scope="module")
+def cfg_g2r2():
+    sp = tf.validate_space(np.eye(2))
+    lat = tf.build_lattice(sp, [[1.0, 0.0], [0.0, 1.0]])
+    return tf.make_config(lat, [0.3, 0.1], math.pi)
 
 
 @pytest.fixture(scope="module")
@@ -241,6 +248,29 @@ def test_kernel_r0_closed_form(cfg_g1r0):
         cfg_g1r0.nu * S.perp_inner(u.z_perp, v.z_perp)
     )
     assert got == complex(direct)
+
+
+@pytest.mark.parametrize("name", ["cfg_g1r0", "cfg_g1r1", "cfg_g2r1", "cfg_g2r2"])
+def test_kernel_eval_matches_section(name, request):
+    cfg = request.getfixturevalue(name)
+    rng = np.random.default_rng(31)
+    for _ in range(5):
+        u = verify.random_point(rng, cfg)
+        v = verify.random_point(rng, cfg)
+        want = tf.kernel_eval(cfg, u, v, 1e-11)
+        got = S.kernel_section(cfg, v, 1e-11)(u.z, u.z_perp)[0]
+        assert abs(got - want) <= 1e-15 * abs(want)
+
+
+def test_kernel_far_imaginary_raises(cfg_g1r1):
+    # the outer Gaussian underflows and theta overflows; until theta is
+    # carried in log scale these raise instead of returning NaN
+    u = PointCoordinates(np.array([0.1 + 25j]), np.zeros(0))
+    v = PointCoordinates(np.array([0.2 + 0.1j]), np.zeros(0))
+    with pytest.raises(ValueOutOfRange):
+        tf.kernel_eval(cfg_g1r1, u, v, 1e-10)
+    with pytest.raises(ValueOutOfRange):
+        tf.kernel_diagonal(cfg_g1r1, PointCoordinates(np.array([0.1 + 15j]), np.zeros(0)), 1e-10)
 
 
 def test_kernel_diagonal(cfg_g2r1):

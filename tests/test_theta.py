@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import thetafock as tf
 from thetafock import errors
@@ -206,3 +208,45 @@ def test_plan_recentering_tracks_imaginary_part():
     assert far.tail_bound <= 1e-10
     # the dominant term sits first in the planned summation order
     assert abs(far.index_set[0, 0] + 5.0) <= 1.0
+
+
+def _random_params(rng, r):
+    A = rng.standard_normal((r, r))
+    X = rng.standard_normal((r, r))
+    F = 0.5 * (X + X.T) + 1j * (A @ A.T + 0.5 * np.eye(r))
+    return tf.validate_parameters(F, rng.uniform(0, 1, r), rng.uniform(0, 1, r))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), r=st.integers(1, 3), log_tol=st.floats(-13.0, -3.0))
+def test_scalar_is_batch_of_one(seed, r, log_tol):
+    rng = np.random.default_rng(seed)
+    params = _random_params(rng, r)
+    z = rng.standard_normal(r) + 2j * rng.standard_normal(r)
+    single = tf.theta_eval(params, z, 10.0**log_tol)
+    vals, tails = T.theta_eval_many(params, z[None, :], 10.0**log_tol)
+    assert single.value == vals[0]
+    assert single.tail_bound == tails[0]
+
+
+def test_batch_chunking_bit_identical(monkeypatch):
+    rng = np.random.default_rng(14)
+    params = _random_params(rng, 2)
+    Z = rng.standard_normal((30, 2)) + 1j * rng.standard_normal((30, 2))
+    tol = 10.0 ** rng.uniform(-12, -6, 30)
+    vals, tails = T.theta_eval_many(params, Z, tol)
+    monkeypatch.setattr(T, "_CHUNK_BYTES", 1)  # one row per chunk
+    vals1, tails1 = T.theta_eval_many(params, Z, tol)
+    assert np.array_equal(vals, vals1)
+    assert np.array_equal(tails, tails1)
+
+
+def test_out_of_range_value_raises():
+    # the terms near n = -20 have magnitude exp(400 pi): the value is not a double
+    params = tf.validate_parameters([[1j]], alpha=[0.3])
+    with pytest.raises(errors.ValueOutOfRange):
+        tf.theta_eval(params, [0.1 + 20j], 1e-10)
+    with pytest.raises(errors.ValueOutOfRange):
+        T.theta_eval_many(params, [[0.1], [0.1 + 20j]], 1e-10)
+    assert issubclass(errors.ValueOutOfRange, errors.BudgetError)
+    assert issubclass(errors.ValueOutOfRange, OverflowError)
