@@ -129,15 +129,24 @@ def _emit(doc: ResultDocument, out_path):
         sys.stdout.write(text)
 
 
-def cmd_validate(args) -> tuple[ResultDocument, int]:
+def _start(args, doc: ResultDocument, **flags):
+    """Load the problem and record its digest and the verb's flags in doc."""
     problem = load_problem(args.file)
-    doc = ResultDocument(command="validate", config_digest=problem.digest)
-    try:
-        config = build_config(problem)
-    except ValidationError as exc:
-        doc.status = "validation-failure"
-        doc.add("invariant", type(exc).__name__, passed=False, message=str(exc))
-        return doc, EXIT_VALIDATION
+    doc.config_digest = problem.digest
+    doc.flags = flags
+    return problem
+
+
+def _failure(doc: ResultDocument, status: str, name: str, exc) -> ResultDocument:
+    """A failure document keeping the digest and flags recorded so far."""
+    out = ResultDocument(command=doc.command, config_digest=doc.config_digest,
+                         status=status, flags=doc.flags)
+    out.add(name, type(exc).__name__, passed=False, message=str(exc))
+    return out
+
+
+def cmd_validate(args, doc: ResultDocument) -> int:
+    config = build_config(_start(args, doc))
     lat = config.lattice
     doc.add("hermitian", True, passed=True)
     doc.add("positive_definite", True, passed=True)
@@ -150,29 +159,26 @@ def cmd_validate(args) -> tuple[ResultDocument, int]:
     doc.add("B_inv", lat.B_inv)
     doc.add("complement_basis", lat.complement)
     doc.add("ambient_measure_factor", ambient_measure_factor(lat))
-    return doc, EXIT_OK
+    return EXIT_OK
 
 
-def cmd_theta(args) -> tuple[ResultDocument, int]:
-    problem = load_problem(args.file)
+def cmd_theta(args, doc: ResultDocument) -> int:
+    # --z is recorded as given until the rank is known, then as parsed
+    problem = _start(args, doc, tol=args.tol, z=args.z, max_radius=args.max_radius)
     config = build_config(problem)
-    z = _vector(args.z, config.r, "--z")
-    doc = ResultDocument(command="theta", config_digest=problem.digest,
-                         flags={"tol": args.tol, "z": z, "max_radius": args.max_radius})
+    doc.flags["z"] = z = _vector(args.z, config.r, "--z")
     res = T.theta_eval(config.theta_params, z, args.tol, max_radius=args.max_radius)
     doc.add("theta", res.value)
     doc.add("tail_bound", res.tail_bound)
     doc.add("index_set_size", res.terms)
-    return doc, EXIT_OK
+    return EXIT_OK
 
 
-def cmd_kernel(args) -> tuple[ResultDocument, int]:
-    problem = load_problem(args.file)
+def cmd_kernel(args, doc: ResultDocument) -> int:
+    problem = _start(args, doc, tol=args.tol)
     config = build_config(problem)
     u = coordinates(config.lattice, _vector(args.u, config.g, "--u"))
     v = coordinates(config.lattice, _vector(args.v, config.g, "--v"))
-    doc = ResultDocument(command="kernel", config_digest=problem.digest,
-                         flags={"tol": args.tol})
     k_uv = S.kernel_eval(config, u, v, args.tol)
     k_vu = S.kernel_eval(config, v, u, args.tol)
     sym_defect = abs(k_uv - k_vu.conjugate())
@@ -182,15 +188,13 @@ def cmd_kernel(args) -> tuple[ResultDocument, int]:
     doc.add("v_coordinates", np.concatenate([v.z, v.z_perp]))
     if sym_defect > 2 * args.tol:
         doc.status = "property-failure"
-        return doc, EXIT_PROPERTY
-    return doc, EXIT_OK
+        return EXIT_PROPERTY
+    return EXIT_OK
 
 
-def cmd_norms(args) -> tuple[ResultDocument, int]:
-    problem = load_problem(args.file)
+def cmd_norms(args, doc: ResultDocument) -> int:
+    problem = _start(args, doc, n_max=args.n_max, k_max=args.k_max)
     config = build_config(problem)
-    doc = ResultDocument(command="norms", config_digest=problem.digest,
-                         flags={"n_max": args.n_max, "k_max": args.k_max})
     compact, unbounded = args.nodes or (Q._DEFAULT_COMPACT_NODES, Q._DEFAULT_UNBOUNDED_NODES)
     grid = Q.build_grid(config, compact_nodes=compact, unbounded_nodes=unbounded)
     battery = verify.norms_battery(config, grid, args.n_max, args.k_max)
@@ -204,15 +208,13 @@ def cmd_norms(args) -> tuple[ResultDocument, int]:
                 oracle=float(oracle), rel_defect=float(defect))
     if not ok:
         doc.status = "property-failure"
-        return doc, EXIT_PROPERTY
-    return doc, EXIT_OK
+        return EXIT_PROPERTY
+    return EXIT_OK
 
 
-def cmd_verify(args) -> tuple[ResultDocument, int]:
-    problem = load_problem(args.file)
+def cmd_verify(args, doc: ResultDocument) -> int:
+    problem = _start(args, doc, suite=args.suite, seed=args.seed)
     config = build_config(problem)
-    doc = ResultDocument(command="verify", config_digest=problem.digest,
-                         flags={"suite": args.suite, "seed": args.seed})
     kwargs = {}
     if args.nodes:
         kwargs["compact_nodes"], kwargs["unbounded_nodes"] = args.nodes
@@ -224,8 +226,8 @@ def cmd_verify(args) -> tuple[ResultDocument, int]:
                 detail=oc.detail)
     if not ok:
         doc.status = "property-failure"
-        return doc, EXIT_PROPERTY
-    return doc, EXIT_OK
+        return EXIT_PROPERTY
+    return EXIT_OK
 
 
 _DISPATCH = {
@@ -245,8 +247,9 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     t0 = time.perf_counter()
+    doc = ResultDocument(command=args.cmd, config_digest="")
     try:
-        doc, code = _DISPATCH[args.cmd](args)
+        code = _DISPATCH[args.cmd](args, doc)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -254,14 +257,10 @@ def main(argv=None) -> int:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ValidationError as exc:
-        doc = ResultDocument(command=args.cmd, config_digest="", status="validation-failure")
-        doc.add("invariant", type(exc).__name__, passed=False, message=str(exc))
-        _emit(doc, args.out)
+        _emit(_failure(doc, "validation-failure", "invariant", exc), args.out)
         return EXIT_VALIDATION
     except BudgetError as exc:
-        doc = ResultDocument(command=args.cmd, config_digest="", status="budget-failure")
-        doc.add("budget", type(exc).__name__, passed=False, message=str(exc))
-        _emit(doc, args.out)
+        _emit(_failure(doc, "budget-failure", "budget", exc), args.out)
         return EXIT_BUDGET
     except ThetaFockError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -21,6 +21,15 @@ reduced block by block.  The nodes and weights are the same as for the
 full tensor grid; only the order of summation differs.  Any other
 callable is summed as one block over the whole tensor grid.
 
+The lattice block splits again into its real and imaginary axes when
+both families are declared ``separable``.  For factors
+exp(nu/2 z^T B z + 2 pi i c.z) with B real, the only x-y cross term is
+the phase exp(i nu x^T B y); it is the same for every factor and cancels
+in f_a conj(f_b).  The lattice Gram is then the entrywise product of a
+sum over the x nodes (points x + 0i) and a sum over the y nodes (points
+0 + iy).  Kernel sections carry a theta factor, which does not split, so
+they and any pair involving them keep the tensor lattice block.
+
 This module is the verification oracle: it never consults the closed-form
 norms or kernels it is used to check.  It only evaluates each integrand,
 or each of its factors, at its own nodes.
@@ -116,12 +125,22 @@ class Factored:
     every perpendicular coordinate j.  ``lattice`` maps lattice
     coordinates (n, r) to the (L, n) values of its distinct factors;
     ``perp[j]`` maps values (n,) of coordinate j to (P_j, n).
+
+    ``separable`` declares that every pair of lattice factors splits over
+    the real and imaginary axes,
+
+        f_a(x + iy) conj f_b(x + iy) = f_a(x) conj f_b(x) * f_a(iy) conj f_b(iy),
+
+    as it does for exp(nu/2 z^T B z + 2 pi i c.z) with real B: the only
+    cross term, exp(i nu x^T B y), is a phase shared by every factor and
+    cancels in the product.  A theta factor does not split this way.
     """
 
     lattice: Callable
     perp: tuple
     terms: np.ndarray  # (n_terms, 1 + g - r) integer factor rows
     coeffs: np.ndarray  # (n_members, n_terms) complex
+    separable: bool = False
 
 
 @dataclass(frozen=True)
@@ -274,6 +293,7 @@ def _calibrate(config, grid) -> float:
         perp=tuple((lambda w, k=k: (w**k)[None, :]) for k in k_cal),
         terms=np.array([[i] + [0] * m for i in range(len(freqs))]),
         coeffs=np.eye(len(freqs), dtype=complex),
+        separable=True,
     )
     got = _factored_sum(config, grid.base, grid.box_offset, form, form)
 
@@ -300,22 +320,35 @@ def _perp_grid(config, level: _Level):
     return (p[:, 0] + 1j * p[:, 1]) / math.sqrt(config.nu), w
 
 
-def _tensor_chunks(config, level: _Level, offset, with_perp: bool):
-    """Yield (points, weights) over the whole tensor grid or the lattice block.
+def _lattice_axes(config, level: _Level, offset):
+    """Real nodes x (n_c^r, r), imaginary nodes iy (n_h^r, r) and their weights.
 
-    Points are (Z, Zp) with ``with_perp``, else (Z,); at most _CHUNK nodes
-    are assembled at a time.  The weights carry the correction
-    exp(|s|^2/2 - nu x^T B x), split into its x and s parts, but no
-    Jacobian.
+    The weights carry the correction exp(|s|^2/2 - nu x^T B x), split into
+    its x and s parts, but no Jacobian.
     """
     r, nu = config.r, config.nu
-    m = config.g - r if with_perp else 0
     x, wx = _box(level.compact_nodes, level.compact_weights, r)
     x = x + offset
     wx = wx * np.exp(-nu * np.einsum("ij,jk,ik->i", x, config.lattice.B, x))
     t = level.herm_nodes
     s, ws = _box(t, level.herm_weights * np.exp(0.5 * t * t), r)
-    iy = 1j * (s @ level.y_transform.T)
+    return x, wx, 1j * (s @ level.y_transform.T), ws
+
+
+def _axis_chunks(points, weights):
+    """Yield ((points,), weights) in runs of at most _CHUNK nodes."""
+    for start in range(0, len(weights), _CHUNK):
+        yield (points[start:start + _CHUNK],), weights[start:start + _CHUNK]
+
+
+def _tensor_chunks(config, level: _Level, offset, with_perp: bool):
+    """Yield (points, weights) over the whole tensor grid or the lattice block.
+
+    Points are (Z, Zp) with ``with_perp``, else (Z,); at most _CHUNK nodes
+    are assembled at a time.  Weights are as in _lattice_axes.
+    """
+    m = config.g - config.r if with_perp else 0
+    x, wx, iy, ws = _lattice_axes(config, level, offset)
     zp, wp = _perp_grid(config, level)
     sizes = (len(wx), len(ws)) + (len(wp),) * m
     total = math.prod(sizes)
@@ -346,13 +379,17 @@ def _block_sum(chunks, f, h, same: bool) -> np.ndarray:
 def _factored_sum(config, level: _Level, offset, ff: Factored, hf: Factored) -> np.ndarray:
     """Level sum of the Factored families ff, hf, block by block."""
     same = ff is hf
-    blocks = [
-        level.lattice_jacobian
-        * _block_sum(_tensor_chunks(config, level, offset, False), ff.lattice, hf.lattice, same)
-    ]
+    if ff.separable and hf.separable:
+        x, wx, iy, ws = _lattice_axes(config, level, offset)
+        lattice = _block_sum(_axis_chunks(x + 0j, wx), ff.lattice, hf.lattice, same)
+        lattice = lattice * _block_sum(_axis_chunks(iy, ws), ff.lattice, hf.lattice, same)
+    else:
+        chunks = _tensor_chunks(config, level, offset, False)
+        lattice = _block_sum(chunks, ff.lattice, hf.lattice, same)
+    blocks = [level.lattice_jacobian * lattice]
     zp, wp = _perp_grid(config, level)
     for fj, hj in zip(ff.perp, hf.perp):
-        blocks.append(level.perp_jacobian * _block_sum([((zp,), wp)], fj, hj, same))
+        blocks.append(level.perp_jacobian * _block_sum(_axis_chunks(zp, wp), fj, hj, same))
     terms = np.ones((ff.terms.shape[0], hf.terms.shape[0]), dtype=complex)
     for b, M in enumerate(blocks):
         terms *= M[np.ix_(ff.terms[:, b], hf.terms[:, b])]

@@ -18,7 +18,8 @@ The closures returned by basis_family, basis_function,
 synthesized_function and kernel_section also carry their block-factored
 form as a ``factored`` attribute (quadrature.Factored): a lattice factor
 in z times one factor per perpendicular coordinate, which the quadrature
-oracle sums block by block.
+oracle sums block by block.  All but the kernel section declare their
+lattice factors separable over Re z and Im z.
 """
 
 from __future__ import annotations
@@ -260,6 +261,8 @@ def _factored(config: SpaceConfig, indices, coeffs) -> Factored:
 
     e_{n,k} is the lattice factor e_{n,0}(z) times z_perp_j^k_j for every
     perpendicular coordinate j; each distinct factor is evaluated once.
+    The lattice factors exp(nu/2 z^T B z + 2 pi i (alpha+n).z) are
+    separable over Re z and Im z in the sense of Factored.
     """
     m = config.g - config.r
     ns = {n: i for i, n in enumerate(sorted({idx.n for idx in indices}))}
@@ -285,6 +288,7 @@ def _factored(config: SpaceConfig, indices, coeffs) -> Factored:
         perp=tuple(monomials(list(kj)) for kj in ks),
         terms=terms,
         coeffs=np.asarray(coeffs, dtype=complex),
+        separable=True,
     )
 
 

@@ -1,10 +1,14 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from thetafock.cli import main
+from thetafock.problem import load_problem
+
+G1R1_FILE = str(Path(__file__).resolve().parent.parent / "problems" / "g1_r1.json")
 
 G1R1 = {
     "g": 1,
@@ -60,12 +64,18 @@ def test_validate_non_isotropic(tmp_path):
     bad["r"] = 2
     bad["omegas"] = [[[1, 0], [0, 0]], [[0, 1], [1, 0]]]
     bad["alpha"] = [0.3, 0.1]
-    code, doc = run(tmp_path, "validate", write(tmp_path, bad))
+    path = write(tmp_path, bad)
+    code, doc = run(tmp_path, "validate", path)
     assert code == 2
     assert doc["status"] == "validation-failure"
     inv = result(doc, "invariant")
     assert inv["value"] == "NotIsotropic"
     assert "(0, 1)" in inv["message"]
+    # every verb's failure document names the problem and its flags
+    code, doc = run(tmp_path, "norms", path, "--n-max", "2")
+    assert code == 2
+    assert doc["config_digest"] == load_problem(path).digest
+    assert doc["flags"] == {"n_max": 2, "k_max": 1}
 
 
 def test_validate_malformed_row(tmp_path, capsys):
@@ -104,10 +114,13 @@ def test_theta_budget_failure(tmp_path):
 
 
 def test_theta_out_of_range(tmp_path):
-    code, doc = run(tmp_path, "theta", write(tmp_path, G1R1), "--z=0.1,30")
+    code, doc = run(tmp_path, "theta", G1R1_FILE, "--z=0.1,30")
     assert code == 3
     assert doc["status"] == "budget-failure"
     assert result(doc, "budget")["value"] == "ValueOutOfRange"
+    # the failure document names the problem and the flags that failed
+    assert doc["config_digest"] == load_problem(G1R1_FILE).digest
+    assert doc["flags"]["z"] == [[0.1, 30.0]]
 
 
 def test_kernel_symmetry_spot_check(tmp_path):

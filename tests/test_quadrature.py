@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 
@@ -206,18 +207,33 @@ def test_skewed_lattice_battery_reduced_range():
 # --- block-factored reduction ------------------------------------------------
 
 
-@pytest.fixture(scope="module", params=["g2r0", "g2r1"])
+@pytest.fixture(scope="module", params=["g1r1", "g2r0", "g2r1", "g2r2"])
 def small_case(request):
-    if request.param == "g2r0":
+    nodes = (10, 14)
+    if request.param == "g1r1":
+        lat = tf.build_lattice(tf.validate_space(np.eye(1)), [[1.2]])
+        cfg = tf.make_config(lat, [0.2], math.pi)
+        offset = None
+    elif request.param == "g2r0":
         lat = tf.build_lattice(tf.validate_space(np.eye(2)), [])
         cfg = tf.make_config(lat, [], 2.5)
         offset = None
-    else:
+    elif request.param == "g2r1":
         H = np.array([[1.0, 0.2j], [-0.2j, 1.3]])
         lat = tf.build_lattice(tf.validate_space(H), [[1.0, 0.4 + 0.1j]])
         cfg = tf.make_config(lat, [0.3], math.pi)
         offset = [0.37]
-    return cfg, tf.build_grid(cfg, compact_nodes=10, unbounded_nodes=14, box_offset=offset)
+    else:
+        # real, non-diagonal B and an offset box: the x/y split of the
+        # lattice block must not lean on a diagonal form.  Fewer compact
+        # nodes keep the kernel-section pairs (theta at every node) cheap.
+        lat = tf.build_lattice(tf.validate_space(np.eye(2)), [[1.0, 0.0], [0.4, 1.1]])
+        assert abs(lat.B[0, 1]) > 0.1
+        cfg = tf.make_config(lat, [0.3, 0.1], 2 * math.pi)
+        offset = [0.37, -0.21]
+        nodes = (6, 12)
+    return cfg, tf.build_grid(cfg, compact_nodes=nodes[0], unbounded_nodes=nodes[1],
+                              box_offset=offset)
 
 
 def _one_block(fn):
@@ -286,3 +302,22 @@ def test_wrapped_family_keeps_block_path(small_case):
     G, E = tf.gram_matrix(cfg, fam, grid)
     Gw, Ew = tf.gram_matrix(cfg, wrapped, grid)
     assert np.array_equal(G, Gw) and np.array_equal(E, Ew)
+
+
+def test_wrong_separable_declaration_is_caught(small_case):
+    # a theta factor does not split over x and y; declaring it separable
+    # must move the value, so the agreement test above would catch a
+    # wrong declaration
+    cfg, grid = small_case
+    v = tf.PointCoordinates(np.full(cfg.r, 0.1 + 0.2j), np.full(cfg.g - cfg.r, 0.2 - 0.1j))
+    section = S.kernel_section(cfg, v, 1e-10)
+    assert not section.factored.separable
+
+    def wrong(z, zp):
+        return section(z, zp)
+
+    wrong.factored = dataclasses.replace(section.factored, separable=True)
+    f = S.basis_function(cfg, tf.BasisIndex(n=(1,) * cfg.r, k=(1,) * (cfg.g - cfg.r)))
+    want = tf.inner_product(cfg, _one_block(f), _one_block(section), grid, refine=False).value
+    got = tf.inner_product(cfg, f, wrong, grid, refine=False).value
+    assert abs(got - want) > 1e-3 * abs(want)
