@@ -3,13 +3,14 @@
 Verbs: validate, theta, kernel, norms, verify.  Results are emitted as a
 JSON result document on stdout (or --out).  Exit codes: 0 success,
 1 usage or parse failure, 2 validation failure, 3 numerical-budget
-failure, 4 property failure.
+failure (including a value outside the double range), 4 property failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -72,12 +73,22 @@ def _nodes_pair(text: str):
     try:
         parts = [int(p) for p in text.split(",")]
     except ValueError:
-        raise _UsageError(f"--nodes expects 'compact,unbounded', got {text!r}")
+        parts = []
     if len(parts) == 1:
-        return Q._DEFAULT_COMPACT_NODES, parts[0]
-    if len(parts) == 2:
-        return parts[0], parts[1]
-    raise _UsageError(f"--nodes expects 'compact,unbounded', got {text!r}")
+        parts = [Q._DEFAULT_COMPACT_NODES] + parts
+    if len(parts) != 2 or min(parts) < 1:
+        raise _UsageError(f"--nodes expects 'compact,unbounded' counts >= 1, got {text!r}")
+    return parts[0], parts[1]
+
+
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not value > 0:
+        raise _UsageError(f"--tol expects a positive number, got {text!r}")
+    return value
 
 
 def build_parser() -> _Parser:
@@ -87,7 +98,7 @@ def build_parser() -> _Parser:
     def common(sp):
         sp.add_argument("file", help="problem file (JSON)")
         sp.add_argument("--out", help="write the result document here instead of stdout")
-        sp.add_argument("--tol", type=float, default=1e-10)
+        sp.add_argument("--tol", type=_positive_float, default=1e-10)
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--max-radius", type=float, default=None, dest="max_radius")
         sp.add_argument("--nodes", type=_nodes_pair, default=None,

@@ -67,6 +67,7 @@ _CHUNK = 1 << 14
 _DEFAULT_COMPACT_NODES = 32
 _DEFAULT_UNBOUNDED_NODES = 48
 _REDUCED_NODE_LIMIT = 24  # g = 3 is allowed only at or below this count
+_COARSE_RTOL = 1e-3  # inner_product accepts a refinement change up to this times |value| + 1
 
 
 def gaussian_integral(a: float, A, b) -> complex:
@@ -170,7 +171,6 @@ class QuadratureGrid:
     box_offset: np.ndarray
     estimated_error: float
     total_nodes: int
-    coarse_rtol: float = 1e-3
 
 
 @dataclass(frozen=True)
@@ -210,7 +210,6 @@ def build_grid(
     compact_nodes: int = _DEFAULT_COMPACT_NODES,
     unbounded_nodes: int = _DEFAULT_UNBOUNDED_NODES,
     box_offset=None,
-    dimension_cap: int | None = None,
 ) -> QuadratureGrid:
     """Build the tensor grid for a space configuration.
 
@@ -221,9 +220,7 @@ def build_grid(
     exceeds the request.
     """
     g = config.g
-    cap = dimension_cap if dimension_cap is not None else (
-        3 if unbounded_nodes <= _REDUCED_NODE_LIMIT else 2
-    )
+    cap = 3 if unbounded_nodes <= _REDUCED_NODE_LIMIT else 2
     if g > cap:
         raise DimensionCapExceeded(
             f"g = {g} exceeds the oracle dimension cap {cap} "
@@ -259,7 +256,6 @@ def build_grid(
         box_offset=offset,
         estimated_error=math.nan,
         total_nodes=int(np.prod(base.shape)) if base.shape else 1,
-        coarse_rtol=1e-3,
     )
     est = _calibrate(config, grid)
     object.__setattr__(grid, "estimated_error", est)
@@ -396,16 +392,6 @@ def _factored_sum(config, level: _Level, offset, ff: Factored, hf: Factored) -> 
     return ff.coeffs @ terms @ hf.coeffs.conj().T
 
 
-def _values(funcs, Z, Zp) -> np.ndarray:
-    """(n_members, n_points) values of a closure, a family closure or a list."""
-    if isinstance(funcs, (list, tuple)):
-        out = np.empty((len(funcs), Z.shape[0]), dtype=complex)
-        for i, fn in enumerate(funcs):
-            out[i] = fn(Z, Zp)
-        return out
-    return np.atleast_2d(funcs(Z, Zp))
-
-
 def _level_sum(config, level: _Level, offset, fs, hs) -> np.ndarray:
     """Matrix of level sums of f_i conj(h_k) against exp(-nu H(u,u)).
 
@@ -418,8 +404,8 @@ def _level_sum(config, level: _Level, offset, fs, hs) -> np.ndarray:
     jacobian = level.lattice_jacobian * level.perp_jacobian ** (config.g - config.r)
     return jacobian * _block_sum(
         _tensor_chunks(config, level, offset, True),
-        lambda Z, Zp: _values(fs, Z, Zp),
-        lambda Z, Zp: _values(hs, Z, Zp),
+        lambda Z, Zp: np.atleast_2d(fs(Z, Zp)),
+        lambda Z, Zp: np.atleast_2d(hs(Z, Zp)),
         fs is hs,
     )
 
@@ -430,7 +416,7 @@ def inner_product(config, f, h, grid: QuadratureGrid, refine: bool = True) -> In
     With refine=True (default) the value comes from the node-doubled grid
     and the error estimate is the difference from the base grid;
     GridTooCoarse is raised when the two disagree beyond
-    coarse_rtol * (|value| + 1).  With refine=False only the base grid is
+    1e-3 * (|value| + 1).  With refine=False only the base grid is
     used and no estimate is produced.
     """
     v0 = complex(_level_sum(config, grid.base, grid.box_offset, f, h)[0, 0])
@@ -438,7 +424,7 @@ def inner_product(config, f, h, grid: QuadratureGrid, refine: bool = True) -> In
         return InnerProductResult(value=v0, error_estimate=None, nodes=grid.total_nodes)
     v1 = complex(_level_sum(config, grid.fine, grid.box_offset, f, h)[0, 0])
     err = abs(v1 - v0)
-    if err > grid.coarse_rtol * (abs(v1) + 1.0):
+    if err > _COARSE_RTOL * (abs(v1) + 1.0):
         raise GridTooCoarse(
             f"refinement changed the value by {err:.3e} (value {abs(v1):.3e})"
         )
@@ -450,8 +436,8 @@ def inner_product(config, f, h, grid: QuadratureGrid, refine: bool = True) -> In
 def gram_matrix(config, funcs, grid: QuadratureGrid, refine: bool = True):
     """All pairwise inner products of ``funcs`` in one sweep.
 
-    ``funcs`` is either a list of per-function closures or a single family
-    closure returning a (n_funcs, n_points) matrix.  A family from
+    ``funcs`` is one closure returning a (n_funcs, n_points) matrix (or
+    (n_points,) values for a single function).  A family from
     space.basis_family is reduced block by block (the fast path).
     Returns (G, E): the Gram matrix from the finest level used and the
     entrywise difference between levels (zeros when refine=False).

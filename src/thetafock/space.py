@@ -14,6 +14,13 @@ batches; points with large real lattice coordinates are first translated
 back near the fundamental domain using the exact automorphy factor, which
 keeps exp(nu/2 B(z,z)) in range.
 
+Every evaluation goes through one of two primitives.  basis_eval_many
+evaluates basis functions; weight_factor is its (n=0, k=0) value, and
+basis_function, basis_family and synthesized_function are linear
+combinations of its rows built by one factory.  _kernel_batch evaluates
+the kernel's outer factor and theta factor; kernel_eval, kernel_section
+and kernel_diagonal (the real part of K(u, u)) all go through it.
+
 The closures returned by basis_family, basis_function,
 synthesized_function and kernel_section also carry their block-factored
 form as a ``factored`` attribute (quadrature.Factored): a lattice factor
@@ -31,7 +38,7 @@ import numpy as np
 
 from . import theta as _theta
 from .errors import DimensionMismatch, ValueOutOfRange
-from .geometry import Character, IsotropicLattice, PointCoordinates
+from .geometry import Character, IsotropicLattice, PointCoordinates, b_form
 from .quadrature import Factored
 
 __all__ = [
@@ -167,13 +174,6 @@ def _as_batch(config: SpaceConfig, z, z_perp):
     return Z, Zp
 
 
-def _bilinear(config: SpaceConfig, a, b):
-    """a^T B b on lattice coordinates, batched."""
-    if config.r == 0:
-        return np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]), dtype=complex)
-    return np.einsum("...j,jk,...k->...", a, config.lattice.B, b)
-
-
 def _reduce_batch(config: SpaceConfig, Z):
     """Translate far points by -floor(Re z); return (Z_red, log automorphy).
 
@@ -188,20 +188,20 @@ def _reduce_batch(config: SpaceConfig, Z):
     m = np.zeros(Z.shape, dtype=float)
     m[mask] = np.floor(x[mask])
     Zr = Z - m
-    log_factor = config.nu * _bilinear(config, Zr + 0.5 * m, m) + 2j * np.pi * (
+    log_factor = config.nu * b_form(config.lattice, Zr + 0.5 * m, m) + 2j * np.pi * (
         m @ config.alpha
     )
     return Zr, log_factor
 
 
 def weight_factor(config: SpaceConfig, u: PointCoordinates) -> complex:
-    """psi(u) = exp(nu/2 B(z,z) + 2 pi i alpha.z), the seed automorphic unit."""
-    z = np.asarray(u.z, dtype=complex)
-    if z.shape[0] != config.r:
-        raise DimensionMismatch(f"expected {config.r} lattice coordinates")
-    return complex(
-        np.exp(0.5 * config.nu * _bilinear(config, z, z) + 2j * np.pi * (config.alpha @ z))
-    )
+    """psi(u) = exp(nu/2 B(z,z) + 2 pi i alpha.z), the seed automorphic unit.
+
+    This is e_{0,0}(u), which does not depend on z_perp.
+    """
+    m = config.g - config.r
+    origin = PointCoordinates(z=u.z, z_perp=np.zeros(m))
+    return basis_eval(config, BasisIndex(n=(0,) * config.r, k=(0,) * m), origin)
 
 
 def _power_table(values: np.ndarray, exponents) -> dict:
@@ -217,7 +217,7 @@ def _power_table(values: np.ndarray, exponents) -> dict:
     return table
 
 
-def basis_eval_many(config: SpaceConfig, indices, z, z_perp, normalized: bool = False):
+def basis_eval_many(config: SpaceConfig, indices, z, z_perp):
     """Values of several basis functions on a batch of points.
 
     Returns an array of shape (len(indices), n_points).  The shared weight
@@ -229,7 +229,7 @@ def basis_eval_many(config: SpaceConfig, indices, z, z_perp, normalized: bool = 
         _check_index(config, idx)
     Zr, log_factor = _reduce_batch(config, Z)
     base = np.exp(
-        0.5 * config.nu * _bilinear(config, Zr, Zr)
+        0.5 * config.nu * b_form(config.lattice, Zr, Zr)
         + 2j * np.pi * (Zr @ config.alpha)
         + log_factor
     )
@@ -250,20 +250,26 @@ def basis_eval_many(config: SpaceConfig, indices, z, z_perp, normalized: bool = 
         for j in range(m):
             if idx.k[j]:
                 vals *= mono_tables[j][idx.k[j]]
-        if normalized:
-            vals /= math.sqrt(basis_norm_sq(config, idx))
         out[i] = vals
     return out
 
 
-def _factored(config: SpaceConfig, indices, coeffs) -> Factored:
-    """Block form of the combinations coeffs @ [e_idx for idx in indices].
+def _member(config: SpaceConfig, indices, coeffs):
+    """Closure (z, z_perp) -> coeffs @ basis_eval_many(indices), with its block form.
 
-    e_{n,k} is the lattice factor e_{n,0}(z) times z_perp_j^k_j for every
+    1-D coeffs give one function (values of shape (n_points,)), 2-D coeffs
+    a family ((n_members, n_points)).  In the ``factored`` form e_{n,k} is
+    the lattice factor e_{n,0}(z) times z_perp_j^k_j for every
     perpendicular coordinate j; each distinct factor is evaluated once.
     The lattice factors exp(nu/2 z^T B z + 2 pi i (alpha+n).z) are
     separable over Re z and Im z in the sense of Factored.
     """
+    indices = list(indices)
+    coeffs = np.asarray(coeffs, dtype=complex)
+
+    def f(z, z_perp):
+        return coeffs @ basis_eval_many(config, indices, z, z_perp)
+
     m = config.g - config.r
     ns = {n: i for i, n in enumerate(sorted({idx.n for idx in indices}))}
     ks = [{k: i for i, k in enumerate(sorted({idx.k[j] for idx in indices}))} for j in range(m)]
@@ -283,49 +289,38 @@ def _factored(config: SpaceConfig, indices, coeffs) -> Factored:
     terms = np.array(
         [[ns[idx.n]] + [ks[j][idx.k[j]] for j in range(m)] for idx in indices], dtype=np.intp
     ).reshape(len(indices), 1 + m)
-    return Factored(
+    f.factored = Factored(
         lattice=lattice,
         perp=tuple(monomials(list(kj)) for kj in ks),
         terms=terms,
-        coeffs=np.asarray(coeffs, dtype=complex),
+        coeffs=np.atleast_2d(coeffs),
         separable=True,
     )
+    return f
 
 
 def basis_family(config: SpaceConfig, indices, normalized: bool = False):
     """Batch closure (z, z_perp) -> (len(indices), n_points) value matrix.
 
-    Shares the Gaussian base and the phase power tables across the family;
-    with its ``factored`` form this is the fast path for Gram batteries.
+    With its ``factored`` form this is the fast path for Gram batteries.
     """
     indices = list(indices)
-
-    def fam(z, z_perp):
-        return basis_eval_many(config, indices, z, z_perp, normalized)
-
     scale = [1.0 / math.sqrt(basis_norm_sq(config, i)) if normalized else 1.0 for i in indices]
-    fam.size = len(indices)
-    fam.factored = _factored(config, indices, np.diag(scale))
-    return fam
+    return _member(config, indices, np.diag(scale))
 
 
 def basis_eval(
     config: SpaceConfig, idx: BasisIndex, u: PointCoordinates, normalized: bool = False
 ) -> complex:
     """e_{n,k}(u), or the unit-norm version when normalized=True."""
-    vals = basis_eval_many(config, [idx], u.z[None, :], u.z_perp[None, :], normalized)
-    return complex(vals[0, 0])
+    value = complex(basis_eval_many(config, [idx], u.z[None, :], u.z_perp[None, :])[0, 0])
+    return value / math.sqrt(basis_norm_sq(config, idx)) if normalized else value
 
 
 def basis_function(config: SpaceConfig, idx: BasisIndex, normalized: bool = False):
     """Batch-evaluable closure (z, z_perp) -> values for one basis index."""
-
-    def f(z, z_perp):
-        return basis_eval_many(config, [idx], z, z_perp, normalized)[0]
-
     scale = 1.0 / math.sqrt(basis_norm_sq(config, idx)) if normalized else 1.0
-    f.factored = _factored(config, [idx], [[scale]])
-    return f
+    return _member(config, [idx], [scale])
 
 
 def basis_norm_sq_log(config: SpaceConfig, idx: BasisIndex) -> float:
@@ -365,25 +360,13 @@ def basis_norm_sq(config: SpaceConfig, idx: BasisIndex) -> float:
 
 def synthesize(config: SpaceConfig, coeffs: CoefficientField, u: PointCoordinates) -> complex:
     """sum a_{n,k} e_{n,k}(u) over the finite coefficient field."""
-    if len(coeffs) == 0:
-        return complex(0.0)
     vals = basis_eval_many(config, coeffs.indices(), u.z[None, :], u.z_perp[None, :])
     return complex(coeffs.coefficients() @ vals[:, 0])
 
 
 def synthesized_function(config: SpaceConfig, coeffs: CoefficientField):
     """Batch-evaluable closure for the synthesized field."""
-    idxs = coeffs.indices()
-    a = coeffs.coefficients()
-
-    def f(z, z_perp):
-        if not idxs:
-            Z, _ = _as_batch(config, z, z_perp)
-            return np.zeros(Z.shape[0], dtype=complex)
-        return a @ basis_eval_many(config, idxs, z, z_perp)
-
-    f.factored = _factored(config, idxs, a[None, :])
-    return f
+    return _member(config, coeffs.indices(), coeffs.coefficients())
 
 
 def growth_functional(config: SpaceConfig, coeffs: CoefficientField) -> float:
@@ -419,16 +402,24 @@ def _kernel_batch(config: SpaceConfig, Z, perp_log, v: PointCoordinates, tol: fl
     perp_log is nu <z_perp, v_perp> per point (0 drops the perpendicular
     factor).  The theta factor is evaluated at a per-point absolute
     tolerance equal to tol divided by the magnitude of the outer factor,
-    so their product is within tol of the kernel.
+    so their product is within tol of the kernel.  Raises ValueOutOfRange
+    when an outer factor exceeds the double range.
     """
     Zr, log_fu = _reduce_batch(config, Z)
     zvr, log_fv = _reduce_batch(config, v.z[None, :])
-    outer = _kernel_prefactor(config) * np.exp(
-        0.5 * config.nu * _bilinear(config, Zr, Zr)
-        + np.conj(0.5 * config.nu * _bilinear(config, zvr, zvr)[0] + log_fv[0])
+    log_outer = (
+        0.5 * config.nu * b_form(config.lattice, Zr, Zr)
+        + np.conj(0.5 * config.nu * b_form(config.lattice, zvr, zvr)[0] + log_fv[0])
         + perp_log
         + log_fu
     )
+    C = _kernel_prefactor(config)
+    worst = float(np.max(log_outer.real, initial=-np.inf)) + math.log(C)
+    if worst > _LOG_OVERFLOW:
+        raise ValueOutOfRange(
+            f"the kernel outer factor has log {worst:.1f}, beyond the double range"
+        )
+    outer = C * np.exp(log_outer)
     theta_tol = tol / np.maximum(np.abs(outer), 1e-290)
     vals, _ = _theta.theta_eval_many(config.theta_params, Zr - np.conj(zvr), theta_tol)
     return outer, vals
@@ -489,31 +480,14 @@ def kernel_eval(config: SpaceConfig, u: PointCoordinates, v: PointCoordinates, t
 
 
 def kernel_diagonal(config: SpaceConfig, u: PointCoordinates, tol: float) -> float:
-    """K(u, u), strictly positive.
+    """K(u, u), strictly positive: the real part of kernel_eval(u, u).
 
-    The outer factor is real.  For the purely imaginary F of a space
-    configuration the theta factor at 2i Im z (z reduced) is a sum of
-    positive real terms, so its real part is taken.  Raises
-    ValueOutOfRange when that factor leaves the double range.
+    For the purely imaginary F of a space configuration the theta factor
+    at z - conj(z) = 2i Im z is a sum of positive real terms, and the
+    outer factor is real up to rounding.  Raises ValueOutOfRange when
+    either factor leaves the double range.
     """
-    z = np.asarray(u.z, dtype=complex)[None, :]
-    zp = np.asarray(u.z_perp, dtype=complex)
-    if z.shape[1] != config.r or zp.shape[0] != config.g - config.r:
-        raise DimensionMismatch("u does not match the configuration dimensions")
-    C = _kernel_prefactor(config)
-    zr, log_f = _reduce_batch(config, z)
-    outer = (
-        C
-        * math.exp(
-            config.nu * float(np.real(_bilinear(config, zr, zr)[0]))
-            + config.nu * float(np.real(perp_inner(zp, zp)))
-            + 2.0 * float(np.real(log_f[0]))
-        )
-    )
-    if config.r == 0:
-        return outer
-    theta_diag = _theta.theta_eval(config.theta_params, 2j * zr[0].imag, tol / max(outer, 1e-290))
-    return outer * theta_diag.value.real
+    return kernel_eval(config, u, u, tol).real
 
 
 @dataclass(frozen=True)

@@ -123,6 +123,16 @@ def test_theta_out_of_range(tmp_path):
     assert doc["flags"]["z"] == [[0.1, 30.0]]
 
 
+def test_kernel_out_of_range(tmp_path):
+    path = str(Path(G1R1_FILE).parent / "g2_r1.json")
+    code, doc = run(tmp_path, "kernel", path, "--u", "0", "--u", "20", "--v", "0", "--v", "20")
+    assert code == 3
+    assert doc["status"] == "budget-failure"
+    assert result(doc, "budget")["value"] == "ValueOutOfRange"
+    assert doc["config_digest"] == load_problem(path).digest
+    assert doc["flags"] == {"tol": 1e-10}
+
+
 def test_kernel_symmetry_spot_check(tmp_path):
     path = write(tmp_path, G2R1)
     code, doc = run(
@@ -210,3 +220,17 @@ def test_vector_file_reference(tmp_path):
 def test_wrong_vector_length(tmp_path, capsys):
     assert main(["theta", write(tmp_path, G2R1), "--z", "0", "--z", "1"]) == 1
     assert "--z" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb, flags", [
+    ("theta", ["--z", "0.1", "--tol", "0"]),
+    ("kernel", ["--u", "0", "--v", "0", "--tol", "-1"]),
+    ("theta", ["--z", "0.1", "--tol", "nan"]),
+    ("norms", ["--nodes", "0,0"]),
+    ("norms", ["--nodes", "16,0"]),
+    ("verify", ["--nodes", "0"]),
+])
+def test_bad_numeric_flag_is_usage_error(tmp_path, capsys, verb, flags):
+    assert main([verb, write(tmp_path, G1R1)] + flags) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and "Traceback" not in err

@@ -254,12 +254,19 @@ def test_kernel_r0_closed_form(cfg_g1r0):
 def test_kernel_eval_matches_section(name, request):
     cfg = request.getfixturevalue(name)
     rng = np.random.default_rng(31)
+    m = cfg.g - cfg.r
+    e00 = tf.BasisIndex(n=(0,) * cfg.r, k=(0,) * m)
     for _ in range(5):
         u = verify.random_point(rng, cfg)
         v = verify.random_point(rng, cfg)
         want = tf.kernel_eval(cfg, u, v, 1e-11)
         got = S.kernel_section(cfg, v, 1e-11)(u.z, u.z_perp)[0]
         assert abs(got - want) <= 1e-15 * abs(want)
+        # the diagonal and the weight factor are exact special cases
+        diag = tf.kernel_diagonal(cfg, u, 1e-11)
+        assert diag == tf.kernel_eval(cfg, u, u, 1e-11).real and diag > 0
+        at_origin = PointCoordinates(u.z, np.zeros(m))
+        assert tf.weight_factor(cfg, u) == tf.basis_eval(cfg, e00, at_origin)
 
 
 def test_kernel_far_imaginary_raises(cfg_g1r1):
@@ -271,6 +278,17 @@ def test_kernel_far_imaginary_raises(cfg_g1r1):
         tf.kernel_eval(cfg_g1r1, u, v, 1e-10)
     with pytest.raises(ValueOutOfRange):
         tf.kernel_diagonal(cfg_g1r1, PointCoordinates(np.array([0.1 + 15j]), np.zeros(0)), 1e-10)
+
+
+def test_kernel_outer_factor_out_of_range(cfg_g2r1):
+    # the outer factor exp(nu |z_perp|^2) = exp(400 pi) overflows a double
+    u = PointCoordinates(np.zeros(1), np.array([20.0 + 0j]))
+    with pytest.raises(ValueOutOfRange):
+        tf.kernel_eval(cfg_g2r1, u, u, 1e-10)
+    with pytest.raises(ValueOutOfRange):
+        tf.kernel_diagonal(cfg_g2r1, u, 1e-10)
+    with pytest.raises(ValueOutOfRange):
+        S.kernel_section(cfg_g2r1, u, 1e-10)(u.z, u.z_perp)
 
 
 def test_kernel_diagonal(cfg_g2r1):
