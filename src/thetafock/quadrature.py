@@ -21,14 +21,13 @@ reduced block by block.  The nodes and weights are the same as for the
 full tensor grid; only the order of summation differs.  Any other
 callable is summed as one block over the whole tensor grid.
 
-The lattice block splits again into its real and imaginary axes when
-both families are declared ``separable``.  For factors
-exp(nu/2 z^T B z + 2 pi i c.z) with B real, the only x-y cross term is
-the phase exp(i nu x^T B y); it is the same for every factor and cancels
-in f_a conj(f_b).  The lattice Gram is then the entrywise product of a
-sum over the x nodes (points x + 0i) and a sum over the y nodes (points
-0 + iy).  Kernel sections carry a theta factor, which does not split, so
-they and any pair involving them keep the tensor lattice block.
+The lattice block splits again into its real and imaginary axes.  Every
+lattice factor is a basis factor exp(nu/2 z^T B z + 2 pi i c.z) with B
+real (a kernel section expands its theta factor into such terms), so the
+only x-y cross term is the phase exp(i nu x^T B y), shared by every
+factor; it cancels in f_a conj(f_b).  The lattice Gram is then the
+entrywise product of a sum over the x nodes (points x + 0i) and a sum
+over the y nodes (points 0 + iy).
 
 This module is the verification oracle: it never consults the closed-form
 norms or kernels it is used to check.  It only evaluates each integrand,
@@ -127,21 +126,20 @@ class Factored:
     coordinates (n, r) to the (L, n) values of its distinct factors;
     ``perp[j]`` maps values (n,) of coordinate j to (P_j, n).
 
-    ``separable`` declares that every pair of lattice factors splits over
+    Contract on every lattice map: each pair of its factors splits over
     the real and imaginary axes,
 
         f_a(x + iy) conj f_b(x + iy) = f_a(x) conj f_b(x) * f_a(iy) conj f_b(iy),
 
     as it does for exp(nu/2 z^T B z + 2 pi i c.z) with real B: the only
     cross term, exp(i nu x^T B y), is a phase shared by every factor and
-    cancels in the product.  A theta factor does not split this way.
+    cancels in the product.  The lattice block is summed that way.
     """
 
     lattice: Callable
     perp: tuple
     terms: np.ndarray  # (n_terms, 1 + g - r) integer factor rows
     coeffs: np.ndarray  # (n_members, n_terms) complex
-    separable: bool = False
 
 
 @dataclass(frozen=True)
@@ -289,7 +287,6 @@ def _calibrate(config, grid) -> float:
         perp=tuple((lambda w, k=k: (w**k)[None, :]) for k in k_cal),
         terms=np.array([[i] + [0] * m for i in range(len(freqs))]),
         coeffs=np.eye(len(freqs), dtype=complex),
-        separable=True,
     )
     got = _factored_sum(config, grid.base, grid.box_offset, form, form)
 
@@ -337,13 +334,9 @@ def _axis_chunks(points, weights):
         yield (points[start:start + _CHUNK],), weights[start:start + _CHUNK]
 
 
-def _tensor_chunks(config, level: _Level, offset, with_perp: bool):
-    """Yield (points, weights) over the whole tensor grid or the lattice block.
-
-    Points are (Z, Zp) with ``with_perp``, else (Z,); at most _CHUNK nodes
-    are assembled at a time.  Weights are as in _lattice_axes.
-    """
-    m = config.g - config.r if with_perp else 0
+def _tensor_chunks(config, level: _Level, offset):
+    """Yield ((Z, Zp), w) over the tensor grid, _CHUNK nodes at a time; w as in _lattice_axes."""
+    m = config.g - config.r
     x, wx, iy, ws = _lattice_axes(config, level, offset)
     zp, wp = _perp_grid(config, level)
     sizes = (len(wx), len(ws)) + (len(wp),) * m
@@ -352,9 +345,6 @@ def _tensor_chunks(config, level: _Level, offset, with_perp: bool):
         idx = np.unravel_index(np.arange(start, min(start + _CHUNK, total)), sizes)
         Z = x[idx[0]] + iy[idx[1]]
         w = wx[idx[0]] * ws[idx[1]]
-        if not with_perp:
-            yield (Z,), w
-            continue
         Zp = np.empty((Z.shape[0], m), dtype=complex)
         for j in range(m):
             Zp[:, j] = zp[idx[2 + j]]
@@ -375,13 +365,9 @@ def _block_sum(chunks, f, h, same: bool) -> np.ndarray:
 def _factored_sum(config, level: _Level, offset, ff: Factored, hf: Factored) -> np.ndarray:
     """Level sum of the Factored families ff, hf, block by block."""
     same = ff is hf
-    if ff.separable and hf.separable:
-        x, wx, iy, ws = _lattice_axes(config, level, offset)
-        lattice = _block_sum(_axis_chunks(x + 0j, wx), ff.lattice, hf.lattice, same)
-        lattice = lattice * _block_sum(_axis_chunks(iy, ws), ff.lattice, hf.lattice, same)
-    else:
-        chunks = _tensor_chunks(config, level, offset, False)
-        lattice = _block_sum(chunks, ff.lattice, hf.lattice, same)
+    x, wx, iy, ws = _lattice_axes(config, level, offset)
+    lattice = _block_sum(_axis_chunks(x + 0j, wx), ff.lattice, hf.lattice, same)
+    lattice = lattice * _block_sum(_axis_chunks(iy, ws), ff.lattice, hf.lattice, same)
     blocks = [level.lattice_jacobian * lattice]
     zp, wp = _perp_grid(config, level)
     for fj, hj in zip(ff.perp, hf.perp):
@@ -403,7 +389,7 @@ def _level_sum(config, level: _Level, offset, fs, hs) -> np.ndarray:
         return _factored_sum(config, level, offset, ff, hf)
     jacobian = level.lattice_jacobian * level.perp_jacobian ** (config.g - config.r)
     return jacobian * _block_sum(
-        _tensor_chunks(config, level, offset, True),
+        _tensor_chunks(config, level, offset),
         lambda Z, Zp: np.atleast_2d(fs(Z, Zp)),
         lambda Z, Zp: np.atleast_2d(hs(Z, Zp)),
         fs is hs,

@@ -23,16 +23,16 @@ and kernel_diagonal (the real part of K(u, u)) all go through it.
 
 The closures returned by basis_family, basis_function,
 synthesized_function and kernel_section also carry their block-factored
-form as a ``factored`` attribute (quadrature.Factored): a lattice factor
-in z times one factor per perpendicular coordinate, which the quadrature
-oracle sums block by block.  All but the kernel section declare their
-lattice factors separable over Re z and Im z.
+form as a ``factored`` attribute (quadrature.Factored): basis lattice
+factors e_{n,0}(z) times one factor per perpendicular coordinate, summed
+block by block by the quadrature oracle.  A kernel section's form is its
+theta series expanded into planned terms (see kernel_section).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -217,12 +217,14 @@ def _power_table(values: np.ndarray, exponents) -> dict:
     return table
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def basis_eval_many(config: SpaceConfig, indices, z, z_perp):
     """Values of several basis functions on a batch of points.
 
     Returns an array of shape (len(indices), n_points).  The shared weight
     exp(nu/2 B(z,z) + 2 pi i alpha.z) is computed once per point, and the
     integer phases exp(2 pi i n.z) come from per-dimension power tables.
+    Raises ValueOutOfRange when a value or a factor leaves the double range.
     """
     Z, Zp = _as_batch(config, z, z_perp)
     for idx in indices:
@@ -251,6 +253,8 @@ def basis_eval_many(config: SpaceConfig, indices, z, z_perp):
             if idx.k[j]:
                 vals *= mono_tables[j][idx.k[j]]
         out[i] = vals
+    if not np.isfinite(out).all():
+        raise ValueOutOfRange("a basis value or one of its factors leaves the double range")
     return out
 
 
@@ -261,8 +265,6 @@ def _member(config: SpaceConfig, indices, coeffs):
     a family ((n_members, n_points)).  In the ``factored`` form e_{n,k} is
     the lattice factor e_{n,0}(z) times z_perp_j^k_j for every
     perpendicular coordinate j; each distinct factor is evaluated once.
-    The lattice factors exp(nu/2 z^T B z + 2 pi i (alpha+n).z) are
-    separable over Re z and Im z in the sense of Factored.
     """
     indices = list(indices)
     coeffs = np.asarray(coeffs, dtype=complex)
@@ -294,7 +296,6 @@ def _member(config: SpaceConfig, indices, coeffs):
         perp=tuple(monomials(list(kj)) for kj in ks),
         terms=terms,
         coeffs=np.atleast_2d(coeffs),
-        separable=True,
     )
     return f
 
@@ -396,6 +397,12 @@ def _kernel_prefactor(config: SpaceConfig) -> float:
     )
 
 
+def _kernel_v_side(config: SpaceConfig, v: PointCoordinates):
+    """Reduced z_v (1, r) and l_v = conj(nu/2 B(z_v,z_v) + log automorphy of z_v)."""
+    zvr, log_fv = _reduce_batch(config, v.z[None, :])
+    return zvr, np.conj(0.5 * config.nu * b_form(config.lattice, zvr, zvr)[0] + log_fv[0])
+
+
 def _kernel_batch(config: SpaceConfig, Z, perp_log, v: PointCoordinates, tol: float):
     """Outer factors and theta factors of K(u, v) at the lattice points Z.
 
@@ -406,13 +413,8 @@ def _kernel_batch(config: SpaceConfig, Z, perp_log, v: PointCoordinates, tol: fl
     when an outer factor exceeds the double range.
     """
     Zr, log_fu = _reduce_batch(config, Z)
-    zvr, log_fv = _reduce_batch(config, v.z[None, :])
-    log_outer = (
-        0.5 * config.nu * b_form(config.lattice, Zr, Zr)
-        + np.conj(0.5 * config.nu * b_form(config.lattice, zvr, zvr)[0] + log_fv[0])
-        + perp_log
-        + log_fu
-    )
+    zvr, l_v = _kernel_v_side(config, v)
+    log_outer = 0.5 * config.nu * b_form(config.lattice, Zr, Zr) + l_v + perp_log + log_fu
     C = _kernel_prefactor(config)
     worst = float(np.max(log_outer.real, initial=-np.inf)) + math.log(C)
     if worst > _LOG_OVERFLOW:
@@ -426,13 +428,19 @@ def _kernel_batch(config: SpaceConfig, Z, perp_log, v: PointCoordinates, tol: fl
 
 
 def kernel_section(config: SpaceConfig, v: PointCoordinates, tol: float):
-    """Closure u -> K(u, v) evaluating the closed form on point batches.
+    """Closure u -> K(u, v) evaluating the closed form on point batches, within tol.
 
-    The overall kernel error stays below tol.  In the ``factored`` form
-    the lattice factor is the closure at z_perp = 0 and the factor of
-    coordinate j is exp(nu z_j conj(v_j)); its theta tolerance is tol over
-    the lattice part alone, so its error is tol times the perpendicular
-    factors.
+    The ``factored`` form expands the theta factor: with t = n + alpha,
+    term t times the outer factor is c_t e_{n,0}(z), where
+    c_t = C exp(l_v + 2 pi i (1/2 t F t - t.conj z_v)), times the factor
+    exp(nu w conj v_j) of each perpendicular coordinate j.  Against the
+    weight, term t has magnitude C e^(Re l_v) times that of term t of the
+    theta series with period matrix F/2 at Im z = y_v, so that series'
+    plan at tolerance tol / (C e^(Re l_v)) gives, with no grid,
+
+        |K(u, v) - expansion(u)| <= tol exp(nu/2 H(u,u) + nu/2 |v_perp|^2)
+
+    for every u.  Raises ValueOutOfRange when a c_t leaves the double range.
     """
     if v.z.shape[0] != config.r or v.z_perp.shape[0] != config.g - config.r:
         raise DimensionMismatch("v does not match the configuration dimensions")
@@ -443,20 +451,23 @@ def kernel_section(config: SpaceConfig, v: PointCoordinates, tol: float):
         outer, vals = _kernel_batch(config, Z, perp_log, v, tol)
         return outer * vals
 
-    def lattice(z):
-        outer, vals = _kernel_batch(config, z, 0.0, v, tol)
-        return (outer * vals)[None, :]
-
-    def perp_factor(vj):
-        return lambda w: np.exp(config.nu * w * np.conj(vj))[None, :]
-
+    zvr, l_v = _kernel_v_side(config, v)
+    C = _kernel_prefactor(config)
+    idx, exponents = np.zeros((1, 0), dtype=np.intp), np.zeros(1)
+    if config.r:
+        half = _theta.validate_parameters(config.theta_params.F / 2, config.alpha)
+        idx = _theta._plan(half, zvr.imag, math.log(tol) - math.log(C) - l_v.real, None)[1]
+        exponents = _theta._term_exponents(config.theta_params, -np.conj(zvr[0]), idx)
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = C * np.exp(l_v + exponents)
+    if not np.isfinite(coeffs).all():
+        raise ValueOutOfRange("a coefficient of the kernel expansion leaves the double range")
+    # the lattice part is the member sum_t c_t e_{n,0}; each e_{n,0} has perpendicular factor 1
     m = config.g - config.r
-    f.factored = Factored(
-        lattice=lattice,
-        perp=tuple(perp_factor(vj) for vj in v.z_perp),
-        terms=np.zeros((1, 1 + m), dtype=np.intp),
-        coeffs=np.ones((1, 1), dtype=complex),
-    )
+    expansion = _member(config, [BasisIndex(n=tuple(n), k=(0,) * m) for n in idx], coeffs)
+    f.factored = replace(expansion.factored, perp=tuple(
+        (lambda w, vj=vj: np.exp(config.nu * w * np.conj(vj))[None, :]) for vj in v.z_perp
+    ))
     return f
 
 

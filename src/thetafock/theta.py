@@ -238,8 +238,8 @@ def _plan(params: ThetaParameters, S: np.ndarray, log_tol, max_radius: float | N
     R, log_sb = _find_radius(params, float((log_tol - log_pref).min()), budget)
     lo, hi = centers.min(axis=0), centers.max(axis=0)
     idx = _sort_indices(params, _enumerate_box(params, lo, hi, R), 0.5 * (lo + hi))
-    # the floor keeps a reported bound positive down to the subnormal range
-    tails = np.exp(np.minimum(np.maximum(log_pref + log_sb, -744.0), 709.0))
+    # each tail is at most its row's tol, so exp cannot overflow; the floor keeps it positive
+    tails = np.exp(np.maximum(log_pref + log_sb, -744.0))
     return R, idx, centers, log_pref, tails
 
 

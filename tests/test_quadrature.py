@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import math
 
@@ -304,20 +303,32 @@ def test_wrapped_family_keeps_block_path(small_case):
     assert np.array_equal(G, Gw) and np.array_equal(E, Ew)
 
 
-def test_wrong_separable_declaration_is_caught(small_case):
-    # a theta factor does not split over x and y; declaring it separable
-    # must move the value, so the agreement test above would catch a
-    # wrong declaration
+def test_kernel_expansion_mutation_is_caught(small_case, monkeypatch):
+    # dropping the conjugate of z_v in the expansion coefficients
+    # c_t = C exp(l_v + 2 pi i (1/2 t F t - t.conj z_v)) must move the
+    # value, so the agreement test above would catch such a slip
     cfg, grid = small_case
     v = tf.PointCoordinates(np.full(cfg.r, 0.1 + 0.2j), np.full(cfg.g - cfg.r, 0.2 - 0.1j))
-    section = S.kernel_section(cfg, v, 1e-10)
-    assert not section.factored.separable
-
-    def wrong(z, zp):
-        return section(z, zp)
-
-    wrong.factored = dataclasses.replace(section.factored, separable=True)
     f = S.basis_function(cfg, tf.BasisIndex(n=(1,) * cfg.r, k=(1,) * (cfg.g - cfg.r)))
+    section = S.kernel_section(cfg, v, 1e-10)
     want = tf.inner_product(cfg, _one_block(f), _one_block(section), grid, refine=False).value
+    exponents = S._theta._term_exponents
+    with monkeypatch.context() as mp:
+        # the coefficients take the exponents at -conj z_v; conjugating gives -z_v
+        mp.setattr(S._theta, "_term_exponents", lambda p, z, idx: exponents(p, np.conj(z), idx))
+        wrong = S.kernel_section(cfg, v, 1e-10)
     got = tf.inner_product(cfg, f, wrong, grid, refine=False).value
-    assert abs(got - want) > 1e-3 * abs(want)
+    if cfg.r:
+        assert abs(got - want) > 1e-3 * abs(want)
+    else:
+        # r = 0: one term with no z_v in it, so there is nothing to mutate
+        assert abs(got - want) <= 1e-13 * abs(want)
+
+
+def test_far_real_section_out_of_range(cfg_g1r1, grid_g1r1):
+    # v is reduced to 0.3 + 0.1i with automorphy log ~ 1005: the section's
+    # values and the coefficients of its expansion leave the double range
+    v = tf.PointCoordinates(np.array([25.3 + 0.1j]), np.zeros(0))
+    f = S.basis_function(cfg_g1r1, tf.BasisIndex(n=(0,), k=()))
+    with pytest.raises(errors.ValueOutOfRange):
+        tf.inner_product(cfg_g1r1, f, S.kernel_section(cfg_g1r1, v, 1e-10), grid_g1r1)

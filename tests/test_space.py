@@ -291,6 +291,16 @@ def test_kernel_outer_factor_out_of_range(cfg_g2r1):
         S.kernel_section(cfg_g2r1, u, 1e-10)(u.z, u.z_perp)
 
 
+def test_basis_value_out_of_range(cfg_g1r1):
+    # z = 25.3 + 0.1i reduces to 0.3 + 0.1i with automorphy log ~ 1005:
+    # the values are about exp(1005), which used to come back as inf or NaN
+    u = PointCoordinates(np.array([25.3 + 0.1j]), np.zeros(0))
+    with pytest.raises(ValueOutOfRange):
+        tf.basis_eval(cfg_g1r1, tf.BasisIndex(n=(1,), k=()), u)
+    with pytest.raises(ValueOutOfRange):
+        tf.weight_factor(cfg_g1r1, u)
+
+
 def test_kernel_diagonal(cfg_g2r1):
     rng = np.random.default_rng(27)
     for _ in range(5):

@@ -250,3 +250,14 @@ def test_out_of_range_value_raises():
         T.theta_eval_many(params, [[0.1], [0.1 + 20j]], 1e-10)
     assert issubclass(errors.ValueOutOfRange, errors.BudgetError)
     assert issubclass(errors.ValueOutOfRange, OverflowError)
+
+
+def test_reported_tail_is_not_clamped():
+    # the certified bound is e^709.5, still a double below the requested tol;
+    # it must be reported as it is, not clamped to e^709
+    params = tf.validate_parameters([[1j]])
+    plan = tf.truncation_plan(params, [0.1 + 15.028j], 1.7e308)
+    log_bound = plan.log_prefactor + math.log(T._shell_bound(params, plan.radius))
+    assert log_bound > 709.0
+    assert math.log(plan.tail_bound) == pytest.approx(log_bound, abs=1e-9)
+    assert plan.tail_bound <= 1.7e308

@@ -25,6 +25,20 @@ def test_run_all_suites_pass(cfg):
     assert not failed, failed
 
 
+@pytest.mark.parametrize("nu", [math.pi, 2 * math.pi])
+def test_reproducing_suite_g2r2(nu):
+    # r = g = 2 with a real, non-diagonal B, at the default nodes (32, 48)
+    space = tf.validate_space(np.eye(2))
+    lattice = tf.build_lattice(space, [[1.0, 0.0], [0.4, 1.1]])
+    cfg = tf.make_config(lattice, [0.3, 0.1], nu)
+    outcomes = verify.run_suite(cfg, "reproducing")
+    assert [o.name for o in outcomes] == [
+        "reproducing-property", "kernel-series-agreement", "kernel-hermitian-symmetry"
+    ]
+    failed = [o for o in outcomes if not o.passed]
+    assert not failed, failed
+
+
 def test_run_suite_unknown_name(cfg):
     with pytest.raises(ValueError):
         verify.run_suite(cfg, "nonsense")
