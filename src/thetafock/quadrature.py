@@ -7,7 +7,9 @@ handles every unbounded direction after the quadratic form 2 nu B (in y)
 and nu I (in z_perp) are diagonalized into the Hermite weight.  The
 leftover exp(nu (y^T B y - x^T B x)) is folded into the node weights; it
 stays bounded against members of the space since their own Gaussian
-growth cancels it.
+growth cancels it.  The 1-D rules come from numpy
+(``leggauss``, ``hermgauss``); they are built once per pair of node
+counts, cached, and shared read-only by every grid with those counts.
 
 Both the weight and the tensor grid factor into blocks: the lattice block
 ([0,1] x R)^r (r Legendre times r Hermite axes, carrying the correction
@@ -36,12 +38,15 @@ or each of its factors, at its own nodes.
 
 from __future__ import annotations
 
+import functools
 import math
+import numbers
 from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc, roots_hermite, roots_legendre
+from numpy.polynomial.hermite import hermgauss
+from numpy.polynomial.legendre import leggauss
 
 from .errors import (
     DimensionCapExceeded,
@@ -49,6 +54,7 @@ from .errors import (
     GridTooCoarse,
     NotSymmetric,
     RealPartNotPositiveDefinite,
+    ValidationError,
 )
 
 __all__ = [
@@ -178,10 +184,19 @@ class InnerProductResult:
     nodes: int
 
 
+@functools.lru_cache(maxsize=8)
+def _gauss_rules(n_compact: int, n_unbounded: int):
+    """Read-only Legendre rule on [0, 1] and Hermite rule, built once per pair."""
+    x, wx = leggauss(n_compact)
+    rules = (0.5 * (x + 1.0), 0.5 * wx) + hermgauss(n_unbounded)
+    for a in rules:
+        a.setflags(write=False)
+    return rules
+
+
 def _make_level(config, n_compact: int, n_unbounded: int) -> _Level:
     r, g, nu = config.r, config.g, config.nu
-    xt, xw = roots_legendre(n_compact)
-    ht, hw = roots_hermite(n_unbounded)
+    x, wx, t, wt = _gauss_rules(n_compact, n_unbounded)
     if r:
         evals, evecs = np.linalg.eigh(2.0 * nu * config.lattice.B)
         T = evecs / np.sqrt(evals)
@@ -191,10 +206,10 @@ def _make_level(config, n_compact: int, n_unbounded: int) -> _Level:
         jac_y = 1.0
     shape = (n_compact,) * r + (n_unbounded,) * r + (n_unbounded,) * (2 * (g - r))
     return _Level(
-        compact_nodes=0.5 * (xt + 1.0),
-        compact_weights=0.5 * xw,
-        herm_nodes=ht,
-        herm_weights=hw,
+        compact_nodes=x,
+        compact_weights=wx,
+        herm_nodes=t,
+        herm_weights=wt,
         y_transform=T,
         lattice_jacobian=jac_y,
         perp_jacobian=1.0 / nu,
@@ -217,6 +232,10 @@ def build_grid(
     known closed forms and GridTooCoarse is raised if the observed defect
     exceeds the request.
     """
+    for name, n in (("compact_nodes", compact_nodes), ("unbounded_nodes", unbounded_nodes)):
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+            raise ValidationError(f"{name} must be an int >= 1, got {n!r}")
+    compact_nodes, unbounded_nodes = int(compact_nodes), int(unbounded_nodes)
     g = config.g
     cap = 3 if unbounded_nodes <= _REDUCED_NODE_LIMIT else 2
     if g > cap:
@@ -244,7 +263,7 @@ def build_grid(
         compact_dims=r,
         unbounded_dims=n_unb,
         radii=y_radii + perp_radii,
-        tail_fraction=float(n_unb * 0.5 * erfc(smax)) if n_unb else 0.0,
+        tail_fraction=n_unb * 0.5 * math.erfc(smax) if n_unb else 0.0,
     )
     grid = QuadratureGrid(
         config=config,

@@ -1,10 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import thetafock
 from thetafock.cli import main
 from thetafock.problem import load_problem
 
@@ -234,3 +238,14 @@ def test_bad_numeric_flag_is_usage_error(tmp_path, capsys, verb, flags):
     assert main([verb, write(tmp_path, G1R1)] + flags) == 1
     err = capsys.readouterr().err
     assert err.startswith("usage error:") and "Traceback" not in err
+
+
+def test_import_leaves_scipy_out():
+    # the library and CLI need numpy only; scipy is a test-time reference
+    src = str(Path(thetafock.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys, thetafock, thetafock.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"

@@ -4,8 +4,6 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import gamma as gamma_fn
-from scipy.special import roots_hermite
 
 import thetafock as tf
 from thetafock import errors
@@ -70,13 +68,45 @@ def test_gaussian_integral_errors():
         tf.gaussian_integral(-1.0, [[1.0]], [0.0])
 
 
-def test_hermite_exactness_degree():
-    # the Hermite sub-rule integrates t^(2j) against exp(-t^2) exactly
-    t, w = roots_hermite(Q._DEFAULT_UNBOUNDED_NODES)
-    for j in range(0, 16):
-        got = float(w @ t ** (2 * j))
-        want = float(gamma_fn(j + 0.5))
-        assert abs(got - want) <= 1e-12 * want
+def test_hermite_exactness_degree(grid_g1r1):
+    # the Hermite rules the oracle sums with integrate t^(2j) against
+    # exp(-t^2) exactly
+    for lvl in (grid_g1r1.base, grid_g1r1.fine):
+        t, w = lvl.herm_nodes, lvl.herm_weights
+        for j in range(0, 16):
+            got = float(w @ t ** (2 * j))
+            want = math.gamma(j + 0.5)
+            assert abs(got - want) <= 1e-12 * want
+
+
+def test_legendre_exactness_degree(grid_g1r1):
+    # an n-node Legendre rule on [0, 1] integrates x^k exactly for k < 2n
+    for lvl in (grid_g1r1.base, grid_g1r1.fine):
+        x, w = lvl.compact_nodes, lvl.compact_weights
+        for k in range(2 * len(x)):
+            want = 1.0 / (k + 1)
+            assert abs(float(w @ x**k) - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("bad", [0, -1, 2.5, True])
+@pytest.mark.parametrize("name", ["compact_nodes", "unbounded_nodes"])
+def test_bad_node_count_is_validation_error(cfg_g1r1, name, bad):
+    before = Q._gauss_rules.cache_info().currsize
+    with pytest.raises(errors.ValidationError, match=name):
+        tf.build_grid(cfg_g1r1, **{name: bad})
+    assert Q._gauss_rules.cache_info().currsize == before
+
+
+def test_cached_rules_are_read_only(cfg_g1r1):
+    grid = tf.build_grid(cfg_g1r1, compact_nodes=7, unbounded_nodes=9)
+    t = grid.base.herm_nodes
+    saved = t.copy()
+    for arr in (t, grid.base.herm_weights, grid.fine.compact_nodes, grid.fine.compact_weights):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+    again = tf.build_grid(cfg_g1r1, compact_nodes=7, unbounded_nodes=9)
+    assert again.base.herm_nodes is t
+    np.testing.assert_array_equal(again.base.herm_nodes, saved)
 
 
 def test_grid_invariants(grid_g1r1):

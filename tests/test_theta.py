@@ -1,10 +1,12 @@
 import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 import thetafock as tf
 from thetafock import errors
@@ -128,10 +130,50 @@ def test_determinism_bit_identical():
     assert r1.tail_bound == r2.tail_bound
 
 
+TAIL_RADII = np.arange(1.0, 12.0, 0.5)
+
+
 def test_tail_bound_monotone_in_radius():
     params = tf.validate_parameters([[1j, 0.2j], [0.2j, 1.5j]])
-    bounds = [T._shell_bound(params, R) for R in np.arange(1.0, 12.0, 0.5)]
+    bounds = [T._shell_bound(params, R) for R in TAIL_RADII]
     assert all(b1 >= b2 for b1, b2 in zip(bounds, bounds[1:]))
+
+
+def test_upper_gamma_half_is_rounded_up_against_mpmath():
+    # Gamma((j+1)/2, x) must never fall below the 50-digit value, or the
+    # shell bound built on it would no longer be certified
+    with mpmath.workdps(50):
+        for j in range(10):
+            for x in [0.0, *np.geomspace(1e-6, 400.0, 120)]:
+                got = T._upper_gamma_half(j, float(x))
+                ref = mpmath.gammainc(mpmath.mpf(j + 1) / 2, mpmath.mpf(float(x)))
+                rel = (mpmath.mpf(got) - ref) / ref
+                assert 0 <= rel <= 2e-12, (j, x, float(rel))
+
+
+def scipy_shell_bound(params, R):
+    """The shell bound as written on scipy's gamma and gammaincc."""
+    r, delta = params.r, params.delta
+    a = max(R - delta, 0.0)
+    total = (delta**r - a**r) / r if a < delta else 0.0
+    x = math.pi * max(a - delta, 0.0) ** 2
+    for j in range(r):
+        half = (j + 1) / 2.0
+        coeff = math.comb(r - 1, j) * delta ** (r - 1 - j)
+        total += coeff * special.gamma(half) * special.gammaincc(half, x) / (2.0 * math.pi**half)
+    surf = 2.0 * math.pi ** (r / 2.0) / special.gamma(r / 2.0)
+    return surf / math.sqrt(params.det_y) * total
+
+
+@pytest.mark.parametrize("r", range(1, 7))
+def test_shell_bound_matches_scipy_formula(r):
+    rng = np.random.default_rng(100 + r)
+    A = rng.standard_normal((r, r))
+    params = tf.validate_parameters(1j * (A @ A.T + 0.7 * np.eye(r)))
+    for R in TAIL_RADII:
+        ref = scipy_shell_bound(params, float(R))
+        got = T._shell_bound(params, float(R))
+        assert ref <= got <= ref * (1 + 2e-12), (R, got / ref - 1)
 
 
 def test_tail_soundness_on_radius_grid():
