@@ -91,41 +91,45 @@ def _positive_float(text: str) -> float:
     return value
 
 
+_FLAGS = {
+    "--tol": dict(type=_positive_float, default=1e-10),
+    "--seed": dict(type=int, default=0),
+    "--max-radius": dict(type=float, default=None, dest="max_radius"),
+    "--nodes": dict(type=_nodes_pair, default=None,
+                    help="quadrature node counts as 'compact,unbounded'"),
+}
+
+
 def build_parser() -> _Parser:
     p = _Parser(prog="thetafock", description=__doc__)
     sub = p.add_subparsers(dest="cmd", required=True)
 
-    def common(sp):
+    def verb(name, summary, *flags):
+        """A verb taking a problem file, --out, and only the flags it reads."""
+        sp = sub.add_parser(name, help=summary)
         sp.add_argument("file", help="problem file (JSON)")
         sp.add_argument("--out", help="write the result document here instead of stdout")
-        sp.add_argument("--tol", type=_positive_float, default=1e-10)
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--max-radius", type=float, default=None, dest="max_radius")
-        sp.add_argument("--nodes", type=_nodes_pair, default=None,
-                        help="quadrature node counts as 'compact,unbounded'")
+        for flag in flags:
+            sp.add_argument(flag, **_FLAGS[flag])
+        return sp
 
-    sp = sub.add_parser("validate", help="check all structural invariants")
-    common(sp)
+    verb("validate", "check all structural invariants")
 
-    sp = sub.add_parser("theta", help="evaluate the lattice theta function")
-    common(sp)
+    sp = verb("theta", "evaluate the lattice theta function", "--tol", "--max-radius")
     sp.add_argument("--z", action="append", default=None,
                     help="component 're[,im]' (repeat r times) or '@file.json'")
 
-    sp = sub.add_parser("kernel", help="evaluate the reproducing kernel")
-    common(sp)
+    sp = verb("kernel", "evaluate the reproducing kernel", "--tol")
     sp.add_argument("--u", action="append", default=None,
                     help="ambient component 're[,im]' (repeat g times) or '@file.json'")
     sp.add_argument("--v", action="append", default=None,
                     help="ambient component 're[,im]' (repeat g times) or '@file.json'")
 
-    sp = sub.add_parser("norms", help="closed-form norms against the quadrature oracle")
-    common(sp)
+    sp = verb("norms", "closed-form norms against the quadrature oracle", "--nodes")
     sp.add_argument("--n-max", type=int, default=1, dest="n_max")
     sp.add_argument("--k-max", type=int, default=1, dest="k_max")
 
-    sp = sub.add_parser("verify", help="run a named property suite")
-    common(sp)
+    sp = verb("verify", "run a named property suite", "--seed", "--nodes")
     sp.add_argument("--suite", default="all",
                     choices=sorted(verify.SUITES) + ["all"])
     return p

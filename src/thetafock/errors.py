@@ -82,8 +82,8 @@ class GridTooCoarse(BudgetError):
     pass
 
 
-class DimensionCapExceeded(BudgetError):
-    pass
+class NodeBudgetExceeded(BudgetError):
+    """A quadrature reduction would compute more factor values than its budget."""
 
 
 class ValueOutOfRange(BudgetError, OverflowError):

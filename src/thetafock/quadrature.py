@@ -31,6 +31,15 @@ factor; it cancels in f_a conj(f_b).  The lattice Gram is then the
 entrywise product of a sum over the x nodes (points x + 0i) and a sum
 over the y nodes (points 0 + iy).
 
+The cost of a reduction is the number of factor values it computes: each
+distinct factor once per node of its block (the x axis, the y axis, each
+perpendicular grid), or, for any other callable, one value per node of
+the whole tensor grid.  That count depends on node counts alone, so it is
+checked against one budget before any node is built or any integrand
+called; the dimension g and rank r enter only through it.  Every node set
+is built chunk by chunk from index ranges over the 1-D rules, so memory
+stays bounded whatever the grid's size.
+
 This module is the verification oracle: it never consults the closed-form
 norms or kernels it is used to check.  It only evaluates each integrand,
 or each of its factors, at its own nodes.
@@ -49,9 +58,9 @@ from numpy.polynomial.hermite import hermgauss
 from numpy.polynomial.legendre import leggauss
 
 from .errors import (
-    DimensionCapExceeded,
     DimensionMismatch,
     GridTooCoarse,
+    NodeBudgetExceeded,
     NotSymmetric,
     RealPartNotPositiveDefinite,
     ValidationError,
@@ -68,10 +77,11 @@ __all__ = [
     "gram_matrix",
 ]
 
-_CHUNK = 1 << 14
+_CHUNK = 1 << 14  # nodes per chunk of a callable without a factored form
+_CHUNK_BYTES = 1 << 24  # bytes of (factors x nodes) complex values per chunk of a Factored map
+_WORK_BUDGET = 1 << 29  # factor values per call; factored maps run 27-52M values/s on 2 vCPUs
 _DEFAULT_COMPACT_NODES = 32
 _DEFAULT_UNBOUNDED_NODES = 48
-_REDUCED_NODE_LIMIT = 24  # g = 3 is allowed only at or below this count
 _COARSE_RTOL = 1e-3  # inner_product accepts a refinement change up to this times |value| + 1
 
 
@@ -130,7 +140,9 @@ class Factored:
     lattice factor ``terms[t, 0]`` with the factor ``terms[t, 1 + j]`` of
     every perpendicular coordinate j.  ``lattice`` maps lattice
     coordinates (n, r) to the (L, n) values of its distinct factors;
-    ``perp[j]`` maps values (n,) of coordinate j to (P_j, n).
+    ``perp[j]`` maps values (n,) of coordinate j to (P_j, n).  L and P_j
+    are one more than the largest index in their column of ``terms``,
+    which is how the work budget counts them before any map is called.
 
     Contract on every lattice map: each pair of its factors splits over
     the real and imaginary axes,
@@ -164,8 +176,8 @@ class _Level:
 class QuadratureGrid:
     """Tensor grid; ``fine`` doubles every node count for error estimates.
 
-    Level shapes and ``total_nodes`` describe the logical tensor grid,
-    whichever way an integrand is reduced over it.
+    Level shapes describe the logical tensor grid, whichever way an
+    integrand is reduced over it.
     """
 
     config: object
@@ -174,21 +186,30 @@ class QuadratureGrid:
     domain: FundamentalDomain
     box_offset: np.ndarray
     estimated_error: float
-    total_nodes: int
 
 
 @dataclass(frozen=True)
 class InnerProductResult:
     value: complex
     error_estimate: float | None
-    nodes: int
+    work: int  # factor values computed over every level summed, as checked against the budget
 
 
 @functools.lru_cache(maxsize=8)
 def _gauss_rules(n_compact: int, n_unbounded: int):
-    """Read-only Legendre rule on [0, 1] and Hermite rule, built once per pair."""
+    """Read-only Legendre rule on [0, 1] and Hermite rule, built once per pair.
+
+    Raises ValidationError, and caches nothing, when a rule is not finite:
+    numpy's Hermite weights overflow from 372 nodes on.
+    """
     x, wx = leggauss(n_compact)
-    rules = (0.5 * (x + 1.0), 0.5 * wx) + hermgauss(n_unbounded)
+    with np.errstate(all="ignore"):
+        rules = (0.5 * (x + 1.0), 0.5 * wx) + hermgauss(n_unbounded)
+    if not all(np.isfinite(a).all() for a in rules):
+        raise ValidationError(
+            f"the Gauss rules for ({n_compact}, {n_unbounded}) nodes are not finite; the "
+            f"fine level doubles the requested node counts, so request fewer"
+        )
     for a in rules:
         a.setflags(write=False)
     return rules
@@ -224,31 +245,27 @@ def build_grid(
     unbounded_nodes: int = _DEFAULT_UNBOUNDED_NODES,
     box_offset=None,
 ) -> QuadratureGrid:
-    """Build the tensor grid for a space configuration.
+    """Build the tensor grid for a space configuration and self-calibrate it.
 
-    Full-strength oracle runs are limited to g <= 2; g = 3 is admitted
-    with reduced node counts, anything larger raises.  When
-    requested_tol is given the grid is self-calibrated on integrands with
-    known closed forms and GridTooCoarse is raised if the observed defect
-    exceeds the request.
+    Any g and r are admitted; what a grid may cost is bounded per call by
+    the work budget (NodeBudgetExceeded), which the calibration passes
+    through too.  Node counts must be ints >= 1 whose Gauss rules, at
+    both levels, are finite (ValidationError otherwise).  The calibration
+    sums integrands with known closed forms on the base level; when
+    requested_tol is given GridTooCoarse is raised if the observed defect
+    exceeds it.
     """
     for name, n in (("compact_nodes", compact_nodes), ("unbounded_nodes", unbounded_nodes)):
         if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
             raise ValidationError(f"{name} must be an int >= 1, got {n!r}")
     compact_nodes, unbounded_nodes = int(compact_nodes), int(unbounded_nodes)
-    g = config.g
-    cap = 3 if unbounded_nodes <= _REDUCED_NODE_LIMIT else 2
-    if g > cap:
-        raise DimensionCapExceeded(
-            f"g = {g} exceeds the oracle dimension cap {cap} "
-            f"(use reduced node counts for g = 3)"
-        )
-    r = config.r
+    r, g = config.r, config.g
     offset = np.zeros(r) if box_offset is None else np.asarray(box_offset, dtype=float).reshape(-1)
     if offset.shape[0] != r:
         raise DimensionMismatch(f"box_offset must have length {r}")
-    base = _make_level(config, compact_nodes, unbounded_nodes)
+    # fine first: a rule that is not finite fails there before the base rule is cached
     fine = _make_level(config, 2 * compact_nodes, 2 * unbounded_nodes)
+    base = _make_level(config, compact_nodes, unbounded_nodes)
 
     smax = float(np.abs(base.herm_nodes).max()) if base.herm_nodes.size else 0.0
     if r:
@@ -272,7 +289,6 @@ def build_grid(
         domain=domain,
         box_offset=offset,
         estimated_error=math.nan,
-        total_nodes=int(np.prod(base.shape)) if base.shape else 1,
     )
     est = _calibrate(config, grid)
     object.__setattr__(grid, "estimated_error", est)
@@ -307,7 +323,7 @@ def _calibrate(config, grid) -> float:
         terms=np.array([[i] + [0] * m for i in range(len(freqs))]),
         coeffs=np.eye(len(freqs), dtype=complex),
     )
-    got = _factored_sum(config, grid.base, grid.box_offset, form, form)
+    got = _reduce(config, grid, form, form, refine=False)[0][0]
 
     closed = complex(gaussian_integral(2.0 * nu, B, -4.0 * math.pi * a_lin))
     for kj in k_cal:
@@ -319,60 +335,93 @@ def _calibrate(config, grid) -> float:
     return float(defect)
 
 
-def _box(nodes, weights, d: int):
-    """d-fold tensor grid of a 1-D rule: points (n^d, d) and weights (n^d,)."""
-    n = len(nodes)
-    idx = np.indices((n,) * d).reshape(d, n**d)
-    return nodes[idx].T, np.prod(weights[idx], axis=0)
+def _factored(f) -> Factored | None:
+    """The block form of an integrand: f itself, its ``factored`` attribute, or None."""
+    return f if isinstance(f, Factored) else getattr(f, "factored", None)
 
 
-def _perp_grid(config, level: _Level):
-    """Nodes (n^2,) and weights of one perpendicular coordinate's Hermite grid."""
-    p, w = _box(level.herm_nodes, level.herm_weights, 2)
-    return (p[:, 0] + 1j * p[:, 1]) / math.sqrt(config.nu), w
+def _factor_counts(form: Factored) -> list:
+    """Distinct factors per block: the lattice block, then each perpendicular coordinate."""
+    if not form.terms.size:
+        return [0] * form.terms.shape[1]
+    return [int(c) + 1 for c in form.terms.max(axis=0)]
 
 
-def _lattice_axes(config, level: _Level, offset):
-    """Real nodes x (n_c^r, r), imaginary nodes iy (n_h^r, r) and their weights.
+def _work(config, levels, fs, hs) -> int:
+    """Factor values that summing f conj(h) over ``levels`` computes, from node counts alone.
 
-    The weights carry the correction exp(|s|^2/2 - nu x^T B x), split into
-    its x and s parts, but no Jacobian.
+    A Factored pair computes each distinct factor once per node of its
+    block: n_c^r + n_h^r lattice-axis nodes and n_h^2 nodes per
+    perpendicular coordinate.  Any other pair computes at least one value
+    per tensor node for each of f and h.  When h is f it is counted once.
+    """
+    r, m = config.r, config.g - config.r
+    ff, hf = _factored(fs), _factored(hs)
+    shapes = [(len(level.compact_nodes), len(level.herm_nodes)) for level in levels]
+    if ff is None or hf is None:
+        return (1 if fs is hs else 2) * sum(nc**r * nh ** (r + 2 * m) for nc, nh in shapes)
+    lattice, *perp = [sum(c) for c in zip(*map(_factor_counts, [ff] if ff is hf else [ff, hf]))]
+    return sum((nc**r + nh**r) * lattice + nh**2 * sum(perp) for nc, nh in shapes)
+
+
+def _reduce(config, grid: QuadratureGrid, fs, hs, refine: bool) -> tuple:
+    """Level sums of f conj(h) (base, then fine when refine) and the work they take.
+
+    The one budget check: NodeBudgetExceeded is raised before any node is
+    built or any integrand called when the work exceeds _WORK_BUDGET.
+    """
+    levels = [grid.base, grid.fine] if refine else [grid.base]
+    work = _work(config, levels, fs, hs)
+    if work > _WORK_BUDGET:
+        raise NodeBudgetExceeded(
+            f"the quadrature would compute {work:.3e} factor values, over the budget of "
+            f"{_WORK_BUDGET:.3e}; use fewer nodes or fewer factors"
+        )
+    return [_level_sum(config, level, grid.box_offset, fs, hs) for level in levels], work
+
+
+def _nodes(config, level: _Level, offset, rows: int, *, x=False, y=False, perp=0):
+    """Yield (Z, Zp, w) over a product of the level's 1-D rules, ``rows`` nodes at a time.
+
+    The product takes r Legendre axes when ``x`` (points x + 0i), r
+    Hermite axes when ``y`` (points 0 + iy), and two Hermite axes for each
+    of ``perp`` perpendicular coordinates; Z is (n, r) and Zp (n, perp).
+    Each chunk is built from a range of flat indices, so only one chunk
+    of points exists at a time.  Points are column-major, as the
+    evaluators read them by column.  The weights w carry the correction
+    exp(|s|^2/2 - nu x^T B x) of the axes taken, but no Jacobian.
     """
     r, nu = config.r, config.nu
-    x, wx = _box(level.compact_nodes, level.compact_weights, r)
-    x = x + offset
-    wx = wx * np.exp(-nu * np.einsum("ij,jk,ik->i", x, config.lattice.B, x))
+    rx, ry = (r if x else 0), (r if y else 0)
     t = level.herm_nodes
-    s, ws = _box(t, level.herm_weights * np.exp(0.5 * t * t), r)
-    return x, wx, 1j * (s @ level.y_transform.T), ws
-
-
-def _axis_chunks(points, weights):
-    """Yield ((points,), weights) in runs of at most _CHUNK nodes."""
-    for start in range(0, len(weights), _CHUNK):
-        yield (points[start:start + _CHUNK],), weights[start:start + _CHUNK]
-
-
-def _tensor_chunks(config, level: _Level, offset):
-    """Yield ((Z, Zp), w) over the tensor grid, _CHUNK nodes at a time; w as in _lattice_axes."""
-    m = config.g - config.r
-    x, wx, iy, ws = _lattice_axes(config, level, offset)
-    zp, wp = _perp_grid(config, level)
-    sizes = (len(wx), len(ws)) + (len(wp),) * m
+    rules = (
+        [(level.compact_nodes, level.compact_weights)] * rx
+        + [(t, level.herm_weights * np.exp(0.5 * t * t))] * ry
+        + [(t / math.sqrt(nu), level.herm_weights)] * (2 * perp)
+    )
+    sizes = [len(nodes) for nodes, _ in rules]
     total = math.prod(sizes)
-    for start in range(0, total, _CHUNK):
-        idx = np.unravel_index(np.arange(start, min(start + _CHUNK, total)), sizes)
-        Z = x[idx[0]] + iy[idx[1]]
-        w = wx[idx[0]] * ws[idx[1]]
-        Zp = np.empty((Z.shape[0], m), dtype=complex)
-        for j in range(m):
-            Zp[:, j] = zp[idx[2 + j]]
-            w = w * wp[idx[2 + j]]
-        yield (Z, Zp), w
+    for start in range(0, total, rows):
+        n = min(rows, total - start)
+        P = np.empty((n, len(rules)), order="F")
+        w = np.ones(n)
+        idx = np.unravel_index(np.arange(start, start + n), sizes) if sizes else ()
+        for a, i in enumerate(idx):
+            P[:, a] = rules[a][0][i]
+            w *= rules[a][1][i]
+        Z = np.zeros((n, r), dtype=complex, order="F")
+        if x:
+            xs = P[:, :r] + offset
+            Z.real = xs
+            w *= np.exp(-nu * np.einsum("ij,jk,ik->i", xs, config.lattice.B, xs))
+        if y:
+            Z.imag = P[:, rx:rx + r] @ level.y_transform.T
+        q = P[:, rx + ry:]
+        yield Z, q[:, 0::2] + 1j * q[:, 1::2], w
 
 
 def _block_sum(chunks, f, h, same: bool) -> np.ndarray:
-    """sum_nodes w f_a conj(h_b) for factor maps f, h: an (A, B) matrix."""
+    """sum_nodes w f_a conj(h_b) over chunks of ((points,), w): an (A, B) matrix."""
     out = 0.0
     for points, w in chunks:
         U = f(*points)
@@ -382,15 +431,26 @@ def _block_sum(chunks, f, h, same: bool) -> np.ndarray:
 
 
 def _factored_sum(config, level: _Level, offset, ff: Factored, hf: Factored) -> np.ndarray:
-    """Level sum of the Factored families ff, hf, block by block."""
+    """Level sum of the Factored families ff, hf, block by block.
+
+    Each block is chunked so that one map's values stay under _CHUNK_BYTES.
+    """
     same = ff is hf
-    x, wx, iy, ws = _lattice_axes(config, level, offset)
-    lattice = _block_sum(_axis_chunks(x + 0j, wx), ff.lattice, hf.lattice, same)
-    lattice = lattice * _block_sum(_axis_chunks(iy, ws), ff.lattice, hf.lattice, same)
+    counts = _factor_counts(ff)
+    if not same:
+        counts = map(max, counts, _factor_counts(hf))
+    rows = [max(1, _CHUNK_BYTES // (16 * max(c, 1))) for c in counts]
+
+    def lattice_axis(**axes):
+        return (((Z,), w) for Z, _, w in _nodes(config, level, offset, rows[0], **axes))
+
+    lattice = _block_sum(lattice_axis(x=True), ff.lattice, hf.lattice, same)
+    lattice = lattice * _block_sum(lattice_axis(y=True), ff.lattice, hf.lattice, same)
     blocks = [level.lattice_jacobian * lattice]
-    zp, wp = _perp_grid(config, level)
-    for fj, hj in zip(ff.perp, hf.perp):
-        blocks.append(level.perp_jacobian * _block_sum(_axis_chunks(zp, wp), fj, hj, same))
+    for j, (fj, hj) in enumerate(zip(ff.perp, hf.perp)):
+        perp_nodes = _nodes(config, level, offset, rows[1 + j], perp=1)
+        chunks = (((Zp[:, 0],), w) for _, Zp, w in perp_nodes)
+        blocks.append(level.perp_jacobian * _block_sum(chunks, fj, hj, same))
     terms = np.ones((ff.terms.shape[0], hf.terms.shape[0]), dtype=complex)
     for b, M in enumerate(blocks):
         terms *= M[np.ix_(ff.terms[:, b], hf.terms[:, b])]
@@ -400,15 +460,17 @@ def _factored_sum(config, level: _Level, offset, ff: Factored, hf: Factored) -> 
 def _level_sum(config, level: _Level, offset, fs, hs) -> np.ndarray:
     """Matrix of level sums of f_i conj(h_k) against exp(-nu H(u,u)).
 
-    Integrands that both carry a ``factored`` attribute are reduced block
-    by block; otherwise the whole tensor grid is one block.
+    Integrands that both have a block form are reduced block by block;
+    otherwise the whole tensor grid is one block, _CHUNK nodes at a time.
     """
-    ff, hf = getattr(fs, "factored", None), getattr(hs, "factored", None)
+    ff, hf = _factored(fs), _factored(hs)
     if ff is not None and hf is not None:
         return _factored_sum(config, level, offset, ff, hf)
-    jacobian = level.lattice_jacobian * level.perp_jacobian ** (config.g - config.r)
+    m = config.g - config.r
+    jacobian = level.lattice_jacobian * level.perp_jacobian ** m
+    tensor = _nodes(config, level, offset, _CHUNK, x=True, y=True, perp=m)
     return jacobian * _block_sum(
-        _tensor_chunks(config, level, offset),
+        (((Z, Zp), w) for Z, Zp, w in tensor),
         lambda Z, Zp: np.atleast_2d(fs(Z, Zp)),
         lambda Z, Zp: np.atleast_2d(hs(Z, Zp)),
         fs is hs,
@@ -422,20 +484,21 @@ def inner_product(config, f, h, grid: QuadratureGrid, refine: bool = True) -> In
     and the error estimate is the difference from the base grid;
     GridTooCoarse is raised when the two disagree beyond
     1e-3 * (|value| + 1).  With refine=False only the base grid is
-    used and no estimate is produced.
+    used and no estimate is produced.  NodeBudgetExceeded is raised,
+    before f or h is called, when the levels summed would compute more
+    factor values than the work budget; ``work`` reports that count.
     """
-    v0 = complex(_level_sum(config, grid.base, grid.box_offset, f, h)[0, 0])
+    sums, work = _reduce(config, grid, f, h, refine)
+    v0 = complex(sums[0][0, 0])
     if not refine:
-        return InnerProductResult(value=v0, error_estimate=None, nodes=grid.total_nodes)
-    v1 = complex(_level_sum(config, grid.fine, grid.box_offset, f, h)[0, 0])
+        return InnerProductResult(value=v0, error_estimate=None, work=work)
+    v1 = complex(sums[1][0, 0])
     err = abs(v1 - v0)
     if err > _COARSE_RTOL * (abs(v1) + 1.0):
         raise GridTooCoarse(
             f"refinement changed the value by {err:.3e} (value {abs(v1):.3e})"
         )
-    return InnerProductResult(
-        value=v1, error_estimate=err, nodes=int(np.prod(grid.fine.shape))
-    )
+    return InnerProductResult(value=v1, error_estimate=err, work=work)
 
 
 def gram_matrix(config, funcs, grid: QuadratureGrid, refine: bool = True):
@@ -446,9 +509,9 @@ def gram_matrix(config, funcs, grid: QuadratureGrid, refine: bool = True):
     space.basis_family is reduced block by block (the fast path).
     Returns (G, E): the Gram matrix from the finest level used and the
     entrywise difference between levels (zeros when refine=False).
+    Raises NodeBudgetExceeded as inner_product does.
     """
-    g0 = _level_sum(config, grid.base, grid.box_offset, funcs, funcs)
+    sums, _ = _reduce(config, grid, funcs, funcs, refine)
     if not refine:
-        return g0, np.zeros_like(g0, dtype=float)
-    g1 = _level_sum(config, grid.fine, grid.box_offset, funcs, funcs)
-    return g1, np.abs(g1 - g0)
+        return sums[0], np.zeros_like(sums[0], dtype=float)
+    return sums[1], np.abs(sums[1] - sums[0])

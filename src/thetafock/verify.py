@@ -362,7 +362,8 @@ def norms_battery(config: S.SpaceConfig, grid, n_max: int, k_max: int) -> NormsB
     G, _ = Q.gram_matrix(config, S.basis_family(config, idxs), grid)
     closed = np.array([S.basis_norm_sq(config, i) for i in idxs])
     oracle = np.diag(G).real
-    off = np.abs(G - np.diag(np.diag(G))) / np.sqrt(np.outer(closed, closed))
+    root = np.sqrt(closed)  # the product closed_i closed_j overflows past ~1e154 each
+    off = np.abs(G - np.diag(np.diag(G))) / np.outer(root, root)
     return NormsBattery(
         indices=idxs,
         oracle=oracle,

@@ -13,6 +13,7 @@ from thetafock.cli import main
 from thetafock.problem import load_problem
 
 G1R1_FILE = str(Path(__file__).resolve().parent.parent / "problems" / "g1_r1.json")
+G3R2_FILE = str(Path(__file__).resolve().parent.parent / "problems" / "g3_r2.json")
 
 G1R1 = {
     "g": 1,
@@ -238,6 +239,24 @@ def test_bad_numeric_flag_is_usage_error(tmp_path, capsys, verb, flags):
     assert main([verb, write(tmp_path, G1R1)] + flags) == 1
     err = capsys.readouterr().err
     assert err.startswith("usage error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("verb, flags", [
+    ("validate", ["--tol", "1e-3"]),
+    ("kernel", ["--u", "0", "--v", "0", "--max-radius", "2"]),
+    ("norms", ["--seed", "1"]),
+    ("theta", ["--z", "0.1", "--nodes", "16,24"]),
+])
+def test_flag_the_verb_does_not_read_is_usage_error(tmp_path, capsys, verb, flags):
+    assert main([verb, write(tmp_path, G1R1)] + flags) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and "unrecognized arguments" in err
+
+
+def test_verify_orthogonality_g3_file(tmp_path):
+    code, doc = run(tmp_path, "verify", G3R2_FILE, "--suite", "orthogonality")
+    assert code == 0 and doc["status"] == "ok"
+    assert all(entry["pass"] for entry in doc["results"])
 
 
 def test_import_leaves_scipy_out():

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 
@@ -97,6 +98,15 @@ def test_bad_node_count_is_validation_error(cfg_g1r1, name, bad):
     assert Q._gauss_rules.cache_info().currsize == before
 
 
+def test_rule_that_is_not_finite_is_validation_error(cfg_g1r1):
+    # numpy's Hermite weights overflow from 372 nodes on, which the fine
+    # level reaches at 186; calibration reads only the base level
+    Q._gauss_rules.cache_clear()
+    with pytest.raises(errors.ValidationError, match="not finite"):
+        tf.build_grid(cfg_g1r1, requested_tol=1e-9, compact_nodes=16, unbounded_nodes=186)
+    assert Q._gauss_rules.cache_info().currsize == 0
+
+
 def test_cached_rules_are_read_only(cfg_g1r1):
     grid = tf.build_grid(cfg_g1r1, compact_nodes=7, unbounded_nodes=9)
     t = grid.base.herm_nodes
@@ -122,20 +132,40 @@ def test_grid_invariants(grid_g1r1):
     assert grid_g1r1.estimated_error <= 1e-10
 
 
-def test_grid_dimension_cap():
-    sp = tf.validate_space(np.eye(4))
-    lat = tf.build_lattice(sp, [[1.0, 0, 0, 0]])
-    cfg = tf.make_config(lat, [0.0], math.pi)
-    with pytest.raises(errors.DimensionCapExceeded):
-        tf.build_grid(cfg)
+def _never_called(*args, **kwargs):
+    raise AssertionError("an integrand was called or a node set built")
 
-    sp3 = tf.validate_space(np.eye(3))
-    lat3 = tf.build_lattice(sp3, [[1.0, 0, 0]])
-    cfg3 = tf.make_config(lat3, [0.0], math.pi)
-    with pytest.raises(errors.DimensionCapExceeded):
-        tf.build_grid(cfg3)  # full nodes
-    grid = tf.build_grid(cfg3, compact_nodes=8, unbounded_nodes=16)
-    assert grid.total_nodes == 8 * 16**5
+
+def test_grid_node_budget(monkeypatch):
+    # plain callables cost one value per tensor node: g = 4 at the default
+    # nodes, or g2r2 at (100, 150) with the fine level, is refused before
+    # any node is built or the integrand is called
+    cfg4 = tf.make_config(
+        tf.build_lattice(tf.validate_space(np.eye(4)), [[1.0, 0, 0, 0]]), [0.0], math.pi)
+    grid4 = tf.build_grid(cfg4)
+    cfg22 = tf.make_config(
+        tf.build_lattice(tf.validate_space(np.eye(2)), [[1.0, 0.0], [0.0, 1.0]]), [0.3, 0.1],
+        math.pi)
+    grid22 = tf.build_grid(cfg22, compact_nodes=100, unbounded_nodes=150)
+    with monkeypatch.context() as mp:
+        mp.setattr(Q, "_nodes", _never_called)
+        for cfg, grid in ((cfg4, grid4), (cfg22, grid22)):
+            with pytest.raises(errors.NodeBudgetExceeded):
+                tf.inner_product(cfg, _never_called, _never_called, grid)
+            with pytest.raises(errors.NodeBudgetExceeded):
+                tf.gram_matrix(cfg, _never_called, grid)
+    assert issubclass(errors.NodeBudgetExceeded, errors.BudgetError)
+
+    # factored g = 3 requests at the default nodes run; the work reported is
+    # one value per distinct factor and node of each block, over both levels
+    cfg3 = tf.make_config(
+        tf.build_lattice(tf.validate_space(np.eye(3)), [[1.0, 0, 0]]), [0.0], math.pi)
+    grid3 = tf.build_grid(cfg3, requested_tol=1e-9)
+    f = S.basis_function(cfg3, tf.BasisIndex(n=(0,), k=(1, 1)))
+    res = tf.inner_product(cfg3, f, f, grid3)
+    assert res.work == (32 + 48 + 2 * 48**2) + (64 + 96 + 2 * 96**2)
+    assert res.value.real == pytest.approx(tf.basis_norm_sq(cfg3, tf.BasisIndex(n=(0,), k=(1, 1))),
+                                           rel=1e-8)
 
 
 def test_grid_too_coarse():
@@ -271,7 +301,7 @@ def _one_block(fn):
 
 
 @pytest.mark.parametrize("refine", [True, False])
-def test_factored_matches_one_block(small_case, refine):
+def test_factored_matches_one_block(small_case, refine, monkeypatch):
     cfg, grid = small_case
     idxs = [
         tf.BasisIndex(n=n, k=k)
@@ -294,6 +324,24 @@ def test_factored_matches_one_block(small_case, refine):
         got = tf.inner_product(cfg, a, b, grid, refine=refine).value
         want = tf.inner_product(cfg, _one_block(a), _one_block(b), grid, refine=refine).value
         assert abs(got - want) <= 1e-13 * abs(want)
+        if (a, b) == (f, section):
+            want_section = want
+
+    # a byte cap of seven nodes' values per chunk splits every lattice axis
+    # of the section's K factors into several chunks; the sum must not move
+    rows, lattice = [], section.factored.lattice
+
+    def split(z, zp):
+        return section(z, zp)
+
+    split.factored = dataclasses.replace(
+        section.factored, lattice=lambda z: rows.append(len(z)) or lattice(z))
+    with monkeypatch.context() as mp:
+        mp.setattr(Q, "_CHUNK_BYTES", 16 * 7 * section.factored.terms.shape[0])
+        got = tf.inner_product(cfg, f, split, grid, refine=refine).value
+    assert abs(got - want_section) <= 1e-13 * abs(want_section)
+    if cfg.r:  # every axis has at least 10 nodes, so at least two chunks
+        assert max(rows) == 7 and len(rows) >= 4
 
 
 def test_oracle_never_reads_closed_forms(small_case, monkeypatch):

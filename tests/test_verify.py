@@ -1,10 +1,14 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import thetafock as tf
-from thetafock import verify
+from thetafock import errors, verify
+from thetafock.problem import build_config, load_problem
+
+G3R2_FILE = Path(__file__).resolve().parent.parent / "problems" / "g3_r2.json"
 
 
 @pytest.fixture(scope="module")
@@ -74,3 +78,49 @@ def test_geometry_suite_flags_seeded_determinism(cfg):
     a = verify.run_suite(cfg, "geometry", seed=3)
     b = verify.run_suite(cfg, "geometry", seed=3)
     assert [(o.name, o.defect) for o in a] == [(o.name, o.defect) for o in b]
+
+
+def test_norms_battery_closed_norms_past_the_square_root_range():
+    # closed norms reach 1.5e221 at |n| = 4, so closed_i closed_j overflows;
+    # the grid still resolves every norm
+    cfg = tf.make_config(tf.build_lattice(tf.validate_space(np.eye(1)), [[0.5]]), [0.5], math.pi)
+    grid = tf.build_grid(cfg, compact_nodes=40, unbounded_nodes=180)
+    battery = verify.norms_battery(cfg, grid, 4, 0)
+    assert battery.closed.max() > 1e154
+    assert battery.defects.max() <= 1e-6
+    assert 0.0 < battery.off_diagonal <= 1e-6
+
+
+def _assert_all_pass(outcomes):
+    failed = [o for o in outcomes if not o.passed]
+    assert outcomes and not failed, failed
+
+
+def test_orthogonality_suite_g3r1():
+    cfg = verify.random_config(np.random.default_rng([0, 3, 1]), 3, 1)
+    _assert_all_pass(verify.verify_orthogonality(cfg, np.random.default_rng(0)))
+
+
+def test_reproducing_suite_g3r2():
+    cfg = build_config(load_problem(str(G3R2_FILE)))
+    _assert_all_pass(verify.verify_reproducing(cfg, np.random.default_rng(0)))
+
+
+def test_orthogonality_suite_g3r3():
+    # at nu = pi this lattice's calibration defect is 3.1e-8, above its 1e-9 bound
+    space = tf.validate_space(np.eye(3))
+    lattice = tf.build_lattice(space, [[1.0, 0, 0], [0.3, 1.1, 0], [0, 0.2, 0.95]])
+    cfg = tf.make_config(lattice, [0.3, 0.1, 0.2], 2 * math.pi)
+    _assert_all_pass(verify.verify_orthogonality(cfg, np.random.default_rng(0), n_inf=1))
+
+
+def test_under_resolved_g3_config_is_flagged():
+    # (32, 48) nodes leave this lattice's calibration defect near 0.5
+    cfg = verify.random_config(np.random.default_rng([2, 3, 2]), 3, 2)
+    with pytest.raises(errors.GridTooCoarse):
+        tf.build_grid(cfg, requested_tol=1e-9)
+    try:
+        passed = all(o.passed for o in verify.verify_orthogonality(cfg, np.random.default_rng(0)))
+    except errors.GridTooCoarse:
+        passed = False
+    assert not passed
