@@ -95,7 +95,8 @@ _FLAGS = {
     "--tol": dict(type=_positive_float, default=1e-10),
     "--seed": dict(type=int, default=0),
     "--max-radius": dict(type=float, default=None, dest="max_radius"),
-    "--nodes": dict(type=_nodes_pair, default=None,
+    "--nodes": dict(type=_nodes_pair,
+                    default=(Q._DEFAULT_COMPACT_NODES, Q._DEFAULT_UNBOUNDED_NODES),
                     help="quadrature node counts as 'compact,unbounded'"),
 }
 
@@ -208,9 +209,9 @@ def cmd_kernel(args, doc: ResultDocument) -> int:
 
 
 def cmd_norms(args, doc: ResultDocument) -> int:
-    problem = _start(args, doc, n_max=args.n_max, k_max=args.k_max)
+    problem = _start(args, doc, n_max=args.n_max, k_max=args.k_max, nodes=list(args.nodes))
     config = build_config(problem)
-    compact, unbounded = args.nodes or (Q._DEFAULT_COMPACT_NODES, Q._DEFAULT_UNBOUNDED_NODES)
+    compact, unbounded = args.nodes
     grid = Q.build_grid(config, compact_nodes=compact, unbounded_nodes=unbounded)
     battery = verify.norms_battery(config, grid, args.n_max, args.k_max)
     ok = True
@@ -228,12 +229,11 @@ def cmd_norms(args, doc: ResultDocument) -> int:
 
 
 def cmd_verify(args, doc: ResultDocument) -> int:
-    problem = _start(args, doc, suite=args.suite, seed=args.seed)
+    problem = _start(args, doc, suite=args.suite, seed=args.seed, nodes=list(args.nodes))
     config = build_config(problem)
-    kwargs = {}
-    if args.nodes:
-        kwargs["compact_nodes"], kwargs["unbounded_nodes"] = args.nodes
-    outcomes = verify.run_suite(config, args.suite, seed=args.seed, **kwargs)
+    compact, unbounded = args.nodes
+    outcomes = verify.run_suite(config, args.suite, seed=args.seed,
+                                compact_nodes=compact, unbounded_nodes=unbounded)
     ok = True
     for oc in outcomes:
         ok = ok and oc.passed

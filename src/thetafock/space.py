@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -85,6 +86,11 @@ class SpaceConfig:
             F = (2j * np.pi / self.nu) * self.lattice.B_inv if r else np.zeros((0, 0))
             params = _theta.validate_parameters(F, alpha=self.character.alpha)
             object.__setattr__(self, "theta_params", params)
+
+    @cached_property
+    def half_theta_params(self) -> _theta.ThetaParameters:
+        """Theta data of F/2, whose plans expand kernel sections; built once."""
+        return _theta.validate_parameters(self.theta_params.F / 2, self.alpha)
 
     @property
     def r(self) -> int:
@@ -455,8 +461,9 @@ def kernel_section(config: SpaceConfig, v: PointCoordinates, tol: float):
     C = _kernel_prefactor(config)
     idx, exponents = np.zeros((1, 0), dtype=np.intp), np.zeros(1)
     if config.r:
-        half = _theta.validate_parameters(config.theta_params.F / 2, config.alpha)
-        idx = _theta._plan(half, zvr.imag, math.log(tol) - math.log(C) - l_v.real, None)[1]
+        log_tol = math.log(tol) - math.log(C) - l_v.real
+        half = config.half_theta_params
+        idx = _theta._plan(half, *_theta._rows(half, zvr.imag), log_tol, None)[1]
         exponents = _theta._term_exponents(config.theta_params, -np.conj(zvr[0]), idx)
     with np.errstate(over="ignore", invalid="ignore"):
         coeffs = C * np.exp(l_v + exponents)

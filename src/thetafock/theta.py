@@ -10,37 +10,60 @@ t = n + a and s = Im(z + b), the term magnitudes are
     |term(n)| = exp(pi s^T Y^-1 s) * exp(-pi |Y^(1/2) (n - c)|^2),
 
 with real center c = -a - Y^-1 s.  Truncation keeps the lattice points of
-the ellipsoid |Y^(1/2)(n - c)| <= R.  The omitted mass is bounded by a
-shell integral: every omitted n owns a disjoint parallelepiped of volume
-sqrt(det Y) within distance delta = sigma_max(Y^(1/2)) sqrt(r)/2 of its
-image point, so
+the ellipsoid |Y^(1/2)(n - c)| <= R, and the omitted mass is bounded by
+the smaller of two shell integrals.  Both place a disjoint cell around the
+image point x_n = Y^(1/2)(n - c) of every omitted n:
 
-    tail(R) <= exp(pi s^T Y^-1 s) / sqrt(det Y)
-               * Surf(r-1) * int_{max(R-delta,0)}^inf t^(r-1)
-                 exp(-pi max(t-delta,0)^2) dt,
+- a parallelepiped of volume sqrt(det Y) within distance
+  delta = sigma_max(Y^(1/2)) sqrt(r)/2 of x_n, giving
 
-which is evaluated in closed form through upper incomplete gamma
+      tail(R) <= exp(pi s^T Y^-1 s) / sqrt(det Y)
+                 * Surf(r-1) * int_{max(R-delta,0)}^inf t^(r-1)
+                   exp(-pi max(t-delta,0)^2) dt;
+
+- a ball of radius rho/2, rho = sqrt(lambda_min(Y)): |Y^(1/2) m| >= rho
+  for every nonzero integer m, so these balls do not overlap, they lie
+  in |y| >= R - rho/2, and exp(-pi |x_n|^2) <= exp(-pi max(|y|-rho/2,0)^2)
+  on each (Deconinck, Heil, Bobenko, van Hoeij and Schmies, Math. Comp.
+  2004).  This is the same integral with delta = rho/2 and the ball's
+  volume V_r(rho/2) in place of sqrt(det Y).  Its shift does not grow
+  with r, so from r = 2 on it is usually the smaller one.
+
+The integrals are evaluated in closed form through upper incomplete gamma
 functions Gamma(s, x) at half-integer s: the recurrence
 Gamma(s+1, x) = s Gamma(s, x) + x^s e^-x from Gamma(1/2, x) =
 sqrt(pi) erfc(sqrt x) or Gamma(1, x) = e^-x, rounded up by a relative
-1e-12 so that floating-point error cannot undercut it.  The bound is
-crude but certified and monotone in R.
+1e-12 so that floating-point error cannot undercut it.  They are
+evaluated in log scale (with e^x Gamma(s, x)), so a bound far below the
+smallest double is still exact enough to choose a radius.  The radius is
+the first point of the grid R = 1, 1.25, 1.5, ... whose bound meets the
+target.  Each ThetaParameters caches the log bound on that grid and the
+Cholesky factor Y = U^T U, so a plan scans a table instead of evaluating
+the integrals.
+
+The ellipsoid is enumerated directly (Fincke and Pohst, Math. Comp.
+1985): on U, last coordinate first, each fixed tail of n confines the
+next coordinate to an interval.  A batch carries its rows' centers as a
+box, so one enumeration covers every row's ellipsoid.
 
 Every entry point goes through one planner and one reducer.  The planner
 takes the rows s = Im(z + b) of a batch, finds one radius for the
 tightest row, and enumerates one index set covering every row's
-ellipsoid; a single point is a batch of one.  The reducer sums the
-planned terms of each row in plan order (dominant terms first) with
-numpy's pairwise summation, so the rounding error is about
-log2(K) eps sum |terms| for K terms, and a row's value does not depend on
-the other rows of its batch.  A sum that leaves the double range raises
-ValueOutOfRange instead of returning inf or NaN.
+ellipsoid; a single point is a batch of one.  A row whose nearest
+lattice term is already beyond the double range raises ValueOutOfRange
+before it is planned.  The reducer sums the planned terms of each row in
+plan order (dominant terms first) with numpy's pairwise summation, so
+the rounding error is about log2(K) eps sum |terms| for K terms, and a
+row's value does not depend on the other rows of its batch.  A sum that
+leaves the double range raises ValueOutOfRange instead of returning inf
+or NaN.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -64,15 +87,25 @@ __all__ = [
     "theta_quasiperiodicity_defect",
 ]
 
-_RADIUS_STEP = 0.5
-# Relative round-up of _upper_gamma_half, far above the ~3e-14 rounding
-# error of its recurrence for s <= 5 and x <= 400 (against 50-digit
-# mpmath), so the shell bound stays an upper bound.
+_RADIUS_STEP = 0.25
+_TABLE_BLOCK = 64  # radii per step of the tail table's growth
+# Past this x, e^x erfc(sqrt x) is replaced by its bound: erfc underflows.
+_ERFC_LIMIT = 700.0
+# A term whose log magnitude is above log(DBL_MAX) = 709.78 is inf; the
+# margin keeps rounding from deciding.
+_LOG_TERM_MAX = 710.8
+# Enumeration slack in index units, far above the rounding of its intervals.
+_SLACK = 1e-9
+# Relative round-up of _scaled_upper_gamma_half, far above the ~3e-14
+# rounding error of its recurrence for s <= 5 and x <= 400 (against
+# 50-digit mpmath), so the shell bounds stay upper bounds.
 _GAMMA_ROUND_UP = 1.0 + 1e-12
 _MAX_INDICES = 5_000_000
 # Cap on the bytes of one complex (points x terms) temporary in the reducer;
 # batches are summed in chunks of rows that stay under it.
 _CHUNK_BYTES = 1 << 24
+
+_erfc = np.vectorize(math.erfc, otypes=[float])
 
 
 def _readonly(a):
@@ -83,7 +116,11 @@ def _readonly(a):
 
 @dataclass(frozen=True)
 class ThetaParameters:
-    """Validated (F, alpha, beta) triple for an r-dimensional theta series."""
+    """Validated (F, alpha, beta) triple for an r-dimensional theta series.
+
+    On first use an instance caches the Cholesky factor of Y (``chol``) and
+    the log tail bound on the radius grid (grown by _find_radius).
+    """
 
     r: int
     F: np.ndarray
@@ -105,6 +142,11 @@ class ThetaParameters:
     def max_radius(self) -> float:
         """Default radius budget; exceeding it raises TailBoundUnreachable."""
         return 40.0 / math.sqrt(self.lambda_min) if self.r else 0.0
+
+    @cached_property
+    def chol(self) -> np.ndarray:
+        """Upper triangular U with Y = U^T U, the enumerator's factor."""
+        return _readonly(np.linalg.cholesky(0.5 * (self.F.imag + self.F.imag.T)).T)
 
 
 def validate_parameters(F, alpha=None, beta=None) -> ThetaParameters:
@@ -169,100 +211,191 @@ class ThetaResult:
     terms: int
 
 
-def _upper_gamma_half(j: int, x: float) -> float:
-    """Upper incomplete gamma Gamma((j+1)/2, x) for x >= 0, rounded up.
+def _scaled_upper_gamma_half(j: int, x):
+    """e^x Gamma((j+1)/2, x) for x >= 0, rounded up; elementwise in x.
 
-    Starts from Gamma(1/2, x) = sqrt(pi) erfc(sqrt x) or Gamma(1, x) = e^-x
-    and steps Gamma(s+1, x) = s Gamma(s, x) + x^s e^-x.  Every term is
-    non-negative, so the rounding error grows by a few ulps per step.
+    Starts from e^x Gamma(1, x) = 1 or e^x Gamma(1/2, x) =
+    sqrt(pi) e^x erfc(sqrt x), which past x = _ERFC_LIMIT, where erfc
+    underflows, is replaced by its upper bound x^(-1/2); then steps
+    G(s+1) = s G(s) + x^s.  Every term is non-negative, so the rounding
+    error grows by a few ulps per step.
     """
+    x = np.asarray(x, dtype=float)
     if j % 2:
-        s, gam = 1.0, math.exp(-x)
+        s, gam = 1.0, np.ones_like(x)
     else:
-        s, gam = 0.5, math.sqrt(math.pi) * math.erfc(math.sqrt(x))
+        near = np.minimum(x, _ERFC_LIMIT)
+        s, gam = 0.5, np.where(
+            x <= _ERFC_LIMIT,
+            math.sqrt(math.pi) * np.exp(near) * _erfc(np.sqrt(near)),
+            1.0 / np.sqrt(np.maximum(x, _ERFC_LIMIT)),
+        )
+    with np.errstate(divide="ignore"):
+        log_x = np.log(x)  # -inf at x = 0, where x^s is 0
     for _ in range(j // 2):
-        gam = s * gam + (math.exp(s * math.log(x) - x) if x > 0.0 else 0.0)
+        gam = s * gam + np.exp(s * log_x)
         s += 1.0
     return gam * _GAMMA_ROUND_UP
 
 
-def _shell_integral(r: int, delta: float, R: float) -> float:
-    """int_{max(R-delta,0)}^inf t^(r-1) exp(-pi max(t-delta,0)^2) dt."""
-    a = max(R - delta, 0.0)
-    total = 0.0
-    if a < delta:
-        total += (delta**r - a**r) / r
-    b = max(a - delta, 0.0)
+def _upper_gamma_half(j: int, x):
+    """Upper incomplete gamma Gamma((j+1)/2, x) for x >= 0, rounded up."""
+    return _scaled_upper_gamma_half(j, x) * np.exp(-np.asarray(x, dtype=float))
+
+
+def _log_shell_integral(r: int, delta: float, R):
+    """log int_{max(R-delta,0)}^inf t^(r-1) exp(-pi max(t-delta,0)^2) dt, elementwise in R.
+
+    Past R = 2 delta the integral is e^-x times a sum of scaled gammas,
+    x = pi (R - 2 delta)^2, so its log does not underflow.
+    """
+    a = np.maximum(np.asarray(R, dtype=float) - delta, 0.0)
+    b = np.maximum(a - delta, 0.0)
     # int_b^inf (s+delta)^(r-1) e^(-pi s^2) ds, expanded binomially;
     # int_b^inf s^j e^(-pi s^2) ds = Gamma((j+1)/2, pi b^2) / (2 pi^((j+1)/2))
     x = math.pi * b * b
+    # the part within delta, where x = 0 and the scaling e^x is 1
+    total = np.where(a < delta, (delta**r - np.minimum(a, delta) ** r) / r, 0.0)
     for j in range(r):
         coeff = math.comb(r - 1, j) * delta ** (r - 1 - j)
-        total += coeff * _upper_gamma_half(j, x) / (2.0 * math.pi ** ((j + 1) / 2.0))
-    return total
+        total = total + coeff * _scaled_upper_gamma_half(j, x) / (2.0 * math.pi ** ((j + 1) / 2.0))
+    return np.log(total) - x
 
 
-def _shell_bound(params: ThetaParameters, R: float) -> float:
-    if params.r == 0:
-        return 0.0
-    surf = 2.0 * math.pi ** (params.r / 2.0) / math.gamma(params.r / 2.0)
-    return surf / math.sqrt(params.det_y) * _shell_integral(params.r, params.delta, R)
-
-
-def _find_radius(params: ThetaParameters, log_target: float, max_radius: float):
-    """Smallest grid radius whose log shell mass is below the target."""
-    R = 1.0
-    while R <= max_radius:
-        sb = _shell_bound(params, R)
-        log_sb = math.log(sb) if sb > 0.0 else -math.inf
-        if log_sb <= log_target:
-            return R, log_sb
-        R += _RADIUS_STEP
-    raise TailBoundUnreachable(
-        f"radius budget {max_radius:.3g} reached with log shell bound "
-        f"{math.log(max(_shell_bound(params, max_radius), 5e-324)):.3f} > "
-        f"target {log_target:.3f}"
+def _log_bounds(params: ThetaParameters, R):
+    """Logs of the parallelepiped and the ball bound at radius R, without the prefactor."""
+    r = params.r
+    half = 0.5 * math.sqrt(params.lambda_min)
+    ball = math.pi ** (r / 2.0) * half**r / math.gamma(r / 2.0 + 1.0)
+    surf = 2.0 * math.pi ** (r / 2.0) / math.gamma(r / 2.0)
+    return (
+        math.log(surf / math.sqrt(params.det_y)) + _log_shell_integral(r, params.delta, R),
+        math.log(surf / ball) + _log_shell_integral(r, half, R),
     )
 
 
-def _enumerate_box(params: ThetaParameters, lo: np.ndarray, hi: np.ndarray, R: float) -> np.ndarray:
-    """Integer points within Y-distance R of the box [lo, hi]."""
-    extents = R * np.sqrt(np.diag(params.y_inv))
-    mins = np.floor(lo - extents).astype(np.int64)
-    maxs = np.ceil(hi + extents).astype(np.int64)
-    counts = maxs - mins + 1
-    total = int(np.prod(counts.astype(float)))
-    if total > _MAX_INDICES or total < 0:
-        raise TailBoundUnreachable(
-            f"index box of {total} points exceeds the {_MAX_INDICES} budget"
+def _shell_bound(params: ThetaParameters, R):
+    """Parallelepiped bound on the omitted mass at radius R, without the prefactor."""
+    return np.exp(_log_bounds(params, R)[0])
+
+
+def _find_radius(params: ThetaParameters, log_target: float, max_radius: float):
+    """Smallest grid radius whose log tail bound is at most the target.
+
+    The grid is R = 1 + k _RADIUS_STEP.  Its table holds the running
+    minimum of the smaller log bound, which is still a bound (the omitted
+    mass falls as R grows) and does not increase.  The table is cached on
+    params and grown a block at a time as far as a target needs.
+    """
+    table = params.__dict__.get("_log_tails", np.zeros(0))
+    while (table.size == 0 or table[-1] > log_target) and (
+        1.0 + _RADIUS_STEP * table.size <= max_radius
+    ):
+        radii = 1.0 + _RADIUS_STEP * np.arange(table.size, table.size + _TABLE_BLOCK)
+        block = np.minimum(*_log_bounds(params, radii))
+        table = _readonly(np.minimum.accumulate(np.concatenate((table, block))))
+        params.__dict__["_log_tails"] = table
+    k = int(np.searchsorted(-table, -log_target))  # -table does not decrease
+    R = 1.0 + _RADIUS_STEP * k
+    if k < table.size and R <= max_radius:
+        return R, float(table[k])
+    raise TailBoundUnreachable(
+        f"no radius within the budget {max_radius:.3g} brings the log tail bound "
+        f"to the target {log_target:.3f}"
+    )
+
+
+def _enumerate(params: ThetaParameters, lo: np.ndarray, hi: np.ndarray, R: float) -> np.ndarray:
+    """Integer points n within Y-distance R of the box of centers [lo, hi].
+
+    Fincke-Pohst on Y = U^T U, last coordinate first.  Row i of U(n - c)
+    is (U n)_i - (U c)_i, and over the box (U c)_i spans [b_i, a_i].  With
+    n_j fixed for j > i, that row confines n_i to an interval; each prefix
+    is expanded over its interval with np.repeat, one level at a time.
+    Every row takes its own worst center, so for lo == hi the set is the
+    ellipsoid and otherwise a superset of every center's ellipsoid.
+    Raises TailBoundUnreachable when a level would hold more than
+    _MAX_INDICES points.
+    """
+    U, r = params.chol, params.r
+    u_lo, u_hi = U * lo, U * hi
+    a, b = np.maximum(u_lo, u_hi).sum(axis=1), np.minimum(u_lo, u_hi).sum(axis=1)
+    R2 = (R + _SLACK) ** 2
+    pts = np.zeros((1, 0), dtype=np.int64)
+    used = np.zeros(1)  # sum over the fixed rows of min_c (U(n - c))_k^2
+    un = np.zeros((1, r))  # (U n)_k summed over the fixed coordinates
+    for i in reversed(range(r)):
+        w = np.sqrt(np.maximum(R2 - used, 0.0))
+        first = np.ceil((b[i] - w - un[:, i]) / U[i, i] - _SLACK)
+        last = np.floor((a[i] + w - un[:, i]) / U[i, i] + _SLACK)
+        counts = np.maximum(last - first + 1.0, 0.0)
+        total = float(counts.sum())
+        if total > _MAX_INDICES:
+            raise TailBoundUnreachable(
+                f"ellipsoid enumeration of {total:.0f} points at level {i} exceeds "
+                f"the {_MAX_INDICES} budget"
+            )
+        counts = counts.astype(np.int64)
+        rows = np.repeat(np.arange(counts.shape[0]), counts)
+        n = np.repeat(first - (np.cumsum(counts) - counts), counts) + np.arange(int(total))
+        pts = np.concatenate((n.astype(np.int64)[:, None], pts[rows]), axis=1)
+        if i == 0:
+            return pts
+        x = U[i, i] * n + un[rows, i]
+        used = used[rows] + np.maximum(np.maximum(x - a[i], b[i] - x), 0.0) ** 2
+        un = un[rows, :i] + n[:, None] * U[:i, i]
+    return pts
+
+
+def _rows(params: ThetaParameters, S: np.ndarray):
+    """Centers c = -alpha - Y^-1 s and log prefactors pi s^T Y^-1 s of the rows S."""
+    SY = S @ params.y_inv.T
+    return -params.alpha - SY, math.pi * np.einsum("ij,ij->i", SY, S)
+
+
+def _check_summable(params: ThetaParameters, centers: np.ndarray, log_pref: np.ndarray) -> None:
+    """Raise ValueOutOfRange for a row whose nearest-plane term is not a double.
+
+    Rounding one coordinate at a time on U, last first (Babai's nearest
+    plane), gives a lattice point n with q = |U(n - c)|^2.  When
+    log_pref - pi q is beyond the double range, that term exceeds any tol,
+    so every certified plan of the row holds it, and its exponential is
+    inf: the sum cannot be a double.  Raising here spares enumerating the
+    ellipsoid that such a row's target asks for.
+    """
+    if log_pref.max() <= _LOG_TERM_MAX:
+        return
+    U = params.chol
+    n = np.zeros_like(centers)
+    q = np.zeros(centers.shape[0])
+    for i in reversed(range(params.r)):
+        t = centers[:, i] - (n[:, i + 1 :] - centers[:, i + 1 :]) @ U[i, i + 1 :] / U[i, i]
+        n[:, i] = np.rint(t)
+        q += (U[i, i] * (n[:, i] - t)) ** 2
+    log_term = log_pref - math.pi * q
+    if log_term.max() > _LOG_TERM_MAX:
+        bad = int(log_term.argmax())
+        raise ValueOutOfRange(
+            f"theta term {n[bad].astype(int).tolist()} at point {bad} has log magnitude "
+            f"{log_term[bad]:.1f}: the value leaves the double range"
         )
-    axes = [np.arange(m, M + 1, dtype=np.int64) for m, M in zip(mins, maxs)]
-    grid = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.reshape(-1) for g in grid], axis=1)
-    nearest = np.clip(pts, lo, hi)
-    dist = np.linalg.norm((pts - nearest) @ params.y_sqrt.T, axis=1)
-    return pts[dist <= R + 1e-12]
 
 
-def _plan(params: ThetaParameters, S: np.ndarray, log_tol, max_radius: float | None):
-    """One truncation plan for the rows S = Im(Z + beta) of a batch.
+def _plan(params: ThetaParameters, centers, log_pref, log_tol, max_radius: float | None):
+    """One truncation plan for the rows of a batch, given their _rows.
 
     The radius meets the tightest row's target log_tol - log_prefactor;
     the index set covers every row's ellipsoid, so extra indices only
-    tighten the other rows.  Returns (radius, index set, centers,
-    log_prefactors, tails), the tails being each row's certified bound on
-    the omitted mass.
+    tighten the other rows.  Returns (radius, index set, tails), the tails
+    being each row's certified bound on the omitted mass.
     """
-    SY = S @ params.y_inv.T
-    centers = -params.alpha - SY
-    log_pref = math.pi * np.einsum("ij,ij->i", SY, S)
     budget = params.max_radius if max_radius is None else float(max_radius)
     R, log_sb = _find_radius(params, float((log_tol - log_pref).min()), budget)
     lo, hi = centers.min(axis=0), centers.max(axis=0)
-    idx = _sort_indices(params, _enumerate_box(params, lo, hi, R), 0.5 * (lo + hi))
+    idx = _sort_indices(params, _enumerate(params, lo, hi, R), 0.5 * (lo + hi))
     # each tail is at most its row's tol, so exp cannot overflow; the floor keeps it positive
     tails = np.exp(np.maximum(log_pref + log_sb, -744.0))
-    return R, idx, centers, log_pref, tails
+    return R, idx, tails
 
 
 def truncation_plan(
@@ -272,7 +405,8 @@ def truncation_plan(
 
     The ellipsoid is recentered at the real minimizer of the term
     magnitude, c = -alpha - Y^-1 Im(z + beta), so the plan adapts to
-    large imaginary parts.
+    large imaginary parts.  Raises ValueOutOfRange when a term of the
+    plan would leave the double range, so that no plan can be summed.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -287,9 +421,9 @@ def truncation_plan(
     z = np.asarray(z, dtype=complex).reshape(-1)
     if z.shape[0] != params.r:
         raise DimensionMismatch(f"z must have length {params.r}")
-    R, idx, centers, log_pref, tails = _plan(
-        params, np.imag(z + params.beta)[None, :], np.log(tol), max_radius
-    )
+    centers, log_pref = _rows(params, np.imag(z + params.beta)[None, :])
+    _check_summable(params, centers, log_pref)
+    R, idx, tails = _plan(params, centers, log_pref, np.log(tol), max_radius)
     return TruncationPlan(
         radius=R,
         index_set=idx,
@@ -300,12 +434,13 @@ def truncation_plan(
 
 
 def _sort_indices(params: ThetaParameters, idx: np.ndarray, center: np.ndarray) -> np.ndarray:
-    """Dominant terms first, lexicographic tie-break; fixes summation order."""
-    if idx.shape[0] == 0:
-        return idx
-    q = np.einsum("ij,ij->i", (idx - center) @ params.y_sqrt.T, (idx - center) @ params.y_sqrt.T)
-    keys = tuple(idx[:, j] for j in reversed(range(params.r))) + (q,)
-    return idx[np.lexsort(keys)]
+    """Dominant terms first, lexicographic tie-break; fixes summation order.
+
+    The stable sort keeps ties in _enumerate's order, which is
+    lexicographic from the last coordinate.
+    """
+    x = (idx - center) @ params.y_sqrt.T
+    return idx[np.argsort(np.einsum("ij,ij->i", x, x), kind="stable")]
 
 
 def _term_exponents(params: ThetaParameters, z: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -391,7 +526,9 @@ def theta_eval_many(params: ThetaParameters, Z, tol, max_radius: float | None = 
     tol_arr = np.broadcast_to(np.asarray(tol, dtype=float), (Z.shape[0],))
     if np.any(tol_arr <= 0):
         raise ValueError("tol must be positive")
-    _, idx, _, _, tails = _plan(params, np.imag(Z + params.beta), np.log(tol_arr), max_radius)
+    centers, log_pref = _rows(params, np.imag(Z + params.beta))
+    _check_summable(params, centers, log_pref)
+    _, idx, tails = _plan(params, centers, log_pref, np.log(tol_arr), max_radius)
     return _sum_terms(params, Z, idx), tails
 
 

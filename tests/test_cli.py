@@ -80,7 +80,7 @@ def test_validate_non_isotropic(tmp_path):
     code, doc = run(tmp_path, "norms", path, "--n-max", "2")
     assert code == 2
     assert doc["config_digest"] == load_problem(path).digest
-    assert doc["flags"] == {"n_max": 2, "k_max": 1}
+    assert doc["flags"] == {"n_max": 2, "k_max": 1, "nodes": [32, 48]}
 
 
 def test_validate_malformed_row(tmp_path, capsys):
@@ -168,6 +168,7 @@ def test_norms_property_failure_with_tiny_grid(tmp_path):
     )
     assert code == 4
     assert doc["status"] == "property-failure"
+    assert doc["flags"]["nodes"] == [3, 4]
 
 
 def test_verify_geometry_and_theta(tmp_path):
@@ -177,6 +178,8 @@ def test_verify_geometry_and_theta(tmp_path):
     assert all(entry["pass"] for entry in doc["results"])
     code, doc = run(tmp_path, "verify", path, "--suite", "theta", "--seed", "5")
     assert code == 0
+    # the node counts are recorded, defaults included
+    assert doc["flags"] == {"suite": "theta", "seed": 5, "nodes": [32, 48]}
 
 
 def test_verify_all_r0_file(tmp_path):

@@ -151,9 +151,8 @@ def test_upper_gamma_half_is_rounded_up_against_mpmath():
                 assert 0 <= rel <= 2e-12, (j, x, float(rel))
 
 
-def scipy_shell_bound(params, R):
-    """The shell bound as written on scipy's gamma and gammaincc."""
-    r, delta = params.r, params.delta
+def scipy_surface_times_shell(r, delta, R):
+    """Surf(r-1) int_{max(R-delta,0)}^inf t^(r-1) exp(-pi max(t-delta,0)^2) dt on scipy."""
     a = max(R - delta, 0.0)
     total = (delta**r - a**r) / r if a < delta else 0.0
     x = math.pi * max(a - delta, 0.0) ** 2
@@ -161,8 +160,12 @@ def scipy_shell_bound(params, R):
         half = (j + 1) / 2.0
         coeff = math.comb(r - 1, j) * delta ** (r - 1 - j)
         total += coeff * special.gamma(half) * special.gammaincc(half, x) / (2.0 * math.pi**half)
-    surf = 2.0 * math.pi ** (r / 2.0) / special.gamma(r / 2.0)
-    return surf / math.sqrt(params.det_y) * total
+    return 2.0 * math.pi ** (r / 2.0) / special.gamma(r / 2.0) * total
+
+
+def scipy_shell_bound(params, R):
+    """The shell bound as written on scipy's gamma and gammaincc."""
+    return scipy_surface_times_shell(params.r, params.delta, R) / math.sqrt(params.det_y)
 
 
 @pytest.mark.parametrize("r", range(1, 7))
@@ -174,6 +177,156 @@ def test_shell_bound_matches_scipy_formula(r):
         ref = scipy_shell_bound(params, float(R))
         got = T._shell_bound(params, float(R))
         assert ref <= got <= ref * (1 + 2e-12), (R, got / ref - 1)
+
+
+@pytest.mark.parametrize("r", range(1, 7))
+def test_ball_bound_matches_scipy_formula(r):
+    # balls of radius rho/2, rho = sqrt(lambda_min(Y)), around the omitted points
+    rng = np.random.default_rng(200 + r)
+    A = rng.standard_normal((r, r))
+    params = tf.validate_parameters(1j * (A @ A.T + 0.7 * np.eye(r)))
+    half = 0.5 * math.sqrt(np.linalg.eigvalsh(params.F.imag).min())
+    volume = math.pi ** (r / 2.0) * half**r / special.gamma(r / 2.0 + 1.0)
+    for R in TAIL_RADII:
+        ref = scipy_surface_times_shell(r, half, float(R)) / volume
+        got = math.exp(T._log_bounds(params, float(R))[1])
+        assert ref <= got <= ref * (1 + 2e-12), (R, got / ref - 1)
+
+
+def _rows_missing_from(idx, pts):
+    """The rows of the integer array pts that are not rows of idx."""
+    lo = np.minimum(idx.min(axis=0), pts.min(axis=0))
+    radix = np.cumprod(np.maximum(idx.max(axis=0), pts.max(axis=0)) - lo + 1)
+    scale = np.concatenate(([1], radix[:-1]))
+    return pts[~np.isin((pts - lo) @ scale, (idx - lo) @ scale)]
+
+
+def _box(center, half_widths):
+    """Every integer point of the box center +- half_widths."""
+    axes = [np.arange(math.floor(c - h), math.ceil(c + h) + 1) for c, h in zip(center, half_widths)]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+
+
+def _spectrum_y(rng, r, lam_min, lam_max):
+    """Random symmetric Y whose eigenvalues run from lam_min to lam_max."""
+    q, _ = np.linalg.qr(rng.standard_normal((r, r)))
+    lam = np.exp(rng.uniform(math.log(lam_min), math.log(lam_max), r))
+    lam[-1], lam[0] = lam_max, lam_min
+    return (q * lam) @ q.T
+
+
+@pytest.mark.parametrize("r", range(1, 5))
+def test_tail_bound_covers_brute_force_omitted_mass(r):
+    # the reported tail is at least the omitted mass summed over a box 3R
+    # wide; at r >= 2 the ball bound is the smaller of the two here
+    rng = np.random.default_rng(300 + r)
+    for cond in (1.5, 10.0, 100.0):
+        X = rng.standard_normal((r, r))
+        F = 0.5 * (X + X.T) + 1j * _spectrum_y(rng, r, 0.5, 0.5 * cond)
+        params = tf.validate_parameters(F, rng.uniform(0, 1, r), rng.uniform(0, 1, r))
+        z = rng.standard_normal(r) + 0.5j * rng.standard_normal(r)
+        for tol in (1e-6, 1e-12):
+            plan = tf.truncation_plan(params, z, tol)
+            pts = _box(plan.center, 1.5 * plan.radius * np.sqrt(np.diag(params.y_inv)))
+            d = _rows_missing_from(plan.index_set, pts) - plan.center
+            q = np.einsum("ij,jk,ik->i", d, params.F.imag, d)
+            omitted = math.fsum(np.exp(plan.log_prefactor - math.pi * q))
+            assert 0.0 < omitted <= plan.tail_bound <= tol, (cond, tol)
+
+
+@pytest.mark.parametrize("Y, center, tol", [
+    ([[0.01]], [149.5], 1e-30),
+    ([[0.04, 0.0], [0.0, 100.0]], [0.0, 1.55], 1e-20),
+    ([[0.04, 0.0], [0.0, 1e4]], [0.0, 0.5], 1e-12),
+])
+def test_tail_stays_certified_when_the_bound_leaves_the_double_range(Y, center, tol):
+    # log_tol - log_prefactor is below -745, so the tail bound at the
+    # chosen radius underflows a double: the radius must still come from
+    # the bound, evaluated in log scale.  In the last case the nearest
+    # terms lie 50 away from the center and carry the whole value, 10.
+    Y, center = np.array(Y), np.array(center)
+    params = tf.validate_parameters(1j * Y)
+    z = -1j * (Y @ center)
+    res = tf.theta_eval(params, z, tol)
+    plan = tf.truncation_plan(params, z, tol)
+    assert np.isfinite(res.value) and 0.0 < res.tail_bound <= tol
+    pts = _box(center, 2.0 * plan.radius * np.sqrt(np.diag(params.y_inv)))
+    d = _rows_missing_from(plan.index_set, pts) - center
+    log_mass = plan.log_prefactor - math.pi * np.einsum("ij,jk,ik->i", d, Y, d)
+    top = log_mass.max()
+    assert top + math.log(np.exp(log_mass - top).sum()) <= math.log(plan.tail_bound)
+
+
+@pytest.mark.parametrize("off, centers", [
+    (0.9, [[0.0, 0.0], [0.0, 10.0]]),
+    (0.99, [[0.0, 0.0], [0.0, 5.0], [5.0, 0.0]]),
+])
+def test_batch_plan_covers_every_row_ellipsoid(off, centers):
+    # every integer point within R of every row's center is planned; a
+    # coordinatewise clip to the box of centers is not the box point nearest
+    # in the Y metric, so a filter built on it drops some of them
+    Y = np.array([[1.0, off], [off, 1.0]])
+    params = tf.validate_parameters(1j * Y)
+    centers = np.array(centers)
+    planned, log_pref = T._rows(params, -centers @ Y)
+    assert np.allclose(planned, centers)
+    R, idx, _ = T._plan(params, planned, log_pref, math.log(1e-12), None)
+    for c in centers:
+        pts = _box(c, R * np.sqrt(np.diag(params.y_inv)) + 1.0)
+        d = pts - c
+        near = pts[np.einsum("ij,jk,ik->i", d, Y, d) <= R * R]
+        assert _rows_missing_from(idx, near).shape[0] == 0, c
+
+
+def test_rank_six_plans_and_its_tails_hold():
+    # eigenvalues 0.51-3.1: the plan enumerates the ellipsoid, not its box
+    rng = np.random.default_rng(16)
+    q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+    X = rng.standard_normal((6, 6))
+    F = 0.1 * (X + X.T) + 1j * (q * np.linspace(0.51, 3.1, 6)) @ q.T
+    params = tf.validate_parameters(F, rng.uniform(0, 1, 6))
+    z = 0.3 * (rng.standard_normal(6) + 1j * rng.standard_normal(6))
+    plan = tf.truncation_plan(params, z, 1e-10)
+    assert plan.tail_bound <= 1e-10
+    assert plan.index_set.shape[0] < 20_000
+    ref_plan = tf.truncation_plan(params, z, 1e-13)
+    ref = T.eval_with_plan(params, z, ref_plan)
+    for tol in (1e-3, 1e-6, 1e-10):
+        coarse = tf.truncation_plan(params, z, tol)
+        approx = T.eval_with_plan(params, z, coarse)
+        assert abs(approx - ref) <= coarse.tail_bound + ref_plan.tail_bound
+
+
+def mpmath_theta(F, alpha, beta, z, half_widths):
+    """50-digit brute-force sum over the box -alpha +- half_widths, with sum |terms|."""
+    r = len(alpha)
+    total, mass = mpmath.mpc(0), mpmath.mpf(0)
+    with mpmath.workdps(50):
+        Fm = [[mpmath.mpc(complex(F[j][k])) for k in range(r)] for j in range(r)]
+        zb = [mpmath.mpc(complex(z[j])) + mpmath.mpf(float(beta[j])) for j in range(r)]
+        for n in _box(-np.asarray(alpha), half_widths):
+            t = [int(n[j]) + mpmath.mpf(float(alpha[j])) for j in range(r)]
+            quad = sum(t[j] * Fm[j][k] * t[k] for j in range(r) for k in range(r))
+            term = mpmath.exp(2j * mpmath.pi * (quad / 2 + sum(t[j] * zb[j] for j in range(r))))
+            total += term
+            mass += abs(term)
+    return complex(total), float(mass)
+
+
+@pytest.mark.parametrize("F, alpha, beta, z", [
+    ([[1.3j]], [0.0], [0.0], [0.2 + 0.1j]),
+    ([[0.7 + 0.9j]], [0.37], [0.21], [-0.4 + 0.6j]),
+    ([[1.1j, 0.4j], [0.4j, 0.8j]], [0.25, 0.6], [0.0, 0.0], [0.3 - 0.2j, 0.1 + 0.4j]),
+    ([[0.3 + 1.2j, -0.5 + 0.3j], [-0.5 + 0.3j, 0.2 + 0.7j]], [0.1, 0.8], [0.4, 0.9],
+     [0.5 + 0.3j, -0.2 - 0.5j]),
+])
+def test_theta_agrees_with_mpmath_brute_force(F, alpha, beta, z):
+    # an independent 50-digit reference: the box reaches past the terms of
+    # relative size 1e-40 at every point used here
+    params = tf.validate_parameters(F, alpha, beta)
+    res = tf.theta_eval(params, z, 1e-12)
+    ref, mass = mpmath_theta(F, alpha, beta, z, 6.0 + 4.0 * np.sqrt(np.diag(params.y_inv)))
+    assert abs(res.value - ref) <= 1e-12 + 1e-15 * mass
 
 
 def test_tail_soundness_on_radius_grid():
@@ -292,6 +445,17 @@ def test_out_of_range_value_raises():
         T.theta_eval_many(params, [[0.1], [0.1 + 20j]], 1e-10)
     assert issubclass(errors.ValueOutOfRange, errors.BudgetError)
     assert issubclass(errors.ValueOutOfRange, OverflowError)
+
+
+def test_unsummable_point_raises_before_planning(monkeypatch):
+    # the nearest term has log magnitude ~1257 > log(DBL_MAX): no plan can
+    # be summed, so the ellipsoid its target asks for is never enumerated
+    params = tf.validate_parameters([[1j, 0.3j], [0.3j, 1.2j]], alpha=[0.3, 0.1])
+    monkeypatch.setattr(T, "_enumerate", None)
+    with pytest.raises(errors.ValueOutOfRange, match="log magnitude"):
+        tf.truncation_plan(params, [0.1 + 20j, 0.2], 1e-10)
+    with pytest.raises(errors.ValueOutOfRange, match="log magnitude"):
+        T.theta_eval_many(params, [[0.1, 0.2], [0.1 + 20j, 0.2]], 1e-10)
 
 
 def test_reported_tail_is_not_clamped():
