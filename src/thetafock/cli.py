@@ -81,20 +81,25 @@ def _nodes_pair(text: str):
     return parts[0], parts[1]
 
 
-def _positive_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not value > 0:
-        raise _UsageError(f"--tol expects a positive number, got {text!r}")
-    return value
+def _positive_float(flag: str):
+    """Parser of a finite positive number given to flag."""
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not 0.0 < value < math.inf:
+            raise _UsageError(f"{flag} expects a finite positive number, got {text!r}")
+        return value
+
+    return parse
 
 
 _FLAGS = {
-    "--tol": dict(type=_positive_float, default=1e-10),
+    "--tol": dict(type=_positive_float("--tol"), default=1e-10),
     "--seed": dict(type=int, default=0),
-    "--max-radius": dict(type=float, default=None, dest="max_radius"),
+    "--max-radius": dict(type=_positive_float("--max-radius"), default=None, dest="max_radius"),
     "--nodes": dict(type=_nodes_pair,
                     default=(Q._DEFAULT_COMPACT_NODES, Q._DEFAULT_UNBOUNDED_NODES),
                     help="quadrature node counts as 'compact,unbounded'"),

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -194,7 +195,7 @@ class IsotropicLattice:
     def g(self) -> int:
         return self.space.g
 
-    @property
+    @cached_property
     def det_b(self) -> float:
         """det B, with the empty 0x0 determinant equal to 1."""
         return float(np.linalg.det(self.B)) if self.r else 1.0

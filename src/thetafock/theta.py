@@ -44,12 +44,20 @@ the integrals.
 The ellipsoid is enumerated directly (Fincke and Pohst, Math. Comp.
 1985): on U, last coordinate first, each fixed tail of n confines the
 next coordinate to an interval.  A batch carries its rows' centers as a
-box, so one enumeration covers every row's ellipsoid.
+box, so one enumeration covers every row's ellipsoid.  The set of a box
+[lo, hi] is that of [lo, hi] - k moved by the integer vector
+k = floor(lo), and it grows with the box, so a plan does not enumerate:
+it adds k to the cached set of the integer box [0, e],
+e = floor(hi) - k + 1, and keeps the points within R of [lo, hi], in
+the same lexicographic order.  Each ThetaParameters caches these cell
+sets as int32 under the key (R, e), one enumeration each, for as long
+as its cached sets stay within _CHUNK_BYTES (16 MiB); a set past that
+cap is used once and not kept.
 
 Every entry point goes through one planner and one reducer.  The planner
 takes the rows s = Im(z + b) of a batch, finds one radius for the
-tightest row, and enumerates one index set covering every row's
-ellipsoid; a single point is a batch of one.  A row whose nearest
+tightest row, and takes from the cell sets one index set covering every
+row's ellipsoid; a single point is a batch of one.  A row whose nearest
 lattice term is already beyond the double range raises ValueOutOfRange
 before it is planned.  The reducer sums the planned terms of each row in
 plan order (dominant terms first) with numpy's pairwise summation, so
@@ -118,8 +126,11 @@ def _readonly(a):
 class ThetaParameters:
     """Validated (F, alpha, beta) triple for an r-dimensional theta series.
 
-    On first use an instance caches the Cholesky factor of Y (``chol``) and
-    the log tail bound on the radius grid (grown by _find_radius).
+    On first use an instance caches the Cholesky factor of Y (``chol``),
+    the log tail bound on the radius grid (grown by _find_radius) and the
+    enumerated index set of each integer box [0, e] at each radius R
+    (keyed by (R, e), stored as int32, at most _CHUNK_BYTES in all; see
+    _cells).
     """
 
     r: int
@@ -141,7 +152,10 @@ class ThetaParameters:
     @property
     def max_radius(self) -> float:
         """Default radius budget; exceeding it raises TailBoundUnreachable."""
-        return 40.0 / math.sqrt(self.lambda_min) if self.r else 0.0
+        if not self.r:
+            return 0.0
+        rho = math.sqrt(self.lambda_min)
+        return max(40.0 / rho, 40.0 + rho)
 
     @cached_property
     def chol(self) -> np.ndarray:
@@ -305,6 +319,23 @@ def _find_radius(params: ThetaParameters, log_target: float, max_radius: float):
     )
 
 
+def _within(params: ThetaParameters, pts: np.ndarray, lo, hi, R: float) -> np.ndarray:
+    """The rows n of pts within Y-distance R (+ _SLACK) of the box [lo, hi], rowwise.
+
+    Row i of U(n - c) is (Un)_i - (Uc)_i, and over the box (Uc)_i spans
+    m_i -+ h_i with m = U (lo + hi)/2 and h = |U| (hi - lo)/2.  Each row
+    takes its own worst center, so the distance is max(|(Un)_i - m_i| -
+    h_i, 0) summed in squares.  A point, passed as hi is lo, has h = 0
+    and skips that step, which would not change its value.  Rows keep
+    their order.
+    """
+    U = params.chol
+    d = pts @ U.T - U @ (0.5 * (lo + hi))
+    if hi is not lo:
+        d = np.maximum(np.abs(d) - np.abs(U) @ (0.5 * (hi - lo)), 0.0)
+    return pts[np.einsum("ij,ij->i", d, d) <= (R + _SLACK) ** 2]
+
+
 def _enumerate(params: ThetaParameters, lo: np.ndarray, hi: np.ndarray, R: float) -> np.ndarray:
     """Integer points n within Y-distance R of the box of centers [lo, hi].
 
@@ -312,10 +343,13 @@ def _enumerate(params: ThetaParameters, lo: np.ndarray, hi: np.ndarray, R: float
     is (U n)_i - (U c)_i, and over the box (U c)_i spans [b_i, a_i].  With
     n_j fixed for j > i, that row confines n_i to an interval; each prefix
     is expanded over its interval with np.repeat, one level at a time.
-    Every row takes its own worst center, so for lo == hi the set is the
-    ellipsoid and otherwise a superset of every center's ellipsoid.
-    Raises TailBoundUnreachable when a level would hold more than
-    _MAX_INDICES points.
+    The intervals carry a slack against rounding, and _within then keeps
+    exactly the points that meet its criterion, so the set is a function
+    of that criterion alone.  Every row takes its own worst center, so
+    for lo == hi the set is the ellipsoid and otherwise a superset of
+    every center's ellipsoid.  The points are in lexicographic order from
+    the last coordinate.  Raises TailBoundUnreachable when a level would
+    hold more than _MAX_INDICES points.
     """
     U, r = params.chol, params.r
     u_lo, u_hi = U * lo, U * hi
@@ -340,11 +374,34 @@ def _enumerate(params: ThetaParameters, lo: np.ndarray, hi: np.ndarray, R: float
         n = np.repeat(first - (np.cumsum(counts) - counts), counts) + np.arange(int(total))
         pts = np.concatenate((n.astype(np.int64)[:, None], pts[rows]), axis=1)
         if i == 0:
-            return pts
+            break
         x = U[i, i] * n + un[rows, i]
         used = used[rows] + np.maximum(np.maximum(x - a[i], b[i] - x), 0.0) ** 2
         un = un[rows, :i] + n[:, None] * U[:i, i]
-    return pts
+    return _within(params, pts, lo, hi, R)
+
+
+def _cells(params: ThetaParameters, lo: np.ndarray, hi: np.ndarray, R: float) -> np.ndarray:
+    """_enumerate(params, lo, hi, R), translated from a cached integer box.
+
+    With k = floor(lo) and e = floor(hi) - k + 1, the box [lo, hi] - k
+    lies in [0, e], so k plus the set of [0, e] covers the set of
+    [lo, hi], in the same order, and _within keeps exactly its points.
+    The set of [0, e] is enumerated once per (R, e) and cached on params
+    as int32 while all the cached sets of params stay within
+    _CHUNK_BYTES; a set that would pass that cap is used but not kept.
+    """
+    k = np.floor(lo)
+    span = np.floor(hi) - k  # e - 1
+    cache = params.__dict__.setdefault("_cells", {})
+    key = (R, span.tobytes())
+    cells = cache.get(key)
+    if cells is None:
+        cells = _enumerate(params, np.zeros(params.r), span + 1.0, R)
+        kept = sum(c.nbytes for c in cache.values()) + cells.nbytes // 2
+        if kept <= _CHUNK_BYTES and np.abs(cells).max() < 2**31:
+            cache[key] = cells = _readonly(cells.astype(np.int32))
+    return _within(params, cells + k.astype(np.int64), lo, hi, R)
 
 
 def _rows(params: ThetaParameters, S: np.ndarray):
@@ -391,8 +448,9 @@ def _plan(params: ThetaParameters, centers, log_pref, log_tol, max_radius: float
     """
     budget = params.max_radius if max_radius is None else float(max_radius)
     R, log_sb = _find_radius(params, float((log_tol - log_pref).min()), budget)
-    lo, hi = centers.min(axis=0), centers.max(axis=0)
-    idx = _sort_indices(params, _enumerate(params, lo, hi, R), 0.5 * (lo + hi))
+    lo = centers.min(axis=0)
+    hi = lo if centers.shape[0] == 1 else centers.max(axis=0)
+    idx = _sort_indices(params, _cells(params, lo, hi, R), 0.5 * (lo + hi))
     # each tail is at most its row's tol, so exp cannot overflow; the floor keeps it positive
     tails = np.exp(np.maximum(log_pref + log_sb, -744.0))
     return R, idx, tails

@@ -237,11 +237,18 @@ def test_wrong_vector_length(tmp_path, capsys):
     ("norms", ["--nodes", "0,0"]),
     ("norms", ["--nodes", "16,0"]),
     ("verify", ["--nodes", "0"]),
+    ("theta", ["--z", "0.1", "--tol", "inf"]),
+    ("kernel", ["--u", "0", "--v", "0", "--tol", "inf"]),
+    ("theta", ["--z", "0.1", "--max-radius", "inf"]),
+    ("theta", ["--z", "0.1", "--max-radius", "nan"]),
+    ("theta", ["--z", "0.1", "--max-radius", "0"]),
+    ("theta", ["--z", "0.1", "--max-radius", "-1"]),
 ])
 def test_bad_numeric_flag_is_usage_error(tmp_path, capsys, verb, flags):
     assert main([verb, write(tmp_path, G1R1)] + flags) == 1
     err = capsys.readouterr().err
     assert err.startswith("usage error:") and "Traceback" not in err
+    assert flags[-2] in err  # the message names the flag it rejects
 
 
 @pytest.mark.parametrize("verb, flags", [

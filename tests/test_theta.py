@@ -364,6 +364,21 @@ def test_tail_bound_unreachable():
         tf.theta_eval(params, [0.0], 1e-30, max_radius=1.5)
 
 
+@pytest.mark.parametrize("y", [40.0, 1e4])
+def test_default_budget_reaches_wide_spacing(y):
+    # the ball bound's shift sqrt(lambda_min) grows with Y: the default
+    # budget must grow with it, not shrink like 40 / sqrt(lambda_min)
+    for alpha in ([0.0], [0.3]):
+        params = tf.validate_parameters([[1j * y]], alpha=alpha)
+        assert params.max_radius >= 40.0 + math.sqrt(y)
+        for z in ([0.0], [0.3 + 0.5j]):
+            ref = brute_theta([[1j * y]], alpha, [0.0], z, radius=3)
+            for tol in (1e-6, 1e-12):
+                res = tf.theta_eval(params, z, tol)
+                assert res.tail_bound <= tol
+                assert abs(res.value - ref) <= tol + 1e-15 * abs(ref)
+
+
 def test_batch_matches_scalar():
     rng = np.random.default_rng(13)
     F = np.array([[0.2 + 1.3j, -0.1], [-0.1, 0.5 + 0.9j]])
@@ -467,3 +482,63 @@ def test_reported_tail_is_not_clamped():
     assert log_bound > 709.0
     assert math.log(plan.tail_bound) == pytest.approx(log_bound, abs=1e-9)
     assert plan.tail_bound <= 1.7e308
+
+
+def _cell_case(seed, r):
+    """Random parameters and a center at most 30 index units from 0."""
+    rng = np.random.default_rng(seed)
+    return _random_params(rng, r), rng.uniform(-30.0, 30.0, r), rng
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), r=st.integers(1, 4),
+       R=st.sampled_from([1.0, 2.0, 3.5, 5.25]), box=st.booleans())
+def test_cell_cache_equals_enumeration(seed, r, R, box):
+    # k + the cached set of the integer box [0, e], filtered for [lo, hi],
+    # is the enumeration of [lo, hi] itself, row order included; the
+    # second and third calls read the cache the first one filled
+    params, lo, rng = _cell_case(seed, r)
+    for shift in (0.0, 0.4, -7.3):
+        lo = lo + shift
+        hi = lo + rng.uniform(0.0, 2.5, r) if box else lo
+        got = T._cells(params, lo, hi, R)
+        want = T._enumerate(params, lo, hi, R)
+        assert got.dtype == want.dtype == np.int64
+        assert np.array_equal(got, want)
+
+
+def test_cell_cache_is_reused(monkeypatch):
+    # a warm lattice plans any point of the same radius from its cached set
+    params, center, _ = _cell_case(21, 3)
+    other = center + np.array([3.25, -11.5, 0.125])
+    log_pref, log_tol = np.zeros(1), math.log(1e-10)
+    want = T._plan(_cell_case(21, 3)[0], other[None, :], log_pref, log_tol, None)
+    warm = T._plan(params, center[None, :], log_pref, log_tol, None)
+    monkeypatch.setattr(T, "_enumerate", None)  # a cache miss would raise TypeError
+    again = T._plan(params, center[None, :], log_pref, log_tol, None)
+    got = T._plan(params, other[None, :], log_pref, log_tol, None)
+    for a, b in ((again, warm), (got, want)):
+        assert a[0] == b[0] and np.array_equal(a[1], b[1]) and np.array_equal(a[2], b[2])
+    assert len(params.__dict__["_cells"]) == 1
+
+
+@pytest.mark.parametrize("cap", [0, 3000])
+def test_cell_cache_stays_within_its_byte_cap(monkeypatch, cap):
+    # plans past the cap are still exact; what is kept never passes it
+    seeds_ranks, tols = ((5, 2), (6, 3), (7, 4)), (1e-3, 1e-8, 1e-13)
+
+    def plans(cases):
+        return [T._plan(p, c[None, :], np.zeros(1), math.log(tol), None)[1]
+                for p, c, _ in cases for tol in tols]
+
+    want = plans([_cell_case(*sr) for sr in seeds_ranks])
+    monkeypatch.setattr(T, "_CHUNK_BYTES", cap)
+    cases = [_cell_case(*sr) for sr in seeds_ranks]
+    assert all(np.array_equal(a, b) for a, b in zip(plans(cases), want))
+    caches = [p.__dict__["_cells"].values() for p, _, _ in cases]
+    for kept in caches:
+        assert sum(cells.nbytes for cells in kept) <= cap
+        assert all(cells.dtype == np.int32 for cells in kept)
+    # 3000 bytes keep some of the nine sets and leave the others out
+    retained = sum(len(kept) for kept in caches)
+    assert 0 < retained < len(want) if cap else retained == 0
