@@ -96,6 +96,17 @@ def _positive_float(flag: str):
     return parse
 
 
+def _nonnegative_int(flag: str):
+    """Parser of an integer >= 0 given to flag."""
+
+    def parse(text: str) -> int:
+        if not text.isdecimal():
+            raise _UsageError(f"{flag} expects an integer >= 0, got {text!r}")
+        return int(text)
+
+    return parse
+
+
 _FLAGS = {
     "--tol": dict(type=_positive_float("--tol"), default=1e-10),
     "--seed": dict(type=int, default=0),
@@ -132,8 +143,8 @@ def build_parser() -> _Parser:
                     help="ambient component 're[,im]' (repeat g times) or '@file.json'")
 
     sp = verb("norms", "closed-form norms against the quadrature oracle", "--nodes")
-    sp.add_argument("--n-max", type=int, default=1, dest="n_max")
-    sp.add_argument("--k-max", type=int, default=1, dest="k_max")
+    sp.add_argument("--n-max", type=_nonnegative_int("--n-max"), default=1, dest="n_max")
+    sp.add_argument("--k-max", type=_nonnegative_int("--k-max"), default=1, dest="k_max")
 
     sp = verb("verify", "run a named property suite", "--seed", "--nodes")
     sp.add_argument("--suite", default="all",

@@ -67,7 +67,6 @@ from .errors import (
 )
 
 __all__ = [
-    "FundamentalDomain",
     "QuadratureGrid",
     "InnerProductResult",
     "Factored",
@@ -121,18 +120,6 @@ def gaussian_integral(a: float, A, b) -> complex:
 
 
 @dataclass(frozen=True)
-class FundamentalDomain:
-    """Shape of the integration region and effective node coverage."""
-
-    r: int
-    g: int
-    compact_dims: int
-    unbounded_dims: int
-    radii: tuple  # effective half-extent per unbounded direction
-    tail_fraction: float  # bound on Gaussian mass beyond the radii
-
-
-@dataclass(frozen=True)
 class Factored:
     """A family of integrands written as sums of products over the grid blocks.
 
@@ -183,7 +170,6 @@ class QuadratureGrid:
     config: object
     base: _Level
     fine: _Level
-    domain: FundamentalDomain
     box_offset: np.ndarray
     estimated_error: float
 
@@ -259,34 +245,17 @@ def build_grid(
         if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
             raise ValidationError(f"{name} must be an int >= 1, got {n!r}")
     compact_nodes, unbounded_nodes = int(compact_nodes), int(unbounded_nodes)
-    r, g = config.r, config.g
+    r = config.r
     offset = np.zeros(r) if box_offset is None else np.asarray(box_offset, dtype=float).reshape(-1)
     if offset.shape[0] != r:
         raise DimensionMismatch(f"box_offset must have length {r}")
     # fine first: a rule that is not finite fails there before the base rule is cached
     fine = _make_level(config, 2 * compact_nodes, 2 * unbounded_nodes)
     base = _make_level(config, compact_nodes, unbounded_nodes)
-
-    smax = float(np.abs(base.herm_nodes).max()) if base.herm_nodes.size else 0.0
-    if r:
-        y_radii = tuple(float(v) for v in np.abs(base.y_transform).sum(axis=1) * smax)
-    else:
-        y_radii = ()
-    perp_radii = (smax / math.sqrt(config.nu),) * (2 * (g - r))
-    n_unb = 2 * g - r
-    domain = FundamentalDomain(
-        r=r,
-        g=g,
-        compact_dims=r,
-        unbounded_dims=n_unb,
-        radii=y_radii + perp_radii,
-        tail_fraction=n_unb * 0.5 * math.erfc(smax) if n_unb else 0.0,
-    )
     grid = QuadratureGrid(
         config=config,
         base=base,
         fine=fine,
-        domain=domain,
         box_offset=offset,
         estimated_error=math.nan,
     )

@@ -448,6 +448,8 @@ def kernel_section(config: SpaceConfig, v: PointCoordinates, tol: float):
 
     for every u.  Raises ValueOutOfRange when a c_t leaves the double range.
     """
+    if not tol > 0:  # NaN included
+        raise ValueError("tol must be positive")
     if v.z.shape[0] != config.r or v.z_perp.shape[0] != config.g - config.r:
         raise DimensionMismatch("v does not match the configuration dimensions")
 

@@ -10,36 +10,27 @@ t = n + a and s = Im(z + b), the term magnitudes are
     |term(n)| = exp(pi s^T Y^-1 s) * exp(-pi |Y^(1/2) (n - c)|^2),
 
 with real center c = -a - Y^-1 s.  Truncation keeps the lattice points of
-the ellipsoid |Y^(1/2)(n - c)| <= R, and the omitted mass is bounded by
-the smaller of two shell integrals.  Both place a disjoint cell around the
-image point x_n = Y^(1/2)(n - c) of every omitted n:
+the ellipsoid |Y^(1/2)(n - c)| <= R.  The omitted mass is bounded by
+placing a ball of radius h = rho/2, rho = sqrt(lambda_min(Y)), around the
+image point x_n = Y^(1/2)(n - c) of every omitted n (Deconinck, Heil,
+Bobenko, van Hoeij and Schmies, Math. Comp. 2004): |Y^(1/2) m| >= rho for
+every nonzero integer m, so these balls do not overlap, they lie in
+|y| >= R - h, and exp(-pi |x_n|^2) <= exp(-pi max(|y|-h,0)^2) on each, so
 
-- a parallelepiped of volume sqrt(det Y) within distance
-  delta = sigma_max(Y^(1/2)) sqrt(r)/2 of x_n, giving
+    tail(R) <= exp(pi s^T Y^-1 s) Surf(r-1) / V_r(h)
+               * int_{max(R-h,0)}^inf t^(r-1) exp(-pi max(t-h,0)^2) dt.
 
-      tail(R) <= exp(pi s^T Y^-1 s) / sqrt(det Y)
-                 * Surf(r-1) * int_{max(R-delta,0)}^inf t^(r-1)
-                   exp(-pi max(t-delta,0)^2) dt;
-
-- a ball of radius rho/2, rho = sqrt(lambda_min(Y)): |Y^(1/2) m| >= rho
-  for every nonzero integer m, so these balls do not overlap, they lie
-  in |y| >= R - rho/2, and exp(-pi |x_n|^2) <= exp(-pi max(|y|-rho/2,0)^2)
-  on each (Deconinck, Heil, Bobenko, van Hoeij and Schmies, Math. Comp.
-  2004).  This is the same integral with delta = rho/2 and the ball's
-  volume V_r(rho/2) in place of sqrt(det Y).  Its shift does not grow
-  with r, so from r = 2 on it is usually the smaller one.
-
-The integrals are evaluated in closed form through upper incomplete gamma
+The integral is evaluated in closed form through upper incomplete gamma
 functions Gamma(s, x) at half-integer s: the recurrence
 Gamma(s+1, x) = s Gamma(s, x) + x^s e^-x from Gamma(1/2, x) =
 sqrt(pi) erfc(sqrt x) or Gamma(1, x) = e^-x, rounded up by a relative
-1e-12 so that floating-point error cannot undercut it.  They are
+1e-12 so that floating-point error cannot undercut it.  It is
 evaluated in log scale (with e^x Gamma(s, x)), so a bound far below the
 smallest double is still exact enough to choose a radius.  The radius is
 the first point of the grid R = 1, 1.25, 1.5, ... whose bound meets the
 target.  Each ThetaParameters caches the log bound on that grid and the
 Cholesky factor Y = U^T U, so a plan scans a table instead of evaluating
-the integrals.
+the integral.
 
 The ellipsoid is enumerated directly (Fincke and Pohst, Math. Comp.
 1985): on U, last coordinate first, each fixed tail of n confines the
@@ -104,9 +95,11 @@ _ERFC_LIMIT = 700.0
 _LOG_TERM_MAX = 710.8
 # Enumeration slack in index units, far above the rounding of its intervals.
 _SLACK = 1e-9
-# Relative round-up of _scaled_upper_gamma_half, far above the ~3e-14
-# rounding error of its recurrence for s <= 5 and x <= 400 (against
-# 50-digit mpmath), so the shell bounds stay upper bounds.
+# Relative round-up of _scaled_upper_gamma_half, far above the <= 9e-14
+# rounding error of its recurrence for s <= 5 and x <= _ERFC_LIMIT (against
+# 50-digit mpmath), so the tail bound stays an upper bound.  Past
+# _ERFC_LIMIT it is the start x^(-1/2), itself above e^x Gamma(1/2, x),
+# that keeps the result an upper bound.
 _GAMMA_ROUND_UP = 1.0 + 1e-12
 _MAX_INDICES = 5_000_000
 # Cap on the bytes of one complex (points x terms) temporary in the reducer;
@@ -141,8 +134,6 @@ class ThetaParameters:
     y_sqrt: np.ndarray = None
     y_inv: np.ndarray = None
     lambda_min: float = 0.0
-    det_y: float = 1.0
-    delta: float = 0.0
 
     def __post_init__(self):
         for name in ("F", "alpha", "beta", "y_sqrt", "y_inv"):
@@ -179,8 +170,7 @@ def validate_parameters(F, alpha=None, beta=None) -> ThetaParameters:
     if r == 0:
         return ThetaParameters(
             r=0, F=F, alpha=alpha, beta=beta,
-            y_sqrt=np.zeros((0, 0)), y_inv=np.zeros((0, 0)),
-            lambda_min=math.inf, det_y=1.0, delta=0.0,
+            y_sqrt=np.zeros((0, 0)), y_inv=np.zeros((0, 0)), lambda_min=math.inf,
         )
     scale = max(1.0, float(np.abs(F).max()))
     asym = np.abs(F - F.T)
@@ -195,11 +185,9 @@ def validate_parameters(F, alpha=None, beta=None) -> ThetaParameters:
         )
     y_sqrt = (evecs * np.sqrt(evals)) @ evecs.T
     y_inv = (evecs / evals) @ evecs.T
-    delta = math.sqrt(evals.max()) * math.sqrt(r) / 2.0
     return ThetaParameters(
         r=r, F=F, alpha=alpha, beta=beta,
-        y_sqrt=y_sqrt, y_inv=y_inv,
-        lambda_min=float(evals.min()), det_y=float(np.prod(evals)), delta=delta,
+        y_sqrt=y_sqrt, y_inv=y_inv, lambda_min=float(evals.min()),
     )
 
 
@@ -252,53 +240,35 @@ def _scaled_upper_gamma_half(j: int, x):
     return gam * _GAMMA_ROUND_UP
 
 
-def _upper_gamma_half(j: int, x):
-    """Upper incomplete gamma Gamma((j+1)/2, x) for x >= 0, rounded up."""
-    return _scaled_upper_gamma_half(j, x) * np.exp(-np.asarray(x, dtype=float))
+def _log_bound(params: ThetaParameters, R):
+    """Log of the ball bound at radius R without its prefactor, elementwise in R.
 
-
-def _log_shell_integral(r: int, delta: float, R):
-    """log int_{max(R-delta,0)}^inf t^(r-1) exp(-pi max(t-delta,0)^2) dt, elementwise in R.
-
-    Past R = 2 delta the integral is e^-x times a sum of scaled gammas,
-    x = pi (R - 2 delta)^2, so its log does not underflow.
+    Past R = 2h the shell integral is e^-x times a sum of scaled gammas,
+    x = pi (R - 2h)^2, so its log does not underflow.
     """
-    a = np.maximum(np.asarray(R, dtype=float) - delta, 0.0)
-    b = np.maximum(a - delta, 0.0)
-    # int_b^inf (s+delta)^(r-1) e^(-pi s^2) ds, expanded binomially;
+    r = params.r
+    h = 0.5 * math.sqrt(params.lambda_min)
+    a = np.maximum(np.asarray(R, dtype=float) - h, 0.0)
+    b = np.maximum(a - h, 0.0)
+    # int_b^inf (s+h)^(r-1) e^(-pi s^2) ds, expanded binomially;
     # int_b^inf s^j e^(-pi s^2) ds = Gamma((j+1)/2, pi b^2) / (2 pi^((j+1)/2))
     x = math.pi * b * b
-    # the part within delta, where x = 0 and the scaling e^x is 1
-    total = np.where(a < delta, (delta**r - np.minimum(a, delta) ** r) / r, 0.0)
+    # the part within h, where x = 0 and the scaling e^x is 1
+    total = np.where(a < h, (h**r - np.minimum(a, h) ** r) / r, 0.0)
     for j in range(r):
-        coeff = math.comb(r - 1, j) * delta ** (r - 1 - j)
+        coeff = math.comb(r - 1, j) * h ** (r - 1 - j)
         total = total + coeff * _scaled_upper_gamma_half(j, x) / (2.0 * math.pi ** ((j + 1) / 2.0))
-    return np.log(total) - x
-
-
-def _log_bounds(params: ThetaParameters, R):
-    """Logs of the parallelepiped and the ball bound at radius R, without the prefactor."""
-    r = params.r
-    half = 0.5 * math.sqrt(params.lambda_min)
-    ball = math.pi ** (r / 2.0) * half**r / math.gamma(r / 2.0 + 1.0)
+    ball = math.pi ** (r / 2.0) * h**r / math.gamma(r / 2.0 + 1.0)
     surf = 2.0 * math.pi ** (r / 2.0) / math.gamma(r / 2.0)
-    return (
-        math.log(surf / math.sqrt(params.det_y)) + _log_shell_integral(r, params.delta, R),
-        math.log(surf / ball) + _log_shell_integral(r, half, R),
-    )
-
-
-def _shell_bound(params: ThetaParameters, R):
-    """Parallelepiped bound on the omitted mass at radius R, without the prefactor."""
-    return np.exp(_log_bounds(params, R)[0])
+    return math.log(surf / ball) + (np.log(total) - x)
 
 
 def _find_radius(params: ThetaParameters, log_target: float, max_radius: float):
     """Smallest grid radius whose log tail bound is at most the target.
 
     The grid is R = 1 + k _RADIUS_STEP.  Its table holds the running
-    minimum of the smaller log bound, which is still a bound (the omitted
-    mass falls as R grows) and does not increase.  The table is cached on
+    minimum of the log bound, which is still a bound (the omitted mass
+    falls as R grows) and does not increase.  The table is cached on
     params and grown a block at a time as far as a target needs.
     """
     table = params.__dict__.get("_log_tails", np.zeros(0))
@@ -306,7 +276,7 @@ def _find_radius(params: ThetaParameters, log_target: float, max_radius: float):
         1.0 + _RADIUS_STEP * table.size <= max_radius
     ):
         radii = 1.0 + _RADIUS_STEP * np.arange(table.size, table.size + _TABLE_BLOCK)
-        block = np.minimum(*_log_bounds(params, radii))
+        block = _log_bound(params, radii)
         table = _readonly(np.minimum.accumulate(np.concatenate((table, block))))
         params.__dict__["_log_tails"] = table
     k = int(np.searchsorted(-table, -log_target))  # -table does not decrease
@@ -466,7 +436,7 @@ def truncation_plan(
     large imaginary parts.  Raises ValueOutOfRange when a term of the
     plan would leave the double range, so that no plan can be summed.
     """
-    if tol <= 0:
+    if not tol > 0:  # NaN included
         raise ValueError("tol must be positive")
     if params.r == 0:
         return TruncationPlan(
@@ -555,8 +525,6 @@ def theta_eval(
     those of theta_eval_many on the batch [z].  Raises ValueOutOfRange when
     the value leaves the double range.
     """
-    if params.r == 0:
-        return ThetaResult(value=complex(1.0), tail_bound=0.0, terms=1)
     plan = truncation_plan(params, z, tol, max_radius)
     value = eval_with_plan(params, z, plan)
     return ThetaResult(value=value, tail_bound=plan.tail_bound, terms=plan.index_set.shape[0])
@@ -574,6 +542,8 @@ def theta_eval_many(params: ThetaParameters, Z, tol, max_radius: float | None = 
     ValueOutOfRange when a value leaves the double range.  Returns
     (values (N,), tails (N,)).
     """
+    if not np.all(np.asarray(tol) > 0):  # NaN included
+        raise ValueError("tol must be positive")
     Z = np.atleast_2d(np.asarray(Z, dtype=complex))
     if params.r == 0:
         return np.ones(Z.shape[0], dtype=complex), np.zeros(Z.shape[0])
@@ -582,8 +552,6 @@ def theta_eval_many(params: ThetaParameters, Z, tol, max_radius: float | None = 
     if Z.shape[0] == 0:
         return np.zeros(0, dtype=complex), np.zeros(0)
     tol_arr = np.broadcast_to(np.asarray(tol, dtype=float), (Z.shape[0],))
-    if np.any(tol_arr <= 0):
-        raise ValueError("tol must be positive")
     centers, log_pref = _rows(params, np.imag(Z + params.beta))
     _check_summable(params, centers, log_pref)
     _, idx, tails = _plan(params, centers, log_pref, np.log(tol_arr), max_radius)

@@ -243,6 +243,9 @@ def test_wrong_vector_length(tmp_path, capsys):
     ("theta", ["--z", "0.1", "--max-radius", "nan"]),
     ("theta", ["--z", "0.1", "--max-radius", "0"]),
     ("theta", ["--z", "0.1", "--max-radius", "-1"]),
+    ("norms", ["--n-max", "-1"]),
+    ("norms", ["--k-max", "-1"]),
+    ("norms", ["--n-max", "1.5"]),
 ])
 def test_bad_numeric_flag_is_usage_error(tmp_path, capsys, verb, flags):
     assert main([verb, write(tmp_path, G1R1)] + flags) == 1

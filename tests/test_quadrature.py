@@ -124,11 +124,6 @@ def test_grid_invariants(grid_g1r1):
     assert np.all(lvl.compact_weights > 0)
     assert np.all(lvl.herm_weights > 0)
     assert np.all((lvl.compact_nodes > 0) & (lvl.compact_nodes < 1))
-    dom = grid_g1r1.domain
-    assert dom.compact_dims == 1 and dom.unbounded_dims == 1
-    assert all(rad >= np.abs(lvl.herm_nodes).max() / math.sqrt(2 * math.pi) - 1e-9
-               for rad in dom.radii)
-    assert dom.tail_fraction < 1e-20
     assert grid_g1r1.estimated_error <= 1e-10
 
 

@@ -6,6 +6,7 @@ from scipy.integrate import quad
 
 import thetafock as tf
 from thetafock import space as S
+from thetafock import theta as T
 from thetafock import verify
 from thetafock.errors import DimensionMismatch, ValueOutOfRange
 from thetafock.geometry import PointCoordinates, b_form
@@ -267,6 +268,24 @@ def test_kernel_eval_matches_section(name, request):
         assert diag == tf.kernel_eval(cfg, u, u, 1e-11).real and diag > 0
         at_origin = PointCoordinates(u.z, np.zeros(m))
         assert tf.weight_factor(cfg, u) == tf.basis_eval(cfg, e00, at_origin)
+
+
+_TOL_ENTRY_POINTS = {
+    "truncation_plan": lambda cfg, u, tol: tf.truncation_plan(cfg.theta_params, u.z, tol),
+    "theta_eval": lambda cfg, u, tol: tf.theta_eval(cfg.theta_params, u.z, tol),
+    "theta_eval_many": lambda cfg, u, tol: T.theta_eval_many(cfg.theta_params, u.z[None, :], tol),
+    "kernel_eval": lambda cfg, u, tol: tf.kernel_eval(cfg, u, u, tol),
+    "kernel_section": lambda cfg, u, tol: S.kernel_section(cfg, u, tol),
+}
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+@pytest.mark.parametrize("entry", list(_TOL_ENTRY_POINTS))
+def test_tol_must_be_positive(cfg_g2r1, entry, tol):
+    # a bad tol is a bad argument, not an unreachable tail budget
+    u = PointCoordinates(np.array([0.2 + 0.1j]), np.array([0.3 - 0.2j]))
+    with pytest.raises(ValueError, match="tol must be positive"):
+        _TOL_ENTRY_POINTS[entry](cfg_g2r1, u, tol)
 
 
 def test_kernel_far_imaginary_raises(cfg_g1r1):

@@ -134,21 +134,30 @@ TAIL_RADII = np.arange(1.0, 12.0, 0.5)
 
 
 def test_tail_bound_monotone_in_radius():
-    params = tf.validate_parameters([[1j, 0.2j], [0.2j, 1.5j]])
-    bounds = [T._shell_bound(params, R) for R in TAIL_RADII]
-    assert all(b1 >= b2 for b1, b2 in zip(bounds, bounds[1:]))
+    # the bound falls as R grows, and so does the cached radius table
+    rng = np.random.default_rng(400)
+    cases = [[[1j, 0.2j], [0.2j, 1.5j]]] + [1j * _spectrum_y(rng, r, 0.3, 30.0) for r in range(1, 7)]
+    for F in cases:
+        params = tf.validate_parameters(F)
+        bounds = [T._log_bound(params, R) for R in TAIL_RADII]
+        assert all(b1 >= b2 for b1, b2 in zip(bounds, bounds[1:])), params.r
+        T._find_radius(params, -2000.0, params.max_radius)  # past one table block
+        table = params.__dict__["_log_tails"]
+        assert table.size > T._TABLE_BLOCK and np.all(np.diff(table) <= 0.0), params.r
 
 
 def test_upper_gamma_half_is_rounded_up_against_mpmath():
-    # Gamma((j+1)/2, x) must never fall below the 50-digit value, or the
-    # shell bound built on it would no longer be certified
+    # e^x Gamma((j+1)/2, x) must never fall below the 50-digit value, or the
+    # tail bound built on it would no longer be certified; past _ERFC_LIMIT
+    # e^x Gamma(1/2, x) is replaced by its bound x^(-1/2), 1/(2x) above it
     with mpmath.workdps(50):
         for j in range(10):
-            for x in [0.0, *np.geomspace(1e-6, 400.0, 120)]:
-                got = T._upper_gamma_half(j, float(x))
-                ref = mpmath.gammainc(mpmath.mpf(j + 1) / 2, mpmath.mpf(float(x)))
-                rel = (mpmath.mpf(got) - ref) / ref
-                assert 0 <= rel <= 2e-12, (j, x, float(rel))
+            for x in [0.0, *np.geomspace(1e-6, 5000.0, 160)]:
+                got = T._scaled_upper_gamma_half(j, float(x))
+                xm = mpmath.mpf(float(x))
+                ref = mpmath.exp(xm) * mpmath.gammainc(mpmath.mpf(j + 1) / 2, xm)
+                rel = (mpmath.mpf(float(got)) - ref) / ref
+                assert 0 <= rel <= (2e-12 if x <= T._ERFC_LIMIT else 1.0 / x), (j, x, float(rel))
 
 
 def scipy_surface_times_shell(r, delta, R):
@@ -163,22 +172,6 @@ def scipy_surface_times_shell(r, delta, R):
     return 2.0 * math.pi ** (r / 2.0) / special.gamma(r / 2.0) * total
 
 
-def scipy_shell_bound(params, R):
-    """The shell bound as written on scipy's gamma and gammaincc."""
-    return scipy_surface_times_shell(params.r, params.delta, R) / math.sqrt(params.det_y)
-
-
-@pytest.mark.parametrize("r", range(1, 7))
-def test_shell_bound_matches_scipy_formula(r):
-    rng = np.random.default_rng(100 + r)
-    A = rng.standard_normal((r, r))
-    params = tf.validate_parameters(1j * (A @ A.T + 0.7 * np.eye(r)))
-    for R in TAIL_RADII:
-        ref = scipy_shell_bound(params, float(R))
-        got = T._shell_bound(params, float(R))
-        assert ref <= got <= ref * (1 + 2e-12), (R, got / ref - 1)
-
-
 @pytest.mark.parametrize("r", range(1, 7))
 def test_ball_bound_matches_scipy_formula(r):
     # balls of radius rho/2, rho = sqrt(lambda_min(Y)), around the omitted points
@@ -189,7 +182,7 @@ def test_ball_bound_matches_scipy_formula(r):
     volume = math.pi ** (r / 2.0) * half**r / special.gamma(r / 2.0 + 1.0)
     for R in TAIL_RADII:
         ref = scipy_surface_times_shell(r, half, float(R)) / volume
-        got = math.exp(T._log_bounds(params, float(R))[1])
+        got = math.exp(T._log_bound(params, float(R)))
         assert ref <= got <= ref * (1 + 2e-12), (R, got / ref - 1)
 
 
@@ -217,8 +210,7 @@ def _spectrum_y(rng, r, lam_min, lam_max):
 
 @pytest.mark.parametrize("r", range(1, 5))
 def test_tail_bound_covers_brute_force_omitted_mass(r):
-    # the reported tail is at least the omitted mass summed over a box 3R
-    # wide; at r >= 2 the ball bound is the smaller of the two here
+    # the reported tail is at least the omitted mass summed over a box 3R wide
     rng = np.random.default_rng(300 + r)
     for cond in (1.5, 10.0, 100.0):
         X = rng.standard_normal((r, r))
@@ -478,7 +470,7 @@ def test_reported_tail_is_not_clamped():
     # it must be reported as it is, not clamped to e^709
     params = tf.validate_parameters([[1j]])
     plan = tf.truncation_plan(params, [0.1 + 15.028j], 1.7e308)
-    log_bound = plan.log_prefactor + math.log(T._shell_bound(params, plan.radius))
+    log_bound = plan.log_prefactor + float(T._log_bound(params, plan.radius))
     assert log_bound > 709.0
     assert math.log(plan.tail_bound) == pytest.approx(log_bound, abs=1e-9)
     assert plan.tail_bound <= 1.7e308
