@@ -27,6 +27,7 @@ from .errors import (
     NotPositiveDefinite,
     RankExceedsG,
     SingularBasis,
+    ValidationError,
 )
 
 __all__ = [
@@ -155,6 +156,8 @@ class PointCoordinates:
         object.__setattr__(
             self, "z_perp", _readonly(np.asarray(self.z_perp, dtype=complex).reshape(-1))
         )
+        if not (np.isfinite(self.z).all() and np.isfinite(self.z_perp).all()):
+            raise ValidationError("point coordinates must be finite")
 
 
 @dataclass(frozen=True)

@@ -35,27 +35,27 @@ the integral.
 The ellipsoid is enumerated directly (Fincke and Pohst, Math. Comp.
 1985): on U, last coordinate first, each fixed tail of n confines the
 next coordinate to an interval.  A batch carries its rows' centers as a
-box, so one enumeration covers every row's ellipsoid.  The set of a box
-[lo, hi] is that of [lo, hi] - k moved by the integer vector
-k = floor(lo), and it grows with the box, so a plan does not enumerate:
-it adds k to the cached set of the integer box [0, e],
-e = floor(hi) - k + 1, and keeps the points within R of [lo, hi], in
-the same lexicographic order.  Each ThetaParameters caches these cell
-sets as int32 under the key (R, e), one enumeration each, for as long
-as its cached sets stay within _CHUNK_BYTES (16 MiB); a set past that
-cap is used once and not kept.
+box [lo, hi], so one index set covers every row's ellipsoid.  The
+candidates of the integer box [0, e], e = floor(hi) - k + 1, moved by
+k = floor(lo), cover those of [lo, hi]; each ThetaParameters caches
+them per (R, e), within _CHUNK_BYTES (16 MiB).  One selection
+pass computes U(n - m), m = (lo + hi)/2, once per candidate, keeps the
+points within R of the box and orders them by that squared distance,
+dominant terms first, ties in lexicographic order from the last
+coordinate.
 
-Every entry point goes through one planner and one reducer.  The planner
-takes the rows s = Im(z + b) of a batch, finds one radius for the
-tightest row, and takes from the cell sets one index set covering every
-row's ellipsoid; a single point is a batch of one.  A row whose nearest
-lattice term is already beyond the double range raises ValueOutOfRange
-before it is planned.  The reducer sums the planned terms of each row in
-plan order (dominant terms first) with numpy's pairwise summation, so
-the rounding error is about log2(K) eps sum |terms| for K terms, and a
-row's value does not depend on the other rows of its batch.  A sum that
-leaves the double range raises ValueOutOfRange instead of returning inf
-or NaN.
+Tails stay in log scale in the planner: a tail far beyond the double
+range still bounds kernel_section's plans at a far point.  Only the
+entry points that report tails exponentiate them, floored at e^-744.
+truncation_plan and theta_eval_many share one prologue: non-finite
+points raise ValidationError, a tol that is not positive ValueError, and
+a row whose nearest lattice term is beyond the double range
+ValueOutOfRange before it is planned.  theta_eval sums the plan of
+truncation_plan.  The reducer sums each row's terms in plan order with
+numpy's pairwise summation, so the rounding error is about
+log2(K) eps sum |terms| for K terms and a row's value does not depend on
+the other rows of its batch; a sum that leaves the double range raises
+ValueOutOfRange instead of returning inf or NaN.
 """
 
 from __future__ import annotations
@@ -71,6 +71,7 @@ from .errors import (
     ImaginaryPartNotPositiveDefinite,
     NotSymmetric,
     TailBoundUnreachable,
+    ValidationError,
     ValueOutOfRange,
 )
 
@@ -82,7 +83,6 @@ __all__ = [
     "truncation_plan",
     "theta_eval",
     "theta_eval_many",
-    "eval_with_plan",
     "theta_quasiperiodicity_defect",
 ]
 
@@ -121,7 +121,7 @@ class ThetaParameters:
 
     On first use an instance caches the Cholesky factor of Y (``chol``),
     the log tail bound on the radius grid (grown by _find_radius) and the
-    enumerated index set of each integer box [0, e] at each radius R
+    enumerated candidates of each integer box [0, e] at each radius R
     (keyed by (R, e), stored as int32, at most _CHUNK_BYTES in all; see
     _cells).
     """
@@ -180,9 +180,7 @@ def validate_parameters(F, alpha=None, beta=None) -> ThetaParameters:
     Y = 0.5 * (F.imag + F.imag.T)
     evals, evecs = np.linalg.eigh(Y)
     if evals.min() <= 1e-12 * scale:
-        raise ImaginaryPartNotPositiveDefinite(
-            f"min eigenvalue of Im F is {evals.min():.6e}"
-        )
+        raise ImaginaryPartNotPositiveDefinite(f"min eigenvalue of Im F is {evals.min():.6e}")
     y_sqrt = (evecs * np.sqrt(evals)) @ evecs.T
     y_inv = (evecs / evals) @ evecs.T
     return ThetaParameters(
@@ -289,21 +287,23 @@ def _find_radius(params: ThetaParameters, log_target: float, max_radius: float):
     )
 
 
-def _within(params: ThetaParameters, pts: np.ndarray, lo, hi, R: float) -> np.ndarray:
-    """The rows n of pts within Y-distance R (+ _SLACK) of the box [lo, hi], rowwise.
+def _select(params: ThetaParameters, pts: np.ndarray, lo, hi, R: float) -> np.ndarray:
+    """The rows n of pts within Y-distance R (+ _SLACK) of the box [lo, hi], nearest first.
 
-    Row i of U(n - c) is (Un)_i - (Uc)_i, and over the box (Uc)_i spans
-    m_i -+ h_i with m = U (lo + hi)/2 and h = |U| (hi - lo)/2.  Each row
-    takes its own worst center, so the distance is max(|(Un)_i - m_i| -
-    h_i, 0) summed in squares.  A point, passed as hi is lo, has h = 0
-    and skips that step, which would not change its value.  Rows keep
-    their order.
+    d = U(n - m), m = (lo + hi)/2, is computed once per row.  Over the box
+    (Uc)_i spans m_i -+ h_i, h = |U| (hi - lo)/2, so with each row's worst
+    center the box distance is max(|d_i| - h_i, 0) summed in squares; a
+    point, passed as hi is lo, has h = 0 and skips that step.  The rows
+    kept are ordered by |d|^2 with a stable sort, so ties keep their order.
     """
     U = params.chol
     d = pts @ U.T - U @ (0.5 * (lo + hi))
+    dist = near = np.einsum("ij,ij->i", d, d)
     if hi is not lo:
         d = np.maximum(np.abs(d) - np.abs(U) @ (0.5 * (hi - lo)), 0.0)
-    return pts[np.einsum("ij,ij->i", d, d) <= (R + _SLACK) ** 2]
+        near = np.einsum("ij,ij->i", d, d)
+    keep = np.flatnonzero(near <= (R + _SLACK) ** 2)
+    return pts[keep[np.argsort(dist[keep], kind="stable")]]
 
 
 def _enumerate(params: ThetaParameters, lo: np.ndarray, hi: np.ndarray, R: float) -> np.ndarray:
@@ -313,13 +313,11 @@ def _enumerate(params: ThetaParameters, lo: np.ndarray, hi: np.ndarray, R: float
     is (U n)_i - (U c)_i, and over the box (U c)_i spans [b_i, a_i].  With
     n_j fixed for j > i, that row confines n_i to an interval; each prefix
     is expanded over its interval with np.repeat, one level at a time.
-    The intervals carry a slack against rounding, and _within then keeps
-    exactly the points that meet its criterion, so the set is a function
-    of that criterion alone.  Every row takes its own worst center, so
-    for lo == hi the set is the ellipsoid and otherwise a superset of
-    every center's ellipsoid.  The points are in lexicographic order from
-    the last coordinate.  Raises TailBoundUnreachable when a level would
-    hold more than _MAX_INDICES points.
+    The intervals carry a slack against rounding, so the candidates hold
+    every point that _select keeps.  Every row takes its own worst center,
+    so the set covers every center's ellipsoid.  The points are in
+    lexicographic order from the last coordinate.  Raises
+    TailBoundUnreachable when a level would hold more than _MAX_INDICES.
     """
     U, r = params.chol, params.r
     u_lo, u_hi = U * lo, U * hi
@@ -348,18 +346,17 @@ def _enumerate(params: ThetaParameters, lo: np.ndarray, hi: np.ndarray, R: float
         x = U[i, i] * n + un[rows, i]
         used = used[rows] + np.maximum(np.maximum(x - a[i], b[i] - x), 0.0) ** 2
         un = un[rows, :i] + n[:, None] * U[:i, i]
-    return _within(params, pts, lo, hi, R)
+    return pts
 
 
 def _cells(params: ThetaParameters, lo: np.ndarray, hi: np.ndarray, R: float) -> np.ndarray:
-    """_enumerate(params, lo, hi, R), translated from a cached integer box.
+    """The plan index set of the box [lo, hi] at radius R: _select of cached candidates.
 
-    With k = floor(lo) and e = floor(hi) - k + 1, the box [lo, hi] - k
-    lies in [0, e], so k plus the set of [0, e] covers the set of
-    [lo, hi], in the same order, and _within keeps exactly its points.
-    The set of [0, e] is enumerated once per (R, e) and cached on params
-    as int32 while all the cached sets of params stay within
-    _CHUNK_BYTES; a set that would pass that cap is used but not kept.
+    With k = floor(lo) and e = floor(hi) - k + 1, k plus the candidates of
+    [0, e] cover those of [lo, hi], in the same lexicographic order.  The
+    candidates of [0, e] are enumerated once per (R, e) and cached on
+    params as int32 while all its cached sets stay within _CHUNK_BYTES; a
+    set that would pass that cap is used but not kept.
     """
     k = np.floor(lo)
     span = np.floor(hi) - k  # e - 1
@@ -371,7 +368,7 @@ def _cells(params: ThetaParameters, lo: np.ndarray, hi: np.ndarray, R: float) ->
         kept = sum(c.nbytes for c in cache.values()) + cells.nbytes // 2
         if kept <= _CHUNK_BYTES and np.abs(cells).max() < 2**31:
             cache[key] = cells = _readonly(cells.astype(np.int32))
-    return _within(params, cells + k.astype(np.int64), lo, hi, R)
+    return _select(params, cells + k.astype(np.int64), lo, hi, R)
 
 
 def _rows(params: ThetaParameters, S: np.ndarray):
@@ -402,8 +399,9 @@ def _check_summable(params: ThetaParameters, centers: np.ndarray, log_pref: np.n
     log_term = log_pref - math.pi * q
     if log_term.max() > _LOG_TERM_MAX:
         bad = int(log_term.argmax())
+        term = ", ".join(f"{x + 0.0:.16g}" for x in n[bad])  # + 0.0 drops the sign of -0
         raise ValueOutOfRange(
-            f"theta term {n[bad].astype(int).tolist()} at point {bad} has log magnitude "
+            f"theta term [{term}] at point {bad} has log magnitude "
             f"{log_term[bad]:.1f}: the value leaves the double range"
         )
 
@@ -413,17 +411,37 @@ def _plan(params: ThetaParameters, centers, log_pref, log_tol, max_radius: float
 
     The radius meets the tightest row's target log_tol - log_prefactor;
     the index set covers every row's ellipsoid, so extra indices only
-    tighten the other rows.  Returns (radius, index set, tails), the tails
-    being each row's certified bound on the omitted mass.
+    tighten the other rows.  Returns (radius, index set, log tails): the
+    log of each row's certified bound on the omitted mass, which can be
+    far beyond the double range when log_tol is (kernel_section).
     """
     budget = params.max_radius if max_radius is None else float(max_radius)
     R, log_sb = _find_radius(params, float((log_tol - log_pref).min()), budget)
     lo = centers.min(axis=0)
     hi = lo if centers.shape[0] == 1 else centers.max(axis=0)
-    idx = _sort_indices(params, _cells(params, lo, hi, R), 0.5 * (lo + hi))
-    # each tail is at most its row's tol, so exp cannot overflow; the floor keeps it positive
-    tails = np.exp(np.maximum(log_pref + log_sb, -744.0))
-    return R, idx, tails
+    return R, _cells(params, lo, hi, R), log_pref + log_sb
+
+
+def _checked_plan(params: ThetaParameters, Z: np.ndarray, tol, max_radius: float | None):
+    """(radius, index set, tails, centers, log prefactors) of the rows of Z (N, r), checked.
+
+    The prologue of truncation_plan and theta_eval_many.  With r = 0 or
+    no rows there is nothing to plan: one index 0, radius and tails 0.
+    """
+    if not np.isfinite(Z).all():
+        raise ValidationError("theta points must be finite")
+    if not np.all(np.asarray(tol) > 0):  # NaN included
+        raise ValueError("tol must be positive")
+    r, N = params.r, Z.shape[0]
+    if r and Z.shape[1] != r:
+        raise DimensionMismatch(f"points must have {r} coordinates")
+    if not (r and N):
+        return 0.0, np.zeros((1, r), dtype=np.int64), np.zeros(N), np.zeros((N, r)), np.zeros(N)
+    centers, log_pref = _rows(params, np.imag(Z + params.beta))
+    _check_summable(params, centers, log_pref)
+    R, idx, log_tails = _plan(params, centers, log_pref, np.log(tol), max_radius)
+    # a tail is at most its row's tol; the floor keeps it positive
+    return R, idx, np.exp(np.maximum(log_tails, -744.0)), centers, log_pref
 
 
 def truncation_plan(
@@ -436,39 +454,10 @@ def truncation_plan(
     large imaginary parts.  Raises ValueOutOfRange when a term of the
     plan would leave the double range, so that no plan can be summed.
     """
-    if not tol > 0:  # NaN included
-        raise ValueError("tol must be positive")
-    if params.r == 0:
-        return TruncationPlan(
-            radius=0.0,
-            index_set=np.zeros((1, 0), dtype=np.int64),
-            tail_bound=0.0,
-            center=np.zeros(0),
-            log_prefactor=0.0,
-        )
-    z = np.asarray(z, dtype=complex).reshape(-1)
-    if z.shape[0] != params.r:
-        raise DimensionMismatch(f"z must have length {params.r}")
-    centers, log_pref = _rows(params, np.imag(z + params.beta)[None, :])
-    _check_summable(params, centers, log_pref)
-    R, idx, tails = _plan(params, centers, log_pref, np.log(tol), max_radius)
-    return TruncationPlan(
-        radius=R,
-        index_set=idx,
-        tail_bound=float(tails[0]),
-        center=centers[0],
-        log_prefactor=float(log_pref[0]),
-    )
-
-
-def _sort_indices(params: ThetaParameters, idx: np.ndarray, center: np.ndarray) -> np.ndarray:
-    """Dominant terms first, lexicographic tie-break; fixes summation order.
-
-    The stable sort keeps ties in _enumerate's order, which is
-    lexicographic from the last coordinate.
-    """
-    x = (idx - center) @ params.y_sqrt.T
-    return idx[np.argsort(np.einsum("ij,ij->i", x, x), kind="stable")]
+    Z = np.asarray(z, dtype=complex).reshape(1, -1)
+    R, idx, tails, centers, log_pref = _checked_plan(params, Z, tol, max_radius)
+    return TruncationPlan(radius=R, index_set=idx, tail_bound=float(tails[0]),
+                          center=centers[0], log_prefactor=float(log_pref[0]))
 
 
 def _term_exponents(params: ThetaParameters, z: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -480,8 +469,9 @@ def _term_exponents(params: ThetaParameters, z: np.ndarray, idx: np.ndarray) -> 
     """
     t = idx + params.alpha
     zb = z + params.beta
-    out = 0.5 * np.einsum("ij,jk,ik->i", t, params.F, t) + zb[..., :1] * t[:, 0]
-    for j in range(1, params.r):
+    out = np.zeros(zb.shape[:-1] + t.shape[:1], dtype=complex)
+    out += 0.5 * np.einsum("ij,jk,ik->i", t, params.F, t)
+    for j in range(params.r):
         out += zb[..., j : j + 1] * t[:, j]
     out *= 2j * np.pi
     return out
@@ -508,14 +498,6 @@ def _sum_terms(params: ThetaParameters, Z: np.ndarray, idx: np.ndarray) -> np.nd
     return out
 
 
-def eval_with_plan(params: ThetaParameters, z, plan: TruncationPlan) -> complex:
-    """Sum the planned terms at z in plan order (pairwise summation)."""
-    if params.r == 0:
-        return complex(1.0)
-    z = np.asarray(z, dtype=complex).reshape(1, -1)
-    return complex(_sum_terms(params, z, plan.index_set)[0])
-
-
 def theta_eval(
     params: ThetaParameters, z, tol: float, max_radius: float | None = None
 ) -> ThetaResult:
@@ -526,7 +508,8 @@ def theta_eval(
     the value leaves the double range.
     """
     plan = truncation_plan(params, z, tol, max_radius)
-    value = eval_with_plan(params, z, plan)
+    Z = np.asarray(z, dtype=complex).reshape(1, -1)
+    value = complex(_sum_terms(params, Z, plan.index_set)[0])
     return ThetaResult(value=value, tail_bound=plan.tail_bound, terms=plan.index_set.shape[0])
 
 
@@ -542,19 +525,8 @@ def theta_eval_many(params: ThetaParameters, Z, tol, max_radius: float | None = 
     ValueOutOfRange when a value leaves the double range.  Returns
     (values (N,), tails (N,)).
     """
-    if not np.all(np.asarray(tol) > 0):  # NaN included
-        raise ValueError("tol must be positive")
     Z = np.atleast_2d(np.asarray(Z, dtype=complex))
-    if params.r == 0:
-        return np.ones(Z.shape[0], dtype=complex), np.zeros(Z.shape[0])
-    if Z.shape[1] != params.r:
-        raise DimensionMismatch(f"points must have {params.r} columns")
-    if Z.shape[0] == 0:
-        return np.zeros(0, dtype=complex), np.zeros(0)
-    tol_arr = np.broadcast_to(np.asarray(tol, dtype=float), (Z.shape[0],))
-    centers, log_pref = _rows(params, np.imag(Z + params.beta))
-    _check_summable(params, centers, log_pref)
-    _, idx, tails = _plan(params, centers, log_pref, np.log(tol_arr), max_radius)
+    _, idx, tails, _, _ = _checked_plan(params, Z, tol, max_radius)
     return _sum_terms(params, Z, idx), tails
 
 

@@ -310,13 +310,11 @@ def verify_theta(config: S.SpaceConfig, rng) -> list[PropertyOutcome]:
 
     # empirical tails never exceed the certified bound along a radius grid
     z = 0.5 * (rng.standard_normal(r) + 1j * rng.standard_normal(r))
-    ref_plan = T.truncation_plan(params, z, 1e-13)
-    ref = T.eval_with_plan(params, z, ref_plan)
+    ref = T.theta_eval(params, z, 1e-13)
     worst = 0.0
     for tol_k in np.logspace(-2, -9, 8):
-        plan = T.truncation_plan(params, z, float(tol_k))
-        approx = T.eval_with_plan(params, z, plan)
-        excess = abs(approx - ref) - (plan.tail_bound + ref_plan.tail_bound)
+        approx = T.theta_eval(params, z, float(tol_k))
+        excess = abs(approx.value - ref.value) - (approx.tail_bound + ref.tail_bound)
         worst = max(worst, excess)
     out.append(_outcome("tail-soundness", worst, 0.0))
 

@@ -13,6 +13,7 @@ from thetafock.cli import main
 from thetafock.problem import load_problem
 
 G1R1_FILE = str(Path(__file__).resolve().parent.parent / "problems" / "g1_r1.json")
+G2R1_FILE = str(Path(__file__).resolve().parent.parent / "problems" / "g2_r1.json")
 G3R2_FILE = str(Path(__file__).resolve().parent.parent / "problems" / "g3_r2.json")
 
 G1R1 = {
@@ -195,6 +196,24 @@ def test_verify_deterministic_output(tmp_path):
     doc1.pop("timings")
     doc2.pop("timings")
     assert json.dumps(doc1) == json.dumps(doc2)
+
+
+def test_spaced_negative_component(tmp_path):
+    # '--v -0.3,0.1' is a value, as '--v=-0.3,0.1' is
+    u = ["--u", "0.1,0.2", "--u", "0.3"]
+    code1, doc1 = run(tmp_path, "kernel", G2R1_FILE, *u, "--v", "-0.3,0.1", "--v", "0,0.5")
+    code2, doc2 = run(tmp_path, "kernel", G2R1_FILE, *u, "--v=-0.3,0.1", "--v", "0,0.5")
+    assert code1 == code2 == 0
+    doc1.pop("timings")
+    doc2.pop("timings")
+    assert json.dumps(doc1) == json.dumps(doc2)
+
+
+@pytest.mark.parametrize("z", ["nan", "-inf", "0,inf"])
+def test_non_finite_point_is_validation_failure(tmp_path, z):
+    code, doc = run(tmp_path, "theta", G1R1_FILE, "--z", z)
+    assert code == 2 and doc["status"] == "validation-failure"
+    assert "finite" in result(doc, "invariant")["message"]
 
 
 def test_usage_error_exit_code(capsys):

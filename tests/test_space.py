@@ -8,7 +8,7 @@ import thetafock as tf
 from thetafock import space as S
 from thetafock import theta as T
 from thetafock import verify
-from thetafock.errors import DimensionMismatch, ValueOutOfRange
+from thetafock.errors import DimensionMismatch, ValidationError, ValueOutOfRange
 from thetafock.geometry import PointCoordinates, b_form
 
 
@@ -286,6 +286,34 @@ def test_tol_must_be_positive(cfg_g2r1, entry, tol):
     u = PointCoordinates(np.array([0.2 + 0.1j]), np.array([0.3 - 0.2j]))
     with pytest.raises(ValueError, match="tol must be positive"):
         _TOL_ENTRY_POINTS[entry](cfg_g2r1, u, tol)
+
+
+_POINT_ENTRY_POINTS = {
+    "truncation_plan": lambda cfg, z: tf.truncation_plan(cfg.theta_params, z, 1e-10),
+    "theta_eval": lambda cfg, z: tf.theta_eval(cfg.theta_params, z, 1e-10),
+    "theta_eval_many": lambda cfg, z: T.theta_eval_many(cfg.theta_params, z[None, :], 1e-10),
+    "kernel_eval": lambda cfg, z: tf.kernel_eval(
+        cfg, PointCoordinates(z, [0.3 - 0.2j]), PointCoordinates([0.0], [0.0]), 1e-10),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf * 1j, math.inf], ids=["nan", "inf_j", "inf"])
+@pytest.mark.parametrize("entry", list(_POINT_ENTRY_POINTS))
+def test_point_must_be_finite(cfg_g2r1, entry, bad):
+    # a non-finite point is bad input, not a tail budget or a range failure
+    with pytest.raises(ValidationError, match="must be finite"):
+        _POINT_ENTRY_POINTS[entry](cfg_g2r1, np.array([bad], dtype=complex))
+
+
+@pytest.mark.parametrize("im, terms", [(30.0, 1724), (40.0, 3011)])
+def test_far_kernel_section_builds(im, terms):
+    # K(v, v) leaves the double range here, but the section's expansion is
+    # finite: its plan's tails, far beyond the double range, stay in log scale
+    config = verify.random_config(np.random.default_rng(1), 3, 2)
+    v = PointCoordinates(np.array([0.1 + im * 1j, 0.2]), np.array([0.1]))
+    f = S.kernel_section(config, v, 1e-10)
+    assert f.factored.terms.shape[0] == terms
+    assert np.isfinite(f.factored.coeffs).all()
 
 
 def test_kernel_far_imaginary_raises(cfg_g1r1):

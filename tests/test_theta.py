@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -281,12 +282,10 @@ def test_rank_six_plans_and_its_tails_hold():
     plan = tf.truncation_plan(params, z, 1e-10)
     assert plan.tail_bound <= 1e-10
     assert plan.index_set.shape[0] < 20_000
-    ref_plan = tf.truncation_plan(params, z, 1e-13)
-    ref = T.eval_with_plan(params, z, ref_plan)
+    ref = tf.theta_eval(params, z, 1e-13)
     for tol in (1e-3, 1e-6, 1e-10):
-        coarse = tf.truncation_plan(params, z, tol)
-        approx = T.eval_with_plan(params, z, coarse)
-        assert abs(approx - ref) <= coarse.tail_bound + ref_plan.tail_bound
+        coarse = tf.theta_eval(params, z, tol)
+        assert abs(coarse.value - ref.value) <= coarse.tail_bound + ref.tail_bound
 
 
 def mpmath_theta(F, alpha, beta, z, half_widths):
@@ -328,12 +327,10 @@ def test_tail_soundness_on_radius_grid():
         F = 1j * (A @ A.T + 0.7 * np.eye(r))
         params = tf.validate_parameters(F, rng.uniform(0, 1, r))
         z = 0.5 * (rng.standard_normal(r) + 1j * rng.standard_normal(r))
-        ref_plan = tf.truncation_plan(params, z, 1e-13)
-        ref = T.eval_with_plan(params, z, ref_plan)
+        ref = tf.theta_eval(params, z, 1e-13)
         for tol in np.logspace(-2, -10, 9):
-            plan = tf.truncation_plan(params, z, float(tol))
-            approx = T.eval_with_plan(params, z, plan)
-            assert abs(approx - ref) <= plan.tail_bound + ref_plan.tail_bound
+            approx = tf.theta_eval(params, z, float(tol))
+            assert abs(approx.value - ref.value) <= approx.tail_bound + ref.tail_bound
 
 
 def test_plan_soundness_brute_force():
@@ -394,7 +391,7 @@ def test_continuity_bounded_by_gradient_sum():
     grad_sum = float(
         np.sum(2 * np.pi * np.abs(plan.index_set[:, 0] + 0.3) * np.abs(terms))
     )
-    base = T.eval_with_plan(params, z, plan)
+    base = tf.theta_eval(params, z, 1e-13).value
     for h in (1e-4, 1e-5, 1e-6):
         for direction in (1.0, 1j, (1 + 1j) / math.sqrt(2)):
             moved = tf.theta_eval(params, z + h * direction, 1e-13).value
@@ -465,6 +462,16 @@ def test_unsummable_point_raises_before_planning(monkeypatch):
         T.theta_eval_many(params, [[0.1, 0.2], [0.1 + 20j, 0.2]], 1e-10)
 
 
+def test_huge_point_is_out_of_range_without_a_warning():
+    # Im z = 1e200 puts the nearest term at log magnitude inf; its
+    # message prints the term's float coordinates as they are
+    params = tf.validate_parameters([[1j]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(errors.ValueOutOfRange, match=r"term \[-1e\+200\]"):
+            tf.theta_eval(params, [1e200j], 1e-10)
+
+
 def test_reported_tail_is_not_clamped():
     # the certified bound is e^709.5, still a double below the requested tol;
     # it must be reported as it is, not clamped to e^709
@@ -486,17 +493,46 @@ def _cell_case(seed, r):
 @given(seed=st.integers(0, 2**32 - 1), r=st.integers(1, 4),
        R=st.sampled_from([1.0, 2.0, 3.5, 5.25]), box=st.booleans())
 def test_cell_cache_equals_enumeration(seed, r, R, box):
-    # k + the cached set of the integer box [0, e], filtered for [lo, hi],
-    # is the enumeration of [lo, hi] itself, row order included; the
-    # second and third calls read the cache the first one filled
+    # k + the cached candidates of the integer box [0, e], selected for
+    # [lo, hi], are the selection of a fresh enumeration of [lo, hi], row
+    # order included; the second and third calls read the cache the first
+    # one filled
     params, lo, rng = _cell_case(seed, r)
     for shift in (0.0, 0.4, -7.3):
         lo = lo + shift
         hi = lo + rng.uniform(0.0, 2.5, r) if box else lo
         got = T._cells(params, lo, hi, R)
-        want = T._enumerate(params, lo, hi, R)
+        want = T._select(params, T._enumerate(params, lo, hi, R), lo, hi, R)
         assert got.dtype == want.dtype == np.int64
         assert np.array_equal(got, want)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), r=st.integers(1, 4), rows=st.integers(1, 3),
+       symmetric=st.booleans(), log_tol=st.floats(-13.0, -3.0))
+def test_plan_is_ordered_by_distance_then_lexicographically(seed, r, rows, symmetric, log_tol):
+    # along the index set the squared Y-distance to the plan center (the
+    # box middle for a batch) never decreases, and equal distances keep
+    # lexicographic order from the last coordinate; a middle at 0 makes n
+    # and -n tie exactly, so the tie-break is exercised
+    params, center, rng = _cell_case(seed, r)
+    centers = center + rng.uniform(-2.0, 2.0, (rows, r))
+    if symmetric:
+        half = centers[: rows // 2] - center
+        centers = np.concatenate((half, -half)) if rows > 1 else np.zeros((1, r))
+    _, idx, _ = T._plan(params, centers, np.zeros(len(centers)), log_tol, None)
+    middle = 0.5 * (centers.min(axis=0) + centers.max(axis=0))
+    U = params.chol
+    d = idx @ U.T - U @ middle
+    dist = np.einsum("ij,ij->i", d, d)
+    # lexsort sorts by its last key first: the distance, then n_r, ..., n_1
+    assert np.array_equal(np.lexsort(np.column_stack((idx, dist)).T), np.arange(len(idx)))
+    if symmetric and len(idx) > 1:  # the set is symmetric: n and -n are both kept
+        assert (np.diff(dist) == 0).any()
+    # the same order, up to rounding, in the metric Y itself
+    e = idx - middle
+    q = np.einsum("ij,jk,ik->i", e, params.F.imag, e)
+    assert np.all(np.diff(q) >= -1e-12 * (1.0 + q[1:]))
 
 
 def test_cell_cache_is_reused(monkeypatch):
