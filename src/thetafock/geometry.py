@@ -92,12 +92,12 @@ def validate_space(H, tol_scale: float = FORM_TOL_SCALE) -> HermitianSpace:
     pair or the smallest eigenvalue.
     """
     H = np.atleast_2d(np.asarray(H, dtype=complex))
-    if H.ndim != 2 or H.shape[0] != H.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {H.shape}")
+    if H.ndim != 2 or H.shape[0] != H.shape[1] or not H.size:
+        raise DimensionMismatch(f"expected a non-empty square matrix, got shape {H.shape}")
     if not np.all(np.isfinite(H)):
         raise NotHermitian("matrix contains non-finite entries")
     g = H.shape[0]
-    scale = max(1.0, float(np.abs(H).max())) if H.size else 1.0
+    scale = max(1.0, float(np.abs(H).max()))
     tol = tol_scale * scale
     defect = np.abs(H - H.conj().T)
     if defect.max() > tol:
@@ -180,19 +180,16 @@ class IsotropicLattice:
     B: np.ndarray
     B_inv: np.ndarray
     basis_matrix: np.ndarray
-    inv_basis_matrix: np.ndarray = field(repr=False, default=None)
+    inv_basis_matrix: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         for name in ("generators", "complement", "B", "B_inv", "basis_matrix"):
             object.__setattr__(self, name, _readonly(getattr(self, name)))
-        if self.inv_basis_matrix is None:
-            try:
-                inv = np.linalg.inv(self.basis_matrix)
-            except np.linalg.LinAlgError as exc:
-                raise SingularBasis(str(exc)) from None
-            object.__setattr__(self, "inv_basis_matrix", _readonly(inv))
-        else:
-            object.__setattr__(self, "inv_basis_matrix", _readonly(self.inv_basis_matrix))
+        try:
+            inv = np.linalg.inv(self.basis_matrix)
+        except np.linalg.LinAlgError as exc:
+            raise SingularBasis(str(exc)) from None
+        object.__setattr__(self, "inv_basis_matrix", _readonly(inv))
 
     @property
     def g(self) -> int:
@@ -200,8 +197,8 @@ class IsotropicLattice:
 
     @cached_property
     def det_b(self) -> float:
-        """det B, with the empty 0x0 determinant equal to 1."""
-        return float(np.linalg.det(self.B)) if self.r else 1.0
+        """det B; the empty 0x0 determinant is 1."""
+        return float(np.linalg.det(self.B))
 
     def gamma(self, m) -> np.ndarray:
         """Ambient lattice point for an integer vector m."""
@@ -237,16 +234,14 @@ def build_lattice(space: HermitianSpace, generators) -> IsotropicLattice:
     if r > g:
         raise RankExceedsG(f"{r} generators in complex dimension {g}: isotropic rank is at most g")
 
-    if r:
-        real_mat = _real_stack(gens)
-        svals = np.linalg.svd(real_mat, compute_uv=False)
-        if svals.min() <= 1e-10 * svals.max():
-            raise NotIndependent(
-                f"generators are not R-linearly independent (sigma_min/sigma_max = "
-                f"{svals.min() / svals.max():.3e})"
-            )
+    svals = np.linalg.svd(_real_stack(gens), compute_uv=False)
+    if (svals <= 1e-10 * svals.max(initial=0.0)).any():
+        raise NotIndependent(
+            f"generators are not R-linearly independent (sigma_min/sigma_max = "
+            f"{svals.min() / svals.max():.3e})"
+        )
 
-    gram = space.hermitian(gens[:, None, :], gens[None, :, :]) if r else np.zeros((0, 0))
+    gram = space.hermitian(gens[:, None, :], gens[None, :, :])
     for j in range(r):
         for k in range(j + 1, r):
             e_jk = float(np.imag(gram[j, k]))
@@ -255,26 +250,21 @@ def build_lattice(space: HermitianSpace, generators) -> IsotropicLattice:
 
     B = np.real(gram)
     B = 0.5 * (B + B.T)
-    if r:
-        b_eigs = np.linalg.eigvalsh(B)
-        if b_eigs.min() <= space.tol:
-            raise NotPositiveDefinite(
-                f"lattice Gram matrix has non-positive eigenvalue {b_eigs.min():.6e}"
-            )
-        B_inv = np.linalg.inv(B)
-    else:
-        B_inv = np.zeros((0, 0))
+    b_eigs = np.linalg.eigvalsh(B)
+    if (b_eigs <= space.tol).any():
+        raise NotPositiveDefinite(
+            f"lattice Gram matrix has non-positive eigenvalue {b_eigs.min():.6e}"
+        )
 
     complement = _complete_basis(space, gens)
-    basis_matrix = np.concatenate([gens, complement], axis=0).T if g else np.zeros((0, 0))
     return IsotropicLattice(
         space=space,
         r=r,
         generators=gens,
         complement=complement,
         B=B,
-        B_inv=B_inv,
-        basis_matrix=basis_matrix,
+        B_inv=np.linalg.inv(B),
+        basis_matrix=np.concatenate([gens, complement], axis=0).T,
     )
 
 
@@ -302,9 +292,7 @@ def _complete_basis(space: HermitianSpace, gens: np.ndarray) -> np.ndarray:
 
 def _h_project_out(space: HermitianSpace, v: np.ndarray, basis) -> np.ndarray:
     """Residual of v after H-orthogonal projection onto span_C(basis)."""
-    if not basis:
-        return v
-    mat = np.array(basis)
+    mat = np.array(basis).reshape(-1, v.shape[0])
     gram = space.hermitian(mat[:, None, :], mat[None, :, :])
     rhs = space.hermitian(v[None, :], mat)  # H(v, b_j)
     # v - sum_j c_j b_j with H(v - sum c b, b_k) = 0  =>  gram^T c = rhs
@@ -356,8 +344,6 @@ def b_form(lattice: IsotropicLattice, z, w):
     w = np.asarray(w, dtype=complex)
     if z.shape[-1] != lattice.r or w.shape[-1] != lattice.r:
         raise DimensionMismatch(f"expected coordinate vectors of length {lattice.r}")
-    if lattice.r == 0:
-        return np.zeros(np.broadcast_shapes(z.shape[:-1], w.shape[:-1]), dtype=complex)[()]
     return np.einsum("...j,jk,...k->...", z, lattice.B, w)
 
 
@@ -394,7 +380,7 @@ def _rdq_test_set(r: int) -> np.ndarray:
     for i in range(r):
         for j in range(i + 1, r):
             vecs.extend([eye[i] + eye[j], eye[i] - eye[j]])
-    return np.array(vecs, dtype=int) if vecs else np.zeros((1, 0), dtype=int)
+    return np.array(vecs, dtype=int)
 
 
 def check_rdq(lattice: IsotropicLattice, chi, nu: float, tol: float = 1e-9) -> RdqReport:
@@ -420,7 +406,7 @@ def check_rdq(lattice: IsotropicLattice, chi, nu: float, tol: float = 1e-9) -> R
     for m in ms:
         gm = lattice.gamma(m)
         for mp in ms:
-            e_val = float(lattice.space.symplectic(gm, lattice.gamma(mp))) if lattice.r else 0.0
+            e_val = float(lattice.space.symplectic(gm, lattice.gamma(mp)))
             defect = abs(
                 vals[tuple(m + mp)] - vals[tuple(m)] * vals[tuple(mp)] * np.exp(1j * nu * e_val)
             )

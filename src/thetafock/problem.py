@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -128,13 +129,17 @@ def build_config(problem: ProblemFile) -> SpaceConfig:
 
 
 def encode_value(value):
-    """Encode scalars/arrays with complex numbers as [re, im] pairs."""
-    if isinstance(value, complex):
-        return [value.real, value.imag]
-    if isinstance(value, (np.complexfloating,)):
-        return [float(value.real), float(value.imag)]
+    """Encode scalars/arrays with complex numbers as [re, im] pairs.
+
+    A non-finite float becomes the string "nan", "inf" or "-inf", so the
+    document stays strict JSON.
+    """
+    if isinstance(value, (complex, np.complexfloating)):
+        return [encode_value(float(value.real)), encode_value(float(value.imag))]
+    if isinstance(value, float) and not math.isfinite(value):
+        return str(float(value))
     if isinstance(value, (np.floating, np.integer)):
-        return value.item()
+        return encode_value(value.item())
     if isinstance(value, np.ndarray):
         return [encode_value(v) for v in value.tolist()] if value.ndim else encode_value(value.item())
     if isinstance(value, (list, tuple)):
@@ -171,4 +176,4 @@ class ResultDocument:
             "results": self.results,
             "timings": self.timings,
         }
-        return json.dumps(doc, indent=2)
+        return json.dumps(doc, indent=2, allow_nan=False)

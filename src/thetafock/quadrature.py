@@ -103,13 +103,11 @@ def gaussian_integral(a: float, A, b) -> complex:
     b = np.zeros(r, dtype=complex) if b is None else np.asarray(b, dtype=complex).reshape(-1)
     if b.shape[0] != r:
         raise DimensionMismatch("b must have the same dimension as A")
-    if r == 0:
-        return complex(1.0)
-    scale = max(1.0, float(np.abs(A).max()))
-    if np.abs(A - A.T).max() > 1e-10 * scale:
+    scale = max(1.0, float(np.abs(A).max(initial=0.0)))
+    if np.abs(A - A.T).max(initial=0.0) > 1e-10 * scale:
         raise NotSymmetric("A must be symmetric")
     re_eigs = np.linalg.eigvalsh(0.5 * (A.real + A.real.T))
-    if re_eigs.min() <= 0:
+    if (re_eigs <= 0).any():
         raise RealPartNotPositiveDefinite(
             f"Re(A) has non-positive eigenvalue {re_eigs.min():.6e}"
         )
@@ -204,21 +202,15 @@ def _gauss_rules(n_compact: int, n_unbounded: int):
 def _make_level(config, n_compact: int, n_unbounded: int) -> _Level:
     r, g, nu = config.r, config.g, config.nu
     x, wx, t, wt = _gauss_rules(n_compact, n_unbounded)
-    if r:
-        evals, evecs = np.linalg.eigh(2.0 * nu * config.lattice.B)
-        T = evecs / np.sqrt(evals)
-        jac_y = float(np.prod(1.0 / np.sqrt(evals)))
-    else:
-        T = np.zeros((0, 0))
-        jac_y = 1.0
+    evals, evecs = np.linalg.eigh(2.0 * nu * config.lattice.B)
     shape = (n_compact,) * r + (n_unbounded,) * r + (n_unbounded,) * (2 * (g - r))
     return _Level(
         compact_nodes=x,
         compact_weights=wx,
         herm_nodes=t,
         herm_weights=wt,
-        y_transform=T,
-        lattice_jacobian=jac_y,
+        y_transform=evecs / np.sqrt(evals),
+        lattice_jacobian=float(np.prod(1.0 / np.sqrt(evals))),
         perp_jacobian=1.0 / nu,
         shape=shape,
     )
@@ -280,10 +272,11 @@ def _calibrate(config, grid) -> float:
     B = config.lattice.B
     a_lin = 0.3 + np.arange(r, dtype=float)
     k_cal = tuple(2 if j == 0 else 1 for j in range(m))
+    # at r = 0 the shifted frequency is the same empty vector: no cross term
     freqs = [a_lin, a_lin + 1.0] if r else [a_lin]
 
     def lattice(z):
-        quad = 0.5 * nu * np.einsum("...j,jk,...k->...", z, B, z) if r else 0.0
+        quad = 0.5 * nu * np.einsum("...j,jk,...k->...", z, B, z)
         return np.array([np.exp(quad + 2j * np.pi * (z @ a)) for a in freqs])
 
     form = Factored(
@@ -298,10 +291,7 @@ def _calibrate(config, grid) -> float:
     for kj in k_cal:
         closed *= math.pi / nu * math.factorial(kj) / nu**kj
     scale = max(abs(closed), 1e-300)
-    defect = abs(got[0, 0] - closed) / scale
-    if r:
-        defect = max(defect, abs(got[0, 1]) / scale)
-    return float(defect)
+    return float(max(abs(x) / scale for x in [got[0, 0] - closed, *got[0, 1:]]))
 
 
 def _factored(f) -> Factored | None:

@@ -31,14 +31,16 @@ theta series expanded into planned terms (see kernel_section).
 
 from __future__ import annotations
 
+import cmath
+import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
 
 from . import theta as _theta
-from .errors import DimensionMismatch, ValueOutOfRange
+from .errors import DimensionMismatch, ValidationError, ValueOutOfRange
 from .geometry import Character, IsotropicLattice, PointCoordinates, b_form
 from .quadrature import Factored
 
@@ -78,14 +80,11 @@ class SpaceConfig:
     lattice: IsotropicLattice
     character: Character
     nu: float
-    theta_params: _theta.ThetaParameters = None
+    theta_params: _theta.ThetaParameters = field(init=False)
 
     def __post_init__(self):
-        if self.theta_params is None:
-            r = self.lattice.r
-            F = (2j * np.pi / self.nu) * self.lattice.B_inv if r else np.zeros((0, 0))
-            params = _theta.validate_parameters(F, alpha=self.character.alpha)
-            object.__setattr__(self, "theta_params", params)
+        F = (2j * np.pi / self.nu) * self.lattice.B_inv
+        object.__setattr__(self, "theta_params", _theta.validate_parameters(F, self.alpha))
 
     @cached_property
     def half_theta_params(self) -> _theta.ThetaParameters:
@@ -177,6 +176,8 @@ def _as_batch(config: SpaceConfig, z, z_perp):
         raise DimensionMismatch(
             f"points must have shapes (., {config.r}) and (., {config.g - config.r})"
         )
+    if not (np.isfinite(Z).all() and np.isfinite(Zp).all()):
+        raise ValidationError("points must be finite")
     return Z, Zp
 
 
@@ -185,10 +186,8 @@ def _reduce_batch(config: SpaceConfig, Z):
 
     f(Z) = exp(log_factor) * f(Z_red) for every member of the space.
     """
-    if config.r == 0:
-        return Z, np.zeros(Z.shape[0], dtype=complex)
     x = Z.real
-    mask = np.abs(x).max(axis=1) > REDUCTION_CUTOFF
+    mask = np.abs(x).max(axis=1, initial=0.0) > REDUCTION_CUTOFF
     if not mask.any():
         return Z, np.zeros(Z.shape[0], dtype=complex)
     m = np.zeros(Z.shape, dtype=float)
@@ -335,10 +334,8 @@ def basis_norm_sq_log(config: SpaceConfig, idx: BasisIndex) -> float:
     _check_index(config, idx)
     r, g, nu = config.r, config.g, config.nu
     n = np.array(idx.n, dtype=float)
-    quad = (
-        (2.0 * math.pi**2 / nu) * float((n + config.alpha) @ config.lattice.B_inv @ (n + config.alpha))
-        if r
-        else 0.0
+    quad = (2.0 * math.pi**2 / nu) * float(
+        (n + config.alpha) @ config.lattice.B_inv @ (n + config.alpha)
     )
     ktot = sum(idx.k)
     return (
@@ -446,7 +443,8 @@ def kernel_section(config: SpaceConfig, v: PointCoordinates, tol: float):
 
         |K(u, v) - expansion(u)| <= tol exp(nu/2 H(u,u) + nu/2 |v_perp|^2)
 
-    for every u.  Raises ValueOutOfRange when a c_t leaves the double range.
+    for every u.  Raises ValueOutOfRange when a c_t leaves the double range,
+    and the closure raises it when a kernel value does.
     """
     if not tol > 0:  # NaN included
         raise ValueError("tol must be positive")
@@ -457,12 +455,16 @@ def kernel_section(config: SpaceConfig, v: PointCoordinates, tol: float):
         Z, Zp = _as_batch(config, z, z_perp)
         perp_log = config.nu * perp_inner(Zp, np.broadcast_to(v.z_perp, Zp.shape))
         outer, vals = _kernel_batch(config, Z, perp_log, v, tol)
-        return outer * vals
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = outer * vals
+        if not np.isfinite(values).all():
+            raise ValueOutOfRange("a kernel value leaves the double range")
+        return values
 
     zvr, l_v = _kernel_v_side(config, v)
     C = _kernel_prefactor(config)
     idx, exponents = np.zeros((1, 0), dtype=np.intp), np.zeros(1)
-    if config.r:
+    if config.r:  # no tail bound exists in dimension 0: the one term is n = ()
         log_tol = math.log(tol) - math.log(C) - l_v.real
         half = config.half_theta_params
         idx = _theta._plan(half, *_theta._rows(half, zvr.imag), log_tol, None)[1]
@@ -486,8 +488,8 @@ def kernel_eval(config: SpaceConfig, u: PointCoordinates, v: PointCoordinates, t
     A batch of one through the kernel_section path, so the two agree.  In
     the degenerate ranks the absent factors are exact floating-point
     no-ops (theta value 1 for r = 0, empty perpendicular inner product for
-    r = g).  Raises ValueOutOfRange when the theta factor leaves the
-    double range.
+    r = g).  Raises ValueOutOfRange when the theta factor or the kernel
+    value leaves the double range.
     """
     if u.z.shape[0] != config.r or v.z.shape[0] != config.r:
         raise DimensionMismatch("points do not match the configuration rank")
@@ -496,7 +498,10 @@ def kernel_eval(config: SpaceConfig, u: PointCoordinates, v: PointCoordinates, t
     perp_log = config.nu * perp_inner(u.z_perp, v.z_perp)
     outer, vals = _kernel_batch(config, u.z[None, :], perp_log, v, tol)
     # a scalar product: the array product can differ in the last bit
-    return complex(outer[0] * vals[0])
+    value = complex(outer[0]) * complex(vals[0])
+    if not cmath.isfinite(value):
+        raise ValueOutOfRange("the kernel value leaves the double range")
+    return value
 
 
 def kernel_diagonal(config: SpaceConfig, u: PointCoordinates, tol: float) -> float:
@@ -505,7 +510,7 @@ def kernel_diagonal(config: SpaceConfig, u: PointCoordinates, tol: float) -> flo
     For the purely imaginary F of a space configuration the theta factor
     at z - conj(z) = 2i Im z is a sum of positive real terms, and the
     outer factor is real up to rounding.  Raises ValueOutOfRange when
-    either factor leaves the double range.
+    either factor or their product leaves the double range.
     """
     return kernel_eval(config, u, u, tol).real
 
@@ -538,13 +543,12 @@ def series_indices(config: SpaceConfig, n_radius: int, k_total: int):
     Ordered dominant-first for series truncation: by the norm exponent
     (n+alpha)^T B^-1 (n+alpha), then by |k|, then lexicographically.
     """
-    r, m = config.r, config.g - config.r
-    ns = _integer_box(r, n_radius)
-    ks = _multi_indices(m, k_total)
+    ns = _integer_box(config.r, n_radius)
+    ks = _multi_indices(config.g - config.r, k_total)
     items = []
     for n in ns:
         na = np.array(n, dtype=float) + config.alpha
-        q = float(na @ config.lattice.B_inv @ na) if r else 0.0
+        q = float(na @ config.lattice.B_inv @ na)
         for k in ks:
             items.append((q, sum(k), n, k))
     items.sort(key=lambda t: (t[0], t[1], t[2], t[3]))
@@ -552,17 +556,10 @@ def series_indices(config: SpaceConfig, n_radius: int, k_total: int):
 
 
 def _integer_box(r: int, radius: int):
-    if r == 0:
-        return [()]
-    inner = _integer_box(r - 1, radius)
-    return [(v,) + rest for v in range(-radius, radius + 1) for rest in inner]
+    """Integer vectors with |n_j| <= radius, lexicographic."""
+    return list(itertools.product(range(-radius, radius + 1), repeat=r))
 
 
 def _multi_indices(m: int, total: int):
-    if m == 0:
-        return [()]
-    out = []
-    for first in range(total + 1):
-        for rest in _multi_indices(m - 1, total - first):
-            out.append((first,) + rest)
-    return out
+    """Multi-indices in N^m with |k| <= total, lexicographic."""
+    return [k for k in itertools.product(range(total + 1), repeat=m) if sum(k) <= total]

@@ -143,8 +143,6 @@ class ThetaParameters:
     @property
     def max_radius(self) -> float:
         """Default radius budget; exceeding it raises TailBoundUnreachable."""
-        if not self.r:
-            return 0.0
         rho = math.sqrt(self.lambda_min)
         return max(40.0 / rho, 40.0 + rho)
 
@@ -167,25 +165,20 @@ def validate_parameters(F, alpha=None, beta=None) -> ThetaParameters:
     beta = np.zeros(r) if beta is None else np.asarray(beta, dtype=float).reshape(-1)
     if alpha.shape[0] != r or beta.shape[0] != r:
         raise DimensionMismatch("alpha and beta must have length r")
-    if r == 0:
-        return ThetaParameters(
-            r=0, F=F, alpha=alpha, beta=beta,
-            y_sqrt=np.zeros((0, 0)), y_inv=np.zeros((0, 0)), lambda_min=math.inf,
-        )
-    scale = max(1.0, float(np.abs(F).max()))
+    scale = max(1.0, float(np.abs(F).max(initial=0.0)))
     asym = np.abs(F - F.T)
-    if asym.max() > 1e-10 * scale:
+    if asym.max(initial=0.0) > 1e-10 * scale:
         j, k = np.unravel_index(int(asym.argmax()), asym.shape)
         raise NotSymmetric(f"F[{j}][{k}] != F[{k}][{j}] (difference {F[j, k] - F[k, j]})")
     Y = 0.5 * (F.imag + F.imag.T)
     evals, evecs = np.linalg.eigh(Y)
-    if evals.min() <= 1e-12 * scale:
-        raise ImaginaryPartNotPositiveDefinite(f"min eigenvalue of Im F is {evals.min():.6e}")
+    lambda_min = float(evals.min(initial=math.inf))  # inf at r = 0
+    if lambda_min <= 1e-12 * scale:
+        raise ImaginaryPartNotPositiveDefinite(f"min eigenvalue of Im F is {lambda_min:.6e}")
     y_sqrt = (evecs * np.sqrt(evals)) @ evecs.T
     y_inv = (evecs / evals) @ evecs.T
     return ThetaParameters(
-        r=r, F=F, alpha=alpha, beta=beta,
-        y_sqrt=y_sqrt, y_inv=y_inv, lambda_min=float(evals.min()),
+        r=r, F=F, alpha=alpha, beta=beta, y_sqrt=y_sqrt, y_inv=y_inv, lambda_min=lambda_min,
     )
 
 
@@ -425,16 +418,17 @@ def _plan(params: ThetaParameters, centers, log_pref, log_tol, max_radius: float
 def _checked_plan(params: ThetaParameters, Z: np.ndarray, tol, max_radius: float | None):
     """(radius, index set, tails, centers, log prefactors) of the rows of Z (N, r), checked.
 
-    The prologue of truncation_plan and theta_eval_many.  With r = 0 or
-    no rows there is nothing to plan: one index 0, radius and tails 0.
+    The prologue of truncation_plan and theta_eval_many.
     """
     if not np.isfinite(Z).all():
         raise ValidationError("theta points must be finite")
     if not np.all(np.asarray(tol) > 0):  # NaN included
         raise ValueError("tol must be positive")
     r, N = params.r, Z.shape[0]
-    if r and Z.shape[1] != r:
+    if Z.shape[1] != r:
         raise DimensionMismatch(f"points must have {r} coordinates")
+    # no tail bound exists in dimension 0 (the one term n = () is the value)
+    # and a batch with no rows has nothing to plan: radius and tails 0
     if not (r and N):
         return 0.0, np.zeros((1, r), dtype=np.int64), np.zeros(N), np.zeros((N, r)), np.zeros(N)
     centers, log_pref = _rows(params, np.imag(Z + params.beta))
@@ -540,8 +534,6 @@ def theta_quasiperiodicity_defect(params: ThetaParameters, z, m, m2, tol: float)
     z = np.asarray(z, dtype=complex).reshape(-1)
     m = np.asarray(m, dtype=float).reshape(-1)
     m2 = np.asarray(m2, dtype=float).reshape(-1)
-    if params.r == 0:
-        return 0.0
     if m.shape[0] != params.r or m2.shape[0] != params.r:
         raise DimensionMismatch("m and m2 must have length r")
 

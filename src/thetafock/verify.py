@@ -130,7 +130,7 @@ def random_config(rng, g: int, r: int, nu_range=(1.5, 4.0), min_b_eig: float = 0
     space = random_hermitian_space(rng, g)
     for _ in range(60):
         lattice = build_lattice(space, random_isotropic_generators(rng, space, r))
-        if r == 0 or np.linalg.eigvalsh(lattice.B).min() >= min_b_eig:
+        if np.linalg.eigvalsh(lattice.B).min(initial=math.inf) >= min_b_eig:
             break
     else:
         raise NotIndependent("could not sample a well-conditioned isotropic lattice")
@@ -171,7 +171,7 @@ def verify_geometry(config: S.SpaceConfig, rng) -> list[PropertyOutcome]:
     space = lat.space
     out = []
 
-    if lat.r:
+    if lat.r:  # the lattice checks list no outcome for an empty lattice
         gram = space.hermitian(lat.generators[:, None, :], lat.generators[None, :, :])
         out.append(_outcome("generator-isotropy", float(np.abs(gram.imag).max()), space.tol))
         out.append(
@@ -222,7 +222,7 @@ def verify_geometry(config: S.SpaceConfig, rng) -> list[PropertyOutcome]:
         zu, pu = coordinates_many(lat, u[None, :])
         zv, pv = coordinates_many(lat, v[None, :])
         lhs = complex(space.hermitian(u, v))
-        ht = complex(np.einsum("j,jk,k->", zu[0], lat.B.astype(complex), np.conj(zv[0]))) if lat.r else 0.0
+        ht = complex(np.einsum("j,jk,k->", zu[0], lat.B.astype(complex), np.conj(zv[0])))
         rhs = ht + complex(pu[0] @ np.conj(pv[0]))
         worst = max(worst, abs(lhs - rhs) / max(abs(lhs), 1.0))
     out.append(_outcome("form-coordinate-decomposition", worst, 1e-10))
@@ -268,7 +268,7 @@ def verify_theta(config: S.SpaceConfig, rng) -> list[PropertyOutcome]:
     params = config.theta_params
     out = []
     r = params.r
-    if r == 0:
+    if r == 0:  # the one outcome of an empty series: its value is 1
         val = T.theta_eval(params, np.zeros(0), 1e-12)
         out.append(_outcome("empty-rank-value", abs(val.value - 1.0), 0.0))
         return out
@@ -539,7 +539,7 @@ def verify_bounds(config: S.SpaceConfig, rng, cases: int = 100) -> list[Property
     monotone_ok = True
     for _ in range(5):
         u = random_point(rng, config, scale=0.5)
-        if config.g == config.r:
+        if config.g == config.r:  # no perpendicular coordinate to scale
             break
         u2 = PointCoordinates(z=u.z, z_perp=2.0 * u.z_perp)
         if S.kernel_diagonal(config, u2, 1e-12) < S.kernel_diagonal(config, u, 1e-12):

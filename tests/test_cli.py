@@ -15,6 +15,8 @@ from thetafock.problem import load_problem
 G1R1_FILE = str(Path(__file__).resolve().parent.parent / "problems" / "g1_r1.json")
 G2R1_FILE = str(Path(__file__).resolve().parent.parent / "problems" / "g2_r1.json")
 G3R2_FILE = str(Path(__file__).resolve().parent.parent / "problems" / "g3_r2.json")
+G2R0_FILE = str(Path(__file__).resolve().parent.parent / "problems" / "g2_r0.json")
+G2R2_FILE = str(Path(__file__).resolve().parent.parent / "problems" / "g2_r2.json")
 
 G1R1 = {
     "g": 1,
@@ -209,11 +211,34 @@ def test_spaced_negative_component(tmp_path):
     assert json.dumps(doc1) == json.dumps(doc2)
 
 
-@pytest.mark.parametrize("z", ["nan", "-inf", "0,inf"])
-def test_non_finite_point_is_validation_failure(tmp_path, z):
+def _reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+@pytest.mark.parametrize("z, recorded", [
+    ("nan", ["nan", 0.0]), ("-inf", ["-inf", 0.0]), ("0,inf", [0.0, "inf"]),
+], ids=["nan", "-inf", "0,inf"])
+def test_non_finite_point_is_validation_failure(tmp_path, z, recorded):
     code, doc = run(tmp_path, "theta", G1R1_FILE, "--z", z)
     assert code == 2 and doc["status"] == "validation-failure"
     assert "finite" in result(doc, "invariant")["message"]
+    # the document is strict JSON: a non-finite number is written as a string
+    text = (tmp_path / "result.json").read_text()
+    assert json.loads(text, parse_constant=_reject_constant)["flags"]["z"] == [recorded]
+
+
+@pytest.mark.parametrize("path", [G2R0_FILE, G2R2_FILE], ids=["g2_r0", "g2_r2"])
+def test_degenerate_rank_files(tmp_path, path):
+    # r = 0 (the classical Fock-Bargmann space) and r = g run every verb
+    problem = load_problem(path)
+    z = ["--z=0.1,0.2"] * problem.r
+    u = ["--u=0.1,0.2", "--u=0.3,-0.1"]
+    v = ["--v=-0.3,0.1", "--v=0,0.5"]
+    for verb, *flags in (["validate"], ["theta", *z], ["kernel", *u, *v], ["norms"],
+                         ["verify", "--suite", "all"]):
+        code, doc = run(tmp_path, verb, path, *flags)
+        assert code == 0 and doc["status"] == "ok", (verb, doc)
+        assert all(entry.get("pass", True) for entry in doc["results"]), verb
 
 
 def test_usage_error_exit_code(capsys):

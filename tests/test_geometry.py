@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,12 @@ def test_validate_space_not_positive_definite():
     # eigenvalues 3 and -1
     with pytest.raises(errors.NotPositiveDefinite):
         tf.validate_space(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+
+@pytest.mark.parametrize("H", [np.zeros((0, 0)), []], ids=["0x0", "list"])
+def test_validate_space_rejects_empty(H):
+    with pytest.raises(errors.DimensionMismatch):
+        tf.validate_space(H)
 
 
 def test_symplectic_form_values():
@@ -245,6 +253,16 @@ def test_r_zero_lattice():
     assert lat.r == 0
     assert lat.det_b == 1.0
     assert lat.complement.shape == (2, 2)
+
+
+def test_replace_recomputes_inverse_basis():
+    # inv_basis_matrix is derived from basis_matrix, not a constructor field
+    lat = tf.build_lattice(tf.validate_space(np.eye(2)), [[1.0, 0.5j]])
+    scaled = dataclasses.replace(lat, basis_matrix=2.0 * lat.basis_matrix)
+    assert np.array_equal(scaled.inv_basis_matrix, np.linalg.inv(2.0 * lat.basis_matrix))
+    with pytest.raises(TypeError):
+        tf.IsotropicLattice(lat.space, lat.r, lat.generators, lat.complement, lat.B,
+                            lat.B_inv, lat.basis_matrix, lat.inv_basis_matrix)
 
 
 def test_ambient_measure_factor():

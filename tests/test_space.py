@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -294,6 +295,14 @@ _POINT_ENTRY_POINTS = {
     "theta_eval_many": lambda cfg, z: T.theta_eval_many(cfg.theta_params, z[None, :], 1e-10),
     "kernel_eval": lambda cfg, z: tf.kernel_eval(
         cfg, PointCoordinates(z, [0.3 - 0.2j]), PointCoordinates([0.0], [0.0]), 1e-10),
+    "kernel_section_z": lambda cfg, z: S.kernel_section(
+        cfg, PointCoordinates([0.1], [0.2]), 1e-10)(z[None, :], np.array([[0.3 - 0.2j]])),
+    "kernel_section_z_perp": lambda cfg, z: S.kernel_section(
+        cfg, PointCoordinates([0.1], [0.2]), 1e-10)(np.array([[0.3 - 0.2j]]), z[None, :]),
+    "basis_eval_many_z": lambda cfg, z: S.basis_eval_many(
+        cfg, [tf.BasisIndex(n=(1,), k=(1,))], z[None, :], np.array([[0.3 - 0.2j]])),
+    "basis_eval_many_z_perp": lambda cfg, z: S.basis_eval_many(
+        cfg, [tf.BasisIndex(n=(1,), k=(1,))], np.array([[0.3 - 0.2j]]), z[None, :]),
 }
 
 
@@ -336,6 +345,35 @@ def test_kernel_outer_factor_out_of_range(cfg_g2r1):
         tf.kernel_diagonal(cfg_g2r1, u, 1e-10)
     with pytest.raises(ValueOutOfRange):
         S.kernel_section(cfg_g2r1, u, 1e-10)(u.z, u.z_perp)
+
+
+def test_kernel_product_out_of_range():
+    # the outer factor (about e^278) and the theta factor (about e^444) are
+    # doubles, their product is not
+    config = verify.random_config(np.random.default_rng(1), 2, 1)
+    u = PointCoordinates(np.array([0.2 + 8j]), np.array([12.0 + 0j]))
+    outer, vals = S._kernel_batch(config, u.z[None, :], config.nu * 144.0, u, 1e-10)
+    assert np.isfinite(outer).all() and np.isfinite(vals).all()
+    with pytest.raises(ValueOutOfRange):
+        tf.kernel_eval(config, u, u, 1e-10)
+    with pytest.raises(ValueOutOfRange):
+        tf.kernel_diagonal(config, u, 1e-10)
+    with pytest.raises(ValueOutOfRange):
+        S.kernel_section(config, u, 1e-10)(u.z, u.z_perp)
+    with pytest.raises(ValueOutOfRange):
+        tf.evaluation_bound_check(config, verify.random_field(np.random.default_rng(0), config), u)
+
+
+def test_replace_recomputes_theta_params():
+    # theta_params is derived from the lattice and nu, not a constructor field
+    cfg = verify.random_config(np.random.default_rng(1), 2, 2)
+    u = verify.random_point(np.random.default_rng(2), cfg)
+    replaced = dataclasses.replace(cfg, nu=2 * cfg.nu)
+    made = tf.make_config(cfg.lattice, cfg.alpha, 2 * cfg.nu)
+    assert np.array_equal(replaced.theta_params.F, made.theta_params.F)
+    assert tf.kernel_eval(replaced, u, u, 1e-12) == tf.kernel_eval(made, u, u, 1e-12)
+    with pytest.raises(TypeError):
+        S.SpaceConfig(cfg.lattice, cfg.character, cfg.nu, cfg.theta_params)
 
 
 def test_basis_value_out_of_range(cfg_g1r1):

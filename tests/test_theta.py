@@ -49,6 +49,16 @@ def test_r0_is_exactly_one():
     assert res.terms == 1
 
 
+def test_r0_point_with_coordinates_is_rejected():
+    # r = 0 runs the rank checks of every rank
+    params = tf.validate_parameters(np.zeros((0, 0)))
+    assert params.max_radius == math.inf
+    with pytest.raises(errors.DimensionMismatch):
+        tf.theta_eval(params, [0.5], 1e-12)
+    with pytest.raises(errors.DimensionMismatch):
+        tf.theta_quasiperiodicity_defect(params, [], [1.0], [], 1e-12)
+
+
 def test_r2_diagonal_factorizes():
     params = tf.validate_parameters(1j * np.eye(2))
     res = tf.theta_eval(params, [0.0, 0.0], 1e-12)
