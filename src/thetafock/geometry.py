@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -61,14 +60,45 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HermitianSpace:
-    """Validated ambient space (C^g, H)."""
+    """Validated ambient space (C^g, H).
 
-    g: int
-    matrix: np.ndarray  # g x g hermitian positive definite
-    tol: float  # absolute tolerance, already scaled to H
+    Built from the matrix and the relative tolerance tol_scale, a finite
+    positive number; construction checks H and derives g and the
+    absolute tolerance tol, so dataclasses.replace checks again.  Raises
+    NotHermitian or NotPositiveDefinite, naming the failing entry pair or
+    the smallest eigenvalue.
+    """
+
+    matrix: np.ndarray  # g x g hermitian positive definite, stored symmetrized
+    tol_scale: float = FORM_TOL_SCALE
+    g: int = field(init=False)
+    tol: float = field(init=False)  # absolute tolerance, tol_scale scaled to H
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", _readonly(self.matrix))
+        if not 0.0 < self.tol_scale < math.inf:
+            raise ValidationError(
+                f"tol_scale must be a finite positive number, got {self.tol_scale!r}"
+            )
+        H = np.atleast_2d(np.asarray(self.matrix, dtype=complex))
+        if H.ndim != 2 or H.shape[0] != H.shape[1] or not H.size:
+            raise DimensionMismatch(f"expected a non-empty square matrix, got shape {H.shape}")
+        if not np.all(np.isfinite(H)):
+            raise NotHermitian("matrix contains non-finite entries")
+        scale = max(1.0, float(np.abs(H).max()))
+        tol = self.tol_scale * scale
+        defect = np.abs(H - H.conj().T)
+        if defect.max() > tol:
+            j, k = np.unravel_index(int(defect.argmax()), defect.shape)
+            raise NotHermitian(
+                f"H[{j}][{k}] = {H[j, k]} is not the conjugate of H[{k}][{j}] = {H[k, j]}"
+            )
+        H = 0.5 * (H + H.conj().T)
+        eigs = np.linalg.eigvalsh(H)
+        if eigs.min() <= tol:
+            raise NotPositiveDefinite(f"smallest eigenvalue {eigs.min():.6e} is not positive")
+        object.__setattr__(self, "g", H.shape[0])
+        object.__setattr__(self, "tol", tol)
+        object.__setattr__(self, "matrix", _readonly(H))
 
     def hermitian(self, u, v):
         """H(u, v), broadcasting over leading axes of u and v."""
@@ -86,29 +116,8 @@ class HermitianSpace:
 
 
 def validate_space(H, tol_scale: float = FORM_TOL_SCALE) -> HermitianSpace:
-    """Validate a hermitian positive definite matrix and wrap it.
-
-    Raises NotHermitian or NotPositiveDefinite, naming the failing entry
-    pair or the smallest eigenvalue.
-    """
-    H = np.atleast_2d(np.asarray(H, dtype=complex))
-    if H.ndim != 2 or H.shape[0] != H.shape[1] or not H.size:
-        raise DimensionMismatch(f"expected a non-empty square matrix, got shape {H.shape}")
-    if not np.all(np.isfinite(H)):
-        raise NotHermitian("matrix contains non-finite entries")
-    g = H.shape[0]
-    scale = max(1.0, float(np.abs(H).max()))
-    tol = tol_scale * scale
-    defect = np.abs(H - H.conj().T)
-    if defect.max() > tol:
-        j, k = np.unravel_index(int(defect.argmax()), defect.shape)
-        raise NotHermitian(
-            f"H[{j}][{k}] = {H[j, k]} is not the conjugate of H[{k}][{j}] = {H[k, j]}"
-        )
-    eigs = np.linalg.eigvalsh(0.5 * (H + H.conj().T))
-    if eigs.min() <= tol:
-        raise NotPositiveDefinite(f"smallest eigenvalue {eigs.min():.6e} is not positive")
-    return HermitianSpace(g=g, matrix=0.5 * (H + H.conj().T), tol=tol)
+    """Validate a hermitian positive definite matrix and wrap it (see HermitianSpace)."""
+    return HermitianSpace(H, tol_scale)
 
 
 def symplectic_form(space: HermitianSpace, u, v):
@@ -164,41 +173,90 @@ class PointCoordinates:
 class IsotropicLattice:
     """Rank-r isotropic lattice with its adapted basis of C^g.
 
-    Fields
-    ------
-    generators : (r, g) complex — lattice generators in ambient coordinates.
+    Built from the space and the generators (r, g), the lattice generators
+    in ambient coordinates.  Construction checks R-linear independence
+    (singular values of the 2g x r real matrix) and pairwise isotropy,
+    forms B and its inverse, and completes the generators to a C-basis:
+    candidate standard basis vectors are H-projected onto the current
+    span, the one with the largest residual H-norm is kept (deterministic
+    given input order), and the residuals are H-orthonormalized.
+    dataclasses.replace checks and derives everything again.
+
+    Derived fields
+    --------------
     complement : (g-r, g) complex — H-orthonormal completion, H-orthogonal
         to the generator span.
     B : (r, r) real symmetric positive definite, B[j,k] = H(w_j, w_k).
+    det_b : det B; the empty 0x0 determinant is 1.
     basis_matrix : (g, g) complex with columns w_1..w_g.
     """
 
     space: HermitianSpace
-    r: int
     generators: np.ndarray
-    complement: np.ndarray
-    B: np.ndarray
-    B_inv: np.ndarray
-    basis_matrix: np.ndarray
+    r: int = field(init=False)
+    complement: np.ndarray = field(init=False)
+    B: np.ndarray = field(init=False)
+    B_inv: np.ndarray = field(init=False)
+    det_b: float = field(init=False)
+    basis_matrix: np.ndarray = field(init=False)
     inv_basis_matrix: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        for name in ("generators", "complement", "B", "B_inv", "basis_matrix"):
-            object.__setattr__(self, name, _readonly(getattr(self, name)))
+        space, g = self.space, self.space.g
+        gens = np.asarray(self.generators, dtype=complex)
+        if gens.size == 0:
+            gens = np.zeros((0, g), dtype=complex)
+        gens = np.atleast_2d(gens)
+        if gens.shape[1] != g:
+            raise DimensionMismatch(f"generators must be vectors of length {g}, got {gens.shape}")
+        if not np.isfinite(gens).all():
+            raise ValidationError("generators must be finite")
+        r = gens.shape[0]
+        if r > g:
+            raise RankExceedsG(
+                f"{r} generators in complex dimension {g}: isotropic rank is at most g"
+            )
+
+        svals = np.linalg.svd(_real_stack(gens), compute_uv=False)
+        if (svals <= 1e-10 * svals.max(initial=0.0)).any():
+            raise NotIndependent(
+                f"generators are not R-linearly independent (sigma_min/sigma_max = "
+                f"{svals.min() / svals.max():.3e})"
+            )
+
+        gram = space.hermitian(gens[:, None, :], gens[None, :, :])
+        for j in range(r):
+            for k in range(j + 1, r):
+                e_jk = float(np.imag(gram[j, k]))
+                if abs(e_jk) > space.tol:
+                    raise NotIsotropic((j, k), e_jk)
+
+        B = np.real(gram)
+        B = 0.5 * (B + B.T)
+        b_eigs = np.linalg.eigvalsh(B)
+        if (b_eigs <= space.tol).any():
+            raise NotPositiveDefinite(
+                f"lattice Gram matrix has non-positive eigenvalue {b_eigs.min():.6e}"
+            )
+
+        complement = _complete_basis(space, gens)
+        B_inv = np.linalg.inv(B)
+        basis_matrix = np.concatenate([gens, complement], axis=0).T
         try:
-            inv = np.linalg.inv(self.basis_matrix)
+            inv = np.linalg.inv(basis_matrix)
         except np.linalg.LinAlgError as exc:
             raise SingularBasis(str(exc)) from None
-        object.__setattr__(self, "inv_basis_matrix", _readonly(inv))
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "det_b", float(np.linalg.det(B)))
+        for name, value in (
+            ("generators", gens), ("complement", complement), ("B", B), ("B_inv", B_inv),
+            ("basis_matrix", basis_matrix), ("inv_basis_matrix", inv),
+        ):
+            object.__setattr__(self, name, _readonly(value))
 
     @property
     def g(self) -> int:
         return self.space.g
-
-    @cached_property
-    def det_b(self) -> float:
-        """det B; the empty 0x0 determinant is 1."""
-        return float(np.linalg.det(self.B))
 
     def gamma(self, m) -> np.ndarray:
         """Ambient lattice point for an integer vector m."""
@@ -214,58 +272,8 @@ def _real_stack(vectors: np.ndarray) -> np.ndarray:
 
 
 def build_lattice(space: HermitianSpace, generators) -> IsotropicLattice:
-    """Validate generators and build the adapted basis.
-
-    Checks R-linear independence (singular values of the 2g x r real
-    matrix) and pairwise isotropy, forms B and its inverse, and completes
-    the generators to a C-basis: candidate standard basis vectors are
-    H-projected onto the current span, the one with the largest residual
-    H-norm is kept (deterministic given input order), and the residuals
-    are H-orthonormalized.
-    """
-    g = space.g
-    gens = np.asarray(generators, dtype=complex)
-    if gens.size == 0:
-        gens = np.zeros((0, g), dtype=complex)
-    gens = np.atleast_2d(gens)
-    if gens.shape[1] != g:
-        raise DimensionMismatch(f"generators must be vectors of length {g}, got {gens.shape}")
-    r = gens.shape[0]
-    if r > g:
-        raise RankExceedsG(f"{r} generators in complex dimension {g}: isotropic rank is at most g")
-
-    svals = np.linalg.svd(_real_stack(gens), compute_uv=False)
-    if (svals <= 1e-10 * svals.max(initial=0.0)).any():
-        raise NotIndependent(
-            f"generators are not R-linearly independent (sigma_min/sigma_max = "
-            f"{svals.min() / svals.max():.3e})"
-        )
-
-    gram = space.hermitian(gens[:, None, :], gens[None, :, :])
-    for j in range(r):
-        for k in range(j + 1, r):
-            e_jk = float(np.imag(gram[j, k]))
-            if abs(e_jk) > space.tol:
-                raise NotIsotropic((j, k), e_jk)
-
-    B = np.real(gram)
-    B = 0.5 * (B + B.T)
-    b_eigs = np.linalg.eigvalsh(B)
-    if (b_eigs <= space.tol).any():
-        raise NotPositiveDefinite(
-            f"lattice Gram matrix has non-positive eigenvalue {b_eigs.min():.6e}"
-        )
-
-    complement = _complete_basis(space, gens)
-    return IsotropicLattice(
-        space=space,
-        r=r,
-        generators=gens,
-        complement=complement,
-        B=B,
-        B_inv=np.linalg.inv(B),
-        basis_matrix=np.concatenate([gens, complement], axis=0).T,
-    )
+    """Validate generators and build the adapted basis (see IsotropicLattice)."""
+    return IsotropicLattice(space, generators)
 
 
 def _complete_basis(space: HermitianSpace, gens: np.ndarray) -> np.ndarray:

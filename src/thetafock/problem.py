@@ -3,7 +3,8 @@
 A problem file is a JSON document with the ambient dimension, the
 hermitian form, the lattice generators, the character and nu.  Complex
 numbers are encoded as two-element arrays [re, im] so files round-trip
-bit-exactly and diff cleanly.
+bit-exactly and diff cleanly.  nu and the optional tolerances.form (the
+relative tolerance of the form checks) must be finite positive numbers.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,6 +57,12 @@ def _int_field(doc, name) -> int:
     return v
 
 
+def _positive_number(value) -> bool:
+    """A JSON number, not a bool, that is positive and finite as a double."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and 0 < value <= sys.float_info.max)
+
+
 def parse_problem(doc: dict, digest: str = "") -> ProblemFile:
     """Validate the raw document structure; every error names its field."""
     if not isinstance(doc, dict):
@@ -66,8 +74,8 @@ def parse_problem(doc: dict, digest: str = "") -> ProblemFile:
     if r < 0:
         raise ParseError("r", f"must be nonnegative, got {r}")
     nu = doc.get("nu")
-    if not isinstance(nu, (int, float)) or isinstance(nu, bool) or nu <= 0:
-        raise ParseError("nu", f"expected a positive number, got {nu!r}")
+    if not _positive_number(nu):
+        raise ParseError("nu", f"expected a finite positive number, got {nu!r}")
 
     H_raw = doc.get("H")
     if not isinstance(H_raw, list) or len(H_raw) != g:
@@ -101,6 +109,10 @@ def parse_problem(doc: dict, digest: str = "") -> ProblemFile:
     tolerances = doc.get("tolerances", {})
     if not isinstance(tolerances, dict):
         raise ParseError("tolerances", "expected an object")
+    if "form" in tolerances and not _positive_number(tolerances["form"]):
+        raise ParseError(
+            "tolerances.form", f"expected a finite positive number, got {tolerances['form']!r}"
+        )
     return ProblemFile(
         g=g, r=r, nu=float(nu), H=H, omegas=omegas, alpha=alpha,
         tolerances=dict(tolerances), digest=digest,

@@ -244,23 +244,16 @@ def build_grid(
     # fine first: a rule that is not finite fails there before the base rule is cached
     fine = _make_level(config, 2 * compact_nodes, 2 * unbounded_nodes)
     base = _make_level(config, compact_nodes, unbounded_nodes)
-    grid = QuadratureGrid(
-        config=config,
-        base=base,
-        fine=fine,
-        box_offset=offset,
-        estimated_error=math.nan,
-    )
-    est = _calibrate(config, grid)
-    object.__setattr__(grid, "estimated_error", est)
+    est = _calibrate(config, base, offset)
     if requested_tol is not None and est > requested_tol:
         raise GridTooCoarse(
             f"self-calibration defect {est:.3e} exceeds requested tolerance {requested_tol:.3e}"
         )
-    return grid
+    return QuadratureGrid(config=config, base=base, fine=fine, box_offset=offset,
+                          estimated_error=est)
 
 
-def _calibrate(config, grid) -> float:
+def _calibrate(config, base: _Level, offset) -> float:
     """Grid defect on Gaussian-times-polynomial integrands with closed forms.
 
     The integrand exp(nu/2 z^T B z + 2 pi i a.z) z_perp^k is checked
@@ -285,7 +278,7 @@ def _calibrate(config, grid) -> float:
         terms=np.array([[i] + [0] * m for i in range(len(freqs))]),
         coeffs=np.eye(len(freqs), dtype=complex),
     )
-    got = _reduce(config, grid, form, form, refine=False)[0][0]
+    got = _reduce(config, [base], offset, form, form)[0][0]
 
     closed = complex(gaussian_integral(2.0 * nu, B, -4.0 * math.pi * a_lin))
     for kj in k_cal:
@@ -323,20 +316,24 @@ def _work(config, levels, fs, hs) -> int:
     return sum((nc**r + nh**r) * lattice + nh**2 * sum(perp) for nc, nh in shapes)
 
 
-def _reduce(config, grid: QuadratureGrid, fs, hs, refine: bool) -> tuple:
-    """Level sums of f conj(h) (base, then fine when refine) and the work they take.
+def _levels(grid: QuadratureGrid, refine: bool) -> list:
+    """The levels an integral sums: base, then fine when refine."""
+    return [grid.base, grid.fine] if refine else [grid.base]
+
+
+def _reduce(config, levels, offset, fs, hs) -> tuple:
+    """Sums of f conj(h) over each of ``levels`` and the work they take.
 
     The one budget check: NodeBudgetExceeded is raised before any node is
     built or any integrand called when the work exceeds _WORK_BUDGET.
     """
-    levels = [grid.base, grid.fine] if refine else [grid.base]
     work = _work(config, levels, fs, hs)
     if work > _WORK_BUDGET:
         raise NodeBudgetExceeded(
             f"the quadrature would compute {work:.3e} factor values, over the budget of "
             f"{_WORK_BUDGET:.3e}; use fewer nodes or fewer factors"
         )
-    return [_level_sum(config, level, grid.box_offset, fs, hs) for level in levels], work
+    return [_level_sum(config, level, offset, fs, hs) for level in levels], work
 
 
 def _nodes(config, level: _Level, offset, rows: int, *, x=False, y=False, perp=0):
@@ -447,7 +444,7 @@ def inner_product(config, f, h, grid: QuadratureGrid, refine: bool = True) -> In
     before f or h is called, when the levels summed would compute more
     factor values than the work budget; ``work`` reports that count.
     """
-    sums, work = _reduce(config, grid, f, h, refine)
+    sums, work = _reduce(config, _levels(grid, refine), grid.box_offset, f, h)
     v0 = complex(sums[0][0, 0])
     if not refine:
         return InnerProductResult(value=v0, error_estimate=None, work=work)
@@ -470,7 +467,7 @@ def gram_matrix(config, funcs, grid: QuadratureGrid, refine: bool = True):
     entrywise difference between levels (zeros when refine=False).
     Raises NodeBudgetExceeded as inner_product does.
     """
-    sums, _ = _reduce(config, grid, funcs, funcs, refine)
+    sums, _ = _reduce(config, _levels(grid, refine), grid.box_offset, funcs, funcs)
     if not refine:
         return sums[0], np.zeros_like(sums[0], dtype=float)
     return sums[1], np.abs(sums[1] - sums[0])

@@ -106,8 +106,8 @@ class SpaceConfig:
 
 def make_config(lattice: IsotropicLattice, alpha, nu: float) -> SpaceConfig:
     """Build a SpaceConfig from a lattice, character data and nu > 0."""
-    if nu <= 0:
-        raise ValueError("nu must be positive")
+    if not 0 < nu < math.inf:  # NaN included
+        raise ValueError("nu must be finite and positive")
     character = alpha if isinstance(alpha, Character) else Character(np.asarray(alpha, dtype=float))
     if character.r != lattice.r:
         raise DimensionMismatch(
@@ -561,5 +561,11 @@ def _integer_box(r: int, radius: int):
 
 
 def _multi_indices(m: int, total: int):
-    """Multi-indices in N^m with |k| <= total, lexicographic."""
-    return [k for k in itertools.product(range(total + 1), repeat=m) if sum(k) <= total]
+    """Multi-indices in N^m with |k| <= total, lexicographic.
+
+    Each first entry j is followed by the indices of N^(m-1) with
+    |k| <= total - j, so only the indices kept are generated.
+    """
+    if m == 0:
+        return [()] if total >= 0 else []
+    return [(j,) + k for j in range(total + 1) for k in _multi_indices(m - 1, total - j)]

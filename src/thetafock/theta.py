@@ -28,17 +28,20 @@ sqrt(pi) erfc(sqrt x) or Gamma(1, x) = e^-x, rounded up by a relative
 evaluated in log scale (with e^x Gamma(s, x)), so a bound far below the
 smallest double is still exact enough to choose a radius.  The radius is
 the first point of the grid R = 1, 1.25, 1.5, ... whose bound meets the
-target.  Each ThetaParameters caches the log bound on that grid and the
-Cholesky factor Y = U^T U, so a plan scans a table instead of evaluating
-the integral.
+target.  ThetaParameters is a value type: it takes only F, alpha and
+beta, rejects non-finite entries, and derives lambda_min(Y), Y^-1 and
+the Cholesky factor Y = U^T U when it is built, so a copy made with
+dataclasses.replace derives them again and its tails stay certified.
+Its one cache field holds the log bound on that grid, so a plan scans
+a table instead of evaluating the integral, and the cell sets below.
 
 The ellipsoid is enumerated directly (Fincke and Pohst, Math. Comp.
 1985): on U, last coordinate first, each fixed tail of n confines the
 next coordinate to an interval.  A batch carries its rows' centers as a
 box [lo, hi], so one index set covers every row's ellipsoid.  The
 candidates of the integer box [0, e], e = floor(hi) - k + 1, moved by
-k = floor(lo), cover those of [lo, hi]; each ThetaParameters caches
-them per (R, e), within _CHUNK_BYTES (16 MiB).  One selection
+k = floor(lo), cover those of [lo, hi]; that cache holds them per
+(R, e), within _CHUNK_BYTES (16 MiB).  One selection
 pass computes U(n - m), m = (lo + hi)/2, once per candidate, keeps the
 points within R of the box and orders them by that squared distance,
 dominant terms first, ties in lexicographic order from the last
@@ -61,8 +64,7 @@ ValueOutOfRange instead of returning inf or NaN.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -119,26 +121,59 @@ def _readonly(a):
 class ThetaParameters:
     """Validated (F, alpha, beta) triple for an r-dimensional theta series.
 
-    On first use an instance caches the Cholesky factor of Y (``chol``),
-    the log tail bound on the radius grid (grown by _find_radius) and the
-    enumerated candidates of each integer box [0, e] at each radius R
-    (keyed by (R, e), stored as int32, at most _CHUNK_BYTES in all; see
-    _cells).
+    Built from its inputs alone (alpha and beta default to zero): F must
+    be square, symmetric and with positive definite Y = Im F, and every
+    entry finite.  Construction derives r, Y^-1, Y^(1/2), lambda_min(Y)
+    and the Cholesky factor Y = U^T U (``chol``), so dataclasses.replace
+    checks and derives them again.  ``cache`` holds what plans fill in on
+    first use: the log tail bound on the radius grid (grown by
+    _find_radius) and the enumerated candidates of each integer box
+    [0, e] at each radius R (keyed by (R, e), stored as int32, at most
+    _CHUNK_BYTES in all; see _cells).
     """
 
-    r: int
     F: np.ndarray
-    alpha: np.ndarray
-    beta: np.ndarray
-    # derived, filled by validate_parameters
-    y_sqrt: np.ndarray = None
-    y_inv: np.ndarray = None
-    lambda_min: float = 0.0
+    alpha: np.ndarray = None
+    beta: np.ndarray = None
+    r: int = field(init=False)
+    y_sqrt: np.ndarray = field(init=False, repr=False)  # read by perfbench's minimal_terms
+    y_inv: np.ndarray = field(init=False, repr=False)
+    lambda_min: float = field(init=False)
+    chol: np.ndarray = field(init=False, repr=False)  # upper triangular U, the enumerator's factor
+    cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("F", "alpha", "beta", "y_sqrt", "y_inv"):
-            if getattr(self, name) is not None:
-                object.__setattr__(self, name, _readonly(getattr(self, name)))
+        F = np.asarray(self.F, dtype=complex)
+        if F.size == 0:
+            F = F.reshape(0, 0)
+        F = np.atleast_2d(F)
+        if F.ndim != 2 or F.shape[0] != F.shape[1]:
+            raise DimensionMismatch(f"F must be square, got shape {F.shape}")
+        r = F.shape[0]
+        alpha, beta = (np.zeros(r) if v is None else np.asarray(v, dtype=float).reshape(-1)
+                       for v in (self.alpha, self.beta))
+        if alpha.shape[0] != r or beta.shape[0] != r:
+            raise DimensionMismatch("alpha and beta must have length r")
+        if not (np.isfinite(F).all() and np.isfinite(alpha).all() and np.isfinite(beta).all()):
+            raise ValidationError("F, alpha and beta must be finite")
+        scale = max(1.0, float(np.abs(F).max(initial=0.0)))
+        asym = np.abs(F - F.T)
+        if asym.max(initial=0.0) > 1e-10 * scale:
+            j, k = np.unravel_index(int(asym.argmax()), asym.shape)
+            raise NotSymmetric(f"F[{j}][{k}] != F[{k}][{j}] (difference {F[j, k] - F[k, j]})")
+        Y = 0.5 * (F.imag + F.imag.T)
+        evals, evecs = np.linalg.eigh(Y)
+        lambda_min = float(evals.min(initial=math.inf))  # inf at r = 0
+        if lambda_min <= 1e-12 * scale:
+            raise ImaginaryPartNotPositiveDefinite(f"min eigenvalue of Im F is {lambda_min:.6e}")
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "lambda_min", lambda_min)
+        for name, value in (
+            ("F", F), ("alpha", alpha), ("beta", beta),
+            ("y_sqrt", (evecs * np.sqrt(evals)) @ evecs.T), ("y_inv", (evecs / evals) @ evecs.T),
+            ("chol", np.linalg.cholesky(Y).T),
+        ):
+            object.__setattr__(self, name, _readonly(value))
 
     @property
     def max_radius(self) -> float:
@@ -146,40 +181,10 @@ class ThetaParameters:
         rho = math.sqrt(self.lambda_min)
         return max(40.0 / rho, 40.0 + rho)
 
-    @cached_property
-    def chol(self) -> np.ndarray:
-        """Upper triangular U with Y = U^T U, the enumerator's factor."""
-        return _readonly(np.linalg.cholesky(0.5 * (self.F.imag + self.F.imag.T)).T)
-
 
 def validate_parameters(F, alpha=None, beta=None) -> ThetaParameters:
-    """Check symmetry of F and positive definiteness of Im F."""
-    F = np.asarray(F, dtype=complex)
-    if F.size == 0:
-        F = F.reshape(0, 0)
-    F = np.atleast_2d(F)
-    if F.ndim != 2 or F.shape[0] != F.shape[1]:
-        raise DimensionMismatch(f"F must be square, got shape {F.shape}")
-    r = F.shape[0]
-    alpha = np.zeros(r) if alpha is None else np.asarray(alpha, dtype=float).reshape(-1)
-    beta = np.zeros(r) if beta is None else np.asarray(beta, dtype=float).reshape(-1)
-    if alpha.shape[0] != r or beta.shape[0] != r:
-        raise DimensionMismatch("alpha and beta must have length r")
-    scale = max(1.0, float(np.abs(F).max(initial=0.0)))
-    asym = np.abs(F - F.T)
-    if asym.max(initial=0.0) > 1e-10 * scale:
-        j, k = np.unravel_index(int(asym.argmax()), asym.shape)
-        raise NotSymmetric(f"F[{j}][{k}] != F[{k}][{j}] (difference {F[j, k] - F[k, j]})")
-    Y = 0.5 * (F.imag + F.imag.T)
-    evals, evecs = np.linalg.eigh(Y)
-    lambda_min = float(evals.min(initial=math.inf))  # inf at r = 0
-    if lambda_min <= 1e-12 * scale:
-        raise ImaginaryPartNotPositiveDefinite(f"min eigenvalue of Im F is {lambda_min:.6e}")
-    y_sqrt = (evecs * np.sqrt(evals)) @ evecs.T
-    y_inv = (evecs / evals) @ evecs.T
-    return ThetaParameters(
-        r=r, F=F, alpha=alpha, beta=beta, y_sqrt=y_sqrt, y_inv=y_inv, lambda_min=lambda_min,
-    )
+    """Check symmetry of F and positive definiteness of Im F (see ThetaParameters)."""
+    return ThetaParameters(F, alpha, beta)
 
 
 @dataclass(frozen=True)
@@ -259,17 +264,17 @@ def _find_radius(params: ThetaParameters, log_target: float, max_radius: float):
 
     The grid is R = 1 + k _RADIUS_STEP.  Its table holds the running
     minimum of the log bound, which is still a bound (the omitted mass
-    falls as R grows) and does not increase.  The table is cached on
-    params and grown a block at a time as far as a target needs.
+    falls as R grows) and does not increase.  The table is kept in
+    params.cache and grown a block at a time as far as a target needs.
     """
-    table = params.__dict__.get("_log_tails", np.zeros(0))
+    table = params.cache.get("log_tails", np.zeros(0))
     while (table.size == 0 or table[-1] > log_target) and (
         1.0 + _RADIUS_STEP * table.size <= max_radius
     ):
         radii = 1.0 + _RADIUS_STEP * np.arange(table.size, table.size + _TABLE_BLOCK)
         block = _log_bound(params, radii)
         table = _readonly(np.minimum.accumulate(np.concatenate((table, block))))
-        params.__dict__["_log_tails"] = table
+        params.cache["log_tails"] = table
     k = int(np.searchsorted(-table, -log_target))  # -table does not decrease
     R = 1.0 + _RADIUS_STEP * k
     if k < table.size and R <= max_radius:
@@ -347,13 +352,13 @@ def _cells(params: ThetaParameters, lo: np.ndarray, hi: np.ndarray, R: float) ->
 
     With k = floor(lo) and e = floor(hi) - k + 1, k plus the candidates of
     [0, e] cover those of [lo, hi], in the same lexicographic order.  The
-    candidates of [0, e] are enumerated once per (R, e) and cached on
-    params as int32 while all its cached sets stay within _CHUNK_BYTES; a
+    candidates of [0, e] are enumerated once per (R, e) and kept in
+    params.cache as int32 while all its cached sets stay within _CHUNK_BYTES; a
     set that would pass that cap is used but not kept.
     """
     k = np.floor(lo)
     span = np.floor(hi) - k  # e - 1
-    cache = params.__dict__.setdefault("_cells", {})
+    cache = params.cache.setdefault("cells", {})
     key = (R, span.tobytes())
     cells = cache.get(key)
     if cells is None:

@@ -259,6 +259,34 @@ def test_parse_error_wrong_field_type(tmp_path, capsys):
     assert "nu" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("nu", [math.nan, math.inf, -math.inf, 10**400],
+                         ids=["nan", "inf", "-inf", "1e400"])
+def test_non_finite_nu_is_parse_error(tmp_path, capsys, nu):
+    # a NaN nu used to reach the theta planner as a NaN budget (exit 3)
+    bad = dict(G1R1, nu=nu)
+    assert main(["theta", write(tmp_path, bad), "--z", "0.1"]) == 1
+    assert "parse error: nu:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("form", ["1e-10", None, True, math.nan, math.inf, -1, 0],
+                         ids=["str", "null", "true", "nan", "inf", "-1", "0"])
+def test_bad_form_tolerance_is_parse_error(tmp_path, capsys, form):
+    # a string or null used to end in a TypeError traceback, NaN to switch
+    # every form check off, -1 to report H[0][0] as not its own conjugate
+    bad = dict(G1R1, H=[[[-1, 0]]], tolerances={"form": form})
+    assert main(["validate", write(tmp_path, bad)]) == 1
+    assert "parse error: tolerances.form:" in capsys.readouterr().err
+
+
+def test_form_tolerance_is_read(tmp_path):
+    # a finite positive form tolerance still sets the validation scale:
+    # H = [[1 + 1e-6 i]] is hermitian within 1e-3, not within the default
+    near = dict(G1R1, H=[[[1, 1e-6]]])
+    assert run(tmp_path, "validate", write(tmp_path, near))[0] == 2
+    loose = dict(near, tolerances={"form": 1e-3})
+    assert run(tmp_path, "validate", write(tmp_path, loose))[0] == 0
+
+
 def test_vector_file_reference(tmp_path):
     zfile = tmp_path / "z.json"
     zfile.write_text(json.dumps([[0.25, 0.5]]))

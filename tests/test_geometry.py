@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -256,13 +257,48 @@ def test_r_zero_lattice():
 
 
 def test_replace_recomputes_inverse_basis():
-    # inv_basis_matrix is derived from basis_matrix, not a constructor field
+    # everything past the space and the generators is derived, not a constructor field
     lat = tf.build_lattice(tf.validate_space(np.eye(2)), [[1.0, 0.5j]])
-    scaled = dataclasses.replace(lat, basis_matrix=2.0 * lat.basis_matrix)
-    assert np.array_equal(scaled.inv_basis_matrix, np.linalg.inv(2.0 * lat.basis_matrix))
+    scaled = dataclasses.replace(lat, generators=2.0 * lat.generators)
+    assert np.array_equal(scaled.generators, 2.0 * lat.generators)
+    assert np.array_equal(scaled.inv_basis_matrix, np.linalg.inv(scaled.basis_matrix))
     with pytest.raises(TypeError):
-        tf.IsotropicLattice(lat.space, lat.r, lat.generators, lat.complement, lat.B,
-                            lat.B_inv, lat.basis_matrix, lat.inv_basis_matrix)
+        tf.IsotropicLattice(lat.space, lat.r, lat.generators)
+
+
+def test_replace_generators_rebuilds_g1_lattice():
+    lat = tf.build_lattice(tf.validate_space(np.eye(1)), [[1.0]])
+    doubled = dataclasses.replace(lat, generators=2 * lat.generators)
+    assert doubled.B[0, 0] == 4.0 and doubled.det_b == 4.0
+    assert doubled.B_inv[0, 0] == 0.25
+    assert np.array_equal(doubled.basis_matrix, [[2.0]])
+    assert np.array_equal(doubled.inv_basis_matrix, [[0.5]])
+    with pytest.raises(errors.RankExceedsG):
+        dataclasses.replace(lat, generators=[[1.0], [2.0]])
+
+
+def test_replace_rechecks_space():
+    sp = tf.validate_space(np.eye(2))
+    with pytest.raises(errors.NotPositiveDefinite):
+        dataclasses.replace(sp, matrix=np.array([[1.0, 2.0], [2.0, 1.0]]))
+    wide = dataclasses.replace(sp, matrix=4.0 * np.eye(2))
+    assert wide.g == 2 and wide.tol == 4.0 * sp.tol
+    with pytest.raises(ValueError):
+        dataclasses.replace(sp, tol=1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, complex(0.0, math.inf)])
+def test_non_finite_generators_are_rejected(bad):
+    # a NaN generator used to end in numpy's LinAlgError from the SVD
+    with pytest.raises(errors.ValidationError, match="generators must be finite"):
+        tf.build_lattice(tf.validate_space(np.eye(2)), [[1.0, bad]])
+
+
+@pytest.mark.parametrize("tol_scale", [math.nan, math.inf, -1.0, 0.0])
+def test_validate_space_rejects_bad_tol_scale(tol_scale):
+    # a NaN scale would switch every form check off: [[-1]] would pass
+    with pytest.raises(errors.ValidationError, match="tol_scale"):
+        tf.validate_space([[-1.0]], tol_scale=tol_scale)
 
 
 def test_ambient_measure_factor():

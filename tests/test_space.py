@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -441,6 +442,20 @@ def test_series_indices_ordering(cfg_g2r1):
         quads.append(float(na @ cfg_g2r1.lattice.B_inv @ na))
     assert all(a <= b + 1e-12 for a, b in zip(quads, quads[1:]))
     assert len(idxs) == 5 * 3  # 5 n-values times k in {0, 1, 2}
+
+
+def test_multi_indices_are_the_filtered_product():
+    # only the kept indices are generated, in the order of the filtered product
+    for m in range(5):
+        for total in range(-1, 7):
+            want = [k for k in itertools.product(range(total + 1), repeat=m) if sum(k) <= total]
+            assert S._multi_indices(m, total) == want, (m, total)
+
+
+@pytest.mark.parametrize("nu", [math.nan, math.inf, 0.0, -1.0])
+def test_make_config_rejects_bad_nu(cfg_g1r1, nu):
+    with pytest.raises(ValueError, match="nu must be finite and positive"):
+        tf.make_config(cfg_g1r1.lattice, cfg_g1r1.alpha, nu)
 
 
 def test_kernel_positive_semidefinite(cfg_g2r1):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import warnings
@@ -86,6 +87,46 @@ def test_oracle_agreement_random():
 def test_not_symmetric():
     with pytest.raises(errors.NotSymmetric):
         tf.validate_parameters([[1j, 0.5], [0.2, 1j]])
+    with pytest.raises(errors.NotSymmetric):
+        T.ThetaParameters([[1j, 0.5], [0.2, 1j]])
+
+
+def test_parameters_take_only_their_inputs():
+    # r, Y^-1, Y^(1/2), lambda_min and chol are derived, not constructor fields
+    params = tf.validate_parameters([[1j]])
+    with pytest.raises(TypeError):
+        T.ThetaParameters(1, params.F, params.alpha, params.beta)
+    with pytest.raises(ValueError):
+        dataclasses.replace(params, lambda_min=4.0)
+
+
+@pytest.mark.parametrize("F, alpha, beta", [
+    ([[math.nan]], None, None),
+    ([[1j, 0.0], [0.0, complex(0.0, math.inf)]], None, None),
+    ([[1j]], [math.nan], None),
+    ([[1j]], None, [-math.inf]),
+], ids=["F-nan", "F-inf", "alpha-nan", "beta-inf"])
+def test_non_finite_parameters_are_rejected(F, alpha, beta):
+    with pytest.raises(errors.ValidationError, match="finite"):
+        tf.validate_parameters(F, alpha, beta)
+
+
+def test_replace_recomputes_derived_parameters():
+    # a copy with a new F carries that F's lambda_min, Y^-1 and Cholesky
+    # factor, so its tail is certified against a tighter reference
+    params = tf.validate_parameters([[1j]])
+    tf.theta_eval(params, [0.3 + 0.2j], 1e-10)  # fills params.cache
+    small = dataclasses.replace(params, F=[[0.05j]])
+    made = tf.validate_parameters([[0.05j]])
+    assert small.lambda_min == made.lambda_min == pytest.approx(0.05)
+    assert np.array_equal(small.y_inv, made.y_inv)
+    assert np.array_equal(small.y_sqrt, made.y_sqrt)
+    assert np.array_equal(small.chol, made.chol)
+    assert small.cache == {}
+    z = [0.3 + 0.2j]
+    res, ref = tf.theta_eval(small, z, 1e-10), tf.theta_eval(made, z, 1e-13)
+    assert res == tf.theta_eval(made, z, 1e-10)
+    assert abs(res.value - ref.value) <= res.tail_bound + ref.tail_bound
 
 
 def test_im_not_positive_definite():
@@ -153,7 +194,7 @@ def test_tail_bound_monotone_in_radius():
         bounds = [T._log_bound(params, R) for R in TAIL_RADII]
         assert all(b1 >= b2 for b1, b2 in zip(bounds, bounds[1:])), params.r
         T._find_radius(params, -2000.0, params.max_radius)  # past one table block
-        table = params.__dict__["_log_tails"]
+        table = params.cache["log_tails"]
         assert table.size > T._TABLE_BLOCK and np.all(np.diff(table) <= 0.0), params.r
 
 
@@ -557,7 +598,7 @@ def test_cell_cache_is_reused(monkeypatch):
     got = T._plan(params, other[None, :], log_pref, log_tol, None)
     for a, b in ((again, warm), (got, want)):
         assert a[0] == b[0] and np.array_equal(a[1], b[1]) and np.array_equal(a[2], b[2])
-    assert len(params.__dict__["_cells"]) == 1
+    assert len(params.cache["cells"]) == 1
 
 
 @pytest.mark.parametrize("cap", [0, 3000])
@@ -573,7 +614,7 @@ def test_cell_cache_stays_within_its_byte_cap(monkeypatch, cap):
     monkeypatch.setattr(T, "_CHUNK_BYTES", cap)
     cases = [_cell_case(*sr) for sr in seeds_ranks]
     assert all(np.array_equal(a, b) for a, b in zip(plans(cases), want))
-    caches = [p.__dict__["_cells"].values() for p, _, _ in cases]
+    caches = [p.cache["cells"].values() for p, _, _ in cases]
     for kept in caches:
         assert sum(cells.nbytes for cells in kept) <= cap
         assert all(cells.dtype == np.int32 for cells in kept)
