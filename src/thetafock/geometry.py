@@ -7,7 +7,8 @@ w_1..w_r is isotropic when E vanishes on all generator pairs, which forces
 r <= g and makes G[j,k] = H(w_j, w_k) a real symmetric positive definite
 matrix.  The generators are completed to a C-basis of C^g by an
 H-orthonormal complement, and every downstream computation works in the
-coordinates of that basis.
+coordinates of that basis.  The value types here hold arrays, so they
+compare and hash by identity.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HermitianSpace:
     """Validated ambient space (C^g, H).
 
@@ -125,7 +126,7 @@ def symplectic_form(space: HermitianSpace, u, v):
     return space.symplectic(u, v)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Character:
     """Unit character m -> exp(2 pi i alpha . m) on Z^r.
 
@@ -153,7 +154,7 @@ class Character:
         return np.exp(2j * np.pi * (m @ self.alpha))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointCoordinates:
     """A point of C^g split into lattice-span and complement coordinates."""
 
@@ -169,7 +170,7 @@ class PointCoordinates:
             raise ValidationError("point coordinates must be finite")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IsotropicLattice:
     """Rank-r isotropic lattice with its adapted basis of C^g.
 
@@ -218,11 +219,10 @@ class IsotropicLattice:
             )
 
         svals = np.linalg.svd(_real_stack(gens), compute_uv=False)
-        if (svals <= 1e-10 * svals.max(initial=0.0)).any():
-            raise NotIndependent(
-                f"generators are not R-linearly independent (sigma_min/sigma_max = "
-                f"{svals.min() / svals.max():.3e})"
-            )
+        top = svals.max(initial=0.0)
+        if (svals <= 1e-10 * top).any():
+            spread = f"sigma_min/sigma_max = {svals.min() / top:.3e}" if top else "all are 0"
+            raise NotIndependent(f"generators are not R-linearly independent ({spread})")
 
         gram = space.hermitian(gens[:, None, :], gens[None, :, :])
         for j in range(r):

@@ -71,20 +71,30 @@ __all__ = [
 REDUCTION_CUTOFF = 6.0
 
 _LOG_OVERFLOW = math.log(np.finfo(float).max)
+# log 1e-290, the floor on an outer factor's magnitude where it sets the theta tolerance
+_LOG_OUTER_FLOOR = math.log(1e-290)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpaceConfig:
-    """Immutable (lattice, character, nu) triple with derived theta data."""
+    """Immutable (lattice, character, nu) triple with derived theta data.
+
+    Compared and hashed by identity, as are the geometry value types.
+    """
 
     lattice: IsotropicLattice
     character: Character
     nu: float
     theta_params: _theta.ThetaParameters = field(init=False)
+    # C = sqrt(det B) (2 nu/pi)^(r/2) (nu/pi)^(g-r), the kernel's constant factor
+    kernel_prefactor: float = field(init=False, repr=False)
 
     def __post_init__(self):
         F = (2j * np.pi / self.nu) * self.lattice.B_inv
         object.__setattr__(self, "theta_params", _theta.validate_parameters(F, self.alpha))
+        r, g, nu = self.r, self.g, self.nu
+        object.__setattr__(self, "kernel_prefactor", math.sqrt(self.lattice.det_b)
+                           * (2.0 * nu / math.pi) ** (r / 2.0) * (nu / math.pi) ** (g - r))
 
     @cached_property
     def half_theta_params(self) -> _theta.ThetaParameters:
@@ -124,9 +134,9 @@ class BasisIndex:
     k: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "n", tuple(int(v) for v in self.n))
-        object.__setattr__(self, "k", tuple(int(v) for v in self.k))
-        if any(v < 0 for v in self.k):
+        object.__setattr__(self, "n", tuple(map(int, self.n)))
+        object.__setattr__(self, "k", tuple(map(int, self.k)))
+        if min(self.k, default=0) < 0:
             raise ValueError(f"k must be componentwise nonnegative, got {self.k}")
 
 
@@ -184,12 +194,14 @@ def _as_batch(config: SpaceConfig, z, z_perp):
 def _reduce_batch(config: SpaceConfig, Z):
     """Translate far points by -floor(Re z); return (Z_red, log automorphy).
 
-    f(Z) = exp(log_factor) * f(Z_red) for every member of the space.
+    f(Z) = exp(log_factor) * f(Z_red) for every member of the space; the
+    log factor is the scalar 0.0 when no point moves.
     """
     x = Z.real
-    mask = np.abs(x).max(axis=1, initial=0.0) > REDUCTION_CUTOFF
-    if not mask.any():
-        return Z, np.zeros(Z.shape[0], dtype=complex)
+    size = np.abs(x)
+    if not size.max(initial=0.0) > REDUCTION_CUTOFF:
+        return Z, 0.0
+    mask = size.max(axis=1) > REDUCTION_CUTOFF
     m = np.zeros(Z.shape, dtype=float)
     m[mask] = np.floor(x[mask])
     Zr = Z - m
@@ -329,23 +341,34 @@ def basis_function(config: SpaceConfig, idx: BasisIndex, normalized: bool = Fals
     return _member(config, [idx], [scale])
 
 
-def basis_norm_sq_log(config: SpaceConfig, idx: BasisIndex) -> float:
-    """log ||e_{n,k}||^2; always finite, safe for any index size."""
-    _check_index(config, idx)
+def _log_norms(config: SpaceConfig, indices) -> np.ndarray:
+    """log ||e_{n,k}||^2 of every index, in one vectorised pass; always finite."""
+    for idx in indices:
+        _check_index(config, idx)
     r, g, nu = config.r, config.g, config.nu
-    n = np.array(idx.n, dtype=float)
-    quad = (2.0 * math.pi**2 / nu) * float(
-        (n + config.alpha) @ config.lattice.B_inv @ (n + config.alpha)
-    )
-    ktot = sum(idx.k)
-    return (
+    n = np.array([idx.n for idx in indices], dtype=float).reshape(len(indices), r) + config.alpha
+    quad = np.einsum("ij,jk,ik->i", n, config.lattice.B_inv, n)
+    base = (
         -0.5 * math.log(config.lattice.det_b)
         + (r / 2.0) * math.log(math.pi / (2.0 * nu))
         + (g - r) * math.log(math.pi / nu)
-        + sum(math.lgamma(kj + 1) for kj in idx.k)
-        - ktot * math.log(nu)
-        + quad
     )
+    rest = [base + sum(math.lgamma(kj + 1) for kj in idx.k) - sum(idx.k) * math.log(nu)
+            for idx in indices]
+    return np.array(rest, dtype=float) + (2.0 * math.pi**2 / nu) * quad
+
+
+def _exp_norms(log_norms: np.ndarray) -> np.ndarray:
+    """exp(log_norms); raises ValueOutOfRange when one exceeds the double range."""
+    worst = float(log_norms.max(initial=-np.inf))
+    if worst > _LOG_OVERFLOW:
+        raise ValueOutOfRange(f"||e||^2 has log {worst:.1f}; retrieve it with basis_norm_sq_log")
+    return np.exp(log_norms)
+
+
+def basis_norm_sq_log(config: SpaceConfig, idx: BasisIndex) -> float:
+    """log ||e_{n,k}||^2; always finite, safe for any index size."""
+    return float(_log_norms(config, [idx])[0])
 
 
 def basis_norm_sq(config: SpaceConfig, idx: BasisIndex) -> float:
@@ -354,12 +377,7 @@ def basis_norm_sq(config: SpaceConfig, idx: BasisIndex) -> float:
     Raises ValueOutOfRange (an OverflowError) when the result exceeds the
     double range; retrieve it with basis_norm_sq_log then.
     """
-    log_value = basis_norm_sq_log(config, idx)
-    if log_value > _LOG_OVERFLOW:
-        raise ValueOutOfRange(
-            f"||e||^2 has log {log_value:.1f}; retrieve it with basis_norm_sq_log"
-        )
-    return math.exp(log_value)
+    return float(_exp_norms(_log_norms(config, [idx]))[0])
 
 
 def synthesize(config: SpaceConfig, coeffs: CoefficientField, u: PointCoordinates) -> complex:
@@ -376,12 +394,13 @@ def synthesized_function(config: SpaceConfig, coeffs: CoefficientField):
 def growth_functional(config: SpaceConfig, coeffs: CoefficientField) -> float:
     """sum |a_{n,k}|^2 ||e_{n,k}||^2 — the membership functional.
 
-    Shares the closed-form norm with basis_norm_sq, so Parseval holds by
-    construction; quadrature provides the independent check.
+    Shares the closed-form norm with basis_norm_sq (_log_norms, one pass
+    over the field), so Parseval holds by construction; quadrature provides
+    the independent check.  Raises ValueOutOfRange when a norm exceeds the
+    double range.
     """
-    return float(
-        sum(abs(a) ** 2 * basis_norm_sq(config, idx) for idx, a in coeffs.entries)
-    )
+    weights = np.abs(coeffs.coefficients()) ** 2
+    return float(weights @ _exp_norms(_log_norms(config, coeffs.indices())))
 
 
 def perp_inner(z_perp, w_perp):
@@ -391,43 +410,38 @@ def perp_inner(z_perp, w_perp):
     return np.einsum("...j,...j->...", z_perp, np.conj(w_perp))
 
 
-def _kernel_prefactor(config: SpaceConfig) -> float:
-    r, g, nu = config.r, config.g, config.nu
-    return (
-        math.sqrt(config.lattice.det_b)
-        * (2.0 * nu / math.pi) ** (r / 2.0)
-        * (nu / math.pi) ** (g - r)
-    )
+def _kernel_sides(config: SpaceConfig, Z):
+    """Reduced rows Z_r of Z and h = nu/2 B(Z_r, Z_r) + log automorphy, per row.
 
-
-def _kernel_v_side(config: SpaceConfig, v: PointCoordinates):
-    """Reduced z_v (1, r) and l_v = conj(nu/2 B(z_v,z_v) + log automorphy of z_v)."""
-    zvr, log_fv = _reduce_batch(config, v.z[None, :])
-    return zvr, np.conj(0.5 * config.nu * b_form(config.lattice, zvr, zvr)[0] + log_fv[0])
-
-
-def _kernel_batch(config: SpaceConfig, Z, perp_log, v: PointCoordinates, tol: float):
-    """Outer factors and theta factors of K(u, v) at the lattice points Z.
-
-    perp_log is nu <z_perp, v_perp> per point (0 drops the perpendicular
-    factor).  The theta factor is evaluated at a per-point absolute
-    tolerance equal to tol divided by the magnitude of the outer factor,
-    so their product is within tol of the kernel.  Raises ValueOutOfRange
-    when an outer factor exceeds the double range.
+    K(u, v) = C exp(h_u + conj(h_v) + nu <u_perp, v_perp>) T(z_u - conj(z_v)),
+    with the reduced z of each point and T the theta series of F.
     """
-    Zr, log_fu = _reduce_batch(config, Z)
-    zvr, l_v = _kernel_v_side(config, v)
-    log_outer = 0.5 * config.nu * b_form(config.lattice, Zr, Zr) + l_v + perp_log + log_fu
-    C = _kernel_prefactor(config)
-    worst = float(np.max(log_outer.real, initial=-np.inf)) + math.log(C)
+    Zr, log_factor = _reduce_batch(config, Z)
+    return Zr, 0.5 * config.nu * b_form(config.lattice, Zr, Zr) + log_factor
+
+
+def _kernel_batch(config: SpaceConfig, Zr, h, perp_log, zv, hv, tol: float):
+    """Outer factors and theta factors of K(u, v) at the rows (Zr, h) of _kernel_sides.
+
+    (zv, hv) is the v side, perp_log is nu <z_perp, v_perp> per point (0
+    drops the perpendicular factor) and tol is positive.  The theta factor
+    is evaluated at a per-point absolute tolerance equal to tol divided by
+    the magnitude of the outer factor (floored at 1e-290), so their product
+    is within tol of the kernel; it is planned and summed once, at log
+    tolerances.  Raises ValueOutOfRange when an outer factor exceeds the
+    double range.
+    """
+    log_outer = h + (hv.conjugate() + perp_log)
+    C = config.kernel_prefactor
+    log_mag = log_outer.real + math.log(C)
+    worst = float(log_mag.max(initial=-np.inf))
     if worst > _LOG_OVERFLOW:
         raise ValueOutOfRange(
             f"the kernel outer factor has log {worst:.1f}, beyond the double range"
         )
     outer = C * np.exp(log_outer)
-    theta_tol = tol / np.maximum(np.abs(outer), 1e-290)
-    vals, _ = _theta.theta_eval_many(config.theta_params, Zr - np.conj(zvr), theta_tol)
-    return outer, vals
+    log_tol = math.log(tol) - np.maximum(log_mag, _LOG_OUTER_FLOOR)
+    return outer, _theta._values(config.theta_params, Zr - zv.conj(), log_tol)
 
 
 def kernel_section(config: SpaceConfig, v: PointCoordinates, tol: float):
@@ -435,11 +449,11 @@ def kernel_section(config: SpaceConfig, v: PointCoordinates, tol: float):
 
     The ``factored`` form expands the theta factor: with t = n + alpha,
     term t times the outer factor is c_t e_{n,0}(z), where
-    c_t = C exp(l_v + 2 pi i (1/2 t F t - t.conj z_v)), times the factor
-    exp(nu w conj v_j) of each perpendicular coordinate j.  Against the
-    weight, term t has magnitude C e^(Re l_v) times that of term t of the
-    theta series with period matrix F/2 at Im z = y_v, so that series'
-    plan at tolerance tol / (C e^(Re l_v)) gives, with no grid,
+    c_t = C exp(l_v + 2 pi i (1/2 t F t - t.conj z_v)), l_v = conj(h_v),
+    times the factor exp(nu w conj v_j) of each perpendicular coordinate j.
+    Against the weight, term t has magnitude C e^(Re l_v) times that of
+    term t of the theta series with period matrix F/2 at Im z = y_v, so
+    that series' plan at tolerance tol / (C e^(Re l_v)) gives, with no grid,
 
         |K(u, v) - expansion(u)| <= tol exp(nu/2 H(u,u) + nu/2 |v_perp|^2)
 
@@ -450,25 +464,28 @@ def kernel_section(config: SpaceConfig, v: PointCoordinates, tol: float):
         raise ValueError("tol must be positive")
     if v.z.shape[0] != config.r or v.z_perp.shape[0] != config.g - config.r:
         raise DimensionMismatch("v does not match the configuration dimensions")
+    (zv,), (hv,) = _kernel_sides(config, v.z[None, :])
 
     def f(z, z_perp):
         Z, Zp = _as_batch(config, z, z_perp)
         perp_log = config.nu * perp_inner(Zp, np.broadcast_to(v.z_perp, Zp.shape))
-        outer, vals = _kernel_batch(config, Z, perp_log, v, tol)
+        outer, vals = _kernel_batch(config, *_kernel_sides(config, Z), perp_log, zv, hv, tol)
         with np.errstate(over="ignore", invalid="ignore"):
             values = outer * vals
         if not np.isfinite(values).all():
             raise ValueOutOfRange("a kernel value leaves the double range")
         return values
 
-    zvr, l_v = _kernel_v_side(config, v)
-    C = _kernel_prefactor(config)
+    l_v = np.conj(hv)
+    C = config.kernel_prefactor
     idx, exponents = np.zeros((1, 0), dtype=np.intp), np.zeros(1)
     if config.r:  # no tail bound exists in dimension 0: the one term is n = ()
         log_tol = math.log(tol) - math.log(C) - l_v.real
         half = config.half_theta_params
-        idx = _theta._plan(half, *_theta._rows(half, zvr.imag), log_tol, None)[1]
-        exponents = _theta._term_exponents(config.theta_params, -np.conj(zvr[0]), idx)
+        idx = _theta._plan(half, *_theta._rows(half, zv.imag[None, :]), log_tol, None)[1]
+        Z = -zv.conj()[None, :]
+        exponents = _theta._term_exponents(config.theta_params, Z, idx, *_theta._rows(
+            config.theta_params, Z.imag))[0]
     with np.errstate(over="ignore", invalid="ignore"):
         coeffs = C * np.exp(l_v + exponents)
     if not np.isfinite(coeffs).all():
@@ -485,18 +502,22 @@ def kernel_section(config: SpaceConfig, v: PointCoordinates, tol: float):
 def kernel_eval(config: SpaceConfig, u: PointCoordinates, v: PointCoordinates, tol: float) -> complex:
     """Reproducing kernel K(u, v) with absolute accuracy tol.
 
-    A batch of one through the kernel_section path, so the two agree.  In
-    the degenerate ranks the absent factors are exact floating-point
-    no-ops (theta value 1 for r = 0, empty perpendicular inner product for
-    r = g).  Raises ValueOutOfRange when the theta factor or the kernel
-    value leaves the double range.
+    A batch of one through the kernel_section path, so the two agree; the
+    reduced points and their weights are formed in one pass, over u alone
+    when v is u.  In the degenerate ranks the absent factors are exact
+    floating-point no-ops (theta value 1 for r = 0, empty perpendicular
+    inner product for r = g).  Raises ValueOutOfRange when the theta
+    factor or the kernel value leaves the double range.
     """
     if u.z.shape[0] != config.r or v.z.shape[0] != config.r:
         raise DimensionMismatch("points do not match the configuration rank")
     if u.z_perp.shape[0] != config.g - config.r or v.z_perp.shape[0] != config.g - config.r:
         raise DimensionMismatch("points do not match the configuration dimensions")
+    if not tol > 0:  # NaN included
+        raise ValueError("tol must be positive")
+    Zr, h = _kernel_sides(config, u.z[None, :] if v is u else np.array((u.z, v.z)))
     perp_log = config.nu * perp_inner(u.z_perp, v.z_perp)
-    outer, vals = _kernel_batch(config, u.z[None, :], perp_log, v, tol)
+    outer, vals = _kernel_batch(config, Zr[:1], h[:1], perp_log, Zr[-1], h[-1], tol)
     # a scalar product: the array product can differ in the last bit
     value = complex(outer[0]) * complex(vals[0])
     if not cmath.isfinite(value):
@@ -545,14 +566,13 @@ def series_indices(config: SpaceConfig, n_radius: int, k_total: int):
     """
     ns = _integer_box(config.r, n_radius)
     ks = _multi_indices(config.g - config.r, k_total)
-    items = []
-    for n in ns:
-        na = np.array(n, dtype=float) + config.alpha
-        q = float(na @ config.lattice.B_inv @ na)
-        for k in ks:
-            items.append((q, sum(k), n, k))
-    items.sort(key=lambda t: (t[0], t[1], t[2], t[3]))
-    return [BasisIndex(n=n, k=k) for _, _, n, k in items]
+    q = [float(na @ config.lattice.B_inv @ na) for na in np.array(ns, dtype=float).reshape(
+        len(ns), config.r) + config.alpha]
+    # pair p = (n, k) = (ns[p // len(ks)], ks[p % len(ks)]) runs in lexicographic
+    # order, which the stable lexsort keeps among equal (q, |k|)
+    order = np.lexsort((np.tile([sum(k) for k in ks], len(ns)), np.repeat(q, len(ks))))
+    rows, cols = np.divmod(order, max(len(ks), 1))
+    return [BasisIndex(n=ns[i], k=ks[j]) for i, j in zip(rows.tolist(), cols.tolist())]
 
 
 def _integer_box(r: int, radius: int):

@@ -54,11 +54,26 @@ truncation_plan and theta_eval_many share one prologue: non-finite
 points raise ValidationError, a tol that is not positive ValueError, and
 a row whose nearest lattice term is beyond the double range
 ValueOutOfRange before it is planned.  theta_eval sums the plan of
-truncation_plan.  The reducer sums each row's terms in plan order with
-numpy's pairwise summation, so the rounding error is about
-log2(K) eps sum |terms| for K terms and a row's value does not depend on
-the other rows of its batch; a sum that leaves the double range raises
-ValueOutOfRange instead of returning inf or NaN.
+truncation_plan; the space kernels plan and sum through the same
+unchecked core at log tolerances, their inputs checked by their own entry
+points.
+
+Each planned term is computed from its centred distance, with x = Re(z + b)
+and X = Re F (0 for every space configuration):
+
+    term(n) = exp(pi s^T Y^-1 s - pi |U(n - c)|^2 + 2 pi i (1/2 t X t + t.x)),
+
+an exact rewrite of the series term in real arithmetic until the one
+complex exponential.  Its log magnitude carries no cancellation between
+tYt and t.s, which grow with Im z, nor between U n and U c.  t X t is
+formed once per index, and each row's distances and phases come from
+products of that row alone (a stacked product per row), never from a
+matrix product across rows.  The reducer sums each row's terms in plan
+order with numpy's pairwise summation, so the rounding error is about
+log2(K) eps sum |terms| for K terms, and a row's value does not depend on
+the other rows of its batch or on how the batch is chunked; a sum that
+leaves the double range raises ValueOutOfRange instead of returning inf
+or NaN.
 """
 
 from __future__ import annotations
@@ -104,32 +119,38 @@ _SLACK = 1e-9
 # that keeps the result an upper bound.
 _GAMMA_ROUND_UP = 1.0 + 1e-12
 _MAX_INDICES = 5_000_000
-# Cap on the bytes of one complex (points x terms) temporary in the reducer;
-# batches are summed in chunks of rows that stay under it.
+# Cap on the bytes of one (points x terms) temporary in the reducer, the
+# complex terms or the r coordinates of their distances; batches are summed
+# in chunks of rows that stay under it.
 _CHUNK_BYTES = 1 << 24
 
 _erfc = np.vectorize(math.erfc, otypes=[float])
 
 
 def _readonly(a):
+    """a as a read-only array: copied, unless it is a read-only array already."""
+    if isinstance(a, np.ndarray) and not a.flags.writeable:
+        return a
     out = np.array(a)
     out.setflags(write=False)
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ThetaParameters:
     """Validated (F, alpha, beta) triple for an r-dimensional theta series.
 
     Built from its inputs alone (alpha and beta default to zero): F must
     be square, symmetric and with positive definite Y = Im F, and every
-    entry finite.  Construction derives r, Y^-1, Y^(1/2), lambda_min(Y)
-    and the Cholesky factor Y = U^T U (``chol``), so dataclasses.replace
+    entry finite.  Construction derives r, Y^-1, Y^(1/2), lambda_min(Y),
+    the radius budget max_radius, X = Re F (``f_real``, None when 0) and
+    the Cholesky factor Y = U^T U (``chol``), so dataclasses.replace
     checks and derives them again.  ``cache`` holds what plans fill in on
-    first use: the log tail bound on the radius grid (grown by
-    _find_radius) and the enumerated candidates of each integer box
+    first use: the log tail bound on the radius grid, negated (grown by
+    _find_radius), and the enumerated candidates of each integer box
     [0, e] at each radius R (keyed by (R, e), stored as int32, at most
-    _CHUNK_BYTES in all; see _cells).
+    _CHUNK_BYTES in all; see _cells).  Instances compare and hash by
+    identity, so they serve as dict keys.
     """
 
     F: np.ndarray
@@ -139,7 +160,9 @@ class ThetaParameters:
     y_sqrt: np.ndarray = field(init=False, repr=False)  # read by perfbench's minimal_terms
     y_inv: np.ndarray = field(init=False, repr=False)
     lambda_min: float = field(init=False)
+    max_radius: float = field(init=False)  # default radius budget; past it TailBoundUnreachable
     chol: np.ndarray = field(init=False, repr=False)  # upper triangular U, the enumerator's factor
+    f_real: np.ndarray = field(init=False, repr=False)  # X = Re F, None when it is 0
     cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -166,20 +189,17 @@ class ThetaParameters:
         lambda_min = float(evals.min(initial=math.inf))  # inf at r = 0
         if lambda_min <= 1e-12 * scale:
             raise ImaginaryPartNotPositiveDefinite(f"min eigenvalue of Im F is {lambda_min:.6e}")
+        rho = math.sqrt(lambda_min)
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "lambda_min", lambda_min)
+        object.__setattr__(self, "max_radius", max(40.0 / rho, 40.0 + rho))
+        object.__setattr__(self, "f_real", _readonly(F.real) if F.real.any() else None)
         for name, value in (
             ("F", F), ("alpha", alpha), ("beta", beta),
             ("y_sqrt", (evecs * np.sqrt(evals)) @ evecs.T), ("y_inv", (evecs / evals) @ evecs.T),
             ("chol", np.linalg.cholesky(Y).T),
         ):
             object.__setattr__(self, name, _readonly(value))
-
-    @property
-    def max_radius(self) -> float:
-        """Default radius budget; exceeding it raises TailBoundUnreachable."""
-        rho = math.sqrt(self.lambda_min)
-        return max(40.0 / rho, 40.0 + rho)
 
 
 def validate_parameters(F, alpha=None, beta=None) -> ThetaParameters:
@@ -264,21 +284,22 @@ def _find_radius(params: ThetaParameters, log_target: float, max_radius: float):
 
     The grid is R = 1 + k _RADIUS_STEP.  Its table holds the running
     minimum of the log bound, which is still a bound (the omitted mass
-    falls as R grows) and does not increase.  The table is kept in
-    params.cache and grown a block at a time as far as a target needs.
+    falls as R grows) and does not increase; it is kept negated, in the
+    ascending order searchsorted reads.  The table is kept in params.cache
+    and grown a block at a time as far as a target needs.
     """
-    table = params.cache.get("log_tails", np.zeros(0))
-    while (table.size == 0 or table[-1] > log_target) and (
+    table = params.cache.get("neg_log_tails", np.zeros(0))
+    while (table.size == 0 or -table[-1] > log_target) and (
         1.0 + _RADIUS_STEP * table.size <= max_radius
     ):
         radii = 1.0 + _RADIUS_STEP * np.arange(table.size, table.size + _TABLE_BLOCK)
         block = _log_bound(params, radii)
-        table = _readonly(np.minimum.accumulate(np.concatenate((table, block))))
-        params.cache["log_tails"] = table
-    k = int(np.searchsorted(-table, -log_target))  # -table does not decrease
+        table = _readonly(np.maximum.accumulate(np.concatenate((table, -block))))
+        params.cache["neg_log_tails"] = table
+    k = int(table.searchsorted(-log_target))
     R = 1.0 + _RADIUS_STEP * k
     if k < table.size and R <= max_radius:
-        return R, float(table[k])
+        return R, -float(table[k])
     raise TailBoundUnreachable(
         f"no radius within the budget {max_radius:.3g} brings the log tail bound "
         f"to the target {log_target:.3f}"
@@ -291,17 +312,18 @@ def _select(params: ThetaParameters, pts: np.ndarray, lo, hi, R: float) -> np.nd
     d = U(n - m), m = (lo + hi)/2, is computed once per row.  Over the box
     (Uc)_i spans m_i -+ h_i, h = |U| (hi - lo)/2, so with each row's worst
     center the box distance is max(|d_i| - h_i, 0) summed in squares; a
-    point, passed as hi is lo, has h = 0 and skips that step.  The rows
-    kept are ordered by |d|^2 with a stable sort, so ties keep their order.
+    point, passed as hi is lo, has m = lo and h = 0 and skips that step.
+    The rows kept are ordered by |d|^2 with a stable sort, so ties keep
+    their order, and returned as int64.
     """
     U = params.chol
-    d = pts @ U.T - U @ (0.5 * (lo + hi))
+    d = pts @ U.T - U @ (lo if hi is lo else 0.5 * (lo + hi))
     dist = near = np.einsum("ij,ij->i", d, d)
     if hi is not lo:
         d = np.maximum(np.abs(d) - np.abs(U) @ (0.5 * (hi - lo)), 0.0)
         near = np.einsum("ij,ij->i", d, d)
-    keep = np.flatnonzero(near <= (R + _SLACK) ** 2)
-    return pts[keep[np.argsort(dist[keep], kind="stable")]]
+    keep = (near <= (R + _SLACK) ** 2).nonzero()[0]
+    return pts.take(keep[dist[keep].argsort(kind="stable")], axis=0).astype(np.int64, copy=False)
 
 
 def _enumerate(params: ThetaParameters, lo: np.ndarray, hi: np.ndarray, R: float) -> np.ndarray:
@@ -354,7 +376,8 @@ def _cells(params: ThetaParameters, lo: np.ndarray, hi: np.ndarray, R: float) ->
     [0, e] cover those of [lo, hi], in the same lexicographic order.  The
     candidates of [0, e] are enumerated once per (R, e) and kept in
     params.cache as int32 while all its cached sets stay within _CHUNK_BYTES; a
-    set that would pass that cap is used but not kept.
+    set that would pass that cap is used but not kept.  The shift by k is
+    made in floating point, where these integers are exact.
     """
     k = np.floor(lo)
     span = np.floor(hi) - k  # e - 1
@@ -366,12 +389,16 @@ def _cells(params: ThetaParameters, lo: np.ndarray, hi: np.ndarray, R: float) ->
         kept = sum(c.nbytes for c in cache.values()) + cells.nbytes // 2
         if kept <= _CHUNK_BYTES and np.abs(cells).max() < 2**31:
             cache[key] = cells = _readonly(cells.astype(np.int32))
-    return _select(params, cells + k.astype(np.int64), lo, hi, R)
+    return _select(params, cells + k, lo, hi, R)
 
 
 def _rows(params: ThetaParameters, S: np.ndarray):
-    """Centers c = -alpha - Y^-1 s and log prefactors pi s^T Y^-1 s of the rows S."""
-    SY = S @ params.y_inv.T
+    """Centers c = -alpha - Y^-1 s and log prefactors pi s^T Y^-1 s of the rows S.
+
+    Y^-1 s is one (1, r) x (r, r) product per row, so each row's values
+    are those of the row alone.
+    """
+    SY = (S[:, None, :] @ params.y_inv.T)[:, 0]
     return -params.alpha - SY, math.pi * np.einsum("ij,ij->i", SY, S)
 
 
@@ -415,9 +442,21 @@ def _plan(params: ThetaParameters, centers, log_pref, log_tol, max_radius: float
     """
     budget = params.max_radius if max_radius is None else float(max_radius)
     R, log_sb = _find_radius(params, float((log_tol - log_pref).min()), budget)
-    lo = centers.min(axis=0)
+    lo = centers[0] if centers.shape[0] == 1 else centers.min(axis=0)
     hi = lo if centers.shape[0] == 1 else centers.max(axis=0)
     return R, _cells(params, lo, hi, R), log_pref + log_sb
+
+
+def _plan_points(params: ThetaParameters, Z: np.ndarray, log_tol, max_radius: float | None):
+    """(radius, index set, log tails, centers, log prefactors) of the finite rows of Z (N, r)."""
+    r, N = params.r, Z.shape[0]
+    # no tail bound exists in dimension 0 (the one term n = () is the value,
+    # its log tail -inf) and a batch with no rows has nothing to plan
+    if not (r and N):
+        return 0.0, np.zeros((1, r), dtype=np.int64), np.full(N, -np.inf), np.zeros((N, r)), np.zeros(N)
+    centers, log_pref = _rows(params, Z.imag)  # Im(z + beta) = Im z
+    _check_summable(params, centers, log_pref)
+    return (*_plan(params, centers, log_pref, log_tol, max_radius), centers, log_pref)
 
 
 def _checked_plan(params: ThetaParameters, Z: np.ndarray, tol, max_radius: float | None):
@@ -427,20 +466,14 @@ def _checked_plan(params: ThetaParameters, Z: np.ndarray, tol, max_radius: float
     """
     if not np.isfinite(Z).all():
         raise ValidationError("theta points must be finite")
-    if not np.all(np.asarray(tol) > 0):  # NaN included
+    if not (np.asarray(tol) > 0).all():  # NaN included
         raise ValueError("tol must be positive")
-    r, N = params.r, Z.shape[0]
-    if Z.shape[1] != r:
-        raise DimensionMismatch(f"points must have {r} coordinates")
-    # no tail bound exists in dimension 0 (the one term n = () is the value)
-    # and a batch with no rows has nothing to plan: radius and tails 0
-    if not (r and N):
-        return 0.0, np.zeros((1, r), dtype=np.int64), np.zeros(N), np.zeros((N, r)), np.zeros(N)
-    centers, log_pref = _rows(params, np.imag(Z + params.beta))
-    _check_summable(params, centers, log_pref)
-    R, idx, log_tails = _plan(params, centers, log_pref, np.log(tol), max_radius)
-    # a tail is at most its row's tol; the floor keeps it positive
-    return R, idx, np.exp(np.maximum(log_tails, -744.0)), centers, log_pref
+    if Z.shape[1] != params.r:
+        raise DimensionMismatch(f"points must have {params.r} coordinates")
+    R, idx, log_tails, centers, log_pref = _plan_points(params, Z, np.log(tol), max_radius)
+    # a tail is at most its row's tol; the floor keeps it positive (0 at r = 0)
+    tails = np.exp(np.maximum(log_tails, -744.0) if params.r else log_tails)
+    return R, idx, tails, centers, log_pref
 
 
 def truncation_plan(
@@ -455,46 +488,59 @@ def truncation_plan(
     """
     Z = np.asarray(z, dtype=complex).reshape(1, -1)
     R, idx, tails, centers, log_pref = _checked_plan(params, Z, tol, max_radius)
+    for a in (idx, centers):  # fresh arrays: the plan keeps them without a copy
+        a.setflags(write=False)
     return TruncationPlan(radius=R, index_set=idx, tail_bound=float(tails[0]),
                           center=centers[0], log_prefactor=float(log_pref[0]))
 
 
-def _term_exponents(params: ThetaParameters, z: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """2 pi i (1/2 t F t + t.(z + beta)) for t = idx + alpha.
+def _term_exponents(params: ThetaParameters, Z, idx, centers, log_pref) -> np.ndarray:
+    """Exponents of the terms idx (K, r) at the rows of Z (N, r), shape (N, K).
 
-    z of shape (..., r) gives shape (..., K).  The linear part is built
-    one coordinate at a time, so each entry is computed the same way
-    whatever the number of points.
+    With the rows' centers c_i and log prefactors (_rows), t = n + alpha,
+    X = Re F and x_i = Re(z_i + beta), the term is exactly
+
+        exp(log_pref_i - pi |U(n - c_i)|^2 + 2 pi i (1/2 t X t + t.x_i)),
+
+    whose real part is its log magnitude (see the module notes).
     """
-    t = idx + params.alpha
-    zb = z + params.beta
-    out = np.zeros(zb.shape[:-1] + t.shape[:1], dtype=complex)
-    out += 0.5 * np.einsum("ij,jk,ik->i", t, params.F, t)
-    for j in range(params.r):
-        out += zb[..., j : j + 1] * t[:, j]
-    out *= 2j * np.pi
+    n = idx.T.astype(float, order="C")  # (r, K), one row per coordinate
+    t = n + params.alpha[:, None]
+    d = params.chol @ (n - centers[:, :, None])  # U(n - c_i), (N, r, K), one product per row
+    out = np.empty((Z.shape[0], idx.shape[0]), dtype=complex)
+    np.subtract(log_pref[:, None], math.pi * np.square(d, out=d).sum(axis=1), out=out.real)
+    out.imag = (((2.0 * math.pi) * (Z.real + params.beta))[:, None, :] @ t)[:, 0]
+    if params.f_real is not None:
+        out.imag += math.pi * ((params.f_real @ t) * t).sum(axis=0)
     return out
 
 
-def _sum_terms(params: ThetaParameters, Z: np.ndarray, idx: np.ndarray) -> np.ndarray:
+def _sum_terms(params: ThetaParameters, Z: np.ndarray, idx, centers, log_pref) -> np.ndarray:
     """Sum of the planned terms at each row of Z (N, r), in plan order.
 
     Rows are processed in chunks whose (rows x terms) temporaries stay
     under _CHUNK_BYTES; the chunking does not change any value.  Raises
     ValueOutOfRange when a sum is not finite.
     """
-    rows = max(1, _CHUNK_BYTES // (16 * max(idx.shape[0], 1)))
+    rows = max(1, _CHUNK_BYTES // (8 * max(params.r, 2) * max(idx.shape[0], 1)))
     out = np.empty(Z.shape[0], dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, Z.shape[0], rows):
-            terms = _term_exponents(params, Z[start : start + rows], idx)
-            out[start : start + rows] = np.sum(np.exp(terms, out=terms), axis=1)
+            s = slice(start, start + rows)
+            terms = _term_exponents(params, Z[s], idx, centers[s], log_pref[s])
+            np.exp(terms, out=terms).sum(axis=1, out=out[s])
     if not np.isfinite(out).all():
         bad = int(np.argmin(np.isfinite(out)))
         raise ValueOutOfRange(
             f"theta sum at point {bad} is {out[bad]}: the value leaves the double range"
         )
     return out
+
+
+def _values(params: ThetaParameters, Z: np.ndarray, log_tol) -> np.ndarray:
+    """Values at the finite rows of Z (N, r) within log tolerances log_tol, unchecked."""
+    _, idx, _, centers, log_pref = _plan_points(params, Z, log_tol, None)
+    return _sum_terms(params, Z, idx, centers, log_pref)
 
 
 def theta_eval(
@@ -508,8 +554,8 @@ def theta_eval(
     """
     plan = truncation_plan(params, z, tol, max_radius)
     Z = np.asarray(z, dtype=complex).reshape(1, -1)
-    value = complex(_sum_terms(params, Z, plan.index_set)[0])
-    return ThetaResult(value=value, tail_bound=plan.tail_bound, terms=plan.index_set.shape[0])
+    value = _sum_terms(params, Z, plan.index_set, plan.center[None, :], np.array([plan.log_prefactor]))
+    return ThetaResult(complex(value[0]), tail_bound=plan.tail_bound, terms=plan.index_set.shape[0])
 
 
 def theta_eval_many(params: ThetaParameters, Z, tol, max_radius: float | None = None):
@@ -525,8 +571,8 @@ def theta_eval_many(params: ThetaParameters, Z, tol, max_radius: float | None = 
     (values (N,), tails (N,)).
     """
     Z = np.atleast_2d(np.asarray(Z, dtype=complex))
-    _, idx, tails, _, _ = _checked_plan(params, Z, tol, max_radius)
-    return _sum_terms(params, Z, idx), tails
+    _, idx, tails, centers, log_pref = _checked_plan(params, Z, tol, max_radius)
+    return _sum_terms(params, Z, idx, centers, log_pref), tails
 
 
 def theta_quasiperiodicity_defect(params: ThetaParameters, z, m, m2, tol: float) -> float:

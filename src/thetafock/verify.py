@@ -324,7 +324,8 @@ def verify_theta(config: S.SpaceConfig, rng) -> list[PropertyOutcome]:
     grid = np.array(
         np.meshgrid(*([np.arange(-12, 13)] * r), indexing="ij")
     ).reshape(r, -1).T
-    mags = np.exp(np.real(T._term_exponents(params, np.asarray(z), grid)))
+    Z = np.asarray(z)[None, :]
+    mags = np.exp(np.real(T._term_exponents(params, Z, grid, *T._rows(params, Z.imag))))[0]
     inside = {tuple(row) for row in plan.index_set}
     missing = [
         tuple(row) for row, mag in zip(grid, mags) if mag > cap and tuple(row) not in inside
@@ -478,7 +479,7 @@ def _kernel_series(config: S.SpaceConfig, u, v, n_radius: int = 8, k_total: int 
     idxs = S.series_indices(config, n_radius, k_total)
     vals_u = S.basis_eval_many(config, idxs, u.z[None, :], u.z_perp[None, :])[:, 0]
     vals_v = S.basis_eval_many(config, idxs, v.z[None, :], v.z_perp[None, :])[:, 0]
-    inv_norms = np.exp(-np.array([S.basis_norm_sq_log(config, i) for i in idxs]))
+    inv_norms = np.exp(-S._log_norms(config, idxs))
     return complex(np.sum(vals_u * np.conj(vals_v) * inv_norms))
 
 

@@ -344,6 +344,23 @@ def test_verify_orthogonality_g3_file(tmp_path):
     assert all(entry["pass"] for entry in doc["results"])
 
 
+def test_validate_all_zero_generators(tmp_path):
+    # a clean validation failure: exit 2, no warning and no traceback
+    bad = dict(G1R1, omegas=[[[0, 0]]])
+    path = write(tmp_path, bad)
+    src = str(Path(thetafock.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out_file = tmp_path / "result.json"
+    out = subprocess.run([sys.executable, "-W", "error", "-m", "thetafock.cli", "validate", path,
+                          "--out", str(out_file)], env=env, capture_output=True, text=True,
+                         timeout=60)
+    assert out.returncode == 2, out.stderr
+    assert "Warning" not in out.stderr and "Traceback" not in out.stderr
+    doc = json.loads(out_file.read_text())
+    assert doc["status"] == "validation-failure"
+    assert result(doc, "invariant")["value"] == "NotIndependent"
+
+
 def test_import_leaves_scipy_out():
     # the library and CLI need numpy only; scipy is a test-time reference
     src = str(Path(thetafock.__file__).resolve().parents[1])

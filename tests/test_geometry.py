@@ -98,6 +98,31 @@ def test_build_lattice_not_independent():
         tf.build_lattice(sp, [[1.0, 0.0], [2.0, 0.0]])
 
 
+@pytest.mark.parametrize("gens", [[[0.0]], [[0.0, 0.0], [0.0, 0.0]]], ids=["g1", "g2"])
+def test_all_zero_generators_are_not_independent(gens):
+    # no singular value is positive: the message must not divide 0 by 0
+    # (a RuntimeWarning, an error under this suite's filter)
+    sp = tf.validate_space(np.eye(len(gens[0])))
+    with pytest.raises(errors.NotIndependent, match="all are 0"):
+        tf.build_lattice(sp, gens)
+
+
+def test_value_types_compare_and_hash_by_identity():
+    # value types holding arrays: == is identity and hash works, so they
+    # can be dict keys (value equality would ask numpy for an array's truth)
+    def build():
+        sp = tf.validate_space(np.eye(2))
+        lattice = tf.build_lattice(sp, [[1.0, 0.0]])
+        config = tf.make_config(lattice, [0.3], 2.0)
+        return (sp, lattice, config, config.theta_params, config.character,
+                PointCoordinates([0.1 + 0.2j], [0.3]), tf.validate_parameters(np.eye(2) * 1j))
+
+    for a, b in zip(build(), build()):
+        assert a == a and a != b, type(a).__name__
+        assert {a: 1, b: 2}[a] == 1 and hash(a) == hash(a)
+        assert dataclasses.replace(a) != a
+
+
 def test_build_lattice_rank_exceeds_g():
     sp = tf.validate_space(np.eye(1))
     with pytest.raises(errors.RankExceedsG):

@@ -388,7 +388,8 @@ def test_kernel_expansion_mutation_is_caught(small_case, monkeypatch):
     exponents = S._theta._term_exponents
     with monkeypatch.context() as mp:
         # the coefficients take the exponents at -conj z_v; conjugating gives -z_v
-        mp.setattr(S._theta, "_term_exponents", lambda p, z, idx: exponents(p, np.conj(z), idx))
+        mp.setattr(S._theta, "_term_exponents", lambda p, Z, idx, *rows: exponents(
+            p, np.conj(Z), idx, *S._theta._rows(p, np.conj(Z).imag)))
         wrong = S.kernel_section(cfg, v, 1e-10)
     got = tf.inner_product(cfg, f, wrong, grid, refine=False).value
     if cfg.r:

@@ -353,7 +353,8 @@ def test_kernel_product_out_of_range():
     # doubles, their product is not
     config = verify.random_config(np.random.default_rng(1), 2, 1)
     u = PointCoordinates(np.array([0.2 + 8j]), np.array([12.0 + 0j]))
-    outer, vals = S._kernel_batch(config, u.z[None, :], config.nu * 144.0, u, 1e-10)
+    Zr, h = S._kernel_sides(config, u.z[None, :])
+    outer, vals = S._kernel_batch(config, Zr, h, config.nu * 144.0, Zr[0], h[0], 1e-10)
     assert np.isfinite(outer).all() and np.isfinite(vals).all()
     with pytest.raises(ValueOutOfRange):
         tf.kernel_eval(config, u, u, 1e-10)
@@ -483,3 +484,43 @@ def test_normalized_basis(cfg_g2r1):
     raw = tf.basis_eval(cfg_g2r1, idx, u)
     unit = tf.basis_eval(cfg_g2r1, idx, u, normalized=True)
     assert unit == pytest.approx(raw / math.sqrt(tf.basis_norm_sq(cfg_g2r1, idx)), rel=1e-14)
+
+
+@pytest.mark.parametrize("g, r", [(g, r) for r in range(3) for g in range(max(r, 1), r + 4)])
+def test_series_indices_order_is_the_tuple_sort(g, r):
+    # the lexsort order is the sorted (q, |k|, n, k) tuples, ties included:
+    # alpha = 0 makes q(n) = q(-n) exactly
+    config = verify.random_config(np.random.default_rng(40 + 5 * g + r), g, r)
+    for cfg in (config, tf.make_config(config.lattice, np.zeros(r), config.nu)):
+        for n_radius, k_total in ((0, 0), (1, 2), (2, 3)):
+            want = []
+            for n in itertools.product(range(-n_radius, n_radius + 1), repeat=r):
+                na = np.array(n, dtype=float) + cfg.alpha
+                q = float(na @ cfg.lattice.B_inv @ na)
+                want.extend((q, sum(k), n, k) for k in S._multi_indices(g - r, k_total))
+            want.sort()
+            got = S.series_indices(cfg, n_radius, k_total)
+            assert [(i.n, i.k) for i in got] == [(n, k) for _, _, n, k in want]
+
+
+_SCALAR_CALLS = {
+    "theta_eval": lambda cfg, u, v, f: tf.theta_eval(cfg.theta_params, u.z, 1e-12),
+    "kernel_eval": lambda cfg, u, v, f: tf.kernel_eval(cfg, u, v, 1e-12),
+    "kernel_diagonal": lambda cfg, u, v, f: tf.kernel_diagonal(cfg, u, 1e-12),
+    "evaluation_bound_check": lambda cfg, u, v, f: tf.evaluation_bound_check(cfg, f, u, 1e-12),
+}
+
+
+@pytest.mark.parametrize("entry", list(_SCALAR_CALLS))
+@pytest.mark.parametrize("name", ["cfg_g2r1", "cfg_g2r2"])
+def test_one_plan_per_scalar_call(name, entry, request, monkeypatch):
+    # a scalar call plans its theta factor once, on the same path as a batch
+    cfg = request.getfixturevalue(name)
+    rng = np.random.default_rng(50)
+    u, v = verify.random_point(rng, cfg), verify.random_point(rng, cfg)
+    field = verify.random_field(rng, cfg)
+    plans = []
+    plan = T._plan
+    monkeypatch.setattr(T, "_plan", lambda *args: plans.append(args) or plan(*args))
+    _SCALAR_CALLS[entry](cfg, u, v, field)
+    assert len(plans) == 1

@@ -194,7 +194,7 @@ def test_tail_bound_monotone_in_radius():
         bounds = [T._log_bound(params, R) for R in TAIL_RADII]
         assert all(b1 >= b2 for b1, b2 in zip(bounds, bounds[1:])), params.r
         T._find_radius(params, -2000.0, params.max_radius)  # past one table block
-        table = params.cache["log_tails"]
+        table = -params.cache["neg_log_tails"]
         assert table.size > T._TABLE_BLOCK and np.all(np.diff(table) <= 0.0), params.r
 
 
@@ -392,7 +392,8 @@ def test_plan_soundness_brute_force():
     cap = plan.tail_bound / plan.index_set.shape[0]
     inside = {tuple(row) for row in plan.index_set}
     grid = np.arange(-25, 26)[:, None]
-    mags = np.exp(np.real(T._term_exponents(params, z, grid)))
+    Z = z[None, :]
+    mags = np.exp(np.real(T._term_exponents(params, Z, grid, *T._rows(params, Z.imag))))[0]
     for row, mag in zip(grid, mags):
         if mag > cap:
             assert tuple(row) in inside
@@ -438,7 +439,8 @@ def test_continuity_bounded_by_gradient_sum():
     params = tf.validate_parameters([[0.1 + 1.2j]], alpha=[0.3], beta=[0.2])
     z = np.array([0.4 + 0.3j])
     plan = tf.truncation_plan(params, z, 1e-13)
-    terms = np.exp(T._term_exponents(params, z, plan.index_set))
+    Z = z[None, :]
+    terms = np.exp(T._term_exponents(params, Z, plan.index_set, *T._rows(params, Z.imag)))[0]
     grad_sum = float(
         np.sum(2 * np.pi * np.abs(plan.index_set[:, 0] + 0.3) * np.abs(terms))
     )
@@ -489,6 +491,20 @@ def test_batch_chunking_bit_identical(monkeypatch):
     vals1, tails1 = T.theta_eval_many(params, Z, tol)
     assert np.array_equal(vals, vals1)
     assert np.array_equal(tails, tails1)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_row_value_does_not_depend_on_its_batch(r):
+    # given the batch's index set, a row alone gives its batch value bit for
+    # bit: its center, prefactor and terms are products of that row only
+    rng = np.random.default_rng(30 + r)
+    params = _random_params(rng, r)
+    Z = 0.6 * rng.standard_normal((25, r)) + 1j * rng.standard_normal((25, r))
+    vals, _ = T.theta_eval_many(params, Z, 1e-9)
+    _, idx, _, _, _ = T._checked_plan(params, Z, 1e-9, None)
+    for i in range(Z.shape[0]):
+        row = Z[i : i + 1]
+        assert T._sum_terms(params, row, idx, *T._rows(params, row.imag))[0] == vals[i]
 
 
 def test_out_of_range_value_raises():
@@ -621,3 +637,21 @@ def test_cell_cache_stays_within_its_byte_cap(monkeypatch, cap):
     # 3000 bytes keep some of the nine sets and leave the others out
     retained = sum(len(kept) for kept in caches)
     assert 0 < retained < len(want) if cap else retained == 0
+
+
+@pytest.mark.parametrize("z", [-0.26926267 + 12.5j, 0.18897846 + 17.5j])
+def test_far_point_agrees_with_mpmath(z):
+    # the two far points of the rank-1 benchmark space (B = 1.00566393,
+    # nu = 3.967) that are doubles: the values are about e^312 and e^611, and
+    # each term exp(log_pref - pi |U(n - c)|^2 + phase) must keep the
+    # rounding within 1e-12 of the summed magnitudes, the benchmark's check
+    nu, b, alpha, tol = 3.9670217579781246, 1.00566393, 0.88948783, 1e-12
+    params = tf.validate_parameters([[2j * math.pi / (nu * b)]], [alpha])
+    res = tf.theta_eval(params, [z], tol)
+    with mpmath.workdps(40):
+        y, a, zm = mpmath.mpf(params.F[0, 0].imag), mpmath.mpf(alpha), mpmath.mpc(z)
+        center = int(round(-alpha - z.imag / float(y)))
+        terms = [mpmath.exp(2j * mpmath.pi * (0.5j * y * t * t + t * zm))
+                 for t in (n + a for n in range(center - 40, center + 41))]
+        ref, mass = mpmath.fsum(terms), mpmath.fsum(abs(t) for t in terms)
+        assert abs(mpmath.mpc(res.value) - ref) <= tol + 1e-12 * mass
