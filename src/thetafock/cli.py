@@ -238,12 +238,13 @@ def cmd_norms(args, doc: ResultDocument) -> int:
     grid = Q.build_grid(config, compact_nodes=compact, unbounded_nodes=unbounded)
     battery = verify.norms_battery(config, grid, args.n_max, args.k_max)
     ok = True
-    for idx, closed, oracle, defect in zip(
-        battery.indices, battery.closed, battery.oracle, battery.defects
+    n, k = battery.indices
+    for n_row, k_row, closed, oracle, defect in zip(
+        n.tolist(), k.tolist(), battery.closed, battery.oracle, battery.defects
     ):
         good = bool(defect <= 1e-6)
         ok = ok and good
-        doc.add(f"norm_sq[n={list(idx.n)},k={list(idx.k)}]", float(closed), passed=good,
+        doc.add(f"norm_sq[n={n_row},k={k_row}]", float(closed), passed=good,
                 oracle=float(oracle), rel_defect=float(defect))
     if not ok:
         doc.status = "property-failure"

@@ -27,12 +27,16 @@ form as a ``factored`` attribute (quadrature.Factored): basis lattice
 factors e_{n,0}(z) times one factor per perpendicular coordinate, summed
 block by block by the quadrature oracle.  A kernel section's form is its
 theta series expanded into planned terms (see kernel_section).
+
+Basis indices are integer arrays n (N, r) and k (N, g - r) inside the
+module: a list of BasisIndex or an (n, k) pair is converted once, by
+_index_arrays, and basis_eval_many multiplies per-coordinate power tables
+(_powers) in row blocks, with no Python loop over indices.
 """
 
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -73,13 +77,18 @@ REDUCTION_CUTOFF = 6.0
 _LOG_OVERFLOW = math.log(np.finfo(float).max)
 # log 1e-290, the floor on an outer factor's magnitude where it sets the theta tolerance
 _LOG_OUTER_FLOOR = math.log(1e-290)
+# bytes of (indices x points) complex values that basis_eval_many multiplies at a time
+_BLOCK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True, eq=False)
 class SpaceConfig:
     """Immutable (lattice, character, nu) triple with derived theta data.
 
-    Compared and hashed by identity, as are the geometry value types.
+    Checks its inputs when built, so dataclasses.replace checks them too:
+    nu must be finite and positive (ValueError) and the character's rank
+    must be the lattice's (DimensionMismatch).  Compared and hashed by
+    identity, as are the geometry value types.
     """
 
     lattice: IsotropicLattice
@@ -90,6 +99,13 @@ class SpaceConfig:
     kernel_prefactor: float = field(init=False, repr=False)
 
     def __post_init__(self):
+        if not 0 < self.nu < math.inf:  # NaN included
+            raise ValueError("nu must be finite and positive")
+        if self.character.r != self.lattice.r:
+            raise DimensionMismatch(
+                f"character has rank {self.character.r}, lattice has rank {self.lattice.r}"
+            )
+        object.__setattr__(self, "nu", float(self.nu))
         F = (2j * np.pi / self.nu) * self.lattice.B_inv
         object.__setattr__(self, "theta_params", _theta.validate_parameters(F, self.alpha))
         r, g, nu = self.r, self.g, self.nu
@@ -116,14 +132,8 @@ class SpaceConfig:
 
 def make_config(lattice: IsotropicLattice, alpha, nu: float) -> SpaceConfig:
     """Build a SpaceConfig from a lattice, character data and nu > 0."""
-    if not 0 < nu < math.inf:  # NaN included
-        raise ValueError("nu must be finite and positive")
     character = alpha if isinstance(alpha, Character) else Character(np.asarray(alpha, dtype=float))
-    if character.r != lattice.r:
-        raise DimensionMismatch(
-            f"character has rank {character.r}, lattice has rank {lattice.r}"
-        )
-    return SpaceConfig(lattice=lattice, character=character, nu=float(nu))
+    return SpaceConfig(lattice=lattice, character=character, nu=nu)
 
 
 @dataclass(frozen=True)
@@ -140,11 +150,56 @@ class BasisIndex:
             raise ValueError(f"k must be componentwise nonnegative, got {self.k}")
 
 
+def _stack(indices) -> tuple:
+    """(n, k) integer arrays of a list of BasisIndex, which must share one shape.
+
+    An empty list gives arrays of width 0, which fit every configuration.
+    """
+    shapes = {(len(idx.n), len(idx.k)) for idx in indices}
+    if len(shapes) > 1:
+        raise DimensionMismatch(f"basis indices of different shapes {sorted(shapes)}")
+    r, m = shapes.pop() if shapes else (0, 0)
+    rows = np.array([idx.n + idx.k for idx in indices], dtype=np.int64).reshape(len(indices), r + m)
+    rows.setflags(write=False)
+    return rows[:, :r], rows[:, r:]
+
+
+def _index_arrays(config: SpaceConfig, indices) -> tuple:
+    """Basis indices as integer arrays n of shape (N, r) and k of shape (N, g - r).
+
+    ``indices`` is a sequence of BasisIndex or an (n, k) pair of integer
+    arrays; an empty pair of any width is the empty set.  Raises
+    ValidationError for non-integer entries, DimensionMismatch for shapes
+    that do not match the configuration and ValueError for a negative k.
+    """
+    if all(isinstance(idx, BasisIndex) for idx in indices):
+        indices = _stack(indices)
+    n, k = indices
+    n, k = np.asarray(n), np.asarray(k)
+    if n.dtype.kind not in "iu" or k.dtype.kind not in "iu":
+        raise ValidationError(f"basis index arrays must hold integers, got {n.dtype} and {k.dtype}")
+    n, k = n.astype(np.int64, copy=False), k.astype(np.int64, copy=False)
+    r, m = config.r, config.g - config.r
+    if n.ndim != 2 or k.ndim != 2 or len(n) != len(k) or n.size != len(n) * r or k.size != len(k) * m:
+        raise DimensionMismatch(f"index arrays of shapes {n.shape} and {k.shape} do not "
+                                f"match (N, r) = (N, {r}) and (N, g-r) = (N, {m})")
+    if k.min(initial=0) < 0:
+        raise ValueError("k must be componentwise nonnegative")
+    return n.reshape(len(n), r), k.reshape(len(k), m)
+
+
 @dataclass(frozen=True)
 class CoefficientField:
-    """Finite coefficient map BasisIndex -> complex, canonically ordered."""
+    """Finite coefficient map BasisIndex -> complex, canonically ordered.
+
+    Its indices, as the integer arrays n and k, and its coefficients a
+    are derived when it is built, in the order of ``entries``.
+    """
 
     entries: tuple  # ((BasisIndex, complex), ...) sorted by (n, k)
+    n: np.ndarray = field(init=False, repr=False, compare=False)
+    k: np.ndarray = field(init=False, repr=False, compare=False)
+    a: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         norm = tuple(
@@ -152,6 +207,11 @@ class CoefficientField:
                    key=lambda t: (t[0].n, t[0].k))
         )
         object.__setattr__(self, "entries", norm)
+        n, k = _stack([idx for idx, _ in norm])
+        a = np.array([a for _, a in norm], dtype=complex)
+        a.setflags(write=False)
+        for name, value in (("n", n), ("k", k), ("a", a)):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_dict(cls, mapping) -> "CoefficientField":
@@ -164,15 +224,7 @@ class CoefficientField:
         return [idx for idx, _ in self.entries]
 
     def coefficients(self) -> np.ndarray:
-        return np.array([a for _, a in self.entries], dtype=complex)
-
-
-def _check_index(config: SpaceConfig, idx: BasisIndex):
-    if len(idx.n) != config.r or len(idx.k) != config.g - config.r:
-        raise DimensionMismatch(
-            f"index dimensions {(len(idx.n), len(idx.k))} do not match (r, g-r) = "
-            f"{(config.r, config.g - config.r)}"
-        )
+        return self.a
 
 
 def _as_batch(config: SpaceConfig, z, z_perp):
@@ -216,20 +268,26 @@ def weight_factor(config: SpaceConfig, u: PointCoordinates) -> complex:
 
     This is e_{0,0}(u), which does not depend on z_perp.
     """
-    m = config.g - config.r
-    origin = PointCoordinates(z=u.z, z_perp=np.zeros(m))
-    return basis_eval(config, BasisIndex(n=(0,) * config.r, k=(0,) * m), origin)
+    r, m = config.r, config.g - config.r
+    zero = np.zeros((1, r), dtype=np.int64), np.zeros((1, m), dtype=np.int64)
+    return complex(basis_eval_many(config, zero, u.z[None, :], np.zeros((1, m)))[0, 0])
 
 
-def _power_table(values: np.ndarray, exponents) -> dict:
-    """{e: values**e} built by repeated multiplication, e any integers."""
-    table = {0: np.ones_like(values)}
-    top, bot = max(max(exponents, default=0), 0), min(min(exponents, default=0), 0)
-    for e in range(1, top + 1):
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """The distinct entries of an integer array, in increasing order."""
+    flat = np.sort(a, axis=None)
+    return flat[np.diff(flat, prepend=flat[:1] - 1) != 0]
+
+
+def _powers(values: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Rows values**e for e = lo..hi (lo <= 0 <= hi), by repeated multiplication."""
+    table = np.empty((hi - lo + 1, values.shape[0]), dtype=complex)
+    table[-lo] = 1.0
+    for e in range(1 - lo, hi - lo + 1):
         table[e] = table[e - 1] * values
-    if bot < 0:
+    if lo < 0:
         inv = 1.0 / values
-        for e in range(-1, bot - 1, -1):
+        for e in range(-lo - 1, -1, -1):
             table[e] = table[e + 1] * inv
     return table
 
@@ -238,93 +296,89 @@ def _power_table(values: np.ndarray, exponents) -> dict:
 def basis_eval_many(config: SpaceConfig, indices, z, z_perp):
     """Values of several basis functions on a batch of points.
 
-    Returns an array of shape (len(indices), n_points).  The shared weight
+    ``indices`` is a list of BasisIndex or an (n, k) pair of integer arrays;
+    returns an array of shape (N, n_points).  The shared weight
     exp(nu/2 B(z,z) + 2 pi i alpha.z) is computed once per point, and the
-    integer phases exp(2 pi i n.z) come from per-dimension power tables.
-    Raises ValueOutOfRange when a value or a factor leaves the double range.
+    phases exp(2 pi i n_j z_j) and monomials z_perp_j^k_j come from one
+    power table per coordinate, multiplied in coordinate order (exponent 0
+    multiplies by an exact 1).  Raises ValueOutOfRange when a value or a
+    factor leaves the double range.
     """
     Z, Zp = _as_batch(config, z, z_perp)
-    for idx in indices:
-        _check_index(config, idx)
+    n, k = _index_arrays(config, indices)
     Zr, log_factor = _reduce_batch(config, Z)
     base = np.exp(
         0.5 * config.nu * b_form(config.lattice, Zr, Zr)
         + 2j * np.pi * (Zr @ config.alpha)
         + log_factor
     )
-    r, m = config.r, config.g - config.r
-    phase_tables = [
-        _power_table(np.exp(2j * np.pi * Zr[:, j]), [idx.n[j] for idx in indices])
-        for j in range(r)
-    ]
-    mono_tables = [
-        _power_table(Zp[:, j], [idx.k[j] for idx in indices]) for j in range(m)
-    ]
-    out = np.empty((len(indices), Z.shape[0]), dtype=complex)
-    for i, idx in enumerate(indices):
-        vals = base.copy()
-        for j in range(r):
-            if idx.n[j]:
-                vals *= phase_tables[j][idx.n[j]]
-        for j in range(m):
-            if idx.k[j]:
-                vals *= mono_tables[j][idx.k[j]]
-        out[i] = vals
+    # one table per coordinate whose exponents are not all zero, phases first
+    lo, hi, top = n.min(axis=0, initial=0), n.max(axis=0, initial=0), k.max(axis=0, initial=0)
+    tables = [(_powers(np.exp(2j * np.pi * Zr[:, j]), lo[j], hi[j]), n[:, j] - lo[j])
+              for j in range(config.r) if lo[j] < hi[j]]
+    tables += [(_powers(Zp[:, j], 0, top[j]), k[:, j])
+               for j in range(config.g - config.r) if top[j]]
+    out = np.empty((len(n), Z.shape[0]), dtype=complex)
+    step = max(1, _BLOCK_BYTES // (16 * max(Z.shape[0], 1)))
+    for start in range(0, len(n), step):
+        block = out[start:start + step]
+        block[...] = base
+        for table, rows in tables:
+            block *= table[rows[start:start + step]]
     if not np.isfinite(out).all():
         raise ValueOutOfRange("a basis value or one of its factors leaves the double range")
     return out
 
 
-def _member(config: SpaceConfig, indices, coeffs):
-    """Closure (z, z_perp) -> coeffs @ basis_eval_many(indices), with its block form.
+def _member(config: SpaceConfig, n, k, coeffs):
+    """Closure (z, z_perp) -> coeffs @ basis_eval_many((n, k)), with its block form.
+
+    n and k are index arrays as _index_arrays returns them.
 
     1-D coeffs give one function (values of shape (n_points,)), 2-D coeffs
     a family ((n_members, n_points)).  In the ``factored`` form e_{n,k} is
     the lattice factor e_{n,0}(z) times z_perp_j^k_j for every
-    perpendicular coordinate j; each distinct factor is evaluated once.
+    perpendicular coordinate j; each distinct factor is evaluated once,
+    and the factors of a block are in increasing (lexicographic) order.
     """
-    indices = list(indices)
     coeffs = np.asarray(coeffs, dtype=complex)
 
     def f(z, z_perp):
-        return coeffs @ basis_eval_many(config, indices, z, z_perp)
+        return coeffs @ basis_eval_many(config, (n, k), z, z_perp)
 
-    m = config.g - config.r
-    ns = {n: i for i, n in enumerate(sorted({idx.n for idx in indices}))}
-    ks = [{k: i for i, k in enumerate(sorted({idx.k[j] for idx in indices}))} for j in range(m)]
-    lattice_indices = [BasisIndex(n=n, k=(0,) * m) for n in ns]
-    origin = np.zeros((1, m))
+    # equal n are adjacent in (n, k) order; g >= 1 keys keep lexsort defined at r = 0
+    order = np.lexsort((*k.T[::-1], *n.T[::-1]))
+    first = np.ones(len(n), dtype=bool)
+    first[1:] = (n[order[1:]] != n[order[:-1]]).any(axis=1)
+    lattice_rows = np.empty(len(n), dtype=np.intp)
+    lattice_rows[order] = np.cumsum(first) - 1
+    lattice_n = n[order[first]]
+    lattice_k = np.zeros((len(lattice_n), k.shape[1]), dtype=np.int64)
+    origin = np.zeros((1, k.shape[1]))
 
     def lattice(z):
-        return basis_eval_many(config, lattice_indices, z, origin)
+        return basis_eval_many(config, (lattice_n, lattice_k), z, origin)
 
-    def monomials(exponents):
-        def perp(w):
-            table = _power_table(w, exponents)
-            return np.array([table[e] for e in exponents]).reshape(len(exponents), w.shape[0])
-
-        return perp
-
-    terms = np.array(
-        [[ns[idx.n]] + [ks[j][idx.k[j]] for j in range(m)] for idx in indices], dtype=np.intp
-    ).reshape(len(indices), 1 + m)
+    exponents = [_distinct(kj) for kj in k.T]
     f.factored = Factored(
         lattice=lattice,
-        perp=tuple(monomials(list(kj)) for kj in ks),
-        terms=terms,
+        perp=tuple((lambda w, e=e: _powers(w, 0, e.max(initial=0))[e]) for e in exponents),
+        terms=np.column_stack([lattice_rows] + list(map(np.searchsorted, exponents, k.T))),
         coeffs=np.atleast_2d(coeffs),
     )
     return f
 
 
 def basis_family(config: SpaceConfig, indices, normalized: bool = False):
-    """Batch closure (z, z_perp) -> (len(indices), n_points) value matrix.
+    """Batch closure (z, z_perp) -> (N, n_points) value matrix.
 
-    With its ``factored`` form this is the fast path for Gram batteries.
+    ``indices`` is a list of BasisIndex or an (n, k) pair of integer
+    arrays.  With its ``factored`` form this is the fast path for Gram
+    batteries.
     """
-    indices = list(indices)
-    scale = [1.0 / math.sqrt(basis_norm_sq(config, i)) if normalized else 1.0 for i in indices]
-    return _member(config, indices, np.diag(scale))
+    n, k = _index_arrays(config, indices)
+    scale = 1.0 / np.sqrt(_exp_norms(_log_norms(config, (n, k)))) if normalized else np.ones(len(n))
+    return _member(config, n, k, np.diag(scale))
 
 
 def basis_eval(
@@ -338,24 +392,27 @@ def basis_eval(
 def basis_function(config: SpaceConfig, idx: BasisIndex, normalized: bool = False):
     """Batch-evaluable closure (z, z_perp) -> values for one basis index."""
     scale = 1.0 / math.sqrt(basis_norm_sq(config, idx)) if normalized else 1.0
-    return _member(config, [idx], [scale])
+    return _member(config, *_index_arrays(config, [idx]), [scale])
 
 
 def _log_norms(config: SpaceConfig, indices) -> np.ndarray:
     """log ||e_{n,k}||^2 of every index, in one vectorised pass; always finite."""
-    for idx in indices:
-        _check_index(config, idx)
+    n, k = _index_arrays(config, indices)
     r, g, nu = config.r, config.g, config.nu
-    n = np.array([idx.n for idx in indices], dtype=float).reshape(len(indices), r) + config.alpha
-    quad = np.einsum("ij,jk,ik->i", n, config.lattice.B_inv, n)
+    na = n + config.alpha
+    quad = np.einsum("ij,jk,ik->i", na, config.lattice.B_inv, na)
     base = (
         -0.5 * math.log(config.lattice.det_b)
         + (r / 2.0) * math.log(math.pi / (2.0 * nu))
         + (g - r) * math.log(math.pi / nu)
     )
-    rest = [base + sum(math.lgamma(kj + 1) for kj in idx.k) - sum(idx.k) * math.log(nu)
-            for idx in indices]
-    return np.array(rest, dtype=float) + (2.0 * math.pi**2 / nu) * quad
+    top = int(k.max(initial=0))
+    log_fact = np.fromiter(map(math.lgamma, range(1, top + 2)), dtype=float, count=top + 1)
+    log_k_fact = 0  # sum_j log k_j!, added column by column as a Python sum would
+    for kj in k.T:
+        log_k_fact = log_k_fact + log_fact[kj]
+    rest = base + log_k_fact - k.sum(axis=1) * math.log(nu)
+    return rest + (2.0 * math.pi**2 / nu) * quad
 
 
 def _exp_norms(log_norms: np.ndarray) -> np.ndarray:
@@ -367,7 +424,7 @@ def _exp_norms(log_norms: np.ndarray) -> np.ndarray:
 
 
 def basis_norm_sq_log(config: SpaceConfig, idx: BasisIndex) -> float:
-    """log ||e_{n,k}||^2; always finite, safe for any index size."""
+    """log ||e_{n,k}||^2; always finite, with a table of log j! up to the largest k_j."""
     return float(_log_norms(config, [idx])[0])
 
 
@@ -382,13 +439,13 @@ def basis_norm_sq(config: SpaceConfig, idx: BasisIndex) -> float:
 
 def synthesize(config: SpaceConfig, coeffs: CoefficientField, u: PointCoordinates) -> complex:
     """sum a_{n,k} e_{n,k}(u) over the finite coefficient field."""
-    vals = basis_eval_many(config, coeffs.indices(), u.z[None, :], u.z_perp[None, :])
-    return complex(coeffs.coefficients() @ vals[:, 0])
+    vals = basis_eval_many(config, (coeffs.n, coeffs.k), u.z[None, :], u.z_perp[None, :])
+    return complex(coeffs.a @ vals[:, 0])
 
 
 def synthesized_function(config: SpaceConfig, coeffs: CoefficientField):
     """Batch-evaluable closure for the synthesized field."""
-    return _member(config, coeffs.indices(), coeffs.coefficients())
+    return _member(config, *_index_arrays(config, (coeffs.n, coeffs.k)), coeffs.a)
 
 
 def growth_functional(config: SpaceConfig, coeffs: CoefficientField) -> float:
@@ -399,8 +456,8 @@ def growth_functional(config: SpaceConfig, coeffs: CoefficientField) -> float:
     the independent check.  Raises ValueOutOfRange when a norm exceeds the
     double range.
     """
-    weights = np.abs(coeffs.coefficients()) ** 2
-    return float(weights @ _exp_norms(_log_norms(config, coeffs.indices())))
+    weights = np.abs(coeffs.a) ** 2
+    return float(weights @ _exp_norms(_log_norms(config, (coeffs.n, coeffs.k))))
 
 
 def perp_inner(z_perp, w_perp):
@@ -492,7 +549,7 @@ def kernel_section(config: SpaceConfig, v: PointCoordinates, tol: float):
         raise ValueOutOfRange("a coefficient of the kernel expansion leaves the double range")
     # the lattice part is the member sum_t c_t e_{n,0}; each e_{n,0} has perpendicular factor 1
     m = config.g - config.r
-    expansion = _member(config, [BasisIndex(n=tuple(n), k=(0,) * m) for n in idx], coeffs)
+    expansion = _member(config, idx, np.zeros((len(idx), m), dtype=np.int64), coeffs)
     f.factored = replace(expansion.factored, perp=tuple(
         (lambda w, vj=vj: np.exp(config.nu * w * np.conj(vj))[None, :]) for vj in v.z_perp
     ))
@@ -558,34 +615,39 @@ def evaluation_bound_check(
     return EvaluationBoundReport(lhs=lhs, rhs=rhs, holds=lhs <= rhs * (1.0 + slack))
 
 
-def series_indices(config: SpaceConfig, n_radius: int, k_total: int):
-    """Basis indices with |n_j| <= n_radius and |k| <= k_total.
+def series_indices(config: SpaceConfig, n_radius: int, k_total: int) -> tuple:
+    """Basis indices with |n_j| <= n_radius and |k| <= k_total, as an (n, k) pair of arrays.
 
     Ordered dominant-first for series truncation: by the norm exponent
     (n+alpha)^T B^-1 (n+alpha), then by |k|, then lexicographically.
     """
     ns = _integer_box(config.r, n_radius)
     ks = _multi_indices(config.g - config.r, k_total)
-    q = [float(na @ config.lattice.B_inv @ na) for na in np.array(ns, dtype=float).reshape(
-        len(ns), config.r) + config.alpha]
+    na = ns + config.alpha
+    # the stacked product runs row by row as na @ B_inv @ na does, bit for bit
+    q = (na[:, None, :] @ config.lattice.B_inv @ na[:, :, None])[:, 0, 0]
     # pair p = (n, k) = (ns[p // len(ks)], ks[p % len(ks)]) runs in lexicographic
     # order, which the stable lexsort keeps among equal (q, |k|)
-    order = np.lexsort((np.tile([sum(k) for k in ks], len(ns)), np.repeat(q, len(ks))))
+    order = np.lexsort((np.tile(ks.sum(axis=1), len(ns)), np.repeat(q, len(ks))))
     rows, cols = np.divmod(order, max(len(ks), 1))
-    return [BasisIndex(n=ns[i], k=ks[j]) for i, j in zip(rows.tolist(), cols.tolist())]
+    return ns[rows], ks[cols]
 
 
-def _integer_box(r: int, radius: int):
-    """Integer vectors with |n_j| <= radius, lexicographic."""
-    return list(itertools.product(range(-radius, radius + 1), repeat=r))
+def _integer_box(r: int, radius: int) -> np.ndarray:
+    """Integer vectors with |n_j| <= radius as an (N, r) array, lexicographic."""
+    side = 2 * radius + 1
+    return np.ascontiguousarray(np.indices((side,) * r).reshape(r, side**r).T) - radius
 
 
-def _multi_indices(m: int, total: int):
-    """Multi-indices in N^m with |k| <= total, lexicographic.
+def _multi_indices(m: int, total: int) -> np.ndarray:
+    """Multi-indices in N^m with |k| <= total as an (N, m) array, lexicographic.
 
     Each first entry j is followed by the indices of N^(m-1) with
     |k| <= total - j, so only the indices kept are generated.
     """
-    if m == 0:
-        return [()] if total >= 0 else []
-    return [(j,) + k for j in range(total + 1) for k in _multi_indices(m - 1, total - j)]
+    ks = np.zeros((1 if total >= 0 else 0, 0), dtype=np.int64)
+    for _ in range(m):
+        # nonzero runs j-major, so each j's rows follow in the order of ks
+        first, rest = np.nonzero(np.arange(total + 1)[:, None] + ks.sum(axis=1) <= total)
+        ks = np.column_stack((first, ks[rest]))
+    return ks

@@ -344,7 +344,7 @@ def verify_theta(config: S.SpaceConfig, rng) -> list[PropertyOutcome]:
 class NormsBattery:
     """Oracle Gram matrix of a basis index box against the closed-form norms."""
 
-    indices: list
+    indices: tuple  # (n, k) integer arrays, one row per basis index
     oracle: np.ndarray  # real part of the oracle Gram diagonal
     closed: np.ndarray  # closed-form squared norms
     defects: np.ndarray  # relative diagonal defects
@@ -353,13 +353,11 @@ class NormsBattery:
 
 def norms_battery(config: S.SpaceConfig, grid, n_max: int, k_max: int) -> NormsBattery:
     """Gram battery over |n_j| <= n_max, |k| <= k_max on the given grid."""
-    idxs = [
-        S.BasisIndex(n=n, k=k)
-        for n in S._integer_box(config.r, n_max)
-        for k in S._multi_indices(config.g - config.r, k_max)
-    ]
+    ns = S._integer_box(config.r, n_max)
+    ks = S._multi_indices(config.g - config.r, k_max)
+    idxs = np.repeat(ns, len(ks), axis=0), np.tile(ks, (len(ns), 1))
     G, _ = Q.gram_matrix(config, S.basis_family(config, idxs), grid)
-    closed = np.array([S.basis_norm_sq(config, i) for i in idxs])
+    closed = S._exp_norms(S._log_norms(config, idxs))
     oracle = np.diag(G).real
     root = np.sqrt(closed)  # the product closed_i closed_j overflows past ~1e154 each
     off = np.abs(G - np.diag(np.diag(G))) / np.outer(root, root)
@@ -471,10 +469,13 @@ def verify_reproducing(
 
 
 def _kernel_series(config: S.SpaceConfig, u, v, n_radius: int = 8, k_total: int = 40) -> complex:
-    """Brute-force basis expansion of the kernel, grown until stable.
+    """Brute-force basis expansion of the kernel over a fixed index box.
 
-    Inverse norms go through log space: indices whose norm overflows the
-    double range contribute below resolution and underflow to zero.
+    Sums e_{n,k}(u) conj(e_{n,k}(v)) / ||e_{n,k}||^2 over |n_j| <= n_radius
+    and |k| <= k_total (8 and 40 by default), evaluating the whole box as
+    index arrays.  Inverse norms go through log space: indices whose norm
+    overflows the double range contribute below resolution and underflow
+    to zero.
     """
     idxs = S.series_indices(config, n_radius, k_total)
     vals_u = S.basis_eval_many(config, idxs, u.z[None, :], u.z_perp[None, :])[:, 0]

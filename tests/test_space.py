@@ -436,13 +436,13 @@ def test_evaluation_bound(cfg_g2r1):
 
 
 def test_series_indices_ordering(cfg_g2r1):
-    idxs = tf.series_indices(cfg_g2r1, n_radius=2, k_total=2)
+    ns, ks = tf.series_indices(cfg_g2r1, n_radius=2, k_total=2)
     quads = []
-    for idx in idxs:
-        na = np.array(idx.n, dtype=float) + cfg_g2r1.alpha
+    for n in ns:
+        na = np.array(n, dtype=float) + cfg_g2r1.alpha
         quads.append(float(na @ cfg_g2r1.lattice.B_inv @ na))
     assert all(a <= b + 1e-12 for a, b in zip(quads, quads[1:]))
-    assert len(idxs) == 5 * 3  # 5 n-values times k in {0, 1, 2}
+    assert len(ns) == len(ks) == 5 * 3  # 5 n-values times k in {0, 1, 2}
 
 
 def test_multi_indices_are_the_filtered_product():
@@ -450,13 +450,95 @@ def test_multi_indices_are_the_filtered_product():
     for m in range(5):
         for total in range(-1, 7):
             want = [k for k in itertools.product(range(total + 1), repeat=m) if sum(k) <= total]
-            assert S._multi_indices(m, total) == want, (m, total)
+            assert list(map(tuple, S._multi_indices(m, total).tolist())) == want, (m, total)
 
 
 @pytest.mark.parametrize("nu", [math.nan, math.inf, 0.0, -1.0])
 def test_make_config_rejects_bad_nu(cfg_g1r1, nu):
     with pytest.raises(ValueError, match="nu must be finite and positive"):
         tf.make_config(cfg_g1r1.lattice, cfg_g1r1.alpha, nu)
+
+
+_CONFIG_BUILDS = {
+    "constructor": lambda cfg, **kw: S.SpaceConfig(
+        kw.get("lattice", cfg.lattice), kw.get("character", cfg.character), kw.get("nu", cfg.nu)),
+    "replace": lambda cfg, **kw: dataclasses.replace(cfg, **kw),
+}
+
+
+@pytest.mark.parametrize("build", list(_CONFIG_BUILDS))
+def test_config_checks_its_own_inputs(cfg_g1r1, cfg_g2r2, build):
+    # SpaceConfig checks nu and the character's rank, so replace() checks them too
+    for nu in (math.nan, math.inf, 0.0, -1.0):
+        with pytest.raises(ValueError, match="nu must be finite and positive"):
+            _CONFIG_BUILDS[build](cfg_g1r1, nu=nu)
+    with pytest.raises(DimensionMismatch, match="character has rank 2, lattice has rank 1"):
+        _CONFIG_BUILDS[build](cfg_g1r1, character=cfg_g2r2.character)
+
+
+def _loop_basis_values(cfg, n, k, z, zp):
+    """Reference: the per-index, per-point product that basis_eval_many replaced."""
+    Zr, log_factor = S._reduce_batch(cfg, z)
+    base = np.exp(0.5 * cfg.nu * b_form(cfg.lattice, Zr, Zr) + 2j * np.pi * (Zr @ cfg.alpha)
+                  + log_factor)
+    out = np.empty((len(n), len(z)), dtype=complex)
+    for i, p in itertools.product(range(len(n)), range(len(z))):
+        value = complex(base[p])
+        for j, e in enumerate(n[i]):
+            value *= complex(np.exp(2j * np.pi * Zr[p, j])) ** int(e)
+        for j, e in enumerate(k[i]):
+            value *= complex(zp[p, j]) ** int(e)
+        out[i, p] = value
+    return out
+
+
+@pytest.mark.parametrize("g, r", [(g, r) for g in range(1, 5) for r in range(g + 1)])
+def test_index_pair_matches_index_list(g, r):
+    # the (n, k) array pair and the BasisIndex list are one input, converted once:
+    # the same values and norms bit for bit, far points and the empty set included
+    cfg = verify.random_config(np.random.default_rng([44, g, r]), g, r)
+    rng = np.random.default_rng([42, g, r])
+    n = rng.integers(-3, 4, size=(12, r))
+    k = rng.integers(0, 4, size=(12, g - r))
+    z = rng.standard_normal((9, r)) + 1j * rng.standard_normal((9, r))
+    z[::3] += 9.0  # beyond REDUCTION_CUTOFF
+    zp = rng.standard_normal((9, g - r)) + 1j * rng.standard_normal((9, g - r))
+    for rows in (slice(None), slice(0, 1), slice(0, 0)):
+        pair = n[rows], k[rows]
+        listed = [tf.BasisIndex(n=a, k=b) for a, b in zip(*pair)]
+        for many_z, many_zp in ((z, zp), (z[:1], zp[:1])):
+            got = S.basis_eval_many(cfg, pair, many_z, many_zp)
+            assert got.shape == (len(listed), len(many_z))
+            assert got.tobytes() == S.basis_eval_many(cfg, listed, many_z, many_zp).tobytes()
+            # powers by repeated multiplication against Python's: a few roundings apart
+            want = _loop_basis_values(cfg, *pair, many_z, many_zp)
+            np.testing.assert_allclose(got, want, rtol=512 * np.finfo(float).eps, atol=0)
+        assert S._log_norms(cfg, pair).tobytes() == S._log_norms(cfg, listed).tobytes()
+
+
+_BAD_PAIRS = {
+    "n_columns": (lambda n, k: (n[:, :0], k), DimensionMismatch),
+    "k_columns": (lambda n, k: (n, np.hstack((k, k))), DimensionMismatch),
+    "rows": (lambda n, k: (n, k[:1]), DimensionMismatch),
+    "one_dimensional": (lambda n, k: (n[:, 0], k), DimensionMismatch),
+    "negative_k": (lambda n, k: (n, -k), ValueError),
+    "float_n": (lambda n, k: (n.astype(float), k), ValidationError),
+    "nan_k": (lambda n, k: (n, np.full(k.shape, math.nan)), ValidationError),
+}
+
+
+@pytest.mark.parametrize("bad", list(_BAD_PAIRS))
+@pytest.mark.parametrize("entry", ["basis_eval_many", "basis_family", "_log_norms"])
+def test_malformed_index_pair_raises(cfg_g2r1, entry, bad):
+    make, error = _BAD_PAIRS[bad]
+    pair = make(np.array([[1], [-2]]), np.array([[1], [0]]))
+    calls = {
+        "basis_eval_many": lambda: S.basis_eval_many(cfg_g2r1, pair, [[0.1j]], [[0.2]]),
+        "basis_family": lambda: S.basis_family(cfg_g2r1, pair),
+        "_log_norms": lambda: S._log_norms(cfg_g2r1, pair),
+    }
+    with pytest.raises(error):
+        calls[entry]()
 
 
 def test_kernel_positive_semidefinite(cfg_g2r1):
@@ -497,10 +579,12 @@ def test_series_indices_order_is_the_tuple_sort(g, r):
             for n in itertools.product(range(-n_radius, n_radius + 1), repeat=r):
                 na = np.array(n, dtype=float) + cfg.alpha
                 q = float(na @ cfg.lattice.B_inv @ na)
-                want.extend((q, sum(k), n, k) for k in S._multi_indices(g - r, k_total))
+                ks = map(tuple, S._multi_indices(g - r, k_total).tolist())
+                want.extend((q, sum(k), n, k) for k in ks)
             want.sort()
-            got = S.series_indices(cfg, n_radius, k_total)
-            assert [(i.n, i.k) for i in got] == [(n, k) for _, _, n, k in want]
+            ns, ks = S.series_indices(cfg, n_radius, k_total)
+            got = zip(map(tuple, ns.tolist()), map(tuple, ks.tolist()))
+            assert list(got) == [(n, k) for _, _, n, k in want]
 
 
 _SCALAR_CALLS = {

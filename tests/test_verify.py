@@ -106,6 +106,12 @@ def test_reproducing_suite_g3r2():
     _assert_all_pass(verify.verify_reproducing(cfg, np.random.default_rng(0)))
 
 
+def test_reproducing_suite_g4r2():
+    # the default series box holds 248,829 indices at g = 4, r = 2
+    cfg = verify.random_config(np.random.default_rng([0, 4, 2]), 4, 2)
+    _assert_all_pass(verify.verify_reproducing(cfg, np.random.default_rng(0)))
+
+
 def test_orthogonality_suite_g3r3():
     # at nu = pi this lattice's calibration defect is 3.1e-8, above its 1e-9 bound
     space = tf.validate_space(np.eye(3))
