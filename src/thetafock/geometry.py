@@ -51,6 +51,8 @@ __all__ = [
 
 # Relative tolerance used for all form/shape validations.
 FORM_TOL_SCALE = 1e-10
+# tolerance of check_rdq on |chi| - 1 and on the cocycle defect
+_RDQ_TOL = 1e-9
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -391,8 +393,8 @@ def _rdq_test_set(r: int) -> np.ndarray:
     return np.array(vecs, dtype=int)
 
 
-def check_rdq(lattice: IsotropicLattice, chi, nu: float, tol: float = 1e-9) -> RdqReport:
-    """Check the cocycle condition chi(m+m') = chi(m) chi(m') e^{i nu E}.
+def check_rdq(lattice: IsotropicLattice, chi, nu: float) -> RdqReport:
+    """Check the cocycle condition chi(m+m') = chi(m) chi(m') e^{i nu E}, within 1e-9.
 
     For an isotropic lattice E vanishes on lattice pairs, so the condition
     reduces to chi being a character; the symplectic factor is kept anyway
@@ -406,7 +408,7 @@ def check_rdq(lattice: IsotropicLattice, chi, nu: float, tol: float = 1e-9) -> R
         if s not in vals:
             vals[s] = complex(chi(np.array(s, dtype=int)))
     for m, v in vals.items():
-        if abs(abs(v) - 1.0) > tol:
+        if abs(abs(v) - 1.0) > _RDQ_TOL:
             raise NonUnitModulus(f"|chi({m})| = {abs(v):.12f}")
 
     worst = 0.0
@@ -422,7 +424,7 @@ def check_rdq(lattice: IsotropicLattice, chi, nu: float, tol: float = 1e-9) -> R
                 worst = defect
                 worst_pair = (tuple(m), tuple(mp))
     return RdqReport(
-        passed=worst <= tol,
+        passed=worst <= _RDQ_TOL,
         worst_defect=worst,
         worst_pair=worst_pair,
         pairs_checked=len(ms) ** 2,

@@ -100,7 +100,7 @@ def gaussian_integral(a: float, A, b) -> complex:
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DimensionMismatch(f"A must be square, got {A.shape}")
     r = A.shape[0]
-    b = np.zeros(r, dtype=complex) if b is None else np.asarray(b, dtype=complex).reshape(-1)
+    b = np.asarray(b, dtype=complex).reshape(-1)
     if b.shape[0] != r:
         raise DimensionMismatch("b must have the same dimension as A")
     scale = max(1.0, float(np.abs(A).max(initial=0.0)))
@@ -316,9 +316,14 @@ def _work(config, levels, fs, hs) -> int:
     return sum((nc**r + nh**r) * lattice + nh**2 * sum(perp) for nc, nh in shapes)
 
 
-def _levels(grid: QuadratureGrid, refine: bool) -> list:
-    """The levels an integral sums: base, then fine when refine."""
-    return [grid.base, grid.fine] if refine else [grid.base]
+def _grid_sums(config, grid: QuadratureGrid, refine: bool, fs, hs) -> tuple:
+    """_reduce over the grid's base level, then its fine level when refine.
+
+    Raises ValidationError when the grid was built for another configuration.
+    """
+    if grid.config is not config:
+        raise ValidationError("the quadrature grid was built for another configuration")
+    return _reduce(config, [grid.base, grid.fine] if refine else [grid.base], grid.box_offset, fs, hs)
 
 
 def _reduce(config, levels, offset, fs, hs) -> tuple:
@@ -443,8 +448,9 @@ def inner_product(config, f, h, grid: QuadratureGrid, refine: bool = True) -> In
     used and no estimate is produced.  NodeBudgetExceeded is raised,
     before f or h is called, when the levels summed would compute more
     factor values than the work budget; ``work`` reports that count.
+    A grid built for another configuration raises ValidationError.
     """
-    sums, work = _reduce(config, _levels(grid, refine), grid.box_offset, f, h)
+    sums, work = _grid_sums(config, grid, refine, f, h)
     v0 = complex(sums[0][0, 0])
     if not refine:
         return InnerProductResult(value=v0, error_estimate=None, work=work)
@@ -465,9 +471,9 @@ def gram_matrix(config, funcs, grid: QuadratureGrid, refine: bool = True):
     space.basis_family is reduced block by block (the fast path).
     Returns (G, E): the Gram matrix from the finest level used and the
     entrywise difference between levels (zeros when refine=False).
-    Raises NodeBudgetExceeded as inner_product does.
+    Raises ValidationError and NodeBudgetExceeded as inner_product does.
     """
-    sums, _ = _reduce(config, _levels(grid, refine), grid.box_offset, funcs, funcs)
+    sums, _ = _grid_sums(config, grid, refine, funcs, funcs)
     if not refine:
         return sums[0], np.zeros_like(sums[0], dtype=float)
     return sums[1], np.abs(sums[1] - sums[0])

@@ -395,12 +395,16 @@ def basis_function(config: SpaceConfig, idx: BasisIndex, normalized: bool = Fals
     return _member(config, *_index_arrays(config, [idx]), [scale])
 
 
+def _norm_exponents(config: SpaceConfig, n: np.ndarray) -> np.ndarray:
+    """q = (n+alpha)^T B^-1 (n+alpha) per row of n, one stacked product per row: batch-independent."""
+    na = n + config.alpha
+    return (na[:, None, :] @ config.lattice.B_inv @ na[:, :, None])[:, 0, 0]
+
+
 def _log_norms(config: SpaceConfig, indices) -> np.ndarray:
     """log ||e_{n,k}||^2 of every index, in one vectorised pass; always finite."""
     n, k = _index_arrays(config, indices)
     r, g, nu = config.r, config.g, config.nu
-    na = n + config.alpha
-    quad = np.einsum("ij,jk,ik->i", na, config.lattice.B_inv, na)
     base = (
         -0.5 * math.log(config.lattice.det_b)
         + (r / 2.0) * math.log(math.pi / (2.0 * nu))
@@ -412,7 +416,7 @@ def _log_norms(config: SpaceConfig, indices) -> np.ndarray:
     for kj in k.T:
         log_k_fact = log_k_fact + log_fact[kj]
     rest = base + log_k_fact - k.sum(axis=1) * math.log(nu)
-    return rest + (2.0 * math.pi**2 / nu) * quad
+    return rest + (2.0 * math.pi**2 / nu) * _norm_exponents(config, n)
 
 
 def _exp_norms(log_norms: np.ndarray) -> np.ndarray:
@@ -559,9 +563,11 @@ def kernel_section(config: SpaceConfig, v: PointCoordinates, tol: float):
 def kernel_eval(config: SpaceConfig, u: PointCoordinates, v: PointCoordinates, tol: float) -> complex:
     """Reproducing kernel K(u, v) with absolute accuracy tol.
 
-    A batch of one through the kernel_section path, so the two agree; the
-    reduced points and their weights are formed in one pass, over u alone
-    when v is u.  In the degenerate ranks the absent factors are exact
+    A batch of one through the kernel_section closure's routine: the two
+    share the plan and both factors bit for bit, but this product of two
+    complex scalars can differ from the closure's array product by an ulp.
+    The reduced points and their weights are formed in one pass, over u
+    alone when v is u.  In the degenerate ranks the absent factors are exact
     floating-point no-ops (theta value 1 for r = 0, empty perpendicular
     inner product for r = g).  Raises ValueOutOfRange when the theta
     factor or the kernel value leaves the double range.
@@ -605,14 +611,13 @@ def evaluation_bound_check(
     coeffs: CoefficientField,
     u: PointCoordinates,
     tol: float = 1e-12,
-    slack: float = 1e-9,
 ) -> EvaluationBoundReport:
-    """Check |f(u)| <= sqrt(K(u,u)) ||f|| for the synthesized field."""
+    """Check |f(u)| <= sqrt(K(u,u)) ||f|| for the synthesized field, up to a relative 1e-9."""
     lhs = abs(synthesize(config, coeffs, u))
     rhs = math.sqrt(kernel_diagonal(config, u, tol)) * math.sqrt(
         growth_functional(config, coeffs)
     )
-    return EvaluationBoundReport(lhs=lhs, rhs=rhs, holds=lhs <= rhs * (1.0 + slack))
+    return EvaluationBoundReport(lhs=lhs, rhs=rhs, holds=lhs <= rhs * (1.0 + 1e-9))
 
 
 def series_indices(config: SpaceConfig, n_radius: int, k_total: int) -> tuple:
@@ -623,9 +628,7 @@ def series_indices(config: SpaceConfig, n_radius: int, k_total: int) -> tuple:
     """
     ns = _integer_box(config.r, n_radius)
     ks = _multi_indices(config.g - config.r, k_total)
-    na = ns + config.alpha
-    # the stacked product runs row by row as na @ B_inv @ na does, bit for bit
-    q = (na[:, None, :] @ config.lattice.B_inv @ na[:, :, None])[:, 0, 0]
+    q = _norm_exponents(config, ns)
     # pair p = (n, k) = (ns[p // len(ks)], ks[p % len(ks)]) runs in lexicographic
     # order, which the stable lexsort keeps among equal (q, |k|)
     order = np.lexsort((np.tile(ks.sum(axis=1), len(ns)), np.repeat(q, len(ks))))

@@ -42,9 +42,10 @@ box [lo, hi], so one index set covers every row's ellipsoid.  The
 candidates of the integer box [0, e], e = floor(hi) - k + 1, moved by
 k = floor(lo), cover those of [lo, hi]; that cache holds them per
 (R, e), within _CHUNK_BYTES (16 MiB).  One selection
-pass computes U(n - m), m = (lo + hi)/2, once per candidate, keeps the
-points within R of the box and orders them by that squared distance,
-dominant terms first, ties in lexicographic order from the last
+pass computes U(n - m), m = (lo + hi)/2, once per candidate and keeps the
+points within R of the box.  A plan is a set: the tail bound certifies
+the mass it omits whatever the order of its terms, and they are summed
+in the order they are enumerated, lexicographic from the last
 coordinate.
 
 Tails stay in log scale in the planner: a tail far beyond the double
@@ -212,7 +213,7 @@ class TruncationPlan:
     """Ellipsoid index set with a certified bound on the omitted mass."""
 
     radius: float
-    index_set: np.ndarray  # (K, r) integers, deterministic summation order
+    index_set: np.ndarray  # (K, r) integers, lexicographic from the last coordinate
     tail_bound: float
     center: np.ndarray  # real ellipsoid center in index space
     log_prefactor: float  # pi s^T Y^-1 s
@@ -307,23 +308,19 @@ def _find_radius(params: ThetaParameters, log_target: float, max_radius: float):
 
 
 def _select(params: ThetaParameters, pts: np.ndarray, lo, hi, R: float) -> np.ndarray:
-    """The rows n of pts within Y-distance R (+ _SLACK) of the box [lo, hi], nearest first.
+    """The rows n of pts within Y-distance R (+ _SLACK) of the box [lo, hi], in their order.
 
     d = U(n - m), m = (lo + hi)/2, is computed once per row.  Over the box
     (Uc)_i spans m_i -+ h_i, h = |U| (hi - lo)/2, so with each row's worst
     center the box distance is max(|d_i| - h_i, 0) summed in squares; a
     point, passed as hi is lo, has m = lo and h = 0 and skips that step.
-    The rows kept are ordered by |d|^2 with a stable sort, so ties keep
-    their order, and returned as int64.
+    The rows kept are returned as int64.
     """
     U = params.chol
     d = pts @ U.T - U @ (lo if hi is lo else 0.5 * (lo + hi))
-    dist = near = np.einsum("ij,ij->i", d, d)
     if hi is not lo:
         d = np.maximum(np.abs(d) - np.abs(U) @ (0.5 * (hi - lo)), 0.0)
-        near = np.einsum("ij,ij->i", d, d)
-    keep = (near <= (R + _SLACK) ** 2).nonzero()[0]
-    return pts.take(keep[dist[keep].argsort(kind="stable")], axis=0).astype(np.int64, copy=False)
+    return pts[np.einsum("ij,ij->i", d, d) <= (R + _SLACK) ** 2].astype(np.int64, copy=False)
 
 
 def _enumerate(params: ThetaParameters, lo: np.ndarray, hi: np.ndarray, R: float) -> np.ndarray:
@@ -373,11 +370,12 @@ def _cells(params: ThetaParameters, lo: np.ndarray, hi: np.ndarray, R: float) ->
     """The plan index set of the box [lo, hi] at radius R: _select of cached candidates.
 
     With k = floor(lo) and e = floor(hi) - k + 1, k plus the candidates of
-    [0, e] cover those of [lo, hi], in the same lexicographic order.  The
-    candidates of [0, e] are enumerated once per (R, e) and kept in
-    params.cache as int32 while all its cached sets stay within _CHUNK_BYTES; a
-    set that would pass that cap is used but not kept.  The shift by k is
-    made in floating point, where these integers are exact.
+    [0, e] cover those of [lo, hi], in the same lexicographic order, which
+    is the plan's order.  The candidates of [0, e] are enumerated once per
+    (R, e) and kept in params.cache as int32 while all its cached sets
+    stay within _CHUNK_BYTES; a set that would pass that cap is used but
+    not kept.  The shift by k is made in floating point, where these
+    integers are exact.
     """
     k = np.floor(lo)
     span = np.floor(hi) - k  # e - 1

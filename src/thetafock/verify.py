@@ -73,10 +73,8 @@ def _outcome(name, defect, tolerance, detail=""):
 # random sampling
 
 
-def random_hermitian_space(rng, g: int, complex_form: bool = True) -> HermitianSpace:
-    A = rng.standard_normal((g, g))
-    if complex_form:
-        A = A + 1j * rng.standard_normal((g, g))
+def random_hermitian_space(rng, g: int) -> HermitianSpace:
+    A = rng.standard_normal((g, g)) + 1j * rng.standard_normal((g, g))
     H = A.conj().T @ A / g + 0.4 * np.eye(g)
     return validate_space(H)
 
@@ -119,23 +117,23 @@ def random_isotropic_generators(rng, space: HermitianSpace, r: int) -> np.ndarra
     return np.array(gens) if gens else np.zeros((0, g), dtype=complex)
 
 
-def random_config(rng, g: int, r: int, nu_range=(1.5, 4.0), min_b_eig: float = 0.35) -> S.SpaceConfig:
-    """Random well-conditioned configuration.
+def random_config(rng, g: int, r: int) -> S.SpaceConfig:
+    """Random well-conditioned configuration, with nu uniform in [1.5, 4).
 
-    Lattices whose Gram matrix B nears singularity are resampled: the norm
-    exponent 2 pi^2/nu (n+a) B^-1 (n+a) leaves the double range at |n| <= 2
-    once B is badly conditioned, which is an input problem rather than an
-    implementation one.
+    Lattices whose Gram matrix B has an eigenvalue below 0.35 are
+    resampled: the norm exponent 2 pi^2/nu (n+a) B^-1 (n+a) leaves the
+    double range at |n| <= 2 once B is badly conditioned, which is an
+    input problem rather than an implementation one.
     """
     space = random_hermitian_space(rng, g)
     for _ in range(60):
         lattice = build_lattice(space, random_isotropic_generators(rng, space, r))
-        if np.linalg.eigvalsh(lattice.B).min(initial=math.inf) >= min_b_eig:
+        if np.linalg.eigvalsh(lattice.B).min(initial=math.inf) >= 0.35:
             break
     else:
         raise NotIndependent("could not sample a well-conditioned isotropic lattice")
     alpha = rng.uniform(0.0, 1.0, size=r)
-    nu = float(rng.uniform(*nu_range))
+    nu = float(rng.uniform(1.5, 4.0))
     return S.make_config(lattice, alpha, nu)
 
 
@@ -374,7 +372,6 @@ def verify_orthogonality(
     config: S.SpaceConfig,
     rng,
     n_inf: int = 2,
-    k_total: int = 2,
     compact_nodes: int = Q._DEFAULT_COMPACT_NODES,
     unbounded_nodes: int = Q._DEFAULT_UNBOUNDED_NODES,
 ) -> list[PropertyOutcome]:
@@ -384,7 +381,7 @@ def verify_orthogonality(
     )
     out.append(_outcome("grid-self-calibration", grid.estimated_error, 1e-9))
 
-    battery = norms_battery(config, grid, n_inf, k_total)
+    battery = norms_battery(config, grid, n_inf, k_max=2)
     out.append(_outcome("norms-match-closed-form", float(battery.defects.max()), 1e-6))
     out.append(_outcome("off-diagonal-orthogonality", battery.off_diagonal, 1e-6))
 
@@ -424,7 +421,6 @@ def verify_orthogonality(
 def verify_reproducing(
     config: S.SpaceConfig,
     rng,
-    pairs: int = 5,
     compact_nodes: int = Q._DEFAULT_COMPACT_NODES,
     unbounded_nodes: int = Q._DEFAULT_UNBOUNDED_NODES,
 ) -> list[PropertyOutcome]:
@@ -434,7 +430,7 @@ def verify_reproducing(
     )
 
     worst = 0.0
-    for _ in range(pairs):
+    for _ in range(5):
         coeffs = random_field(rng, config, max_terms=3, n_inf=1, k_total=1)
         v = random_point(rng, config, scale=0.3)
         f = S.synthesized_function(config, coeffs)
@@ -445,7 +441,7 @@ def verify_reproducing(
     out.append(_outcome("reproducing-property", worst, 1e-5))
 
     worst = 0.0
-    for _ in range(pairs):
+    for _ in range(5):
         u = random_point(rng, config, scale=0.4)
         v = random_point(rng, config, scale=0.4)
         closed = S.kernel_eval(config, u, v, 1e-12)
@@ -454,7 +450,7 @@ def verify_reproducing(
     out.append(_outcome("kernel-series-agreement", worst, 1e-8))
 
     worst = 0.0
-    for _ in range(pairs):
+    for _ in range(5):
         u = random_point(rng, config, scale=0.6)
         v = random_point(rng, config, scale=0.6)
         worst = max(
@@ -488,11 +484,11 @@ def _kernel_series(config: S.SpaceConfig, u, v, n_radius: int = 8, k_total: int 
 # bounds suite
 
 
-def verify_bounds(config: S.SpaceConfig, rng, cases: int = 100) -> list[PropertyOutcome]:
+def verify_bounds(config: S.SpaceConfig, rng) -> list[PropertyOutcome]:
     out = []
     failures = 0
     worst_ratio = 0.0
-    for _ in range(cases):
+    for _ in range(100):
         coeffs = random_field(rng, config)
         u = random_point(rng, config, scale=0.8)
         rep = S.evaluation_bound_check(config, coeffs, u)

@@ -192,6 +192,22 @@ def test_inner_product_no_refine(cfg_g1r1, grid_g1r1):
     assert res.value.real == pytest.approx(math.sqrt(0.5), rel=1e-8)
 
 
+def test_grid_of_another_configuration_raises(cfg_g1r1):
+    # a grid's nodes and weights absorb its own configuration's weight: summed
+    # against the nu = 2 pi configuration, the nu = pi grid gives 401.69
+    # for ||e_(1)||^2, whose closed form is 67.73
+    at_pi, at_2pi = (tf.make_config(cfg_g1r1.lattice, [0.25], nu) for nu in (math.pi, 2 * math.pi))
+    grid = tf.build_grid(at_pi)
+    family = S.basis_family(at_2pi, [tf.BasisIndex(n=(1,), k=())])
+    for config in (at_2pi, dataclasses.replace(at_pi)):
+        with pytest.raises(errors.ValidationError, match="another configuration"):
+            tf.inner_product(config, family, family, grid, refine=False)
+        with pytest.raises(errors.ValidationError, match="another configuration"):
+            tf.gram_matrix(config, family, grid)
+    assert tf.gram_matrix(at_2pi, family, tf.build_grid(at_2pi))[0][0, 0].real == pytest.approx(
+        S.basis_norm_sq(at_2pi, tf.BasisIndex(n=(1,), k=())), rel=1e-8)
+
+
 def test_translation_invariance(cfg_g1r1, grid_g1r1):
     # the weighted norm does not depend on where the compact box sits
     f = S.basis_function(cfg_g1r1, tf.BasisIndex(n=(1,), k=()))

@@ -254,17 +254,24 @@ def test_kernel_r0_closed_form(cfg_g1r0):
 
 
 @pytest.mark.parametrize("name", ["cfg_g1r0", "cfg_g1r1", "cfg_g2r1", "cfg_g2r2"])
-def test_kernel_eval_matches_section(name, request):
+def test_kernel_eval_matches_section(name, request, monkeypatch):
     cfg = request.getfixturevalue(name)
     rng = np.random.default_rng(31)
     m = cfg.g - cfg.r
     e00 = tf.BasisIndex(n=(0,) * cfg.r, k=(0,) * m)
-    for _ in range(5):
+    factors = []
+    batch = S._kernel_batch
+    monkeypatch.setattr(S, "_kernel_batch", lambda *a: factors.append(batch(*a)) or factors[-1])
+    for _ in range(25):
         u = verify.random_point(rng, cfg)
         v = verify.random_point(rng, cfg)
         want = tf.kernel_eval(cfg, u, v, 1e-11)
         got = S.kernel_section(cfg, v, 1e-11)(u.z, u.z_perp)[0]
-        assert abs(got - want) <= 1e-15 * abs(want)
+        # the same outer and theta factors, bit for bit; a product of two
+        # scalars and one of two arrays can differ in the last bits
+        (outer, vals), (outer_s, vals_s) = factors[-2:]
+        assert outer[0] == outer_s[0] and vals[0] == vals_s[0]
+        assert abs(got - want) <= 4 * np.finfo(float).eps * abs(want)
         # the diagonal and the weight factor are exact special cases
         diag = tf.kernel_diagonal(cfg, u, 1e-11)
         assert diag == tf.kernel_eval(cfg, u, u, 1e-11).real and diag > 0
@@ -608,3 +615,15 @@ def test_one_plan_per_scalar_call(name, entry, request, monkeypatch):
     monkeypatch.setattr(T, "_plan", lambda *args: plans.append(args) or plan(*args))
     _SCALAR_CALLS[entry](cfg, u, v, field)
     assert len(plans) == 1
+
+
+@pytest.mark.parametrize("g, r", [(r + 1, r) for r in range(1, 5)])
+def test_log_norms_do_not_depend_on_the_batch(g, r):
+    # a row's norm is the same alone and in a batch, bit for bit, so
+    # basis_norm_sq agrees with the norms inside growth_functional
+    rng = np.random.default_rng([45, g, r])
+    cfg = verify.random_config(rng, g, r)
+    n, k = rng.integers(-4, 5, (300, r)), rng.integers(0, 4, (300, g - r))
+    batch = S._log_norms(cfg, (n, k))
+    rows = [S._log_norms(cfg, (n[i : i + 1], k[i : i + 1]))[0] for i in range(len(n))]
+    assert np.array_equal(batch, rows)

@@ -458,8 +458,8 @@ def test_plan_recentering_tracks_imaginary_part():
     mid = np.mean(far.index_set)
     assert abs(mid - far.center[0]) < 2.0
     assert far.tail_bound <= 1e-10
-    # the dominant term sits first in the planned summation order
-    assert abs(far.index_set[0, 0] + 5.0) <= 1.0
+    # the dominant term n = -5 is in the plan
+    assert [-5] in far.index_set.tolist()
 
 
 def _random_params(rng, r):
@@ -577,29 +577,21 @@ def test_cell_cache_equals_enumeration(seed, r, R, box):
 @settings(max_examples=80, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), r=st.integers(1, 4), rows=st.integers(1, 3),
        symmetric=st.booleans(), log_tol=st.floats(-13.0, -3.0))
-def test_plan_is_ordered_by_distance_then_lexicographically(seed, r, rows, symmetric, log_tol):
-    # along the index set the squared Y-distance to the plan center (the
-    # box middle for a batch) never decreases, and equal distances keep
-    # lexicographic order from the last coordinate; a middle at 0 makes n
-    # and -n tie exactly, so the tie-break is exercised
+def test_plan_is_in_enumeration_order(seed, r, rows, symmetric, log_tol):
+    # a plan is a set summed in the order it is enumerated: lexicographic
+    # from the last coordinate, each index once; a middle at 0 makes the
+    # set symmetric, so n and -n are both kept
     params, center, rng = _cell_case(seed, r)
     centers = center + rng.uniform(-2.0, 2.0, (rows, r))
     if symmetric:
         half = centers[: rows // 2] - center
         centers = np.concatenate((half, -half)) if rows > 1 else np.zeros((1, r))
     _, idx, _ = T._plan(params, centers, np.zeros(len(centers)), log_tol, None)
-    middle = 0.5 * (centers.min(axis=0) + centers.max(axis=0))
-    U = params.chol
-    d = idx @ U.T - U @ middle
-    dist = np.einsum("ij,ij->i", d, d)
-    # lexsort sorts by its last key first: the distance, then n_r, ..., n_1
-    assert np.array_equal(np.lexsort(np.column_stack((idx, dist)).T), np.arange(len(idx)))
-    if symmetric and len(idx) > 1:  # the set is symmetric: n and -n are both kept
-        assert (np.diff(dist) == 0).any()
-    # the same order, up to rounding, in the metric Y itself
-    e = idx - middle
-    q = np.einsum("ij,jk,ik->i", e, params.F.imag, e)
-    assert np.all(np.diff(q) >= -1e-12 * (1.0 + q[1:]))
+    # lexsort sorts by its last key first: n_r, then n_(r-1), ..., n_1
+    assert np.array_equal(np.lexsort(idx.T), np.arange(len(idx)))
+    assert len(np.unique(idx, axis=0)) == len(idx)
+    if symmetric:
+        assert {tuple(n) for n in idx} == {tuple(-n) for n in idx}
 
 
 def test_cell_cache_is_reused(monkeypatch):
