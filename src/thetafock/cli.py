@@ -9,8 +9,6 @@ failure (including a value outside the double range), 4 property failure.
 from __future__ import annotations
 
 import argparse
-import json
-import math
 import re
 import sys
 import time
@@ -23,7 +21,8 @@ from . import theta as T
 from . import verify
 from .errors import BudgetError, ParseError, ThetaFockError, ValidationError
 from .geometry import ambient_measure_factor, check_rdq, coordinates
-from .problem import ResultDocument, build_config, load_problem
+from .problem import ResultDocument, build_config, load_problem, read_array, read_json
+from .problem import _complex_entry, _positive_number
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -60,17 +59,10 @@ def _component(text: str) -> complex:
 
 
 def _vector(values, expected: int, flag: str) -> np.ndarray:
-    """Repeated 're,im' flag values, or '@file.json' holding [re, im] pairs."""
+    """Repeated 're,im' flag values, or '@file.json' read as a problem file's arrays are."""
     if values and len(values) == 1 and values[0].startswith("@"):
-        path = values[0][1:]
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
-            comps = [complex(p[0], p[1]) if isinstance(p, list) else complex(p) for p in raw]
-        except (OSError, json.JSONDecodeError, TypeError, IndexError, ValueError) as exc:
-            raise ParseError(flag, f"cannot read vector file {path}: {exc}") from None
-    else:
-        comps = [_component(v) for v in (values or [])]
+        return read_array(read_json(values[0][1:], flag)[1], (expected,), flag, _complex_entry)
+    comps = [_component(v) for v in (values or [])]
     if len(comps) != expected:
         raise _UsageError(f"{flag} needs {expected} components, got {len(comps)}")
     return np.array(comps, dtype=complex)
@@ -95,8 +87,8 @@ def _positive_float(flag: str):
         try:
             value = float(text)
         except ValueError:
-            value = math.nan
-        if not 0.0 < value < math.inf:
+            value = None
+        if not _positive_number(value):
             raise _UsageError(f"{flag} expects a finite positive number, got {text!r}")
         return value
 

@@ -5,6 +5,8 @@ hermitian form, the lattice generators, the character and nu.  Complex
 numbers are encoded as two-element arrays [re, im] so files round-trip
 bit-exactly and diff cleanly.  nu and the optional tolerances.form (the
 relative tolerance of the form checks) must be finite positive numbers.
+read_json opens every JSON file and read_array reads every array, the
+CLI's '@file' vectors included: a number is a JSON number, never a bool.
 """
 
 from __future__ import annotations
@@ -18,10 +20,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParseError
-from .geometry import build_lattice, validate_space
+from .geometry import FORM_TOL_SCALE, build_lattice, validate_space
 from .space import SpaceConfig, make_config
 
-__all__ = ["ProblemFile", "ResultDocument", "parse_problem", "load_problem", "build_config", "encode_value"]
+__all__ = ["ProblemFile", "ResultDocument", "parse_problem", "load_problem", "read_json",
+           "read_array", "build_config", "encode_value"]
 
 
 @dataclass(frozen=True)
@@ -36,16 +39,39 @@ class ProblemFile:
     digest: str
 
 
+def _number(value) -> bool:
+    """A JSON number that is not a bool and converts to a double."""
+    return isinstance(value, float) or type(value) is int and abs(value) <= sys.float_info.max
+
+
 def _complex_entry(value, where: str) -> complex:
-    if isinstance(value, (int, float)):
+    if _number(value):
         return complex(value)
-    if (
-        isinstance(value, (list, tuple))
-        and len(value) == 2
-        and all(isinstance(p, (int, float)) for p in value)
-    ):
+    if isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_number, value)):
         return complex(value[0], value[1])
     raise ParseError(where, f"expected a number or [re, im] pair, got {value!r}")
+
+
+def _real_entry(value, where: str) -> float:
+    if not _number(value):
+        raise ParseError(where, f"expected a real number, got {value!r}")
+    return float(value)
+
+
+def read_array(raw, shape: tuple, where: str, entry) -> np.ndarray:
+    """Nested lists raw of this shape as an array of entry(value, path), of entry's type.
+
+    An error names the list or entry at fault by its path, as H[0][1].
+    """
+
+    def read(value, depth: int, path: str):
+        if depth == len(shape):
+            return entry(value, path)
+        if not isinstance(value, list) or len(value) != shape[depth]:
+            raise ParseError(path, f"expected a list of {shape[depth]} entries")
+        return [read(v, depth + 1, f"{path}[{i}]") for i, v in enumerate(value)]
+
+    return np.array(read(raw, 0, where), dtype=type(entry(0, where))).reshape(shape)
 
 
 def _int_field(doc, name) -> int:
@@ -59,8 +85,7 @@ def _int_field(doc, name) -> int:
 
 def _positive_number(value) -> bool:
     """A JSON number, not a bool, that is positive and finite as a double."""
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and 0 < value <= sys.float_info.max)
+    return _number(value) and 0 < value <= sys.float_info.max
 
 
 def parse_problem(doc: dict, digest: str = "") -> ProblemFile:
@@ -77,34 +102,9 @@ def parse_problem(doc: dict, digest: str = "") -> ProblemFile:
     if not _positive_number(nu):
         raise ParseError("nu", f"expected a finite positive number, got {nu!r}")
 
-    H_raw = doc.get("H")
-    if not isinstance(H_raw, list) or len(H_raw) != g:
-        raise ParseError("H", f"expected {g} rows")
-    H = np.zeros((g, g), dtype=complex)
-    for i, row in enumerate(H_raw):
-        if not isinstance(row, list) or len(row) != g:
-            raise ParseError(f"H[{i}]", f"expected {g} entries")
-        for j, entry in enumerate(row):
-            H[i, j] = _complex_entry(entry, f"H[{i}][{j}]")
-
-    om_raw = doc.get("omegas", [])
-    if not isinstance(om_raw, list) or len(om_raw) != r:
-        raise ParseError("omegas", f"expected {r} generators")
-    omegas = np.zeros((r, g), dtype=complex)
-    for i, vec in enumerate(om_raw):
-        if not isinstance(vec, list) or len(vec) != g:
-            raise ParseError(f"omegas[{i}]", f"expected {g} components")
-        for j, entry in enumerate(vec):
-            omegas[i, j] = _complex_entry(entry, f"omegas[{i}][{j}]")
-
-    al_raw = doc.get("alpha", [0.0] * r)
-    if not isinstance(al_raw, list) or len(al_raw) != r:
-        raise ParseError("alpha", f"expected {r} components")
-    alpha = np.zeros(r)
-    for i, entry in enumerate(al_raw):
-        if not isinstance(entry, (int, float)) or isinstance(entry, bool):
-            raise ParseError(f"alpha[{i}]", f"expected a real number, got {entry!r}")
-        alpha[i] = float(entry)
+    H = read_array(doc.get("H"), (g, g), "H", _complex_entry)
+    omegas = read_array(doc.get("omegas", []), (r, g), "omegas", _complex_entry)
+    alpha = read_array(doc.get("alpha", [0.0] * r), (r,), "alpha", _real_entry)
 
     tolerances = doc.get("tolerances", {})
     if not isinstance(tolerances, dict):
@@ -119,22 +119,27 @@ def parse_problem(doc: dict, digest: str = "") -> ProblemFile:
     )
 
 
-def load_problem(path: str) -> ProblemFile:
+def read_json(path: str, where: str):
+    """(raw bytes, parsed document) of the JSON file at path; a ParseError names where."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
     except OSError as exc:
-        raise ParseError("<file>", str(exc)) from None
+        raise ParseError(where, str(exc)) from None
     try:
-        doc = json.loads(raw.decode("utf-8"))
+        return raw, json.loads(raw.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ParseError("<file>", f"invalid JSON: {exc}") from None
+        raise ParseError(where, f"invalid JSON: {exc}") from None
+
+
+def load_problem(path: str) -> ProblemFile:
+    raw, doc = read_json(path, "<file>")
     return parse_problem(doc, digest=hashlib.sha256(raw).hexdigest()[:16])
 
 
 def build_config(problem: ProblemFile) -> SpaceConfig:
     """Problem file -> validated SpaceConfig (validation errors propagate)."""
-    tol_scale = problem.tolerances.get("form", 1e-10)
+    tol_scale = problem.tolerances.get("form", FORM_TOL_SCALE)
     space = validate_space(problem.H, tol_scale=tol_scale)
     lattice = build_lattice(space, problem.omegas)
     return make_config(lattice, problem.alpha, problem.nu)

@@ -153,7 +153,6 @@ class _Level:
     herm_weights: np.ndarray
     y_transform: np.ndarray  # (r, r): y = s @ T.T
     lattice_jacobian: float  # det factor of the y substitution
-    perp_jacobian: float  # 1/nu per perpendicular coordinate
     shape: tuple  # per-dim node counts: r compact, r Hermite, 2(g-r) Hermite
 
 
@@ -211,7 +210,6 @@ def _make_level(config, n_compact: int, n_unbounded: int) -> _Level:
         herm_weights=wt,
         y_transform=evecs / np.sqrt(evals),
         lattice_jacobian=float(np.prod(1.0 / np.sqrt(evals))),
-        perp_jacobian=1.0 / nu,
         shape=shape,
     )
 
@@ -411,7 +409,7 @@ def _factored_sum(config, level: _Level, offset, ff: Factored, hf: Factored) -> 
     for j, (fj, hj) in enumerate(zip(ff.perp, hf.perp)):
         perp_nodes = _nodes(config, level, offset, rows[1 + j], perp=1)
         chunks = (((Zp[:, 0],), w) for _, Zp, w in perp_nodes)
-        blocks.append(level.perp_jacobian * _block_sum(chunks, fj, hj, same))
+        blocks.append((1.0 / config.nu) * _block_sum(chunks, fj, hj, same))
     terms = np.ones((ff.terms.shape[0], hf.terms.shape[0]), dtype=complex)
     for b, M in enumerate(blocks):
         terms *= M[np.ix_(ff.terms[:, b], hf.terms[:, b])]
@@ -428,7 +426,7 @@ def _level_sum(config, level: _Level, offset, fs, hs) -> np.ndarray:
     if ff is not None and hf is not None:
         return _factored_sum(config, level, offset, ff, hf)
     m = config.g - config.r
-    jacobian = level.lattice_jacobian * level.perp_jacobian ** m
+    jacobian = level.lattice_jacobian * (1.0 / config.nu) ** m
     tensor = _nodes(config, level, offset, _CHUNK, x=True, y=True, perp=m)
     return jacobian * _block_sum(
         (((Z, Zp), w) for Z, Zp, w in tensor),

@@ -404,12 +404,8 @@ def _norm_exponents(config: SpaceConfig, n: np.ndarray) -> np.ndarray:
 def _log_norms(config: SpaceConfig, indices) -> np.ndarray:
     """log ||e_{n,k}||^2 of every index, in one vectorised pass; always finite."""
     n, k = _index_arrays(config, indices)
-    r, g, nu = config.r, config.g, config.nu
-    base = (
-        -0.5 * math.log(config.lattice.det_b)
-        + (r / 2.0) * math.log(math.pi / (2.0 * nu))
-        + (g - r) * math.log(math.pi / nu)
-    )
+    nu = config.nu
+    base = -math.log(config.kernel_prefactor)  # ||e_{0,0}||^2 = 1/C at alpha = 0
     top = int(k.max(initial=0))
     log_fact = np.fromiter(map(math.lgamma, range(1, top + 2)), dtype=float, count=top + 1)
     log_k_fact = 0  # sum_j log k_j!, added column by column as a Python sum would
@@ -539,14 +535,12 @@ def kernel_section(config: SpaceConfig, v: PointCoordinates, tol: float):
 
     l_v = np.conj(hv)
     C = config.kernel_prefactor
-    idx, exponents = np.zeros((1, 0), dtype=np.intp), np.zeros(1)
-    if config.r:  # no tail bound exists in dimension 0: the one term is n = ()
-        log_tol = math.log(tol) - math.log(C) - l_v.real
-        half = config.half_theta_params
-        idx = _theta._plan(half, *_theta._rows(half, zv.imag[None, :]), log_tol, None)[1]
-        Z = -zv.conj()[None, :]
-        exponents = _theta._term_exponents(config.theta_params, Z, idx, *_theta._rows(
-            config.theta_params, Z.imag))[0]
+    half = config.half_theta_params
+    log_tol = math.log(tol) - math.log(C) - l_v.real
+    idx = _theta._plan(half, *_theta._rows(half, zv.imag[None, :]), log_tol, None)[1]
+    Z = -zv.conj()[None, :]
+    exponents = _theta._term_exponents(config.theta_params, Z, idx, *_theta._rows(
+        config.theta_params, Z.imag))[0]
     with np.errstate(over="ignore", invalid="ignore"):
         coeffs = C * np.exp(l_v + exponents)
     if not np.isfinite(coeffs).all():

@@ -51,6 +51,8 @@ coordinate.
 Tails stay in log scale in the planner: a tail far beyond the double
 range still bounds kernel_section's plans at a far point.  Only the
 entry points that report tails exponentiate them, floored at e^-744.
+In dimension 0 no tail bound exists: _plan returns the one empty index,
+whose term 1 is the value, with log tail -inf.
 truncation_plan and theta_eval_many share one prologue: non-finite
 points raise ValidationError, a tol that is not positive ValueError, and
 a row whose nearest lattice term is beyond the double range
@@ -436,8 +438,12 @@ def _plan(params: ThetaParameters, centers, log_pref, log_tol, max_radius: float
     the index set covers every row's ellipsoid, so extra indices only
     tighten the other rows.  Returns (radius, index set, log tails): the
     log of each row's certified bound on the omitted mass, which can be
-    far beyond the double range when log_tol is (kernel_section).
+    far beyond the double range when log_tol is (kernel_section).  No tail
+    bound exists in dimension 0: the one term n = () is the value, its log
+    tail -inf.
     """
+    if not params.r:
+        return 0.0, np.zeros((1, 0), dtype=np.int64), np.full(centers.shape[0], -np.inf)
     budget = params.max_radius if max_radius is None else float(max_radius)
     R, log_sb = _find_radius(params, float((log_tol - log_pref).min()), budget)
     lo = centers[0] if centers.shape[0] == 1 else centers.min(axis=0)
@@ -447,11 +453,9 @@ def _plan(params: ThetaParameters, centers, log_pref, log_tol, max_radius: float
 
 def _plan_points(params: ThetaParameters, Z: np.ndarray, log_tol, max_radius: float | None):
     """(radius, index set, log tails, centers, log prefactors) of the finite rows of Z (N, r)."""
-    r, N = params.r, Z.shape[0]
-    # no tail bound exists in dimension 0 (the one term n = () is the value,
-    # its log tail -inf) and a batch with no rows has nothing to plan
-    if not (r and N):
-        return 0.0, np.zeros((1, r), dtype=np.int64), np.full(N, -np.inf), np.zeros((N, r)), np.zeros(N)
+    if not Z.shape[0]:  # a batch with no rows has nothing to plan
+        r = params.r
+        return 0.0, np.zeros((1, r), dtype=np.int64), np.zeros(0), np.zeros((0, r)), np.zeros(0)
     centers, log_pref = _rows(params, Z.imag)  # Im(z + beta) = Im z
     _check_summable(params, centers, log_pref)
     return (*_plan(params, centers, log_pref, log_tol, max_radius), centers, log_pref)
@@ -556,7 +560,7 @@ def theta_eval(
     return ThetaResult(complex(value[0]), tail_bound=plan.tail_bound, terms=plan.index_set.shape[0])
 
 
-def theta_eval_many(params: ThetaParameters, Z, tol, max_radius: float | None = None):
+def theta_eval_many(params: ThetaParameters, Z, tol):
     """Batch evaluation over points Z of shape (N, r).
 
     ``tol`` is a scalar or per-point array of absolute error targets.  One
@@ -569,7 +573,7 @@ def theta_eval_many(params: ThetaParameters, Z, tol, max_radius: float | None = 
     (values (N,), tails (N,)).
     """
     Z = np.atleast_2d(np.asarray(Z, dtype=complex))
-    _, idx, tails, centers, log_pref = _checked_plan(params, Z, tol, max_radius)
+    _, idx, tails, centers, log_pref = _checked_plan(params, Z, tol, None)
     return _sum_terms(params, Z, idx, centers, log_pref), tails
 
 

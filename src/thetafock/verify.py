@@ -319,9 +319,7 @@ def verify_theta(config: S.SpaceConfig, rng) -> list[PropertyOutcome]:
     # every term larger than tail/|set| lies inside the planned set
     plan = T.truncation_plan(params, z, 1e-6)
     cap = plan.tail_bound / max(plan.index_set.shape[0], 1)
-    grid = np.array(
-        np.meshgrid(*([np.arange(-12, 13)] * r), indexing="ij")
-    ).reshape(r, -1).T
+    grid = S._integer_box(r, 12)
     Z = np.asarray(z)[None, :]
     mags = np.exp(np.real(T._term_exponents(params, Z, grid, *T._rows(params, Z.imag))))[0]
     inside = {tuple(row) for row in plan.index_set}

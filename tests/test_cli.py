@@ -297,6 +297,31 @@ def test_vector_file_reference(tmp_path):
     assert doc["flags"]["z"] == [[0.25, 0.5]]
 
 
+@pytest.mark.parametrize("content", [[True], ["1+2j"], "7", [[1, 2, 3]], [0.1, 0.2]],
+                         ids=["bool", "string-entry", "string", "triple", "two-entries"])
+def test_vector_file_follows_problem_rules(tmp_path, capsys, content):
+    # a vector file follows the problem-file rules: a bool or a string is not
+    # a number, a string is not a list, and a pair has two entries
+    zfile = tmp_path / "z.json"
+    zfile.write_text(json.dumps(content))
+    assert main(["theta", G1R1_FILE, "--z", f"@{zfile}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: --z") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("field, value, where", [
+    ("H", [[True]], "H[0][0]"),
+    ("omegas", [[[True, False]]], "omegas[0][0]"),
+    ("alpha", [False], "alpha[0]"),
+    ("H", [[[1, 0], [0, 0]]], "H[0]"),
+    ("H", [[10**400]], "H[0][0]"),
+], ids=["H-bool", "omega-bools", "alpha-bool", "H-row-length", "H-int-past-double"])
+def test_bad_array_entry_is_parse_error(tmp_path, capsys, field, value, where):
+    bad = dict(G1R1, **{field: value})
+    assert main(["validate", write(tmp_path, bad)]) == 1
+    assert capsys.readouterr().err.startswith(f"parse error: {where}:")
+
+
 def test_wrong_vector_length(tmp_path, capsys):
     assert main(["theta", write(tmp_path, G2R1), "--z", "0", "--z", "1"]) == 1
     assert "--z" in capsys.readouterr().err

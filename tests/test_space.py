@@ -627,3 +627,13 @@ def test_log_norms_do_not_depend_on_the_batch(g, r):
     batch = S._log_norms(cfg, (n, k))
     rows = [S._log_norms(cfg, (n[i : i + 1], k[i : i + 1]))[0] for i in range(len(n))]
     assert np.array_equal(batch, rows)
+
+
+@pytest.mark.parametrize("g, r", [(g, r) for g in range(1, 5) for r in range(g + 1)])
+def test_unit_norm_is_the_inverse_kernel_constant(g, r):
+    # at alpha = 0, ||e_{0,0}||^2 = 1/C with C the kernel constant, bit for
+    # bit: the closed-form norms take their constant from kernel_prefactor
+    drawn = verify.random_config(np.random.default_rng([46, g, r]), g, r)
+    cfg = tf.make_config(drawn.lattice, np.zeros(r), drawn.nu)
+    idx = tf.BasisIndex(n=(0,) * r, k=(0,) * (g - r))
+    assert S.basis_norm_sq_log(cfg, idx) == -math.log(cfg.kernel_prefactor)
