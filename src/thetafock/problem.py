@@ -4,7 +4,8 @@ A problem file is a JSON document with the ambient dimension, the
 hermitian form, the lattice generators, the character and nu.  Complex
 numbers are encoded as two-element arrays [re, im] so files round-trip
 bit-exactly and diff cleanly.  nu and the optional tolerances.form (the
-relative tolerance of the form checks) must be finite positive numbers.
+relative tolerance of the form checks) must be finite positive numbers;
+any other key, at the top level or in tolerances, is a parse error.
 read_json opens every JSON file and read_array reads every array, the
 CLI's '@file' vectors included: a number is a JSON number, never a bool.
 """
@@ -83,6 +84,17 @@ def _int_field(doc, name) -> int:
     return v
 
 
+_KEYS = ("g", "r", "nu", "H", "omegas", "alpha", "tolerances")
+_TOLERANCE_KEYS = ("form",)
+
+
+def _known_keys(doc: dict, known: tuple, where: str) -> None:
+    """ParseError naming the first key of doc outside ``known``, so a misspelling never defaults."""
+    for key in doc:
+        if key not in known:
+            raise ParseError(f"{where}{key}", f"unknown key; expected one of {', '.join(known)}")
+
+
 def _positive_number(value) -> bool:
     """A JSON number, not a bool, that is positive and finite as a double."""
     return _number(value) and 0 < value <= sys.float_info.max
@@ -92,6 +104,7 @@ def parse_problem(doc: dict, digest: str = "") -> ProblemFile:
     """Validate the raw document structure; every error names its field."""
     if not isinstance(doc, dict):
         raise ParseError("<root>", "problem document must be an object")
+    _known_keys(doc, _KEYS, "")
     g = _int_field(doc, "g")
     r = _int_field(doc, "r")
     if g < 1:
@@ -109,6 +122,7 @@ def parse_problem(doc: dict, digest: str = "") -> ProblemFile:
     tolerances = doc.get("tolerances", {})
     if not isinstance(tolerances, dict):
         raise ParseError("tolerances", "expected an object")
+    _known_keys(tolerances, _TOLERANCE_KEYS, "tolerances.")
     if "form" in tolerances and not _positive_number(tolerances["form"]):
         raise ParseError(
             "tolerances.form", f"expected a finite positive number, got {tolerances['form']!r}"

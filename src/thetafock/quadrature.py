@@ -23,22 +23,29 @@ reduced block by block.  The nodes and weights are the same as for the
 full tensor grid; only the order of summation differs.  Any other
 callable is summed as one block over the whole tensor grid.
 
-The lattice block splits again into its real and imaginary axes.  Every
+The lattice block splits again, into its 2r one-dimensional axes.  Every
 lattice factor is a basis factor exp(nu/2 z^T B z + 2 pi i c.z) with B
-real (a kernel section expands its theta factor into such terms), so the
-only x-y cross term is the phase exp(i nu x^T B y), shared by every
-factor; it cancels in f_a conj(f_b).  The lattice Gram is then the
-entrywise product of a sum over the x nodes (points x + 0i) and a sum
-over the y nodes (points 0 + iy).
+real (a kernel section expands its theta factor into such terms).
+Against the weight, f_a conj(f_b) is the character
+exp(2 pi i (c_a - conj c_b).x) in x times, in the eigen-coordinates s
+of 2 nu B (y = T s), exp(-|s|^2) e^(|s|^2/2) exp(linear in s): a
+product over the axes x_j and s_j, each factor 1 at the origin.  The
+lattice Gram is then the entrywise product of one sum per axis, on the
+points (x_j + offset_j) e_j and i s_j T e_j.
 
 The cost of a reduction is the number of factor values it computes: each
-distinct factor once per node of its block (the x axis, the y axis, each
+distinct factor once per node of its block (each lattice axis, each
 perpendicular grid), or, for any other callable, one value per node of
 the whole tensor grid.  That count depends on node counts alone, so it is
 checked against one budget before any node is built or any integrand
-called; the dimension g and rank r enter only through it.  Every node set
-is built chunk by chunk from index ranges over the 1-D rules, so memory
-stays bounded whatever the grid's size.
+called; the dimension g and rank r enter only through it.  A lattice axis
+holds only L x n values for L factors and the n nodes of one 1-D rule,
+so it is summed in one piece; every other node set (the perpendicular
+grids, the whole tensor grid) is built chunk by chunk from index ranges
+over the 1-D rules, so memory stays bounded whatever the grid's size.
+
+The grid calibrates itself on two levels, the requested node counts and
+their doubles, against integrands with closed forms (see _calibrate).
 
 This module is the verification oracle: it never consults the closed-form
 norms or kernels it is used to check.  It only evaluates each integrand,
@@ -129,14 +136,19 @@ class Factored:
     are one more than the largest index in their column of ``terms``,
     which is how the work budget counts them before any map is called.
 
-    Contract on every lattice map: each pair of its factors splits over
-    the real and imaginary axes,
+    Contract on every lattice map: for each pair of its factors,
+    f_a conj(f_b) times the weight correction exp(nu (y^T B y - x^T B x))
+    splits over every lattice axis and equals 1 at the origin,
 
-        f_a(x + iy) conj f_b(x + iy) = f_a(x) conj f_b(x) * f_a(iy) conj f_b(iy),
+        f_a conj f_b (x + i T s) e^(...) = prod_j F_j(x_j) prod_j S_j(s_j),
+        F_j(0) = S_j(0) = 1,
 
     as it does for exp(nu/2 z^T B z + 2 pi i c.z) with real B: the only
-    cross term, exp(i nu x^T B y), is a phase shared by every factor and
-    cancels in the product.  The lattice block is summed that way.
+    x-y cross term, exp(i nu x^T B y), is a phase shared by every factor
+    and cancels in the product, what is left is a character in x and, in
+    s, a Gaussian that the correction turns into an exponential.  Basis
+    factors, kernel-section terms and the calibration factors meet it.
+    The lattice block is summed one axis at a time on that basis.
     """
 
     lattice: Callable
@@ -161,7 +173,8 @@ class QuadratureGrid:
     """Tensor grid; ``fine`` doubles every node count for error estimates.
 
     Level shapes describe the logical tensor grid, whichever way an
-    integrand is reduced over it.
+    integrand is reduced over it.  ``estimated_error`` is the two-level
+    calibration defect of _calibrate.
     """
 
     config: object
@@ -227,7 +240,7 @@ def build_grid(
     the work budget (NodeBudgetExceeded), which the calibration passes
     through too.  Node counts must be ints >= 1 whose Gauss rules, at
     both levels, are finite (ValidationError otherwise).  The calibration
-    sums integrands with known closed forms on the base level; when
+    sums integrands with known closed forms on both levels; when
     requested_tol is given GridTooCoarse is raised if the observed defect
     exceeds it.
     """
@@ -242,7 +255,7 @@ def build_grid(
     # fine first: a rule that is not finite fails there before the base rule is cached
     fine = _make_level(config, 2 * compact_nodes, 2 * unbounded_nodes)
     base = _make_level(config, compact_nodes, unbounded_nodes)
-    est = _calibrate(config, base, offset)
+    est = _calibrate(config, base, fine, offset)
     if requested_tol is not None and est > requested_tol:
         raise GridTooCoarse(
             f"self-calibration defect {est:.3e} exceeds requested tolerance {requested_tol:.3e}"
@@ -251,12 +264,14 @@ def build_grid(
                           estimated_error=est)
 
 
-def _calibrate(config, base: _Level, offset) -> float:
+def _calibrate(config, base: _Level, fine: _Level, offset) -> float:
     """Grid defect on Gaussian-times-polynomial integrands with closed forms.
 
-    The integrand exp(nu/2 z^T B z + 2 pi i a.z) z_perp^k is checked
-    against the Gaussian integral; for r > 0 its cross term with the
-    frequency a + 1 must vanish.
+    The integrands f_a = exp(nu/2 z^T B z + 2 pi i a.z) z_perp^k for the
+    frequencies a and, when r > 0, a + 1 are summed on both levels.  The
+    base level checks the diagonal of a and the cross term, which must
+    vanish, scaled by sqrt(closed_a closed_(a+1)); the fine level checks
+    every diagonal.  A defect that is not a number reads as infinite.
     """
     r, g, nu = config.r, config.g, config.nu
     m = g - r
@@ -276,13 +291,18 @@ def _calibrate(config, base: _Level, offset) -> float:
         terms=np.array([[i] + [0] * m for i in range(len(freqs))]),
         coeffs=np.eye(len(freqs), dtype=complex),
     )
-    got = _reduce(config, [base], offset, form, form)[0][0]
+    (got, got_fine), _ = _reduce(config, [base, fine], offset, form, form)
 
-    closed = complex(gaussian_integral(2.0 * nu, B, -4.0 * math.pi * a_lin))
-    for kj in k_cal:
-        closed *= math.pi / nu * math.factorial(kj) / nu**kj
-    scale = max(abs(closed), 1e-300)
-    return float(max(abs(x) / scale for x in [got[0, 0] - closed, *got[0, 1:]]))
+    perp = math.prod(math.pi / nu * math.factorial(kj) / nu**kj for kj in k_cal)
+    closed = np.array([gaussian_integral(2.0 * nu, B, -4.0 * math.pi * a).real * perp
+                       for a in freqs])
+    defects = np.concatenate([
+        [abs(got[0, 0] - closed[0]) / closed[0]],
+        np.abs(got[0, 1:]) / np.sqrt(closed[0] * closed[1:]),
+        np.abs(np.diag(got_fine) - closed) / closed,
+    ])
+    est = float(defects.max())
+    return est if not math.isnan(est) else math.inf
 
 
 def _factored(f) -> Factored | None:
@@ -301,7 +321,7 @@ def _work(config, levels, fs, hs) -> int:
     """Factor values that summing f conj(h) over ``levels`` computes, from node counts alone.
 
     A Factored pair computes each distinct factor once per node of its
-    block: n_c^r + n_h^r lattice-axis nodes and n_h^2 nodes per
+    block: r (n_c + n_h) lattice-axis nodes and n_h^2 nodes per
     perpendicular coordinate.  Any other pair computes at least one value
     per tensor node for each of f and h.  When h is f it is counted once.
     """
@@ -311,7 +331,7 @@ def _work(config, levels, fs, hs) -> int:
     if ff is None or hf is None:
         return (1 if fs is hs else 2) * sum(nc**r * nh ** (r + 2 * m) for nc, nh in shapes)
     lattice, *perp = [sum(c) for c in zip(*map(_factor_counts, [ff] if ff is hf else [ff, hf]))]
-    return sum((nc**r + nh**r) * lattice + nh**2 * sum(perp) for nc, nh in shapes)
+    return sum(r * (nc + nh) * lattice + nh**2 * sum(perp) for nc, nh in shapes)
 
 
 def _grid_sums(config, grid: QuadratureGrid, refine: bool, fs, hs) -> tuple:
@@ -339,23 +359,23 @@ def _reduce(config, levels, offset, fs, hs) -> tuple:
     return [_level_sum(config, level, offset, fs, hs) for level in levels], work
 
 
-def _nodes(config, level: _Level, offset, rows: int, *, x=False, y=False, perp=0):
+def _nodes(config, level: _Level, offset, rows: int, *, lattice: bool, perp: int):
     """Yield (Z, Zp, w) over a product of the level's 1-D rules, ``rows`` nodes at a time.
 
-    The product takes r Legendre axes when ``x`` (points x + 0i), r
-    Hermite axes when ``y`` (points 0 + iy), and two Hermite axes for each
-    of ``perp`` perpendicular coordinates; Z is (n, r) and Zp (n, perp).
-    Each chunk is built from a range of flat indices, so only one chunk
-    of points exists at a time.  Points are column-major, as the
-    evaluators read them by column.  The weights w carry the correction
-    exp(|s|^2/2 - nu x^T B x) of the axes taken, but no Jacobian.
+    The product takes, when ``lattice``, r Legendre and r Hermite axes
+    (points x + iy), and two Hermite axes for each of ``perp``
+    perpendicular coordinates; Z is (n, r) and Zp (n, perp).  Each chunk
+    is built from a range of flat indices, so only one chunk of points
+    exists at a time.  Points are column-major, as the evaluators read
+    them by column.  The weights w carry the correction
+    exp(|s|^2/2 - nu x^T B x) of the lattice axes, but no Jacobian.
     """
     r, nu = config.r, config.nu
-    rx, ry = (r if x else 0), (r if y else 0)
+    rl = r if lattice else 0
     t = level.herm_nodes
     rules = (
-        [(level.compact_nodes, level.compact_weights)] * rx
-        + [(t, level.herm_weights * np.exp(0.5 * t * t))] * ry
+        [(level.compact_nodes, level.compact_weights)] * rl
+        + [(t, level.herm_weights * np.exp(0.5 * t * t))] * rl
         + [(t / math.sqrt(nu), level.herm_weights)] * (2 * perp)
     )
     sizes = [len(nodes) for nodes, _ in rules]
@@ -369,13 +389,12 @@ def _nodes(config, level: _Level, offset, rows: int, *, x=False, y=False, perp=0
             P[:, a] = rules[a][0][i]
             w *= rules[a][1][i]
         Z = np.zeros((n, r), dtype=complex, order="F")
-        if x:
+        if lattice:
             xs = P[:, :r] + offset
             Z.real = xs
             w *= np.exp(-nu * np.einsum("ij,jk,ik->i", xs, config.lattice.B, xs))
-        if y:
-            Z.imag = P[:, rx:rx + r] @ level.y_transform.T
-        q = P[:, rx + ry:]
+            Z.imag = P[:, r:2 * r] @ level.y_transform.T
+        q = P[:, 2 * rl:]
         yield Z, q[:, 0::2] + 1j * q[:, 1::2], w
 
 
@@ -389,25 +408,44 @@ def _block_sum(chunks, f, h, same: bool) -> np.ndarray:
     return out
 
 
+def _lattice_axes(config, level: _Level, offset):
+    """(Z, w) for each of the lattice block's 2r axes: x_j first, then s_j, per j.
+
+    The x_j axis holds the points (x_j + offset_j) e_j with the Legendre
+    weights times exp(-nu B_jj x_j^2); the s_j axis holds the points
+    i s_j T e_j, T = ``y_transform``, with the Hermite weights times
+    exp(s_j^2 / 2).  Under the Factored contract the lattice block's
+    tensor sum is the product of the sums over these axes.
+    """
+    r, nu, B = config.r, config.nu, config.lattice.B
+    x, t = level.compact_nodes, level.herm_nodes
+    for j in range(r):
+        xs = x + offset[j]
+        Z = np.zeros((len(x), r), dtype=complex, order="F")
+        Z[:, j] = xs
+        yield Z, level.compact_weights * np.exp(-nu * B[j, j] * xs * xs)
+        Z = np.zeros((len(t), r), dtype=complex, order="F")
+        Z.imag = np.outer(t, level.y_transform[:, j])
+        yield Z, level.herm_weights * np.exp(0.5 * t * t)
+
+
 def _factored_sum(config, level: _Level, offset, ff: Factored, hf: Factored) -> np.ndarray:
     """Level sum of the Factored families ff, hf, block by block.
 
-    Each block is chunked so that one map's values stay under _CHUNK_BYTES.
+    The lattice block is the entrywise product of one unchunked sum per
+    lattice axis, each L x n values; at r = 0 it is the empty product, all
+    ones.  Each perpendicular grid is chunked so that one map's values
+    stay under _CHUNK_BYTES.
     """
     same = ff is hf
-    counts = _factor_counts(ff)
-    if not same:
-        counts = map(max, counts, _factor_counts(hf))
-    rows = [max(1, _CHUNK_BYTES // (16 * max(c, 1))) for c in counts]
-
-    def lattice_axis(**axes):
-        return (((Z,), w) for Z, _, w in _nodes(config, level, offset, rows[0], **axes))
-
-    lattice = _block_sum(lattice_axis(x=True), ff.lattice, hf.lattice, same)
-    lattice = lattice * _block_sum(lattice_axis(y=True), ff.lattice, hf.lattice, same)
+    f_counts, h_counts = _factor_counts(ff), _factor_counts(hf)
+    lattice = np.ones((f_counts[0], h_counts[0]), dtype=complex)
+    for Z, w in _lattice_axes(config, level, offset):
+        lattice *= _block_sum([((Z,), w)], ff.lattice, hf.lattice, same)
     blocks = [level.lattice_jacobian * lattice]
     for j, (fj, hj) in enumerate(zip(ff.perp, hf.perp)):
-        perp_nodes = _nodes(config, level, offset, rows[1 + j], perp=1)
+        rows = max(1, _CHUNK_BYTES // (16 * max(f_counts[1 + j], h_counts[1 + j], 1)))
+        perp_nodes = _nodes(config, level, offset, rows, lattice=False, perp=1)
         chunks = (((Zp[:, 0],), w) for _, Zp, w in perp_nodes)
         blocks.append((1.0 / config.nu) * _block_sum(chunks, fj, hj, same))
     terms = np.ones((ff.terms.shape[0], hf.terms.shape[0]), dtype=complex)
@@ -427,7 +465,7 @@ def _level_sum(config, level: _Level, offset, fs, hs) -> np.ndarray:
         return _factored_sum(config, level, offset, ff, hf)
     m = config.g - config.r
     jacobian = level.lattice_jacobian * (1.0 / config.nu) ** m
-    tensor = _nodes(config, level, offset, _CHUNK, x=True, y=True, perp=m)
+    tensor = _nodes(config, level, offset, _CHUNK, lattice=True, perp=m)
     return jacobian * _block_sum(
         (((Z, Zp), w) for Z, Zp, w in tensor),
         lambda Z, Zp: np.atleast_2d(fs(Z, Zp)),

@@ -278,6 +278,17 @@ def test_bad_form_tolerance_is_parse_error(tmp_path, capsys, form):
     assert "parse error: tolerances.form:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extra, where", [
+    ({"Alpha": [0.3]}, "Alpha"),
+    ({"tolerances": {"Form": 1e-3}}, "tolerances.Form"),
+], ids=["top-level", "tolerances"])
+def test_unknown_key_is_parse_error(tmp_path, capsys, extra, where):
+    # a misspelled optional key used to run with that key's default
+    bad = dict(G1R1, **extra)
+    assert main(["theta", write(tmp_path, bad), "--z", "0.1"]) == 1
+    assert capsys.readouterr().err.startswith(f"parse error: {where}: unknown key")
+
+
 def test_form_tolerance_is_read(tmp_path):
     # a finite positive form tolerance still sets the validation scale:
     # H = [[1 + 1e-6 i]] is hermitian within 1e-3, not within the default

@@ -338,21 +338,67 @@ def test_factored_matches_one_block(small_case, refine, monkeypatch):
         if (a, b) == (f, section):
             want_section = want
 
-    # a byte cap of seven nodes' values per chunk splits every lattice axis
-    # of the section's K factors into several chunks; the sum must not move
-    rows, lattice = [], section.factored.lattice
+    # a byte cap of seven nodes' values per chunk splits the first
+    # perpendicular grid into several chunks, while each lattice map call
+    # takes one whole axis; the sum must not move
+    lattice_rows, perp_rows, form = [], [], section.factored
+
+    def counting(fn, rows):
+        return lambda z: rows.append(len(z)) or fn(z)
 
     def split(z, zp):
         return section(z, zp)
 
     split.factored = dataclasses.replace(
-        section.factored, lattice=lambda z: rows.append(len(z)) or lattice(z))
+        form, lattice=counting(form.lattice, lattice_rows),
+        perp=tuple(counting(p, perp_rows) if j == 0 else p for j, p in enumerate(form.perp)))
+    first = max(Q._factor_counts(f.factored)[1:2] + Q._factor_counts(form)[1:2], default=1)
     with monkeypatch.context() as mp:
-        mp.setattr(Q, "_CHUNK_BYTES", 16 * 7 * section.factored.terms.shape[0])
+        mp.setattr(Q, "_CHUNK_BYTES", 16 * 7 * first)
         got = tf.inner_product(cfg, f, split, grid, refine=refine).value
     assert abs(got - want_section) <= 1e-13 * abs(want_section)
-    if cfg.r:  # every axis has at least 10 nodes, so at least two chunks
-        assert max(rows) == 7 and len(rows) >= 4
+    levels = [grid.base, grid.fine] if refine else [grid.base]
+    axis_rows = {len(nodes) for lvl in levels for nodes in (lvl.compact_nodes, lvl.herm_nodes)}
+    assert len(lattice_rows) == 2 * cfg.r * len(levels)
+    assert set(lattice_rows) <= axis_rows
+    if cfg.g > cfg.r:  # every perpendicular grid has at least 14^2 nodes
+        assert max(perp_rows) == 7 and len(perp_rows) >= 4
+
+
+def _counted(fn, values):
+    # fn with its factor maps wrapped to add the factor values they return
+    def count(m):
+        def wrapped(w):
+            out = m(w)
+            values.append(out.size)
+            return out
+        return wrapped
+
+    def counted(z, zp):
+        return fn(z, zp)
+
+    form = fn.factored
+    counted.factored = dataclasses.replace(
+        form, lattice=count(form.lattice), perp=tuple(map(count, form.perp)))
+    return counted
+
+
+@pytest.mark.parametrize("refine", [True, False])
+def test_work_counts_the_factor_values_computed(small_case, refine):
+    # at r = 0, 1 and 2: r (n_c + n_h) lattice-axis values and n_h^2 values
+    # per perpendicular coordinate, per distinct factor and level
+    cfg, grid = small_case
+    idxs = [tf.BasisIndex(n=n, k=k) for n in S._integer_box(cfg.r, 1)
+            for k in S._multi_indices(cfg.g - cfg.r, 2)]
+    fam = S.basis_family(cfg, idxs)
+    v = tf.PointCoordinates(np.full(cfg.r, 0.1 + 0.2j), np.full(cfg.g - cfg.r, 0.2 - 0.1j))
+    section = S.kernel_section(cfg, v, 1e-10)
+    values = []
+    f, h = _counted(fam, values), _counted(section, values)
+    for a, b in ((f, h), (f, f), (h, h)):
+        values.clear()
+        res = tf.inner_product(cfg, a, b, grid, refine=refine)
+        assert values and res.work == sum(values)
 
 
 def test_oracle_never_reads_closed_forms(small_case, monkeypatch):

@@ -112,16 +112,27 @@ def test_reproducing_suite_g4r2():
     _assert_all_pass(verify.verify_reproducing(cfg, np.random.default_rng(0)))
 
 
-def test_orthogonality_suite_g3r3():
-    # at nu = pi this lattice's calibration defect is 3.1e-8, above its 1e-9 bound
+def _g3r3_config(nu):
     space = tf.validate_space(np.eye(3))
     lattice = tf.build_lattice(space, [[1.0, 0, 0], [0.3, 1.1, 0], [0, 0.2, 0.95]])
-    cfg = tf.make_config(lattice, [0.3, 0.1, 0.2], 2 * math.pi)
+    return tf.make_config(lattice, [0.3, 0.1, 0.2], nu)
+
+
+def test_orthogonality_suite_g3r3():
+    _assert_all_pass(verify.verify_orthogonality(
+        _g3r3_config(2 * math.pi), np.random.default_rng(0), n_inf=1))
+
+
+def test_g3r3_calibration_reads_the_grid_at_nu_pi():
+    # a fully resolved grid: its calibration reads 2.6e-14 at (32, 48), so
+    # the 1e-9 bound must not flag it
+    cfg = _g3r3_config(math.pi)
+    tf.build_grid(cfg, requested_tol=1e-9)
     _assert_all_pass(verify.verify_orthogonality(cfg, np.random.default_rng(0), n_inf=1))
 
 
 def test_under_resolved_g3_config_is_flagged():
-    # (32, 48) nodes leave this lattice's calibration defect near 0.5
+    # (32, 48) nodes leave this lattice's calibration defect at 8.5e-6
     cfg = verify.random_config(np.random.default_rng([2, 3, 2]), 3, 2)
     with pytest.raises(errors.GridTooCoarse):
         tf.build_grid(cfg, requested_tol=1e-9)
