@@ -33,16 +33,25 @@ product over the axes x_j and s_j, each factor 1 at the origin.  The
 lattice Gram is then the entrywise product of one sum per axis, on the
 points (x_j + offset_j) e_j and i s_j T e_j.
 
+The nodes of each block are built once, with the grid: every level holds
+its 2r lattice axes, concatenated into one point array, and one
+perpendicular grid, which every perpendicular coordinate shares.  A
+reduction calls each lattice map once and each perpendicular map once,
+on the nodes of every level it sums, and one segment reducer
+(_segment_sums) sums each lattice axis and each level apart.  The same
+reducer sums any other callable over the whole tensor grid, one segment
+per level.
+
 The cost of a reduction is the number of factor values it computes: each
 distinct factor once per node of its block (each lattice axis, each
 perpendicular grid), or, for any other callable, one value per node of
 the whole tensor grid.  That count depends on node counts alone, so it is
-checked against one budget before any node is built or any integrand
-called; the dimension g and rank r enter only through it.  A lattice axis
-holds only L x n values for L factors and the n nodes of one 1-D rule,
-so it is summed in one piece; every other node set (the perpendicular
-grids, the whole tensor grid) is built chunk by chunk from index ranges
-over the 1-D rules, so memory stays bounded whatever the grid's size.
+checked against one budget before any integrand is called or any tensor
+node built; the dimension g and rank r enter only through it.  The
+reducer cuts its rows into chunks so that one map's values stay under
+_CHUNK_BYTES, and the tensor grid is built chunk by chunk from index
+ranges over the 1-D rules, so memory stays bounded whatever the grid's
+size.
 
 The grid calibrates itself on two levels, the requested node counts and
 their doubles, against integrands with closed forms (see _calibrate).
@@ -55,6 +64,7 @@ or each of its factors, at its own nodes.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import numbers
 from collections.abc import Callable
@@ -149,6 +159,10 @@ class Factored:
     s, a Gaussian that the correction turns into an exponential.  Basis
     factors, kernel-section terms and the calibration factors meet it.
     The lattice block is summed one axis at a time on that basis.
+
+    Each map is called once per reduction, on the nodes of every level
+    summed, in chunks of rows that keep its values under _CHUNK_BYTES; a
+    map must give each point the value it would give it alone.
     """
 
     lattice: Callable
@@ -159,12 +173,27 @@ class Factored:
 
 @dataclass(frozen=True)
 class _Level:
+    """One level's 1-D rules and the node sets a Factored reduction reads.
+
+    ``lattice_points`` concatenates the 2r lattice axes, x_j then s_j for
+    each j: the n_c points (x_j + offset_j) e_j, weighted by the Legendre
+    weights times exp(-nu B_jj x_j^2), and the n_h points i s_j T e_j,
+    T = ``y_transform``, weighted by the Hermite weights times
+    exp(s_j^2 / 2).  ``perp_points`` is the n_h^2 grid (t_a + i t_b) /
+    sqrt(nu) with weights w_a w_b, shared by every perpendicular coordinate
+    (empty when g = r).  Node arrays are read-only.
+    """
+
     compact_nodes: np.ndarray
     compact_weights: np.ndarray
     herm_nodes: np.ndarray
     herm_weights: np.ndarray
     y_transform: np.ndarray  # (r, r): y = s @ T.T
     lattice_jacobian: float  # det factor of the y substitution
+    lattice_points: np.ndarray  # (r (n_c + n_h), r) complex
+    lattice_weights: np.ndarray
+    perp_points: np.ndarray  # (n_h^2,) complex, or (0,) when g = r
+    perp_weights: np.ndarray
     shape: tuple  # per-dim node counts: r compact, r Hermite, 2(g-r) Hermite
 
 
@@ -173,8 +202,9 @@ class QuadratureGrid:
     """Tensor grid; ``fine`` doubles every node count for error estimates.
 
     Level shapes describe the logical tensor grid, whichever way an
-    integrand is reduced over it.  ``estimated_error`` is the two-level
-    calibration defect of _calibrate.
+    integrand is reduced over it; each level also holds the node sets of
+    the block-by-block reduction, built once with the grid.
+    ``estimated_error`` is the two-level calibration defect of _calibrate.
     """
 
     config: object
@@ -211,20 +241,37 @@ def _gauss_rules(n_compact: int, n_unbounded: int):
     return rules
 
 
-def _make_level(config, n_compact: int, n_unbounded: int) -> _Level:
-    r, g, nu = config.r, config.g, config.nu
+def _make_level(config, n_compact: int, n_unbounded: int, offset, T, jacobian: float) -> _Level:
+    """The level's rules and node sets; T and jacobian come from 2 nu B, diagonalised once per grid."""
+    r, g, nu, B = config.r, config.g, config.nu, config.lattice.B
     x, wx, t, wt = _gauss_rules(n_compact, n_unbounded)
-    evals, evecs = np.linalg.eigh(2.0 * nu * config.lattice.B)
-    shape = (n_compact,) * r + (n_unbounded,) * r + (n_unbounded,) * (2 * (g - r))
-    return _Level(
+    n = n_compact + n_unbounded
+    points = np.zeros((r * n, r), dtype=complex)
+    weights = np.empty(r * n)
+    herm = wt * np.exp(0.5 * t * t)
+    for j in range(r):
+        xs = x + offset[j]
+        points[j * n:j * n + n_compact, j] = xs
+        weights[j * n:j * n + n_compact] = wx * np.exp(-nu * B[j, j] * xs * xs)
+        points[j * n + n_compact:(j + 1) * n].imag = np.outer(t, T[:, j])
+        weights[j * n + n_compact:(j + 1) * n] = herm
+    s, ws = (t / math.sqrt(nu), wt) if g > r else (t[:0], wt[:0])
+    level = _Level(
         compact_nodes=x,
         compact_weights=wx,
         herm_nodes=t,
         herm_weights=wt,
-        y_transform=evecs / np.sqrt(evals),
-        lattice_jacobian=float(np.prod(1.0 / np.sqrt(evals))),
-        shape=shape,
+        y_transform=T,
+        lattice_jacobian=jacobian,
+        lattice_points=points,
+        lattice_weights=weights,
+        perp_points=(s[:, None] + 1j * s).ravel(),
+        perp_weights=np.outer(ws, ws).ravel(),
+        shape=(n_compact,) * r + (n_unbounded,) * r + (n_unbounded,) * (2 * (g - r)),
     )
+    for a in (level.lattice_points, level.lattice_weights, level.perp_points, level.perp_weights):
+        a.setflags(write=False)
+    return level
 
 
 def build_grid(
@@ -242,7 +289,8 @@ def build_grid(
     both levels, are finite (ValidationError otherwise).  The calibration
     sums integrands with known closed forms on both levels; when
     requested_tol is given GridTooCoarse is raised if the observed defect
-    exceeds it.
+    exceeds it.  A box_offset of the wrong length raises DimensionMismatch,
+    and one that is not finite ValidationError, before any node is built.
     """
     for name, n in (("compact_nodes", compact_nodes), ("unbounded_nodes", unbounded_nodes)):
         if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
@@ -252,9 +300,13 @@ def build_grid(
     offset = np.zeros(r) if box_offset is None else np.asarray(box_offset, dtype=float).reshape(-1)
     if offset.shape[0] != r:
         raise DimensionMismatch(f"box_offset must have length {r}")
+    if not np.isfinite(offset).all():
+        raise ValidationError(f"box_offset must be finite, got {offset.tolist()}")
+    evals, evecs = np.linalg.eigh(2.0 * config.nu * config.lattice.B)
+    axes = (offset, evecs / np.sqrt(evals), float(np.prod(1.0 / np.sqrt(evals))))
     # fine first: a rule that is not finite fails there before the base rule is cached
-    fine = _make_level(config, 2 * compact_nodes, 2 * unbounded_nodes)
-    base = _make_level(config, compact_nodes, unbounded_nodes)
+    fine = _make_level(config, 2 * compact_nodes, 2 * unbounded_nodes, *axes)
+    base = _make_level(config, compact_nodes, unbounded_nodes, *axes)
     est = _calibrate(config, base, fine, offset)
     if requested_tol is not None and est > requested_tol:
         raise GridTooCoarse(
@@ -294,8 +346,7 @@ def _calibrate(config, base: _Level, fine: _Level, offset) -> float:
     (got, got_fine), _ = _reduce(config, [base, fine], offset, form, form)
 
     perp = math.prod(math.pi / nu * math.factorial(kj) / nu**kj for kj in k_cal)
-    closed = np.array([gaussian_integral(2.0 * nu, B, -4.0 * math.pi * a).real * perp
-                       for a in freqs])
+    closed = _lattice_integrals(config, freqs) * perp
     defects = np.concatenate([
         [abs(got[0, 0] - closed[0]) / closed[0]],
         np.abs(got[0, 1:]) / np.sqrt(closed[0] * closed[1:]),
@@ -303,6 +354,19 @@ def _calibrate(config, base: _Level, fine: _Level, offset) -> float:
     ])
     est = float(defects.max())
     return est if not math.isnan(est) else math.inf
+
+
+def _lattice_integrals(config, freqs) -> np.ndarray:
+    """gaussian_integral(2 nu, B, -4 pi a) for each real frequency a, from B's derived fields.
+
+    (pi / 2 nu)^(r/2) det(B)^(-1/2) exp(2 pi^2 a^T B^-1 a / nu): the
+    integrals the calibration factors take over the lattice block.
+    """
+    r, nu, lattice = config.r, config.nu, config.lattice
+    scale = (math.pi / (2.0 * nu)) ** (r / 2.0) / math.sqrt(lattice.det_b)
+    quad = np.array([a @ lattice.B_inv @ a for a in freqs])
+    with np.errstate(over="ignore"):  # an overflow reads as an infinite defect
+        return scale * np.exp(2.0 * math.pi**2 / nu * quad)
 
 
 def _factored(f) -> Factored | None:
@@ -347,8 +411,10 @@ def _grid_sums(config, grid: QuadratureGrid, refine: bool, fs, hs) -> tuple:
 def _reduce(config, levels, offset, fs, hs) -> tuple:
     """Sums of f conj(h) over each of ``levels`` and the work they take.
 
-    The one budget check: NodeBudgetExceeded is raised before any node is
-    built or any integrand called when the work exceeds _WORK_BUDGET.
+    The one budget check: NodeBudgetExceeded is raised before any integrand
+    is called or any tensor node built when the work exceeds _WORK_BUDGET.
+    Integrands that both have a block form are reduced block by block;
+    otherwise the whole tensor grid of each level is one segment.
     """
     work = _work(config, levels, fs, hs)
     if work > _WORK_BUDGET:
@@ -356,32 +422,39 @@ def _reduce(config, levels, offset, fs, hs) -> tuple:
             f"the quadrature would compute {work:.3e} factor values, over the budget of "
             f"{_WORK_BUDGET:.3e}; use fewer nodes or fewer factors"
         )
-    return [_level_sum(config, level, offset, fs, hs) for level in levels], work
+    ff, hf = _factored(fs), _factored(hs)
+    if ff is not None and hf is not None:
+        return _factored_sums(config, levels, ff, hf), work
+    m = config.g - config.r
+    chunks = (((Z, Zp), w) for level in levels for Z, Zp, w in _nodes(config, level, offset))
+    sums = _segment_sums(chunks, [math.prod(level.shape) for level in levels],
+                         lambda Z, Zp: np.atleast_2d(fs(Z, Zp)),
+                         lambda Z, Zp: np.atleast_2d(hs(Z, Zp)), fs is hs)
+    return [level.lattice_jacobian * (1.0 / config.nu) ** m * S
+            for level, S in zip(levels, sums)], work
 
 
-def _nodes(config, level: _Level, offset, rows: int, *, lattice: bool, perp: int):
-    """Yield (Z, Zp, w) over a product of the level's 1-D rules, ``rows`` nodes at a time.
+def _nodes(config, level: _Level, offset):
+    """Yield (Z, Zp, w) over the level's tensor grid, _CHUNK nodes at a time.
 
-    The product takes, when ``lattice``, r Legendre and r Hermite axes
-    (points x + iy), and two Hermite axes for each of ``perp``
-    perpendicular coordinates; Z is (n, r) and Zp (n, perp).  Each chunk
-    is built from a range of flat indices, so only one chunk of points
-    exists at a time.  Points are column-major, as the evaluators read
-    them by column.  The weights w carry the correction
+    The product takes r Legendre and r Hermite axes (points x + iy) and two
+    Hermite axes per perpendicular coordinate; Z is (n, r) and Zp
+    (n, g - r).  Each chunk is built from a range of flat indices, so only
+    one chunk of points exists at a time.  Points are column-major, as the
+    evaluators read them by column.  The weights w carry the correction
     exp(|s|^2/2 - nu x^T B x) of the lattice axes, but no Jacobian.
     """
     r, nu = config.r, config.nu
-    rl = r if lattice else 0
     t = level.herm_nodes
     rules = (
-        [(level.compact_nodes, level.compact_weights)] * rl
-        + [(t, level.herm_weights * np.exp(0.5 * t * t))] * rl
-        + [(t / math.sqrt(nu), level.herm_weights)] * (2 * perp)
+        [(level.compact_nodes, level.compact_weights)] * r
+        + [(t, level.herm_weights * np.exp(0.5 * t * t))] * r
+        + [(t / math.sqrt(nu), level.herm_weights)] * (2 * (config.g - r))
     )
     sizes = [len(nodes) for nodes, _ in rules]
     total = math.prod(sizes)
-    for start in range(0, total, rows):
-        n = min(rows, total - start)
+    for start in range(0, total, _CHUNK):
+        n = min(_CHUNK, total - start)
         P = np.empty((n, len(rules)), order="F")
         w = np.ones(n)
         idx = np.unravel_index(np.arange(start, start + n), sizes) if sizes else ()
@@ -389,89 +462,74 @@ def _nodes(config, level: _Level, offset, rows: int, *, lattice: bool, perp: int
             P[:, a] = rules[a][0][i]
             w *= rules[a][1][i]
         Z = np.zeros((n, r), dtype=complex, order="F")
-        if lattice:
-            xs = P[:, :r] + offset
-            Z.real = xs
-            w *= np.exp(-nu * np.einsum("ij,jk,ik->i", xs, config.lattice.B, xs))
-            Z.imag = P[:, r:2 * r] @ level.y_transform.T
-        q = P[:, 2 * rl:]
+        xs = P[:, :r] + offset
+        Z.real = xs
+        w *= np.exp(-nu * np.einsum("ij,jk,ik->i", xs, config.lattice.B, xs))
+        Z.imag = P[:, r:2 * r] @ level.y_transform.T
+        q = P[:, 2 * r:]
         yield Z, q[:, 0::2] + 1j * q[:, 1::2], w
 
 
-def _block_sum(chunks, f, h, same: bool) -> np.ndarray:
-    """sum_nodes w f_a conj(h_b) over chunks of ((points,), w): an (A, B) matrix."""
-    out = 0.0
+def _segment_sums(chunks, lengths, f, h, same: bool) -> list:
+    """Sums of w f_a conj(h_b) over consecutive segments of ``lengths`` nodes: (A, B) each.
+
+    ``chunks`` yields (points, w) for runs of nodes in order; f and h are
+    called once per run, and a run may straddle segment boundaries.
+    """
+    bounds = list(itertools.accumulate(lengths, initial=0))
+    sums = [0.0] * len(lengths)
+    start = 0
     for points, w in chunks:
         U = f(*points)
         V = U if same else h(*points)
-        out = out + (U * w) @ V.conj().T
-    return out
+        Uw = U * w
+        for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+            a, b = max(lo - start, 0), min(hi - start, len(w))
+            if a < b:
+                sums[i] = sums[i] + Uw[:, a:b] @ V[:, a:b].conj().T
+        start += len(w)
+    return sums
 
 
-def _lattice_axes(config, level: _Level, offset):
-    """(Z, w) for each of the lattice block's 2r axes: x_j first, then s_j, per j.
+def _factored_sums(config, levels, ff: Factored, hf: Factored) -> list:
+    """Level sums of the Factored families ff, hf, block by block.
 
-    The x_j axis holds the points (x_j + offset_j) e_j with the Legendre
-    weights times exp(-nu B_jj x_j^2); the s_j axis holds the points
-    i s_j T e_j, T = ``y_transform``, with the Hermite weights times
-    exp(s_j^2 / 2).  Under the Factored contract the lattice block's
-    tensor sum is the product of the sums over these axes.
-    """
-    r, nu, B = config.r, config.nu, config.lattice.B
-    x, t = level.compact_nodes, level.herm_nodes
-    for j in range(r):
-        xs = x + offset[j]
-        Z = np.zeros((len(x), r), dtype=complex, order="F")
-        Z[:, j] = xs
-        yield Z, level.compact_weights * np.exp(-nu * B[j, j] * xs * xs)
-        Z = np.zeros((len(t), r), dtype=complex, order="F")
-        Z.imag = np.outer(t, level.y_transform[:, j])
-        yield Z, level.herm_weights * np.exp(0.5 * t * t)
-
-
-def _factored_sum(config, level: _Level, offset, ff: Factored, hf: Factored) -> np.ndarray:
-    """Level sum of the Factored families ff, hf, block by block.
-
-    The lattice block is the entrywise product of one unchunked sum per
-    lattice axis, each L x n values; at r = 0 it is the empty product, all
-    ones.  Each perpendicular grid is chunked so that one map's values
-    stay under _CHUNK_BYTES.
+    The lattice map is called once, on the lattice axes of every level
+    (base first), and each perpendicular map once, on every level's
+    perpendicular grid; rows are chunked so that one map's values stay
+    under _CHUNK_BYTES.  A level's lattice block is the entrywise product of
+    its 2r axis sums (at r = 0 the empty product, all ones).
     """
     same = ff is hf
     f_counts, h_counts = _factor_counts(ff), _factor_counts(hf)
-    lattice = np.ones((f_counts[0], h_counts[0]), dtype=complex)
-    for Z, w in _lattice_axes(config, level, offset):
-        lattice *= _block_sum([((Z,), w)], ff.lattice, hf.lattice, same)
-    blocks = [level.lattice_jacobian * lattice]
+    r = config.r
+
+    def sums(block, f, h, name, lengths):
+        points, weights = (np.concatenate([getattr(level, f"{name}_{part}") for level in levels])
+                           for part in ("points", "weights"))
+        rows = max(1, _CHUNK_BYTES // (16 * max(f_counts[block], h_counts[block], 1)))
+        chunks = (((points[i:i + rows],), weights[i:i + rows]) for i in range(0, len(weights), rows))
+        return _segment_sums(chunks, lengths, f, h, same)
+
+    lattice = [np.ones((f_counts[0], h_counts[0]), dtype=complex) for _ in levels]
+    if r:
+        lengths = [len(a) for level in levels for _ in range(r)
+                   for a in (level.compact_nodes, level.herm_nodes)]
+        for i, axis in enumerate(sums(0, ff.lattice, hf.lattice, "lattice", lengths)):
+            lattice[i // (2 * r)] *= axis
+    blocks = [[level.lattice_jacobian * L] for level, L in zip(levels, lattice)]
+    lengths = [len(level.perp_points) for level in levels]
     for j, (fj, hj) in enumerate(zip(ff.perp, hf.perp)):
-        rows = max(1, _CHUNK_BYTES // (16 * max(f_counts[1 + j], h_counts[1 + j], 1)))
-        perp_nodes = _nodes(config, level, offset, rows, lattice=False, perp=1)
-        chunks = (((Zp[:, 0],), w) for _, Zp, w in perp_nodes)
-        blocks.append((1.0 / config.nu) * _block_sum(chunks, fj, hj, same))
-    terms = np.ones((ff.terms.shape[0], hf.terms.shape[0]), dtype=complex)
-    for b, M in enumerate(blocks):
-        terms *= M[np.ix_(ff.terms[:, b], hf.terms[:, b])]
-    return ff.coeffs @ terms @ hf.coeffs.conj().T
-
-
-def _level_sum(config, level: _Level, offset, fs, hs) -> np.ndarray:
-    """Matrix of level sums of f_i conj(h_k) against exp(-nu H(u,u)).
-
-    Integrands that both have a block form are reduced block by block;
-    otherwise the whole tensor grid is one block, _CHUNK nodes at a time.
-    """
-    ff, hf = _factored(fs), _factored(hs)
-    if ff is not None and hf is not None:
-        return _factored_sum(config, level, offset, ff, hf)
-    m = config.g - config.r
-    jacobian = level.lattice_jacobian * (1.0 / config.nu) ** m
-    tensor = _nodes(config, level, offset, _CHUNK, lattice=True, perp=m)
-    return jacobian * _block_sum(
-        (((Z, Zp), w) for Z, Zp, w in tensor),
-        lambda Z, Zp: np.atleast_2d(fs(Z, Zp)),
-        lambda Z, Zp: np.atleast_2d(hs(Z, Zp)),
-        fs is hs,
-    )
+        for level_blocks, S in zip(blocks, sums(1 + j, fj, hj, "perp", lengths)):
+            level_blocks.append((1.0 / config.nu) * S)
+    rows, cols = ff.terms.T[:, :, None], hf.terms.T[:, None, :]
+    out = []
+    for level_blocks in blocks:
+        terms = np.ones((ff.terms.shape[0], hf.terms.shape[0]), dtype=complex)
+        for b, M in enumerate(level_blocks):
+            terms *= M[rows[b], cols[b]]
+        out.append(ff.coeffs @ terms @ hf.coeffs.conj().T)
+    return out
 
 
 def inner_product(config, f, h, grid: QuadratureGrid, refine: bool = True) -> InnerProductResult:

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -67,6 +68,26 @@ def test_gaussian_integral_errors():
         tf.gaussian_integral(1.0, [[1.0, 0.5], [0.2, 1.0]], [0.0, 0.0])
     with pytest.raises(ValueError):
         tf.gaussian_integral(-1.0, [[1.0]], [0.0])
+
+
+@pytest.mark.parametrize("r", [0, 1, 2, 3])
+def test_calibration_closed_forms_match_gaussian_integral(r):
+    # the calibration reads its closed forms from det B and B^-1; they must
+    # be gaussian_integral(2 nu, B, -4 pi a), here with a non-diagonal B
+    gens = np.eye(3)[:r] + 0.3 * np.triu(np.ones((3, 3)), 1)[:r]
+    cfg = tf.make_config(tf.build_lattice(tf.validate_space(np.eye(3)), gens),
+                         0.2 * np.arange(r), 2.7)
+    assert r < 2 or abs(cfg.lattice.B[0, 1]) > 0.1
+    freqs = [0.3 + np.arange(r, dtype=float), 1.3 + np.arange(r, dtype=float)]
+    want = [tf.gaussian_integral(2 * cfg.nu, cfg.lattice.B, -4 * math.pi * a).real for a in freqs]
+    np.testing.assert_allclose(Q._lattice_integrals(cfg, freqs), want, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_box_offset_that_is_not_finite_is_validation_error(cfg_g1r1, bad, monkeypatch):
+    monkeypatch.setattr(Q, "_make_level", _never_called)
+    with pytest.raises(errors.ValidationError, match="box_offset"):
+        tf.build_grid(cfg_g1r1, box_offset=[bad])
 
 
 def test_hermite_exactness_degree(grid_g1r1):
@@ -338,31 +359,63 @@ def test_factored_matches_one_block(small_case, refine, monkeypatch):
         if (a, b) == (f, section):
             want_section = want
 
-    # a byte cap of seven nodes' values per chunk splits the first
-    # perpendicular grid into several chunks, while each lattice map call
-    # takes one whole axis; the sum must not move
-    lattice_rows, perp_rows, form = [], [], section.factored
-
-    def counting(fn, rows):
-        return lambda z: rows.append(len(z)) or fn(z)
-
-    def split(z, zp):
-        return section(z, zp)
-
-    split.factored = dataclasses.replace(
-        form, lattice=counting(form.lattice, lattice_rows),
-        perp=tuple(counting(p, perp_rows) if j == 0 else p for j, p in enumerate(form.perp)))
-    first = max(Q._factor_counts(f.factored)[1:2] + Q._factor_counts(form)[1:2], default=1)
-    with monkeypatch.context() as mp:
-        mp.setattr(Q, "_CHUNK_BYTES", 16 * 7 * first)
-        got = tf.inner_product(cfg, f, split, grid, refine=refine).value
-    assert abs(got - want_section) <= 1e-13 * abs(want_section)
+    # with no cap, each map is called once per reduction, on the nodes of
+    # every level summed: r (n_c + n_h) lattice rows and n_h^2 perpendicular
+    # rows per level
     levels = [grid.base, grid.fine] if refine else [grid.base]
-    axis_rows = {len(nodes) for lvl in levels for nodes in (lvl.compact_nodes, lvl.herm_nodes)}
-    assert len(lattice_rows) == 2 * cfg.r * len(levels)
-    assert set(lattice_rows) <= axis_rows
-    if cfg.g > cfg.r:  # every perpendicular grid has at least 14^2 nodes
-        assert max(perp_rows) == 7 and len(perp_rows) >= 4
+    n_lattice = cfg.r * sum(len(lvl.compact_nodes) + len(lvl.herm_nodes) for lvl in levels)
+    n_perp = sum(len(lvl.herm_nodes) ** 2 for lvl in levels)
+    calls = {}
+    got = tf.inner_product(cfg, f, _recording(section, calls), grid, refine=refine).value
+    assert abs(got - want_section) <= 1e-13 * abs(want_section)
+    assert calls == ({"lattice": [n_lattice]} if cfg.r else {}) | {
+        j: [n_perp] for j in range(cfg.g - cfg.r)}
+
+    # a byte cap of seven values of the smallest summed block's factors cuts
+    # every call to at most seven rows, and a chunk of lattice rows
+    # straddles an axis or level boundary (at r = 0 the perpendicular grids
+    # hold 14^2 and 28^2 nodes, multiples of seven); the sums must not move
+    def seven_rows(a, b):
+        counts = map(max, Q._factor_counts(a.factored), Q._factor_counts(b.factored))
+        return 16 * 7 * min(list(counts)[0 if cfg.r else 1:])
+
+    fam_calls, section_calls = {}, {}
+    with monkeypatch.context() as mp:
+        mp.setattr(Q, "_CHUNK_BYTES", seven_rows(fam, fam))
+        Gc, Ec = tf.gram_matrix(cfg, _recording(fam, fam_calls), grid, refine=refine)
+        mp.setattr(Q, "_CHUNK_BYTES", seven_rows(f, section))
+        got = tf.inner_product(cfg, f, _recording(section, section_calls), grid,
+                               refine=refine).value
+    assert np.abs(Gc - G1).max() <= 1e-13 * np.abs(G1).max()
+    assert np.abs(Ec - E1).max() <= 1e-13 * np.abs(G1).max()
+    assert abs(got - want_section) <= 1e-13 * abs(want_section)
+    for rows in (*fam_calls.values(), *section_calls.values()):
+        assert max(rows) <= 7 and len(rows) > 1
+    if cfg.r:
+        lengths = [len(a) for lvl in levels for _ in range(cfg.r)
+                   for a in (lvl.compact_nodes, lvl.herm_nodes)]
+        bounds = set(itertools.accumulate(lengths))
+        starts = list(itertools.accumulate(fam_calls["lattice"], initial=0))
+        assert starts[-1] == n_lattice
+        assert any(lo < b < hi for lo, hi in zip(starts, starts[1:]) for b in bounds)
+
+
+def _recording(fn, calls):
+    # fn with its factor maps wrapped to record the rows of each call, by block
+    def record(m, block):
+        def wrapped(z):
+            calls.setdefault(block, []).append(len(z))
+            return m(z)
+        return wrapped
+
+    def recorded(z, zp):
+        return fn(z, zp)
+
+    form = fn.factored
+    recorded.factored = dataclasses.replace(
+        form, lattice=record(form.lattice, "lattice"),
+        perp=tuple(record(p, j) for j, p in enumerate(form.perp)))
+    return recorded
 
 
 def _counted(fn, values):

@@ -124,7 +124,7 @@ def test_orthogonality_suite_g3r3():
 
 
 def test_g3r3_calibration_reads_the_grid_at_nu_pi():
-    # a fully resolved grid: its calibration reads 2.6e-14 at (32, 48), so
+    # a fully resolved grid: its calibration reads 8.0e-15 at (32, 48), so
     # the 1e-9 bound must not flag it
     cfg = _g3r3_config(math.pi)
     tf.build_grid(cfg, requested_tol=1e-9)
