@@ -20,8 +20,8 @@ integrands built by thetafock.space carry a ``factored`` attribute
 factor and one factor per perpendicular coordinate.  A tensor sum of a
 product is the product of the per-block sums, so those integrands are
 reduced block by block.  The nodes and weights are the same as for the
-full tensor grid; only the order of summation differs.  Any other
-callable is summed as one block over the whole tensor grid.
+full tensor grid; only the order of summation differs.  An integrand
+without that form is refused (ValidationError).
 
 The lattice block splits again, into its 2r one-dimensional axes.  Every
 lattice factor is a basis factor exp(nu/2 z^T B z + 2 pi i c.z) with B
@@ -38,27 +38,22 @@ its 2r lattice axes, concatenated into one point array, and one
 perpendicular grid, which every perpendicular coordinate shares.  A
 reduction calls each lattice map once and each perpendicular map once,
 on the nodes of every level it sums, and one segment reducer
-(_segment_sums) sums each lattice axis and each level apart.  The same
-reducer sums any other callable over the whole tensor grid, one segment
-per level.
+(_segment_sums) sums each lattice axis and each level apart.
 
 The cost of a reduction is the number of factor values it computes: each
 distinct factor once per node of its block (each lattice axis, each
-perpendicular grid), or, for any other callable, one value per node of
-the whole tensor grid.  That count depends on node counts alone, so it is
-checked against one budget before any integrand is called or any tensor
-node built; the dimension g and rank r enter only through it.  The
-reducer cuts its rows into chunks so that one map's values stay under
-_CHUNK_BYTES, and the tensor grid is built chunk by chunk from index
-ranges over the 1-D rules, so memory stays bounded whatever the grid's
-size.
+perpendicular grid).  That count depends on node and factor counts
+alone, so it is checked against one budget before any factor map is
+called; the dimension g and rank r enter only through it.  The reducer
+cuts its rows into chunks so that one map's values stay under
+_CHUNK_BYTES, so memory stays bounded whatever the number of nodes.
 
 The grid calibrates itself on two levels, the requested node counts and
 their doubles, against integrands with closed forms (see _calibrate).
 
 This module is the verification oracle: it never consults the closed-form
-norms or kernels it is used to check.  It only evaluates each integrand,
-or each of its factors, at its own nodes.
+norms or kernels it is used to check.  It only evaluates the factors of
+each integrand at its own nodes.
 """
 
 from __future__ import annotations
@@ -93,7 +88,6 @@ __all__ = [
     "gram_matrix",
 ]
 
-_CHUNK = 1 << 14  # nodes per chunk of a callable without a factored form
 _CHUNK_BYTES = 1 << 24  # bytes of (factors x nodes) complex values per chunk of a Factored map
 _WORK_BUDGET = 1 << 29  # factor values per call; factored maps run 27-52M values/s on 2 vCPUs
 _DEFAULT_COMPACT_NODES = 32
@@ -177,18 +171,17 @@ class _Level:
 
     ``lattice_points`` concatenates the 2r lattice axes, x_j then s_j for
     each j: the n_c points (x_j + offset_j) e_j, weighted by the Legendre
-    weights times exp(-nu B_jj x_j^2), and the n_h points i s_j T e_j,
-    T = ``y_transform``, weighted by the Hermite weights times
-    exp(s_j^2 / 2).  ``perp_points`` is the n_h^2 grid (t_a + i t_b) /
-    sqrt(nu) with weights w_a w_b, shared by every perpendicular coordinate
-    (empty when g = r).  Node arrays are read-only.
+    weights times exp(-nu B_jj x_j^2), and the n_h points i s_j T e_j
+    (s the eigen-coordinates of 2 nu B, y = T s), weighted by the Hermite
+    weights times exp(s_j^2 / 2).  ``perp_points`` is the n_h^2 grid
+    (t_a + i t_b) / sqrt(nu) with weights w_a w_b, shared by every
+    perpendicular coordinate (empty when g = r).  Node arrays are read-only.
     """
 
     compact_nodes: np.ndarray
     compact_weights: np.ndarray
     herm_nodes: np.ndarray
     herm_weights: np.ndarray
-    y_transform: np.ndarray  # (r, r): y = s @ T.T
     lattice_jacobian: float  # det factor of the y substitution
     lattice_points: np.ndarray  # (r (n_c + n_h), r) complex
     lattice_weights: np.ndarray
@@ -201,10 +194,10 @@ class _Level:
 class QuadratureGrid:
     """Tensor grid; ``fine`` doubles every node count for error estimates.
 
-    Level shapes describe the logical tensor grid, whichever way an
-    integrand is reduced over it; each level also holds the node sets of
-    the block-by-block reduction, built once with the grid.
-    ``estimated_error`` is the two-level calibration defect of _calibrate.
+    Each level holds the node sets of the block-by-block reduction, built
+    once with the grid, and the ``shape`` of the tensor grid they factor.
+    ``box_offset`` shifts the compact box [0, 1]^r.  ``estimated_error``
+    is the two-level calibration defect of _calibrate.
     """
 
     config: object
@@ -261,7 +254,6 @@ def _make_level(config, n_compact: int, n_unbounded: int, offset, T, jacobian: f
         compact_weights=wx,
         herm_nodes=t,
         herm_weights=wt,
-        y_transform=T,
         lattice_jacobian=jacobian,
         lattice_points=points,
         lattice_weights=weights,
@@ -307,7 +299,7 @@ def build_grid(
     # fine first: a rule that is not finite fails there before the base rule is cached
     fine = _make_level(config, 2 * compact_nodes, 2 * unbounded_nodes, *axes)
     base = _make_level(config, compact_nodes, unbounded_nodes, *axes)
-    est = _calibrate(config, base, fine, offset)
+    est = _calibrate(config, base, fine)
     if requested_tol is not None and est > requested_tol:
         raise GridTooCoarse(
             f"self-calibration defect {est:.3e} exceeds requested tolerance {requested_tol:.3e}"
@@ -316,14 +308,15 @@ def build_grid(
                           estimated_error=est)
 
 
-def _calibrate(config, base: _Level, fine: _Level, offset) -> float:
+def _calibrate(config, base: _Level, fine: _Level) -> float:
     """Grid defect on Gaussian-times-polynomial integrands with closed forms.
 
     The integrands f_a = exp(nu/2 z^T B z + 2 pi i a.z) z_perp^k for the
     frequencies a and, when r > 0, a + 1 are summed on both levels.  The
     base level checks the diagonal of a and the cross term, which must
     vanish, scaled by sqrt(closed_a closed_(a+1)); the fine level checks
-    every diagonal.  A defect that is not a number reads as infinite.
+    every diagonal.  A closed form that overflows, or any other defect that
+    is not finite, reads as an infinite defect.
     """
     r, g, nu = config.r, config.g, config.nu
     m = g - r
@@ -343,17 +336,18 @@ def _calibrate(config, base: _Level, fine: _Level, offset) -> float:
         terms=np.array([[i] + [0] * m for i in range(len(freqs))]),
         coeffs=np.eye(len(freqs), dtype=complex),
     )
-    (got, got_fine), _ = _reduce(config, [base, fine], offset, form, form)
+    (got, got_fine), _ = _reduce(config, [base, fine], form, form)
 
     perp = math.prod(math.pi / nu * math.factorial(kj) / nu**kj for kj in k_cal)
     closed = _lattice_integrals(config, freqs) * perp
-    defects = np.concatenate([
-        [abs(got[0, 0] - closed[0]) / closed[0]],
-        np.abs(got[0, 1:]) / np.sqrt(closed[0] * closed[1:]),
-        np.abs(np.diag(got_fine) - closed) / closed,
-    ])
+    with np.errstate(all="ignore"):  # inf / inf and the like read as infinite below
+        defects = np.concatenate([
+            [abs(got[0, 0] - closed[0]) / closed[0]],
+            np.abs(got[0, 1:]) / np.sqrt(closed[0] * closed[1:]),
+            np.abs(np.diag(got_fine) - closed) / closed,
+        ])
     est = float(defects.max())
-    return est if not math.isnan(est) else math.inf
+    return est if math.isfinite(est) else math.inf
 
 
 def _lattice_integrals(config, freqs) -> np.ndarray:
@@ -369,9 +363,18 @@ def _lattice_integrals(config, freqs) -> np.ndarray:
         return scale * np.exp(2.0 * math.pi**2 / nu * quad)
 
 
-def _factored(f) -> Factored | None:
-    """The block form of an integrand: f itself, its ``factored`` attribute, or None."""
-    return f if isinstance(f, Factored) else getattr(f, "factored", None)
+def _factored(f) -> Factored:
+    """The block form of an integrand: f itself or its ``factored`` attribute.
+
+    Raises ValidationError for an integrand with neither, without calling it.
+    """
+    form = f if isinstance(f, Factored) else getattr(f, "factored", None)
+    if not isinstance(form, Factored):
+        raise ValidationError(
+            f"the integrand {f!r} has no block form: pass a Factored, or a callable whose "
+            f"'factored' attribute is one (see quadrature.Factored)"
+        )
+    return form
 
 
 def _factor_counts(form: Factored) -> list:
@@ -381,21 +384,16 @@ def _factor_counts(form: Factored) -> list:
     return [int(c) + 1 for c in form.terms.max(axis=0)]
 
 
-def _work(config, levels, fs, hs) -> int:
-    """Factor values that summing f conj(h) over ``levels`` computes, from node counts alone.
+def _work(config, levels, ff: Factored, hf: Factored) -> int:
+    """Factor values that summing ff conj(hf) over ``levels`` computes, from node counts alone.
 
-    A Factored pair computes each distinct factor once per node of its
-    block: r (n_c + n_h) lattice-axis nodes and n_h^2 nodes per
-    perpendicular coordinate.  Any other pair computes at least one value
-    per tensor node for each of f and h.  When h is f it is counted once.
+    Each distinct factor is computed once per node of its block: r (n_c +
+    n_h) lattice-axis nodes and n_h^2 nodes per perpendicular coordinate.
+    When hf is ff it is counted once.
     """
-    r, m = config.r, config.g - config.r
-    ff, hf = _factored(fs), _factored(hs)
     shapes = [(len(level.compact_nodes), len(level.herm_nodes)) for level in levels]
-    if ff is None or hf is None:
-        return (1 if fs is hs else 2) * sum(nc**r * nh ** (r + 2 * m) for nc, nh in shapes)
     lattice, *perp = [sum(c) for c in zip(*map(_factor_counts, [ff] if ff is hf else [ff, hf]))]
-    return sum(r * (nc + nh) * lattice + nh**2 * sum(perp) for nc, nh in shapes)
+    return sum(config.r * (nc + nh) * lattice + nh**2 * sum(perp) for nc, nh in shapes)
 
 
 def _grid_sums(config, grid: QuadratureGrid, refine: bool, fs, hs) -> tuple:
@@ -405,83 +403,39 @@ def _grid_sums(config, grid: QuadratureGrid, refine: bool, fs, hs) -> tuple:
     """
     if grid.config is not config:
         raise ValidationError("the quadrature grid was built for another configuration")
-    return _reduce(config, [grid.base, grid.fine] if refine else [grid.base], grid.box_offset, fs, hs)
+    return _reduce(config, [grid.base, grid.fine] if refine else [grid.base], fs, hs)
 
 
-def _reduce(config, levels, offset, fs, hs) -> tuple:
-    """Sums of f conj(h) over each of ``levels`` and the work they take.
+def _reduce(config, levels, fs, hs) -> tuple:
+    """Sums of f conj(h) over each of ``levels``, block by block, and the work they take.
 
-    The one budget check: NodeBudgetExceeded is raised before any integrand
-    is called or any tensor node built when the work exceeds _WORK_BUDGET.
-    Integrands that both have a block form are reduced block by block;
-    otherwise the whole tensor grid of each level is one segment.
+    The one check on an integrand pair, before any factor map is called:
+    ValidationError when either has no block form (_factored), then
+    NodeBudgetExceeded when the work exceeds _WORK_BUDGET.
     """
-    work = _work(config, levels, fs, hs)
+    ff, hf = _factored(fs), _factored(hs)
+    work = _work(config, levels, ff, hf)
     if work > _WORK_BUDGET:
         raise NodeBudgetExceeded(
             f"the quadrature would compute {work:.3e} factor values, over the budget of "
             f"{_WORK_BUDGET:.3e}; use fewer nodes or fewer factors"
         )
-    ff, hf = _factored(fs), _factored(hs)
-    if ff is not None and hf is not None:
-        return _factored_sums(config, levels, ff, hf), work
-    m = config.g - config.r
-    chunks = (((Z, Zp), w) for level in levels for Z, Zp, w in _nodes(config, level, offset))
-    sums = _segment_sums(chunks, [math.prod(level.shape) for level in levels],
-                         lambda Z, Zp: np.atleast_2d(fs(Z, Zp)),
-                         lambda Z, Zp: np.atleast_2d(hs(Z, Zp)), fs is hs)
-    return [level.lattice_jacobian * (1.0 / config.nu) ** m * S
-            for level, S in zip(levels, sums)], work
-
-
-def _nodes(config, level: _Level, offset):
-    """Yield (Z, Zp, w) over the level's tensor grid, _CHUNK nodes at a time.
-
-    The product takes r Legendre and r Hermite axes (points x + iy) and two
-    Hermite axes per perpendicular coordinate; Z is (n, r) and Zp
-    (n, g - r).  Each chunk is built from a range of flat indices, so only
-    one chunk of points exists at a time.  Points are column-major, as the
-    evaluators read them by column.  The weights w carry the correction
-    exp(|s|^2/2 - nu x^T B x) of the lattice axes, but no Jacobian.
-    """
-    r, nu = config.r, config.nu
-    t = level.herm_nodes
-    rules = (
-        [(level.compact_nodes, level.compact_weights)] * r
-        + [(t, level.herm_weights * np.exp(0.5 * t * t))] * r
-        + [(t / math.sqrt(nu), level.herm_weights)] * (2 * (config.g - r))
-    )
-    sizes = [len(nodes) for nodes, _ in rules]
-    total = math.prod(sizes)
-    for start in range(0, total, _CHUNK):
-        n = min(_CHUNK, total - start)
-        P = np.empty((n, len(rules)), order="F")
-        w = np.ones(n)
-        idx = np.unravel_index(np.arange(start, start + n), sizes) if sizes else ()
-        for a, i in enumerate(idx):
-            P[:, a] = rules[a][0][i]
-            w *= rules[a][1][i]
-        Z = np.zeros((n, r), dtype=complex, order="F")
-        xs = P[:, :r] + offset
-        Z.real = xs
-        w *= np.exp(-nu * np.einsum("ij,jk,ik->i", xs, config.lattice.B, xs))
-        Z.imag = P[:, r:2 * r] @ level.y_transform.T
-        q = P[:, 2 * r:]
-        yield Z, q[:, 0::2] + 1j * q[:, 1::2], w
+    return _factored_sums(config, levels, ff, hf), work
 
 
 def _segment_sums(chunks, lengths, f, h, same: bool) -> list:
     """Sums of w f_a conj(h_b) over consecutive segments of ``lengths`` nodes: (A, B) each.
 
-    ``chunks`` yields (points, w) for runs of nodes in order; f and h are
-    called once per run, and a run may straddle segment boundaries.
+    ``chunks`` yields (points, w) for runs of nodes in order; f and h map
+    a run's points to its (A, n) and (B, n) values and are called once per
+    run, and a run may straddle segment boundaries.
     """
     bounds = list(itertools.accumulate(lengths, initial=0))
     sums = [0.0] * len(lengths)
     start = 0
     for points, w in chunks:
-        U = f(*points)
-        V = U if same else h(*points)
+        U = f(points)
+        V = U if same else h(points)
         Uw = U * w
         for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
             a, b = max(lo - start, 0), min(hi - start, len(w))
@@ -508,7 +462,7 @@ def _factored_sums(config, levels, ff: Factored, hf: Factored) -> list:
         points, weights = (np.concatenate([getattr(level, f"{name}_{part}") for level in levels])
                            for part in ("points", "weights"))
         rows = max(1, _CHUNK_BYTES // (16 * max(f_counts[block], h_counts[block], 1)))
-        chunks = (((points[i:i + rows],), weights[i:i + rows]) for i in range(0, len(weights), rows))
+        chunks = ((points[i:i + rows], weights[i:i + rows]) for i in range(0, len(weights), rows))
         return _segment_sums(chunks, lengths, f, h, same)
 
     lattice = [np.ones((f_counts[0], h_counts[0]), dtype=complex) for _ in levels]
@@ -539,10 +493,13 @@ def inner_product(config, f, h, grid: QuadratureGrid, refine: bool = True) -> In
     and the error estimate is the difference from the base grid;
     GridTooCoarse is raised when the two disagree beyond
     1e-3 * (|value| + 1).  With refine=False only the base grid is
-    used and no estimate is produced.  NodeBudgetExceeded is raised,
-    before f or h is called, when the levels summed would compute more
-    factor values than the work budget; ``work`` reports that count.
-    A grid built for another configuration raises ValidationError.
+    used and no estimate is produced.  f and h must each be a Factored
+    or carry one as their ``factored`` attribute, as the functions of
+    thetafock.space do; only their factor maps are called.  Before any
+    map is called, ValidationError is raised for an integrand without
+    that form or a grid built for another configuration, and
+    NodeBudgetExceeded when the levels summed would compute more factor
+    values than the work budget; ``work`` reports that count.
     """
     sums, work = _grid_sums(config, grid, refine, f, h)
     v0 = complex(sums[0][0, 0])
@@ -560,12 +517,12 @@ def inner_product(config, f, h, grid: QuadratureGrid, refine: bool = True) -> In
 def gram_matrix(config, funcs, grid: QuadratureGrid, refine: bool = True):
     """All pairwise inner products of ``funcs`` in one sweep.
 
-    ``funcs`` is one closure returning a (n_funcs, n_points) matrix (or
-    (n_points,) values for a single function).  A family from
-    space.basis_family is reduced block by block (the fast path).
-    Returns (G, E): the Gram matrix from the finest level used and the
-    entrywise difference between levels (zeros when refine=False).
-    Raises ValidationError and NodeBudgetExceeded as inner_product does.
+    ``funcs`` is one family with a block form, such as a
+    space.basis_family or its ``factored`` attribute; its members are
+    the rows of the Factored's ``coeffs``.  Returns (G, E): the Gram
+    matrix from the finest level used and the entrywise difference
+    between levels (zeros when refine=False).  Raises ValidationError and
+    NodeBudgetExceeded as inner_product does.
     """
     sums, _ = _grid_sums(config, grid, refine, funcs, funcs)
     if not refine:

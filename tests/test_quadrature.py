@@ -153,23 +153,22 @@ def _never_called(*args, **kwargs):
 
 
 def test_grid_node_budget(monkeypatch):
-    # plain callables cost one value per tensor node: g = 4 at the default
-    # nodes, or g2r2 at (100, 150) with the fine level, is refused before
-    # any node is built or the integrand is called
+    # g = 4, r = 1 at the default nodes: a lattice factor index of 2.3e6
+    # costs r (n_c + n_h) = 80 + 160 values per factor over both levels,
+    # 5.5e8 in all, over the 2^29 budget; it is refused before any map is
+    # called or any node set summed
     cfg4 = tf.make_config(
         tf.build_lattice(tf.validate_space(np.eye(4)), [[1.0, 0, 0, 0]]), [0.0], math.pi)
     grid4 = tf.build_grid(cfg4)
-    cfg22 = tf.make_config(
-        tf.build_lattice(tf.validate_space(np.eye(2)), [[1.0, 0.0], [0.0, 1.0]]), [0.3, 0.1],
-        math.pi)
-    grid22 = tf.build_grid(cfg22, compact_nodes=100, unbounded_nodes=150)
+    big = Q.Factored(lattice=_never_called, perp=(_never_called,) * 3,
+                     terms=np.array([[2_300_000, 0, 0, 0]]), coeffs=np.ones((1, 1), dtype=complex))
+    assert Q._work(cfg4, [grid4.base, grid4.fine], big, big) > Q._WORK_BUDGET
     with monkeypatch.context() as mp:
-        mp.setattr(Q, "_nodes", _never_called)
-        for cfg, grid in ((cfg4, grid4), (cfg22, grid22)):
-            with pytest.raises(errors.NodeBudgetExceeded):
-                tf.inner_product(cfg, _never_called, _never_called, grid)
-            with pytest.raises(errors.NodeBudgetExceeded):
-                tf.gram_matrix(cfg, _never_called, grid)
+        mp.setattr(Q, "_segment_sums", _never_called)
+        with pytest.raises(errors.NodeBudgetExceeded):
+            tf.inner_product(cfg4, big, big, grid4)
+        with pytest.raises(errors.NodeBudgetExceeded):
+            tf.gram_matrix(cfg4, big, grid4)
     assert issubclass(errors.NodeBudgetExceeded, errors.BudgetError)
 
     # factored g = 3 requests at the default nodes run; the work reported is
@@ -182,6 +181,32 @@ def test_grid_node_budget(monkeypatch):
     assert res.work == (32 + 48 + 2 * 48**2) + (64 + 96 + 2 * 96**2)
     assert res.value.real == pytest.approx(tf.basis_norm_sq(cfg3, tf.BasisIndex(n=(0,), k=(1, 1))),
                                            rel=1e-8)
+
+
+def test_plain_callable_is_refused(cfg_g1r1, grid_g1r1):
+    # only integrands with a block form are summed; a bare callable is
+    # refused, as f, as h or as a Gram family, before it is called
+    fam = S.basis_family(cfg_g1r1, [tf.BasisIndex(n=(n,), k=()) for n in (-1, 0, 1)])
+    calls = (lambda: tf.inner_product(cfg_g1r1, _never_called, fam, grid_g1r1),
+             lambda: tf.inner_product(cfg_g1r1, fam, _never_called, grid_g1r1),
+             lambda: tf.gram_matrix(cfg_g1r1, _never_called, grid_g1r1))
+    for call in calls:
+        with pytest.raises(errors.ValidationError, match="Factored"):
+            call()
+    G, E = tf.gram_matrix(cfg_g1r1, fam.factored, grid_g1r1)
+    Gf, Ef = tf.gram_matrix(cfg_g1r1, fam, grid_g1r1)
+    assert np.array_equal(G, Gf) and np.array_equal(E, Ef)
+
+
+def test_calibration_reads_an_overflowed_closed_form_as_infinite():
+    # g3r3 with B = I at nu = 0.2: the closed form is 2.4e304 for the
+    # frequency a and overflows for a + 1, so one defect is inf / inf
+    cfg = tf.make_config(tf.build_lattice(tf.validate_space(np.eye(3)), np.eye(3)),
+                         np.zeros(3), 0.2)
+    assert np.array_equal(cfg.lattice.B, np.eye(3))
+    assert tf.build_grid(cfg, compact_nodes=8, unbounded_nodes=10).estimated_error == math.inf
+    with pytest.raises(errors.GridTooCoarse):
+        tf.build_grid(cfg, requested_tol=1e-6, compact_nodes=8, unbounded_nodes=10)
 
 
 def test_grid_too_coarse():
@@ -327,13 +352,60 @@ def small_case(request):
                               box_offset=offset)
 
 
-def _one_block(fn):
-    # drops the factored attribute, so the whole tensor grid is one block
-    return lambda z, zp: fn(z, zp)
+_CHUNK = 1 << 14  # tensor nodes per chunk of the reference sum
+
+
+def _tensor_chunks(cfg, level, offset, T):
+    # ((Z, Zp), w) over the level's whole tensor grid, _CHUNK nodes at a
+    # time: r Legendre axes at x + offset, weighted by exp(-nu x^T B x); r
+    # Hermite axes weighted by exp(t^2 / 2), with y = T s for the
+    # eigen-coordinates s of 2 nu B; two Hermite axes t / sqrt(nu) per
+    # perpendicular coordinate.  Points are column-major, as the
+    # evaluators read them.
+    r, nu = cfg.r, cfg.nu
+    t = level.herm_nodes
+    rules = ([(level.compact_nodes, level.compact_weights)] * r
+             + [(t, level.herm_weights * np.exp(0.5 * t * t))] * r
+             + [(t / math.sqrt(nu), level.herm_weights)] * (2 * (cfg.g - r)))
+    sizes = [len(nodes) for nodes, _ in rules]
+    total = math.prod(sizes)
+    for start in range(0, total, _CHUNK):
+        n = min(_CHUNK, total - start)
+        P = np.empty((n, len(rules)), order="F")
+        w = np.ones(n)
+        for a, i in enumerate(np.unravel_index(np.arange(start, start + n), sizes)):
+            P[:, a] = rules[a][0][i]
+            w *= rules[a][1][i]
+        Z = np.zeros((n, r), dtype=complex, order="F")
+        xs = P[:, :r] + offset
+        Z.real = xs
+        w *= np.exp(-nu * np.einsum("ij,jk,ik->i", xs, cfg.lattice.B, xs))
+        Z.imag = P[:, r:2 * r] @ T.T
+        q = P[:, 2 * r:]
+        yield (Z, q[:, 0::2] + 1j * q[:, 1::2]), w
+
+
+def _tensor_gram(cfg, f, h, grid, refine):
+    # the reference for the block-by-block oracle: (G, E) as gram_matrix
+    # returns them, from f conj(h) called directly on each level's whole
+    # tensor grid (the same nodes and weights, summed as one block), times
+    # the lattice Jacobian and nu^-(g - r)
+    evals, evecs = np.linalg.eigh(2.0 * cfg.nu * cfg.lattice.B)
+    scale = float(np.prod(1.0 / np.sqrt(evals))) / cfg.nu ** (cfg.g - cfg.r)
+    T = evecs / np.sqrt(evals)
+    sums = [scale * Q._segment_sums(_tensor_chunks(cfg, level, grid.box_offset, T),
+                                    [math.prod(level.shape)],
+                                    lambda p: np.atleast_2d(f(*p)),
+                                    lambda p: np.atleast_2d(h(*p)), f is h)[0]
+            for level in ([grid.base, grid.fine] if refine else [grid.base])]
+    if not refine:
+        return sums[0], np.zeros(sums[0].shape)
+    return sums[1], np.abs(sums[1] - sums[0])
 
 
 @pytest.mark.parametrize("refine", [True, False])
 def test_factored_matches_one_block(small_case, refine, monkeypatch):
+    # the oracle's block-by-block sums against the tests-side tensor sum
     cfg, grid = small_case
     idxs = [
         tf.BasisIndex(n=n, k=k)
@@ -342,7 +414,7 @@ def test_factored_matches_one_block(small_case, refine, monkeypatch):
     ]
     fam = S.basis_family(cfg, idxs)
     G, E = tf.gram_matrix(cfg, fam, grid, refine=refine)
-    G1, E1 = tf.gram_matrix(cfg, _one_block(fam), grid, refine=refine)
+    G1, E1 = _tensor_gram(cfg, fam, fam, grid, refine)
     assert np.abs(G - G1).max() <= 1e-13 * np.abs(G1).max()
     assert np.abs(E - E1).max() <= 1e-13 * np.abs(G1).max()
 
@@ -354,7 +426,7 @@ def test_factored_matches_one_block(small_case, refine, monkeypatch):
     empty = S.synthesized_function(cfg, S.CoefficientField.from_dict({}))
     for a, b in ((f, f), (f, section), (section, f), (empty, section)):
         got = tf.inner_product(cfg, a, b, grid, refine=refine).value
-        want = tf.inner_product(cfg, _one_block(a), _one_block(b), grid, refine=refine).value
+        want = _tensor_gram(cfg, a, b, grid, refine)[0][0, 0]
         assert abs(got - want) <= 1e-13 * abs(want)
         if (a, b) == (f, section):
             want_section = want
@@ -499,7 +571,7 @@ def test_kernel_expansion_mutation_is_caught(small_case, monkeypatch):
     v = tf.PointCoordinates(np.full(cfg.r, 0.1 + 0.2j), np.full(cfg.g - cfg.r, 0.2 - 0.1j))
     f = S.basis_function(cfg, tf.BasisIndex(n=(1,) * cfg.r, k=(1,) * (cfg.g - cfg.r)))
     section = S.kernel_section(cfg, v, 1e-10)
-    want = tf.inner_product(cfg, _one_block(f), _one_block(section), grid, refine=False).value
+    want = _tensor_gram(cfg, f, section, grid, refine=False)[0][0, 0]
     exponents = S._theta._term_exponents
     with monkeypatch.context() as mp:
         # the coefficients take the exponents at -conj z_v; conjugating gives -z_v
