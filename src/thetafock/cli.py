@@ -46,73 +46,61 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _component(text: str) -> complex:
-    parts = text.split(",")
-    try:
-        if len(parts) == 1:
-            return complex(float(parts[0]), 0.0)
-        if len(parts) == 2:
-            return complex(float(parts[0]), float(parts[1]))
-    except ValueError:
-        pass
-    raise _UsageError(f"cannot parse complex component {text!r}; use 're' or 're,im'")
+def _flag_type(flag: str, expects: str, read):
+    """argparse type of flag: read(text), a usage error when it raises ValueError or gives None."""
+
+    def parse(text: str):
+        try:
+            value = read(text)
+        except ValueError:
+            value = None
+        if value is None:
+            raise _UsageError(f"{flag} expects {expects}, got {text!r}")
+        return value
+
+    return parse
+
+
+def _component(text: str):
+    parts = [float(p) for p in text.split(",")]
+    return complex(*parts) if len(parts) in (1, 2) else None
+
+
+def _positive_float(text: str):
+    value = float(text)
+    return value if _positive_number(value) else None
+
+
+def _nonnegative_int(text: str):
+    return int(text) if text.isdecimal() else None
+
+
+def _nodes_pair(text: str):
+    parts = tuple(int(p) for p in text.split(","))
+    return parts if len(parts) == 2 and min(parts) >= 1 else None
 
 
 def _vector(values, expected: int, flag: str) -> np.ndarray:
     """Repeated 're,im' flag values, or '@file.json' read as a problem file's arrays are."""
     if values and len(values) == 1 and values[0].startswith("@"):
         return read_array(read_json(values[0][1:], flag)[1], (expected,), flag, _complex_entry)
-    comps = [_component(v) for v in (values or [])]
+    parse = _flag_type(flag, "a component 're' or 're,im'", _component)
+    comps = [parse(v) for v in (values or [])]
     if len(comps) != expected:
         raise _UsageError(f"{flag} needs {expected} components, got {len(comps)}")
     return np.array(comps, dtype=complex)
 
 
-def _nodes_pair(text: str):
-    try:
-        parts = [int(p) for p in text.split(",")]
-    except ValueError:
-        parts = []
-    if len(parts) == 1:
-        parts = [Q._DEFAULT_COMPACT_NODES] + parts
-    if len(parts) != 2 or min(parts) < 1:
-        raise _UsageError(f"--nodes expects 'compact,unbounded' counts >= 1, got {text!r}")
-    return parts[0], parts[1]
-
-
-def _positive_float(flag: str):
-    """Parser of a finite positive number given to flag."""
-
-    def parse(text: str) -> float:
-        try:
-            value = float(text)
-        except ValueError:
-            value = None
-        if not _positive_number(value):
-            raise _UsageError(f"{flag} expects a finite positive number, got {text!r}")
-        return value
-
-    return parse
-
-
-def _nonnegative_int(flag: str):
-    """Parser of an integer >= 0 given to flag."""
-
-    def parse(text: str) -> int:
-        if not text.isdecimal():
-            raise _UsageError(f"{flag} expects an integer >= 0, got {text!r}")
-        return int(text)
-
-    return parse
-
-
-_FLAGS = {
-    "--tol": dict(type=_positive_float("--tol"), default=1e-10),
-    "--seed": dict(type=int, default=0),
-    "--max-radius": dict(type=_positive_float("--max-radius"), default=None, dest="max_radius"),
-    "--nodes": dict(type=_nodes_pair,
-                    default=(Q._DEFAULT_COMPACT_NODES, Q._DEFAULT_UNBOUNDED_NODES),
-                    help="quadrature node counts as 'compact,unbounded'"),
+_POSITIVE, _COUNT = "a finite positive number", "an integer >= 0"
+_FLAGS = {  # flag: what it expects, its reader, further add_argument keywords
+    "--tol": (_POSITIVE, _positive_float, dict(default=1e-10)),
+    "--seed": (_COUNT, _nonnegative_int, dict(default=0)),
+    "--max-radius": (_POSITIVE, _positive_float, dict(default=None)),
+    "--nodes": ("'compact,unbounded' counts >= 1", _nodes_pair,
+                dict(default=(Q._DEFAULT_COMPACT_NODES, Q._DEFAULT_UNBOUNDED_NODES),
+                     help="quadrature node counts as 'compact,unbounded'")),
+    "--n-max": (_COUNT, _nonnegative_int, dict(default=1)),
+    "--k-max": (_COUNT, _nonnegative_int, dict(default=1)),
 }
 
 
@@ -126,7 +114,8 @@ def build_parser() -> _Parser:
         sp.add_argument("file", help="problem file (JSON)")
         sp.add_argument("--out", help="write the result document here instead of stdout")
         for flag in flags:
-            sp.add_argument(flag, **_FLAGS[flag])
+            expects, read, keywords = _FLAGS[flag]
+            sp.add_argument(flag, type=_flag_type(flag, expects, read), **keywords)
         return sp
 
     verb("validate", "check all structural invariants")
@@ -141,9 +130,8 @@ def build_parser() -> _Parser:
     sp.add_argument("--v", action="append", default=None,
                     help="ambient component 're[,im]' (repeat g times) or '@file.json'")
 
-    sp = verb("norms", "closed-form norms against the quadrature oracle", "--nodes")
-    sp.add_argument("--n-max", type=_nonnegative_int("--n-max"), default=1, dest="n_max")
-    sp.add_argument("--k-max", type=_nonnegative_int("--k-max"), default=1, dest="k_max")
+    verb("norms", "closed-form norms against the quadrature oracle", "--nodes", "--n-max",
+         "--k-max")
 
     sp = verb("verify", "run a named property suite", "--seed", "--nodes")
     sp.add_argument("--suite", default="all",
@@ -271,15 +259,10 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    t0 = time.perf_counter()
-    doc = ResultDocument(command=args.cmd, config_digest="")
-    try:
+        args = build_parser().parse_args(argv)
+        t0 = time.perf_counter()
+        doc = ResultDocument(command=args.cmd, config_digest="")
         code = _DISPATCH[args.cmd](args, doc)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -13,15 +13,16 @@ counts, cached, and shared read-only by every grid with those counts.
 
 Both the weight and the tensor grid factor into blocks: the lattice block
 ([0,1] x R)^r (r Legendre times r Hermite axes, carrying the correction
-above and the Jacobian of the y substitution) and one two-dimensional
-Hermite grid per perpendicular coordinate (carrying a factor 1/nu).  The
-integrands built by thetafock.space carry a ``factored`` attribute
-(:class:`Factored`): each member is a sum of products of one lattice
-factor and one factor per perpendicular coordinate.  A tensor sum of a
-product is the product of the per-block sums, so those integrands are
-reduced block by block.  The nodes and weights are the same as for the
-full tensor grid; only the order of summation differs.  An integrand
-without that form is refused (ValidationError).
+above and the Jacobian of the y substitution) and the Fock block, one
+two-dimensional Hermite grid per perpendicular coordinate (carrying a
+factor 1/nu).  The integrands built by thetafock.space carry a
+``factored`` attribute (:class:`Factored`): each member is a sum of
+products of one lattice factor and one factor per perpendicular
+coordinate.  A tensor sum of a product is the product of the per-block
+sums, so those integrands are reduced block by block.  The nodes and
+weights are the same as for the full tensor grid; only the order of
+summation differs.  An integrand without that form is refused
+(ValidationError).
 
 The lattice block splits again, into its 2r one-dimensional axes.  Every
 lattice factor is a basis factor exp(nu/2 z^T B z + 2 pi i c.z) with B
@@ -33,20 +34,19 @@ product over the axes x_j and s_j, each factor 1 at the origin.  The
 lattice Gram is then the entrywise product of one sum per axis, on the
 points (x_j + offset_j) e_j and i s_j T e_j.
 
-The nodes of each block are built once, with the grid: every level holds
-its 2r lattice axes, concatenated into one point array, and one
-perpendicular grid, which every perpendicular coordinate shares.  A
-reduction calls each lattice map once and each perpendicular map once,
-on the nodes of every level it sums, and one segment reducer
-(_segment_sums) sums each lattice axis and each level apart.
+The nodes of each block are built once, with the grid, as one kind of
+node set (_Block): points and weights in segments, and the block's scale.
+The lattice block has its 2r axes as segments, the Fock block (shared by
+every perpendicular coordinate) its n_h^2 grid as one.  A reduction calls
+each factor map once, on its block's nodes of every level it sums, and
+one segment reducer (_segment_sums) sums each segment and level apart.
 
 The cost of a reduction is the number of factor values it computes: each
-distinct factor once per node of its block (each lattice axis, each
-perpendicular grid).  That count depends on node and factor counts
-alone, so it is checked against one budget before any factor map is
-called; the dimension g and rank r enter only through it.  The reducer
-cuts its rows into chunks so that one map's values stay under
-_CHUNK_BYTES, so memory stays bounded whatever the number of nodes.
+distinct factor once per node of its block.  That count depends on
+node and factor counts alone, so it is checked against one budget before
+any factor map is called; the dimension g and rank r enter only through
+it.  The reducer cuts its rows into chunks so that one map's values stay
+under _CHUNK_BYTES, so memory stays bounded whatever the number of nodes.
 
 The grid calibrates itself on two levels, the requested node counts and
 their doubles, against integrands with closed forms (see _calibrate).
@@ -64,6 +64,7 @@ import math
 import numbers
 from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
@@ -165,29 +166,43 @@ class Factored:
     coeffs: np.ndarray  # (n_members, n_terms) complex
 
 
+class _Block(NamedTuple):
+    """One block's node set: points and weights in segments of ``lengths`` nodes, and a scale.
+
+    The block's Gram on a level is the scale times the entrywise product of
+    its segment sums (all ones when there is no segment).
+    """
+
+    points: np.ndarray  # read-only
+    weights: np.ndarray  # read-only
+    lengths: tuple
+    scale: float
+
+
 @dataclass(frozen=True)
 class _Level:
-    """One level's 1-D rules and the node sets a Factored reduction reads.
+    """One level's 1-D rules and the node sets of its two blocks.
 
-    ``lattice_points`` concatenates the 2r lattice axes, x_j then s_j for
-    each j: the n_c points (x_j + offset_j) e_j, weighted by the Legendre
-    weights times exp(-nu B_jj x_j^2), and the n_h points i s_j T e_j
-    (s the eigen-coordinates of 2 nu B, y = T s), weighted by the Hermite
-    weights times exp(s_j^2 / 2).  ``perp_points`` is the n_h^2 grid
-    (t_a + i t_b) / sqrt(nu) with weights w_a w_b, shared by every
-    perpendicular coordinate (empty when g = r).  Node arrays are read-only.
+    ``lattice`` has 2r segments, x_j then s_j for each j: the n_c points
+    (x_j + offset_j) e_j, weighted by the Legendre weights times
+    exp(-nu B_jj x_j^2), and the n_h points i s_j T e_j (s the
+    eigen-coordinates of 2 nu B, y = T s), weighted by the Hermite weights
+    times exp(s_j^2 / 2); its scale is the Jacobian of y = T s.  ``fock``
+    has one segment, the n_h^2 grid (t_a + i t_b) / sqrt(nu) with weights
+    w_a w_b, and scale 1/nu; every perpendicular coordinate reads it.
     """
 
     compact_nodes: np.ndarray
     compact_weights: np.ndarray
     herm_nodes: np.ndarray
     herm_weights: np.ndarray
-    lattice_jacobian: float  # det factor of the y substitution
-    lattice_points: np.ndarray  # (r (n_c + n_h), r) complex
-    lattice_weights: np.ndarray
-    perp_points: np.ndarray  # (n_h^2,) complex, or (0,) when g = r
-    perp_weights: np.ndarray
+    lattice: _Block
+    fock: _Block
     shape: tuple  # per-dim node counts: r compact, r Hermite, 2(g-r) Hermite
+
+    def block(self, column: int) -> _Block:
+        """The node set of a Factored's factor column: 0 the lattice, 1 + j perpendicular j."""
+        return self.fock if column else self.lattice
 
 
 @dataclass(frozen=True)
@@ -248,22 +263,14 @@ def _make_level(config, n_compact: int, n_unbounded: int, offset, T, jacobian: f
         weights[j * n:j * n + n_compact] = wx * np.exp(-nu * B[j, j] * xs * xs)
         points[j * n + n_compact:(j + 1) * n].imag = np.outer(t, T[:, j])
         weights[j * n + n_compact:(j + 1) * n] = herm
-    s, ws = (t / math.sqrt(nu), wt) if g > r else (t[:0], wt[:0])
-    level = _Level(
-        compact_nodes=x,
-        compact_weights=wx,
-        herm_nodes=t,
-        herm_weights=wt,
-        lattice_jacobian=jacobian,
-        lattice_points=points,
-        lattice_weights=weights,
-        perp_points=(s[:, None] + 1j * s).ravel(),
-        perp_weights=np.outer(ws, ws).ravel(),
-        shape=(n_compact,) * r + (n_unbounded,) * r + (n_unbounded,) * (2 * (g - r)),
-    )
-    for a in (level.lattice_points, level.lattice_weights, level.perp_points, level.perp_weights):
+    s = t / math.sqrt(nu)
+    lattice = _Block(points, weights, (n_compact, n_unbounded) * r, jacobian)
+    fock = _Block((s[:, None] + 1j * s).ravel(), np.outer(wt, wt).ravel(), (len(t) ** 2,), 1 / nu)
+    for a in (lattice.points, lattice.weights, fock.points, fock.weights):
         a.setflags(write=False)
-    return level
+    return _Level(compact_nodes=x, compact_weights=wx, herm_nodes=t, herm_weights=wt,
+                  lattice=lattice, fock=fock,
+                  shape=(n_compact,) * r + (n_unbounded,) * r + (n_unbounded,) * (2 * (g - r)))
 
 
 def build_grid(
@@ -281,9 +288,13 @@ def build_grid(
     both levels, are finite (ValidationError otherwise).  The calibration
     sums integrands with known closed forms on both levels; when
     requested_tol is given GridTooCoarse is raised if the observed defect
-    exceeds it.  A box_offset of the wrong length raises DimensionMismatch,
-    and one that is not finite ValidationError, before any node is built.
+    exceeds it; a requested_tol that is not positive (NaN included) raises
+    ValueError.  A box_offset of the wrong length raises DimensionMismatch,
+    and one that is not finite ValidationError.  Each argument is checked
+    before any node is built.
     """
+    if requested_tol is not None and not requested_tol > 0:  # NaN included
+        raise ValueError("requested_tol must be positive")
     for name, n in (("compact_nodes", compact_nodes), ("unbounded_nodes", unbounded_nodes)):
         if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
             raise ValidationError(f"{name} must be an int >= 1, got {n!r}")
@@ -336,7 +347,7 @@ def _calibrate(config, base: _Level, fine: _Level) -> float:
         terms=np.array([[i] + [0] * m for i in range(len(freqs))]),
         coeffs=np.eye(len(freqs), dtype=complex),
     )
-    (got, got_fine), _ = _reduce(config, [base, fine], form, form)
+    (got, got_fine), _ = _reduce([base, fine], form, form)
 
     perp = math.prod(math.pi / nu * math.factorial(kj) / nu**kj for kj in k_cal)
     closed = _lattice_integrals(config, freqs) * perp
@@ -384,16 +395,16 @@ def _factor_counts(form: Factored) -> list:
     return [int(c) + 1 for c in form.terms.max(axis=0)]
 
 
-def _work(config, levels, ff: Factored, hf: Factored) -> int:
+def _work(levels, ff: Factored, hf: Factored) -> int:
     """Factor values that summing ff conj(hf) over ``levels`` computes, from node counts alone.
 
-    Each distinct factor is computed once per node of its block: r (n_c +
-    n_h) lattice-axis nodes and n_h^2 nodes per perpendicular coordinate.
-    When hf is ff it is counted once.
+    Each distinct factor of a column is computed once per node of its
+    block: r (n_c + n_h) lattice nodes, n_h^2 Fock nodes per perpendicular
+    coordinate.  When hf is ff it is counted once.
     """
-    shapes = [(len(level.compact_nodes), len(level.herm_nodes)) for level in levels]
-    lattice, *perp = [sum(c) for c in zip(*map(_factor_counts, [ff] if ff is hf else [ff, hf]))]
-    return sum(config.r * (nc + nh) * lattice + nh**2 * sum(perp) for nc, nh in shapes)
+    counts = [sum(c) for c in zip(*map(_factor_counts, [ff] if ff is hf else [ff, hf]))]
+    return sum(len(level.block(col).weights) * c for level in levels
+               for col, c in enumerate(counts))
 
 
 def _grid_sums(config, grid: QuadratureGrid, refine: bool, fs, hs) -> tuple:
@@ -403,10 +414,10 @@ def _grid_sums(config, grid: QuadratureGrid, refine: bool, fs, hs) -> tuple:
     """
     if grid.config is not config:
         raise ValidationError("the quadrature grid was built for another configuration")
-    return _reduce(config, [grid.base, grid.fine] if refine else [grid.base], fs, hs)
+    return _reduce([grid.base, grid.fine] if refine else [grid.base], fs, hs)
 
 
-def _reduce(config, levels, fs, hs) -> tuple:
+def _reduce(levels, fs, hs) -> tuple:
     """Sums of f conj(h) over each of ``levels``, block by block, and the work they take.
 
     The one check on an integrand pair, before any factor map is called:
@@ -414,13 +425,13 @@ def _reduce(config, levels, fs, hs) -> tuple:
     NodeBudgetExceeded when the work exceeds _WORK_BUDGET.
     """
     ff, hf = _factored(fs), _factored(hs)
-    work = _work(config, levels, ff, hf)
+    work = _work(levels, ff, hf)
     if work > _WORK_BUDGET:
         raise NodeBudgetExceeded(
             f"the quadrature would compute {work:.3e} factor values, over the budget of "
             f"{_WORK_BUDGET:.3e}; use fewer nodes or fewer factors"
         )
-    return _factored_sums(config, levels, ff, hf), work
+    return _factored_sums(levels, ff, hf), work
 
 
 def _segment_sums(chunks, lengths, f, h, same: bool) -> list:
@@ -445,45 +456,32 @@ def _segment_sums(chunks, lengths, f, h, same: bool) -> list:
     return sums
 
 
-def _factored_sums(config, levels, ff: Factored, hf: Factored) -> list:
+def _factored_sums(levels, ff: Factored, hf: Factored) -> list:
     """Level sums of the Factored families ff, hf, block by block.
 
-    The lattice map is called once, on the lattice axes of every level
-    (base first), and each perpendicular map once, on every level's
-    perpendicular grid; rows are chunked so that one map's values stay
-    under _CHUNK_BYTES.  A level's lattice block is the entrywise product of
-    its 2r axis sums (at r = 0 the empty product, all ones).
+    Each factor column (the lattice map, then each perpendicular map) is
+    called once, on its block's nodes of every level (base first), in
+    chunks of rows that keep one map's values under _CHUNK_BYTES.  A
+    level's block Gram is the block's scale times the entrywise product of
+    its segment sums; a block without segments (the lattice at r = 0) is
+    all ones and its map is never called.  Each term pair multiplies its
+    factors' entries of every block Gram, column by column.
     """
     same = ff is hf
     f_counts, h_counts = _factor_counts(ff), _factor_counts(hf)
-    r = config.r
-
-    def sums(block, f, h, name, lengths):
-        points, weights = (np.concatenate([getattr(level, f"{name}_{part}") for level in levels])
-                           for part in ("points", "weights"))
-        rows = max(1, _CHUNK_BYTES // (16 * max(f_counts[block], h_counts[block], 1)))
+    terms = [np.ones((len(ff.terms), len(hf.terms)), dtype=complex) for _ in levels]
+    for col, (f, h) in enumerate(zip((ff.lattice, *ff.perp), (hf.lattice, *hf.perp))):
+        sets = [level.block(col) for level in levels]
+        points, weights, lengths, _ = zip(*sets)
+        points, weights = np.concatenate(points), np.concatenate(weights)
+        rows = max(1, _CHUNK_BYTES // (16 * max(f_counts[col], h_counts[col], 1)))
         chunks = ((points[i:i + rows], weights[i:i + rows]) for i in range(0, len(weights), rows))
-        return _segment_sums(chunks, lengths, f, h, same)
-
-    lattice = [np.ones((f_counts[0], h_counts[0]), dtype=complex) for _ in levels]
-    if r:
-        lengths = [len(a) for level in levels for _ in range(r)
-                   for a in (level.compact_nodes, level.herm_nodes)]
-        for i, axis in enumerate(sums(0, ff.lattice, hf.lattice, "lattice", lengths)):
-            lattice[i // (2 * r)] *= axis
-    blocks = [[level.lattice_jacobian * L] for level, L in zip(levels, lattice)]
-    lengths = [len(level.perp_points) for level in levels]
-    for j, (fj, hj) in enumerate(zip(ff.perp, hf.perp)):
-        for level_blocks, S in zip(blocks, sums(1 + j, fj, hj, "perp", lengths)):
-            level_blocks.append((1.0 / config.nu) * S)
-    rows, cols = ff.terms.T[:, :, None], hf.terms.T[:, None, :]
-    out = []
-    for level_blocks in blocks:
-        terms = np.ones((ff.terms.shape[0], hf.terms.shape[0]), dtype=complex)
-        for b, M in enumerate(level_blocks):
-            terms *= M[rows[b], cols[b]]
-        out.append(ff.coeffs @ terms @ hf.coeffs.conj().T)
-    return out
+        sums = iter(_segment_sums(chunks, sum(lengths, ()), f, h, same))
+        ones = np.ones((f_counts[col], h_counts[col]), dtype=complex)
+        for level_terms, b in zip(terms, sets):
+            gram = b.scale * math.prod(itertools.islice(sums, len(b.lengths)), start=ones)
+            level_terms *= gram[ff.terms[:, col, None], hf.terms[None, :, col]]
+    return [ff.coeffs @ t @ hf.coeffs.conj().T for t in terms]
 
 
 def inner_product(config, f, h, grid: QuadratureGrid, refine: bool = True) -> InnerProductResult:
@@ -497,11 +495,18 @@ def inner_product(config, f, h, grid: QuadratureGrid, refine: bool = True) -> In
     or carry one as their ``factored`` attribute, as the functions of
     thetafock.space do; only their factor maps are called.  Before any
     map is called, ValidationError is raised for an integrand without
-    that form or a grid built for another configuration, and
+    that form, for a side with other than one member (families go to
+    gram_matrix) or a grid built for another configuration, and
     NodeBudgetExceeded when the levels summed would compute more factor
     values than the work budget; ``work`` reports that count.
     """
-    sums, work = _grid_sums(config, grid, refine, f, h)
+    ff, hf = _factored(f), _factored(h)
+    if len(ff.coeffs) != 1 or len(hf.coeffs) != 1:
+        raise ValidationError(
+            f"inner_product takes one function on each side, got {len(ff.coeffs)} and "
+            f"{len(hf.coeffs)} members; pass a family to gram_matrix"
+        )
+    sums, work = _grid_sums(config, grid, refine, ff, hf)
     v0 = complex(sums[0][0, 0])
     if not refine:
         return InnerProductResult(value=v0, error_estimate=None, work=work)

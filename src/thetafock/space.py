@@ -501,6 +501,14 @@ def _kernel_batch(config: SpaceConfig, Zr, h, perp_log, zv, hv, tol: float):
     return outer, _theta._values(config.theta_params, Zr - zv.conj(), log_tol)
 
 
+def _check_kernel_args(config: SpaceConfig, tol: float, *points: PointCoordinates) -> None:
+    """ValueError unless tol > 0, DimensionMismatch unless every point has r and g - r coordinates."""
+    if not tol > 0:  # NaN included
+        raise ValueError("tol must be positive")
+    if any(p.z.shape[0] != config.r or p.z_perp.shape[0] != config.g - config.r for p in points):
+        raise DimensionMismatch("points do not match the configuration dimensions")
+
+
 def kernel_section(config: SpaceConfig, v: PointCoordinates, tol: float):
     """Closure u -> K(u, v) evaluating the closed form on point batches, within tol.
 
@@ -517,10 +525,7 @@ def kernel_section(config: SpaceConfig, v: PointCoordinates, tol: float):
     for every u.  Raises ValueOutOfRange when a c_t leaves the double range,
     and the closure raises it when a kernel value does.
     """
-    if not tol > 0:  # NaN included
-        raise ValueError("tol must be positive")
-    if v.z.shape[0] != config.r or v.z_perp.shape[0] != config.g - config.r:
-        raise DimensionMismatch("v does not match the configuration dimensions")
+    _check_kernel_args(config, tol, v)
     (zv,), (hv,) = _kernel_sides(config, v.z[None, :])
 
     def f(z, z_perp):
@@ -566,12 +571,7 @@ def kernel_eval(config: SpaceConfig, u: PointCoordinates, v: PointCoordinates, t
     inner product for r = g).  Raises ValueOutOfRange when the theta
     factor or the kernel value leaves the double range.
     """
-    if u.z.shape[0] != config.r or v.z.shape[0] != config.r:
-        raise DimensionMismatch("points do not match the configuration rank")
-    if u.z_perp.shape[0] != config.g - config.r or v.z_perp.shape[0] != config.g - config.r:
-        raise DimensionMismatch("points do not match the configuration dimensions")
-    if not tol > 0:  # NaN included
-        raise ValueError("tol must be positive")
+    _check_kernel_args(config, tol, u, v)
     Zr, h = _kernel_sides(config, u.z[None, :] if v is u else np.array((u.z, v.z)))
     perp_log = config.nu * perp_inner(u.z_perp, v.z_perp)
     outer, vals = _kernel_batch(config, Zr[:1], h[:1], perp_log, Zr[-1], h[-1], tol)

@@ -354,6 +354,10 @@ def test_wrong_vector_length(tmp_path, capsys):
     ("norms", ["--n-max", "-1"]),
     ("norms", ["--k-max", "-1"]),
     ("norms", ["--n-max", "1.5"]),
+    ("verify", ["--seed", "-1"]),
+    ("verify", ["--seed", "1e3"]),
+    ("norms", ["--nodes", "48"]),
+    ("theta", ["--z", "1,2,3"]),
 ])
 def test_bad_numeric_flag_is_usage_error(tmp_path, capsys, verb, flags):
     assert main([verb, write(tmp_path, G1R1)] + flags) == 1

@@ -90,6 +90,15 @@ def test_box_offset_that_is_not_finite_is_validation_error(cfg_g1r1, bad, monkey
         tf.build_grid(cfg_g1r1, box_offset=[bad])
 
 
+@pytest.mark.parametrize("bad", [math.nan, 0.0, -1.0])
+def test_requested_tol_must_be_positive(cfg_g1r1, bad, monkeypatch):
+    # a bad tolerance is a bad argument: NaN would turn the calibration gate
+    # off, and 0 or -1 would blame the grid (GridTooCoarse)
+    monkeypatch.setattr(Q, "_make_level", _never_called)
+    with pytest.raises(ValueError, match="requested_tol must be positive"):
+        tf.build_grid(cfg_g1r1, requested_tol=bad)
+
+
 def test_hermite_exactness_degree(grid_g1r1):
     # the Hermite rules the oracle sums with integrate t^(2j) against
     # exp(-t^2) exactly
@@ -162,7 +171,7 @@ def test_grid_node_budget(monkeypatch):
     grid4 = tf.build_grid(cfg4)
     big = Q.Factored(lattice=_never_called, perp=(_never_called,) * 3,
                      terms=np.array([[2_300_000, 0, 0, 0]]), coeffs=np.ones((1, 1), dtype=complex))
-    assert Q._work(cfg4, [grid4.base, grid4.fine], big, big) > Q._WORK_BUDGET
+    assert Q._work([grid4.base, grid4.fine], big, big) > Q._WORK_BUDGET
     with monkeypatch.context() as mp:
         mp.setattr(Q, "_segment_sums", _never_called)
         with pytest.raises(errors.NodeBudgetExceeded):
@@ -196,6 +205,22 @@ def test_plain_callable_is_refused(cfg_g1r1, grid_g1r1):
     G, E = tf.gram_matrix(cfg_g1r1, fam.factored, grid_g1r1)
     Gf, Ef = tf.gram_matrix(cfg_g1r1, fam, grid_g1r1)
     assert np.array_equal(G, Gf) and np.array_equal(E, Ef)
+
+
+def test_inner_product_takes_one_function_on_each_side(monkeypatch):
+    # a two-member family as f or h was read as its first member, <e_0, e_0>
+    # = 1.0472 on this lattice, and the second member was dropped
+    cfg = tf.make_config(tf.build_lattice(tf.validate_space(np.eye(1)), [[1.0]]), [0.25], math.pi)
+    grid = tf.build_grid(cfg)
+    fam = S.basis_family(cfg, [tf.BasisIndex(n=(n,), k=()) for n in (0, 1)])
+    one = S.basis_function(cfg, tf.BasisIndex(n=(0,), k=()))
+    with monkeypatch.context() as mp:
+        mp.setattr(Q, "_segment_sums", _never_called)
+        for f, h, counts in ((fam, fam, "2 and 2"), (fam, one, "2 and 1"), (one, fam, "1 and 2")):
+            with pytest.raises(errors.ValidationError, match=counts + " members.*gram_matrix"):
+                tf.inner_product(cfg, f, h, grid)
+    assert tf.inner_product(cfg, one, one, grid).value == pytest.approx(
+        tf.gram_matrix(cfg, fam, grid)[0][0, 0], rel=1e-12)
 
 
 def test_calibration_reads_an_overflowed_closed_form_as_infinite():
@@ -511,11 +536,14 @@ def _counted(fn, values):
 @pytest.mark.parametrize("refine", [True, False])
 def test_work_counts_the_factor_values_computed(small_case, refine):
     # at r = 0, 1 and 2: r (n_c + n_h) lattice-axis values and n_h^2 values
-    # per perpendicular coordinate, per distinct factor and level
+    # per perpendicular coordinate, per distinct factor and level; one
+    # function on each side: f is e_(first index) with every other factor of
+    # the index box at coefficient 0, so it computes all of their values
     cfg, grid = small_case
     idxs = [tf.BasisIndex(n=n, k=k) for n in S._integer_box(cfg.r, 1)
             for k in S._multi_indices(cfg.g - cfg.r, 2)]
-    fam = S.basis_family(cfg, idxs)
+    fam = S.synthesized_function(
+        cfg, S.CoefficientField.from_dict({idx: float(i == 0) for i, idx in enumerate(idxs)}))
     v = tf.PointCoordinates(np.full(cfg.r, 0.1 + 0.2j), np.full(cfg.g - cfg.r, 0.2 - 0.1j))
     section = S.kernel_section(cfg, v, 1e-10)
     values = []

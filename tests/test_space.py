@@ -314,6 +314,22 @@ _POINT_ENTRY_POINTS = {
 }
 
 
+@pytest.mark.parametrize("bad", [
+    PointCoordinates(np.array([0.1, 0.2]), np.array([0.3])),
+    PointCoordinates(np.array([0.1]), np.array([0.3, 0.2])),
+    PointCoordinates(np.array([0.1]), np.array([], dtype=complex)),
+], ids=["z", "z_perp", "no_z_perp"])
+def test_kernel_point_of_wrong_dimensions(cfg_g2r1, bad):
+    # one check and one message for both kernels, whichever side is wrong
+    good = PointCoordinates(np.array([0.2 + 0.1j]), np.array([0.3 - 0.2j]))
+    calls = (lambda: tf.kernel_eval(cfg_g2r1, bad, good, 1e-10),
+             lambda: tf.kernel_eval(cfg_g2r1, good, bad, 1e-10),
+             lambda: S.kernel_section(cfg_g2r1, bad, 1e-10))
+    for call in calls:
+        with pytest.raises(DimensionMismatch, match="points do not match the configuration"):
+            call()
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf * 1j, math.inf], ids=["nan", "inf_j", "inf"])
 @pytest.mark.parametrize("entry", list(_POINT_ENTRY_POINTS))
 def test_point_must_be_finite(cfg_g2r1, entry, bad):
