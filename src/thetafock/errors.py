@@ -83,7 +83,7 @@ class GridTooCoarse(BudgetError):
 
 
 class NodeBudgetExceeded(BudgetError):
-    """A quadrature reduction would compute more factor values than its budget."""
+    """A quadrature grid, reduction or norms battery would ask for more values than its budget."""
 
 
 class ValueOutOfRange(BudgetError, OverflowError):

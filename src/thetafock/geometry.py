@@ -179,10 +179,9 @@ class IsotropicLattice:
     Built from the space and the generators (r, g), the lattice generators
     in ambient coordinates.  Construction checks R-linear independence
     (singular values of the 2g x r real matrix) and pairwise isotropy,
-    forms B and its inverse, and completes the generators to a C-basis:
-    candidate standard basis vectors are H-projected onto the current
-    span, the one with the largest residual H-norm is kept (deterministic
-    given input order), and the residuals are H-orthonormalized.
+    forms B and its inverse, and completes the generators to a C-basis
+    with one solve per step for the H-projections of every e_i, keeping
+    the residual of largest H-norm (the first of equal norms), normalised.
     dataclasses.replace checks and derives everything again.
 
     Derived fields
@@ -220,18 +219,17 @@ class IsotropicLattice:
                 f"{r} generators in complex dimension {g}: isotropic rank is at most g"
             )
 
-        svals = np.linalg.svd(_real_stack(gens), compute_uv=False)
+        svals = np.linalg.svd(np.concatenate([gens.real, gens.imag], axis=1).T, compute_uv=False)
         top = svals.max(initial=0.0)
         if (svals <= 1e-10 * top).any():
             spread = f"sigma_min/sigma_max = {svals.min() / top:.3e}" if top else "all are 0"
             raise NotIndependent(f"generators are not R-linearly independent ({spread})")
 
         gram = space.hermitian(gens[:, None, :], gens[None, :, :])
-        for j in range(r):
-            for k in range(j + 1, r):
-                e_jk = float(np.imag(gram[j, k]))
-                if abs(e_jk) > space.tol:
-                    raise NotIsotropic((j, k), e_jk)
+        bad = np.argwhere(np.abs(np.triu(gram.imag, 1)) > space.tol)  # in (j, k) order
+        if bad.size:
+            j, k = map(int, bad[0])
+            raise NotIsotropic((j, k), float(np.imag(gram[j, k])))
 
         B = np.real(gram)
         B = 0.5 * (B + B.T)
@@ -241,9 +239,9 @@ class IsotropicLattice:
                 f"lattice Gram matrix has non-positive eigenvalue {b_eigs.min():.6e}"
             )
 
-        complement = _complete_basis(space, gens)
+        basis = _complete_basis(space, gens)
         B_inv = np.linalg.inv(B)
-        basis_matrix = np.concatenate([gens, complement], axis=0).T
+        complement, basis_matrix = basis[r:], basis.T
         try:
             inv = np.linalg.inv(basis_matrix)
         except np.linalg.LinAlgError as exc:
@@ -268,49 +266,31 @@ class IsotropicLattice:
         return m @ self.generators
 
 
-def _real_stack(vectors: np.ndarray) -> np.ndarray:
-    """(k, g) complex -> (2g, k) real matrix of stacked Re/Im parts."""
-    return np.concatenate([vectors.real, vectors.imag], axis=1).T
-
-
 def build_lattice(space: HermitianSpace, generators) -> IsotropicLattice:
     """Validate generators and build the adapted basis (see IsotropicLattice)."""
     return IsotropicLattice(space, generators)
 
 
 def _complete_basis(space: HermitianSpace, gens: np.ndarray) -> np.ndarray:
-    """H-orthonormal complement of span_C(gens), greedy over e_1..e_g."""
-    g = space.g
-    r = gens.shape[0]
-    basis = list(gens)  # current spanning set; first r entries stay untouched
-    complement = []
-    for _ in range(g - r):
-        residuals = []
-        for i in range(g):
-            cand = np.zeros(g, dtype=complex)
-            cand[i] = 1.0
-            res = _h_project_out(space, cand, basis)
-            residuals.append((math.sqrt(max(np.real(space.hermitian(res, res)), 0.0)), i, res))
-        norm, _, res = max(residuals, key=lambda t: (t[0], -t[1]))
-        if norm <= math.sqrt(space.tol):
+    """Rows w_1..w_g: gens, then an H-orthonormal complement; each step solves once for the
+    residuals of e_1..e_g off the span and keeps the largest in H-norm (the first of ties)."""
+    eye = np.eye(space.g, dtype=complex)
+    basis = gens  # current spanning set
+    for _ in range(space.g - gens.shape[0]):
+        gram = space.hermitian(basis[:, None, :], basis[None, :, :])
+        rhs = space.hermitian(eye[:, None, :], basis[None, :, :])  # H(e_i, b_j)
+        # e_i - sum_j c_ij b_j with H(e_i - sum c b, b_k) = 0  =>  gram^T c_i = rhs_i
+        try:
+            coeffs = np.linalg.solve(gram.T, rhs.T)
+        except np.linalg.LinAlgError as exc:
+            raise SingularBasis(str(exc)) from None
+        residuals = eye - coeffs.T @ basis
+        norms = np.sqrt(np.maximum(np.real(space.hermitian(residuals, residuals)), 0.0))
+        i = int(np.argmax(norms))
+        if norms[i] <= math.sqrt(space.tol):
             raise SingularBasis("cannot complete generators to a basis of C^g")
-        vec = res / norm
-        complement.append(vec)
-        basis.append(vec)
-    return np.array(complement) if complement else np.zeros((0, g), dtype=complex)
-
-
-def _h_project_out(space: HermitianSpace, v: np.ndarray, basis) -> np.ndarray:
-    """Residual of v after H-orthogonal projection onto span_C(basis)."""
-    mat = np.array(basis).reshape(-1, v.shape[0])
-    gram = space.hermitian(mat[:, None, :], mat[None, :, :])
-    rhs = space.hermitian(v[None, :], mat)  # H(v, b_j)
-    # v - sum_j c_j b_j with H(v - sum c b, b_k) = 0  =>  gram^T c = rhs
-    try:
-        coeffs = np.linalg.solve(gram.T, rhs.reshape(-1))
-    except np.linalg.LinAlgError as exc:
-        raise SingularBasis(str(exc)) from None
-    return v - coeffs @ mat
+        basis = np.concatenate([basis, residuals[i:i + 1] / norms[i]])
+    return basis
 
 
 def coordinates(lattice: IsotropicLattice, u) -> PointCoordinates:

@@ -249,9 +249,15 @@ def _gauss_rules(n_compact: int, n_unbounded: int):
     return rules
 
 
+def _block_lengths(r: int, n_compact: int, n_unbounded: int) -> tuple:
+    """Segment lengths of a level's lattice block (x_j then s_j for each j) and Fock block."""
+    return (n_compact, n_unbounded) * r, (n_unbounded**2,)
+
+
 def _make_level(config, n_compact: int, n_unbounded: int, offset, T, jacobian: float) -> _Level:
     """The level's rules and node sets; T and jacobian come from 2 nu B, diagonalised once per grid."""
     r, g, nu, B = config.r, config.g, config.nu, config.lattice.B
+    lattice_lengths, fock_lengths = _block_lengths(r, n_compact, n_unbounded)
     x, wx, t, wt = _gauss_rules(n_compact, n_unbounded)
     n = n_compact + n_unbounded
     points = np.zeros((r * n, r), dtype=complex)
@@ -264,8 +270,8 @@ def _make_level(config, n_compact: int, n_unbounded: int, offset, T, jacobian: f
         points[j * n + n_compact:(j + 1) * n].imag = np.outer(t, T[:, j])
         weights[j * n + n_compact:(j + 1) * n] = herm
     s = t / math.sqrt(nu)
-    lattice = _Block(points, weights, (n_compact, n_unbounded) * r, jacobian)
-    fock = _Block((s[:, None] + 1j * s).ravel(), np.outer(wt, wt).ravel(), (len(t) ** 2,), 1 / nu)
+    lattice = _Block(points, weights, lattice_lengths, jacobian)
+    fock = _Block((s[:, None] + 1j * s).ravel(), np.outer(wt, wt).ravel(), fock_lengths, 1 / nu)
     for a in (lattice.points, lattice.weights, fock.points, fock.weights):
         a.setflags(write=False)
     return _Level(compact_nodes=x, compact_weights=wx, herm_nodes=t, herm_weights=wt,
@@ -282,16 +288,16 @@ def build_grid(
 ) -> QuadratureGrid:
     """Build the tensor grid for a space configuration and self-calibrate it.
 
-    Any g and r are admitted; what a grid may cost is bounded per call by
-    the work budget (NodeBudgetExceeded), which the calibration passes
-    through too.  Node counts must be ints >= 1 whose Gauss rules, at
-    both levels, are finite (ValidationError otherwise).  The calibration
-    sums integrands with known closed forms on both levels; when
-    requested_tol is given GridTooCoarse is raised if the observed defect
-    exceeds it; a requested_tol that is not positive (NaN included) raises
-    ValueError.  A box_offset of the wrong length raises DimensionMismatch,
-    and one that is not finite ValidationError.  Each argument is checked
-    before any node is built.
+    Any g and r are admitted; the work budget (NodeBudgetExceeded) bounds
+    the values building both levels asks for (numpy's n x n companion
+    matrix of each Gauss rule, and the node sets) and the calibration's
+    reduction.  Node counts must be ints >= 1 whose Gauss rules, at both
+    levels, are finite (ValidationError otherwise).  The calibration sums
+    integrands with closed forms on both levels; GridTooCoarse when their
+    defect exceeds requested_tol, ValueError when that is not positive
+    (NaN included).  A box_offset of the wrong length raises
+    DimensionMismatch, one not finite ValidationError.  The arguments and
+    the budget are checked before any Gauss rule is built.
     """
     if requested_tol is not None and not requested_tol > 0:  # NaN included
         raise ValueError("requested_tol must be positive")
@@ -305,11 +311,16 @@ def build_grid(
         raise DimensionMismatch(f"box_offset must have length {r}")
     if not np.isfinite(offset).all():
         raise ValidationError(f"box_offset must be finite, got {offset.tolist()}")
+    levels = ((compact_nodes, unbounded_nodes), (2 * compact_nodes, 2 * unbounded_nodes))
+    values = sum(n_c**2 + n_h**2 + sum(map(sum, _block_lengths(r, n_c, n_h)))
+                 for n_c, n_h in levels)
+    if values > _WORK_BUDGET:
+        raise NodeBudgetExceeded(f"building the grid's Gauss rules and node sets would ask for "
+                                 f"{values} values, over the budget of {_WORK_BUDGET:.3e}")
     evals, evecs = np.linalg.eigh(2.0 * config.nu * config.lattice.B)
     axes = (offset, evecs / np.sqrt(evals), float(np.prod(1.0 / np.sqrt(evals))))
     # fine first: a rule that is not finite fails there before the base rule is cached
-    fine = _make_level(config, 2 * compact_nodes, 2 * unbounded_nodes, *axes)
-    base = _make_level(config, compact_nodes, unbounded_nodes, *axes)
+    fine, base = [_make_level(config, n_c, n_h, *axes) for n_c, n_h in levels[::-1]]
     est = _calibrate(config, base, fine)
     if requested_tol is not None and est > requested_tol:
         raise GridTooCoarse(
@@ -399,11 +410,11 @@ def _work(levels, ff: Factored, hf: Factored) -> int:
     """Factor values that summing ff conj(hf) over ``levels`` computes, from node counts alone.
 
     Each distinct factor of a column is computed once per node of its
-    block: r (n_c + n_h) lattice nodes, n_h^2 Fock nodes per perpendicular
-    coordinate.  When hf is ff it is counted once.
+    block (_block_lengths): r (n_c + n_h) lattice nodes, n_h^2 Fock nodes
+    per perpendicular coordinate.  When hf is ff it is counted once.
     """
     counts = [sum(c) for c in zip(*map(_factor_counts, [ff] if ff is hf else [ff, hf]))]
-    return sum(len(level.block(col).weights) * c for level in levels
+    return sum(sum(level.block(col).lengths) * c for level in levels
                for col, c in enumerate(counts))
 
 

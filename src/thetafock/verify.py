@@ -18,7 +18,7 @@ import numpy as np
 from . import quadrature as Q
 from . import space as S
 from . import theta as T
-from .errors import NotIndependent
+from .errors import NodeBudgetExceeded, NotIndependent
 from .geometry import (
     Character,
     HermitianSpace,
@@ -348,9 +348,15 @@ class NormsBattery:
 
 
 def norms_battery(config: S.SpaceConfig, grid, n_max: int, k_max: int) -> NormsBattery:
-    """Gram battery over |n_j| <= n_max, |k| <= k_max on the given grid."""
+    """Gram battery over |n_j| <= n_max, |k| <= k_max on the given grid; NodeBudgetExceeded,
+    before any index is built, when its N x N Gram has more entries than the work budget."""
+    m = config.g - config.r
+    n = (2 * n_max + 1) ** config.r * math.comb(k_max + m, m)
+    if n * n > Q._WORK_BUDGET:
+        raise NodeBudgetExceeded(f"the norms battery's Gram matrix of {n} basis indices has "
+                                 f"more entries than the budget of {Q._WORK_BUDGET:.3e}")
     ns = S._integer_box(config.r, n_max)
-    ks = S._multi_indices(config.g - config.r, k_max)
+    ks = S._multi_indices(m, k_max)
     idxs = np.repeat(ns, len(ks), axis=0), np.tile(ks, (len(ns), 1))
     G, _ = Q.gram_matrix(config, S.basis_family(config, idxs), grid)
     closed = S._exp_norms(S._log_norms(config, idxs))

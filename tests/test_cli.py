@@ -131,6 +131,16 @@ def test_theta_out_of_range(tmp_path):
     assert doc["flags"]["z"] == [[0.1, 30.0]]
 
 
+@pytest.mark.parametrize("flags", [["--n-max", "99999999999"], ["--nodes", "99999999999,48"]],
+                         ids=["n-max", "nodes"])
+def test_oversized_norms_request_is_budget_failure(tmp_path, capsys, flags):
+    # both asked numpy for terabytes and ended in a MemoryError traceback
+    code, doc = run(tmp_path, "norms", G1R1_FILE, *flags)
+    assert code == 3 and capsys.readouterr().err == ""
+    assert doc["status"] == "budget-failure"
+    assert result(doc, "budget")["value"] == "NodeBudgetExceeded"
+
+
 def test_kernel_out_of_range(tmp_path):
     path = str(Path(G1R1_FILE).parent / "g2_r1.json")
     code, doc = run(tmp_path, "kernel", path, "--u", "0", "--u", "20", "--v", "0", "--v", "20")

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import thetafock as tf
-from thetafock import errors
+from thetafock import errors, verify
 from thetafock.geometry import (
     Character,
     PointCoordinates,
@@ -129,15 +129,40 @@ def test_build_lattice_rank_exceeds_g():
         tf.build_lattice(sp, [[1.0], [1j]])
 
 
-def test_complement_orthonormality():
-    sp = tf.validate_space(np.array([[2.0, 0.3 + 0.1j], [0.3 - 0.1j, 1.5]]))
-    lat = tf.build_lattice(sp, [[1.0, 0.5]])
-    for j, cj in enumerate(lat.complement):
-        for w in lat.generators:
-            assert abs(sp.hermitian(cj, w)) < 1e-10
-        for k, ck in enumerate(lat.complement):
-            expected = 1.0 if j == k else 0.0
-            assert abs(sp.hermitian(cj, ck) - expected) < 1e-10
+@pytest.mark.parametrize("gr", [None, (3, 0), (3, 2), (4, 1), (4, 3), (5, 2), (5, 4)],
+                         ids=lambda gr: "fixed" if gr is None else f"g{gr[0]}r{gr[1]}")
+def test_complement_orthonormality(gr):
+    if gr is None:
+        sp = tf.validate_space(np.array([[2.0, 0.3 + 0.1j], [0.3 - 0.1j, 1.5]]))
+        lat = tf.build_lattice(sp, [[1.0, 0.5]])
+    else:
+        lat = verify.random_config(np.random.default_rng([0, *gr]), *gr).lattice
+    sp, comp = lat.space, lat.complement
+    assert comp.shape == (lat.g - lat.r, lat.g)
+    cross = sp.hermitian(comp[:, None, :], lat.generators[None, :, :])
+    assert np.abs(cross).max(initial=0.0) < 1e-10
+    gram = sp.hermitian(comp[:, None, :], comp[None, :, :])
+    assert np.abs(gram - np.eye(len(comp))).max(initial=0.0) < 1e-10
+
+
+def test_complement_ties_go_to_the_first_candidate():
+    # every residual off span(e_2) has H-norm 1 or 0: e_1 wins the first
+    # step over e_3, and the residuals are the standard vectors exactly
+    lat = tf.build_lattice(tf.validate_space(np.eye(3)), [[0.0, 1.0, 0.0]])
+    assert np.array_equal(lat.complement, [[1, 0, 0], [0, 0, 1]])
+    assert np.array_equal(tf.build_lattice(tf.validate_space(np.eye(4)), []).complement,
+                          np.eye(4))
+
+
+def test_not_isotropic_names_the_first_pair():
+    # E(w_0, w_3) = -2 and E(w_1, w_2) = -1: the first pair in (j, k) order
+    # is (0, 3), though (1, 2) comes first column by column
+    gens = np.eye(4, dtype=complex)
+    gens[2, 1], gens[3, 0] = 1j, 2j
+    with pytest.raises(errors.NotIsotropic) as exc:
+        tf.build_lattice(tf.validate_space(np.eye(4)), gens)
+    assert exc.value.pair == (0, 3) and type(exc.value.pair[0]) is int
+    assert exc.value.value == -2.0
 
 
 def test_coordinates_basis_vectors():

@@ -192,6 +192,48 @@ def test_grid_node_budget(monkeypatch):
                                            rel=1e-8)
 
 
+@pytest.mark.parametrize("nodes", [(99999999999, 48), (20000, 48), (32, 100000)])
+def test_grid_over_budget_builds_no_rule(monkeypatch, cfg_g1r1, nodes):
+    # numpy's companion matrices alone would take 1e22 values, 11.9 GiB or
+    # 298 GiB: refused before any Gauss rule is built
+    monkeypatch.setattr(Q, "_gauss_rules", _never_called)
+    with pytest.raises(errors.NodeBudgetExceeded, match="Gauss rules"):
+        tf.build_grid(cfg_g1r1, compact_nodes=nodes[0], unbounded_nodes=nodes[1])
+
+
+@pytest.mark.parametrize("nodes", [(32, 186), (32, 5000)])
+def test_grid_within_budget_reaches_the_rules(monkeypatch, cfg_g1r1, nodes):
+    # these fail on the finite-rule check (test_rule_that_is_not_finite_...),
+    # not on the budget: the fine rule is the first one asked for
+    asked = []
+
+    def rules(*counts):
+        asked.append(counts)
+        raise errors.ValidationError("not finite")
+
+    monkeypatch.setattr(Q, "_gauss_rules", rules)
+    with pytest.raises(errors.ValidationError, match="not finite"):
+        tf.build_grid(cfg_g1r1, compact_nodes=nodes[0], unbounded_nodes=nodes[1])
+    assert asked == [(2 * nodes[0], 2 * nodes[1])]
+
+
+def test_grid_budget_counts_the_values_built(monkeypatch):
+    # g = 3, r = 2: the budget check counts each level's companion matrices
+    # n_c^2 + n_h^2 and its node sets r (n_c + n_h) + n_h^2, as built
+    cfg = tf.make_config(tf.build_lattice(tf.validate_space(np.eye(3)), np.eye(3)[:2]),
+                         [0.0, 0.5], math.pi)
+    grid = tf.build_grid(cfg, compact_nodes=5, unbounded_nodes=7)
+    for level, (n_c, n_h) in ((grid.base, (5, 7)), (grid.fine, (10, 14))):
+        assert len(level.lattice.weights) == sum(level.lattice.lengths) == 2 * (n_c + n_h)
+        assert len(level.fock.weights) == sum(level.fock.lengths) == n_h**2
+    need = sum(n_c**2 + 2 * n_h**2 + 2 * (n_c + n_h) for n_c, n_h in ((5, 7), (10, 14)))
+    monkeypatch.setattr(Q, "_WORK_BUDGET", need)
+    tf.build_grid(cfg, compact_nodes=5, unbounded_nodes=7)
+    monkeypatch.setattr(Q, "_WORK_BUDGET", need - 1)
+    with pytest.raises(errors.NodeBudgetExceeded, match="Gauss rules"):
+        tf.build_grid(cfg, compact_nodes=5, unbounded_nodes=7)
+
+
 def test_plain_callable_is_refused(cfg_g1r1, grid_g1r1):
     # only integrands with a block form are summed; a bare callable is
     # refused, as f, as h or as a Gram family, before it is called

@@ -91,6 +91,37 @@ def test_norms_battery_closed_norms_past_the_square_root_range():
     assert 0.0 < battery.off_diagonal <= 1e-6
 
 
+def _never_called(*args, **kwargs):
+    raise AssertionError("an index array or a basis family was built")
+
+
+@pytest.mark.parametrize("problem, n_max, k_max", [
+    ("g1_r1", 99999999999, 1),  # a 1.46 TiB index box
+    ("g1_r1", 100000, 1),  # a 298 GiB N x N diagonal in basis_family
+    ("g2_r1", 1, 99999999999),  # 745 GiB of multi-indices
+])
+def test_norms_battery_over_budget_builds_no_index(monkeypatch, problem, n_max, k_max):
+    cfg = build_config(load_problem(G3R2_FILE.with_name(f"{problem}.json")))
+    grid = tf.build_grid(cfg, compact_nodes=4, unbounded_nodes=4)
+    for name in ("_integer_box", "_multi_indices", "basis_family"):
+        monkeypatch.setattr(verify.S, name, _never_called)
+    with pytest.raises(errors.NodeBudgetExceeded, match="norms battery"):
+        verify.norms_battery(cfg, grid, n_max, k_max)
+
+
+def test_norms_battery_budget_counts_the_indices_it_builds(monkeypatch):
+    # the count N matches the indices of a battery that runs: a budget one
+    # entry short of its N x N Gram refuses it before any index is built
+    cfg = build_config(load_problem(G3R2_FILE.with_name("g2_r1.json")))
+    grid = tf.build_grid(cfg, compact_nodes=8, unbounded_nodes=12)
+    n = len(verify.norms_battery(cfg, grid, 1, 2).indices[0])
+    assert n == 3 * 3
+    monkeypatch.setattr(verify.Q, "_WORK_BUDGET", n * n - 1)
+    monkeypatch.setattr(verify.S, "_integer_box", _never_called)
+    with pytest.raises(errors.NodeBudgetExceeded):
+        verify.norms_battery(cfg, grid, 1, 2)
+
+
 def _assert_all_pass(outcomes):
     failed = [o for o in outcomes if not o.passed]
     assert outcomes and not failed, failed
