@@ -3,7 +3,8 @@
 Verbs: validate, theta, kernel, norms, verify.  Results are emitted as a
 JSON result document on stdout (or --out).  Exit codes: 0 success,
 1 usage or parse failure, 2 validation failure, 3 numerical-budget
-failure (including a value outside the double range), 4 property failure.
+failure (including a value outside the double range), 4 property failure:
+any result entry with pass false, whatever the verb.
 """
 
 from __future__ import annotations
@@ -164,7 +165,7 @@ def _failure(doc: ResultDocument, status: str, name: str, exc) -> ResultDocument
     return out
 
 
-def cmd_validate(args, doc: ResultDocument) -> int:
+def cmd_validate(args, doc: ResultDocument) -> None:
     config = build_config(_start(args, doc))
     lat = config.lattice
     doc.add("hermitian", True, passed=True)
@@ -178,10 +179,9 @@ def cmd_validate(args, doc: ResultDocument) -> int:
     doc.add("B_inv", lat.B_inv)
     doc.add("complement_basis", lat.complement)
     doc.add("ambient_measure_factor", ambient_measure_factor(lat))
-    return EXIT_OK
 
 
-def cmd_theta(args, doc: ResultDocument) -> int:
+def cmd_theta(args, doc: ResultDocument) -> None:
     # --z is recorded as given until the rank is known, then as parsed
     problem = _start(args, doc, tol=args.tol, z=args.z, max_radius=args.max_radius)
     config = build_config(problem)
@@ -190,10 +190,9 @@ def cmd_theta(args, doc: ResultDocument) -> int:
     doc.add("theta", res.value)
     doc.add("tail_bound", res.tail_bound)
     doc.add("index_set_size", res.terms)
-    return EXIT_OK
 
 
-def cmd_kernel(args, doc: ResultDocument) -> int:
+def cmd_kernel(args, doc: ResultDocument) -> None:
     problem = _start(args, doc, tol=args.tol)
     config = build_config(problem)
     u = coordinates(config.lattice, _vector(args.u, config.g, "--u"))
@@ -205,48 +204,28 @@ def cmd_kernel(args, doc: ResultDocument) -> int:
     doc.add("hermitian_symmetry_defect", sym_defect, passed=sym_defect <= 2 * args.tol)
     doc.add("u_coordinates", np.concatenate([u.z, u.z_perp]))
     doc.add("v_coordinates", np.concatenate([v.z, v.z_perp]))
-    if sym_defect > 2 * args.tol:
-        doc.status = "property-failure"
-        return EXIT_PROPERTY
-    return EXIT_OK
 
 
-def cmd_norms(args, doc: ResultDocument) -> int:
+def cmd_norms(args, doc: ResultDocument) -> None:
     problem = _start(args, doc, n_max=args.n_max, k_max=args.k_max, nodes=list(args.nodes))
     config = build_config(problem)
     compact, unbounded = args.nodes
     grid = Q.build_grid(config, compact_nodes=compact, unbounded_nodes=unbounded)
     battery = verify.norms_battery(config, grid, args.n_max, args.k_max)
-    ok = True
     n, k = battery.indices
     for n_row, k_row, closed, oracle, defect in zip(
         n.tolist(), k.tolist(), battery.closed, battery.oracle, battery.defects
     ):
-        good = bool(defect <= 1e-6)
-        ok = ok and good
-        doc.add(f"norm_sq[n={n_row},k={k_row}]", float(closed), passed=good,
+        doc.add(f"norm_sq[n={n_row},k={k_row}]", float(closed), passed=defect <= 1e-6,
                 oracle=float(oracle), rel_defect=float(defect))
-    if not ok:
-        doc.status = "property-failure"
-        return EXIT_PROPERTY
-    return EXIT_OK
 
 
-def cmd_verify(args, doc: ResultDocument) -> int:
+def cmd_verify(args, doc: ResultDocument) -> None:
     problem = _start(args, doc, suite=args.suite, seed=args.seed, nodes=list(args.nodes))
     config = build_config(problem)
-    compact, unbounded = args.nodes
-    outcomes = verify.run_suite(config, args.suite, seed=args.seed,
-                                compact_nodes=compact, unbounded_nodes=unbounded)
-    ok = True
-    for oc in outcomes:
-        ok = ok and oc.passed
+    for oc in verify.run_suite(config, args.suite, seed=args.seed, nodes=args.nodes):
         doc.add(oc.name, oc.defect, passed=oc.passed, tolerance=oc.tolerance,
                 detail=oc.detail)
-    if not ok:
-        doc.status = "property-failure"
-        return EXIT_PROPERTY
-    return EXIT_OK
 
 
 _DISPATCH = {
@@ -263,7 +242,7 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         t0 = time.perf_counter()
         doc = ResultDocument(command=args.cmd, config_digest="")
-        code = _DISPATCH[args.cmd](args, doc)
+        _DISPATCH[args.cmd](args, doc)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -279,6 +258,9 @@ def main(argv=None) -> int:
     except ThetaFockError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    code = EXIT_OK
+    if not all(entry.get("pass", True) for entry in doc.results):
+        doc.status, code = "property-failure", EXIT_PROPERTY
     doc.timings["wall_seconds"] = round(time.perf_counter() - t0, 6)
     _emit(doc, args.out)
     return code

@@ -93,6 +93,7 @@ _CHUNK_BYTES = 1 << 24  # bytes of (factors x nodes) complex values per chunk of
 _WORK_BUDGET = 1 << 29  # factor values per call; factored maps run 27-52M values/s on 2 vCPUs
 _DEFAULT_COMPACT_NODES = 32
 _DEFAULT_UNBOUNDED_NODES = 48
+_MAX_HERMITE_NODES = 371  # numpy's Hermite weights overflow from 372 nodes on
 _COARSE_RTOL = 1e-3  # inner_product accepts a refinement change up to this times |value| + 1
 
 
@@ -240,13 +241,17 @@ def _gauss_rules(n_compact: int, n_unbounded: int):
     with np.errstate(all="ignore"):
         rules = (0.5 * (x + 1.0), 0.5 * wx) + hermgauss(n_unbounded)
     if not all(np.isfinite(a).all() for a in rules):
-        raise ValidationError(
-            f"the Gauss rules for ({n_compact}, {n_unbounded}) nodes are not finite; the "
-            f"fine level doubles the requested node counts, so request fewer"
-        )
+        raise _rules_not_finite(n_compact, n_unbounded)
     for a in rules:
         a.setflags(write=False)
     return rules
+
+
+def _rules_not_finite(n_compact: int, n_unbounded: int) -> ValidationError:
+    return ValidationError(
+        f"the Gauss rules for ({n_compact}, {n_unbounded}) nodes are not finite; the "
+        f"fine level doubles the requested node counts, so request fewer"
+    )
 
 
 def _block_lengths(r: int, n_compact: int, n_unbounded: int) -> tuple:
@@ -292,7 +297,8 @@ def build_grid(
     the values building both levels asks for (numpy's n x n companion
     matrix of each Gauss rule, and the node sets) and the calibration's
     reduction.  Node counts must be ints >= 1 whose Gauss rules, at both
-    levels, are finite (ValidationError otherwise).  The calibration sums
+    levels, are finite (ValidationError otherwise): the fine level's
+    2 unbounded_nodes is at most _MAX_HERMITE_NODES.  The calibration sums
     integrands with closed forms on both levels; GridTooCoarse when their
     defect exceeds requested_tol, ValueError when that is not positive
     (NaN included).  A box_offset of the wrong length raises
@@ -317,6 +323,8 @@ def build_grid(
     if values > _WORK_BUDGET:
         raise NodeBudgetExceeded(f"building the grid's Gauss rules and node sets would ask for "
                                  f"{values} values, over the budget of {_WORK_BUDGET:.3e}")
+    if levels[1][1] > _MAX_HERMITE_NODES:
+        raise _rules_not_finite(*levels[1])
     evals, evecs = np.linalg.eigh(2.0 * config.nu * config.lattice.B)
     axes = (offset, evecs / np.sqrt(evals), float(np.prod(1.0 / np.sqrt(evals))))
     # fine first: a rule that is not finite fails there before the base rule is cached

@@ -3,6 +3,10 @@
 Each suite takes a space configuration and a seeded generator and returns
 a list of PropertyOutcome records with measured defects; the CLI renders
 them and the acceptance tests drive them across many configurations.
+Every complex sample is drawn through one sampler, _gaussian.  The
+geometry and theta suites draw each property's samples as arrays: each
+geometry property is one array expression over them, and the theta suite
+evaluates its unshifted points in batches.
 Random configurations are sampled here as well: isotropic generators are
 drawn by projecting random vectors onto the symplectic annihilator of the
 ones already chosen.
@@ -20,17 +24,13 @@ from . import space as S
 from . import theta as T
 from .errors import NodeBudgetExceeded, NotIndependent
 from .geometry import (
-    Character,
     HermitianSpace,
-    IsotropicLattice,
     PointCoordinates,
+    b_form,
     b_form_full,
     build_lattice,
     check_rdq,
-    coordinate_conjugate,
-    coordinates,
     coordinates_many,
-    to_ambient,
     validate_space,
 )
 
@@ -69,12 +69,22 @@ def _outcome(name, defect, tolerance, detail=""):
     )
 
 
+def _relative(lhs, rhs) -> float:
+    """Worst |lhs - rhs| / max(|lhs|, 1) over the samples (entries) of lhs."""
+    return float((np.abs(lhs - rhs) / np.maximum(np.abs(lhs), 1.0)).max())
+
+
 # ---------------------------------------------------------------------------
 # random sampling
 
 
+def _gaussian(rng, shape, scale: float = 1.0) -> np.ndarray:
+    """scale (x + i y) for standard normal x then y of the given shape."""
+    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
 def random_hermitian_space(rng, g: int) -> HermitianSpace:
-    A = rng.standard_normal((g, g)) + 1j * rng.standard_normal((g, g))
+    A = _gaussian(rng, (g, g))
     H = A.conj().T @ A / g + 0.4 * np.eye(g)
     return validate_space(H)
 
@@ -93,7 +103,7 @@ def random_isotropic_generators(rng, space: HermitianSpace, r: int) -> np.ndarra
         attempts += 1
         if attempts > 50 * r:
             raise NotIndependent("could not sample independent isotropic generators")
-        v = rng.standard_normal(g) + 1j * rng.standard_normal(g)
+        v = _gaussian(rng, g)
         if gens:
             rows = []
             for w in gens:
@@ -148,16 +158,14 @@ def random_field(rng, config: S.SpaceConfig, max_terms: int = 4, n_inf: int = 2,
         k = tuple(int(v) for v in rng.integers(0, k_total + 1, size=m))
         if sum(k) > k_total:
             continue
-        a = complex(rng.standard_normal(), rng.standard_normal())
+        a = complex(_gaussian(rng, ()))
         entries[S.BasisIndex(n=n, k=k)] = a
     return S.CoefficientField.from_dict(entries)
 
 
 def random_point(rng, config: S.SpaceConfig, scale: float = 0.5) -> PointCoordinates:
-    r, m = config.r, config.g - config.r
-    z = scale * (rng.standard_normal(r) + 1j * rng.standard_normal(r))
-    zp = scale * (rng.standard_normal(m) + 1j * rng.standard_normal(m))
-    return PointCoordinates(z=z, z_perp=zp)
+    return PointCoordinates(z=_gaussian(rng, config.r, scale),
+                            z_perp=_gaussian(rng, config.g - config.r, scale))
 
 
 # ---------------------------------------------------------------------------
@@ -165,79 +173,56 @@ def random_point(rng, config: S.SpaceConfig, scale: float = 0.5) -> PointCoordin
 
 
 def verify_geometry(config: S.SpaceConfig, rng) -> list[PropertyOutcome]:
+    """Each sampled property is one array check over 20 samples, the rows of its draws."""
     lat = config.lattice
-    space = lat.space
+    space, g, r = lat.space, lat.g, lat.r
+    P, P_inv = lat.basis_matrix, lat.inv_basis_matrix  # coordinates -> ambient, and back
     out = []
 
-    if lat.r:  # the lattice checks list no outcome for an empty lattice
+    if r:  # the lattice checks list no outcome for an empty lattice
         gram = space.hermitian(lat.generators[:, None, :], lat.generators[None, :, :])
         out.append(_outcome("generator-isotropy", float(np.abs(gram.imag).max()), space.tol))
-        out.append(
-            _outcome(
-                "gram-positive-definite",
-                max(0.0, -float(np.linalg.eigvalsh(lat.B).min())),
-                0.0,
-                detail=f"min eigenvalue {np.linalg.eigvalsh(lat.B).min():.6e}",
-            )
-        )
-        bb = lat.B @ lat.B_inv - np.eye(lat.r)
+        b_min = float(np.linalg.eigvalsh(lat.B).min())
+        out.append(_outcome("gram-positive-definite", max(0.0, -b_min), 0.0,
+                            detail=f"min eigenvalue {b_min:.6e}"))
+        bb = lat.B @ lat.B_inv - np.eye(r)
         out.append(_outcome("gram-inverse", float(np.abs(bb).max()), space.tol))
 
     # conjugating both slots in coordinates transposes the pairing on the
     # lattice span: H(conj(v), conj(u)) = H(u, v)
-    worst = 0.0
-    for _ in range(20):
-        zc = rng.standard_normal(lat.r) + 1j * rng.standard_normal(lat.r)
-        wc = rng.standard_normal(lat.r) + 1j * rng.standard_normal(lat.r)
-        u = to_ambient(lat, PointCoordinates(zc, np.zeros(lat.g - lat.r)))
-        v = to_ambient(lat, PointCoordinates(wc, np.zeros(lat.g - lat.r)))
-        lhs = space.hermitian(u, v)
-        rhs = space.hermitian(coordinate_conjugate(lat, v), coordinate_conjugate(lat, u))
-        worst = max(worst, abs(lhs - rhs) / max(abs(lhs), 1.0))
-    out.append(_outcome("span-conjugation-symmetry", worst, 1e-10))
+    U, V = (_gaussian(rng, (20, r)) @ P[:, :r].T for _ in range(2))
+
+    def conj(X):  # coordinate_conjugate of each row
+        return np.conj(X @ P_inv.T) @ P.T
+
+    out.append(_outcome("span-conjugation-symmetry",
+                        _relative(space.hermitian(U, V), space.hermitian(conj(V), conj(U))), 1e-10))
 
     # H(u, gamma) equals the bilinear extension on lattice vectors
-    worst = 0.0
-    worst3 = 0.0
-    for _ in range(20):
-        u = rng.standard_normal(lat.g) + 1j * rng.standard_normal(lat.g)
-        m = rng.integers(-3, 4, size=lat.r)
-        gam = lat.gamma(m)
-        h = complex(space.hermitian(u, gam))
-        bt = complex(b_form_full(lat, u, gam))
-        worst = max(worst, abs(h - bt) / max(abs(h), 1.0))
-        lhs = complex(b_form_full(lat, u + gam, u + gam))
-        rhs = complex(b_form_full(lat, u, u)) + 2.0 * complex(space.hermitian(u + 0.5 * gam, gam))
-        worst3 = max(worst3, abs(lhs - rhs) / max(abs(lhs), 1.0))
-    out.append(_outcome("lattice-bilinear-pairing", worst, 1e-10))
-    out.append(_outcome("bilinear-square-expansion", worst3, 1e-10))
+    U = _gaussian(rng, (20, g))
+    gam = lat.gamma(rng.integers(-3, 4, size=(20, r)))
+    out.append(_outcome("lattice-bilinear-pairing",
+                        _relative(space.hermitian(U, gam), b_form_full(lat, U, gam)), 1e-10))
+    rhs = b_form_full(lat, U, U) + 2.0 * space.hermitian(U + 0.5 * gam, gam)
+    out.append(_outcome("bilinear-square-expansion",
+                        _relative(b_form_full(lat, U + gam, U + gam), rhs), 1e-10))
 
     # hermitian form decomposes over the adapted coordinates
-    worst = 0.0
-    for _ in range(20):
-        u = rng.standard_normal(lat.g) + 1j * rng.standard_normal(lat.g)
-        v = rng.standard_normal(lat.g) + 1j * rng.standard_normal(lat.g)
-        zu, pu = coordinates_many(lat, u[None, :])
-        zv, pv = coordinates_many(lat, v[None, :])
-        lhs = complex(space.hermitian(u, v))
-        ht = complex(np.einsum("j,jk,k->", zu[0], lat.B.astype(complex), np.conj(zv[0])))
-        rhs = ht + complex(pu[0] @ np.conj(pv[0]))
-        worst = max(worst, abs(lhs - rhs) / max(abs(lhs), 1.0))
-    out.append(_outcome("form-coordinate-decomposition", worst, 1e-10))
+    U, V = _gaussian(rng, (20, g)), _gaussian(rng, (20, g))
+    (zu, pu), (zv, pv) = coordinates_many(lat, U), coordinates_many(lat, V)
+    rhs = b_form(lat, zu, np.conj(zv)) + S.perp_inner(pu, pv)
+    out.append(_outcome("form-coordinate-decomposition", _relative(space.hermitian(U, V), rhs),
+                        1e-10))
 
     # coordinate round trip
-    worst = 0.0
-    for _ in range(20):
-        u = rng.standard_normal(lat.g) + 1j * rng.standard_normal(lat.g)
-        worst = max(worst, float(np.abs(to_ambient(lat, coordinates(lat, u)) - u).max()))
-    out.append(_outcome("coordinate-round-trip", worst, 1e-12))
+    U = _gaussian(rng, (20, g))
+    out.append(_outcome("coordinate-round-trip", _relative(U, U @ P_inv.T @ P.T), 1e-12))
 
     # cocycle gate: the configured character passes, a warped one fails
     rep = check_rdq(lat, config.character, config.nu)
     out.append(_outcome("cocycle-character", rep.worst_defect, 1e-9))
-    if lat.r >= 2:
-        bad = _non_character(config.alpha)
-        rep_bad = check_rdq(lat, bad, config.nu)
+    if r >= 2:
+        rep_bad = check_rdq(lat, _non_character(config.alpha), config.nu)
         out.append(
             _outcome(
                 "cocycle-rejects-non-character",
@@ -250,10 +235,11 @@ def verify_geometry(config: S.SpaceConfig, rng) -> list[PropertyOutcome]:
 
 
 def _non_character(alpha):
+    """A map that is not a character: exp(2 pi i m.alpha + i m_0 m_1), for r >= 2."""
+
     def chi(m):
         m = np.asarray(m, dtype=float)
-        cross = m[0] * m[1] if m.shape[0] >= 2 else m[0] ** 2
-        return np.exp(2j * np.pi * (m @ alpha) + 1j * cross)
+        return np.exp(2j * np.pi * (m @ alpha) + 1j * m[0] * m[1])
 
     return chi
 
@@ -263,6 +249,7 @@ def _non_character(alpha):
 
 
 def verify_theta(config: S.SpaceConfig, rng) -> list[PropertyOutcome]:
+    """Each sampled property draws its samples as arrays; unshifted values come in batches."""
     params = config.theta_params
     out = []
     r = params.r
@@ -271,7 +258,7 @@ def verify_theta(config: S.SpaceConfig, rng) -> list[PropertyOutcome]:
         out.append(_outcome("empty-rank-value", abs(val.value - 1.0), 0.0))
         return out
 
-    z0 = 0.4 * (rng.standard_normal(r) + 1j * rng.standard_normal(r))
+    z0 = _gaussian(rng, r, 0.4)
     a1 = T.theta_eval(params, z0, 1e-12)
     a2 = T.theta_eval(params, z0, 1e-12)
     out.append(
@@ -279,61 +266,47 @@ def verify_theta(config: S.SpaceConfig, rng) -> list[PropertyOutcome]:
     )
 
     tol = 1e-10
-    worst = 0.0
-    for _ in range(10):
-        z = 0.6 * (rng.standard_normal(r) + 1j * rng.standard_normal(r))
-        m = rng.integers(-2, 3, size=r)
-        m2 = rng.integers(-1, 2, size=r)
-        d = T.theta_quasiperiodicity_defect(params, z, m, m2, tol)
-        # configs with large Im F make both sides big; measure the defect
-        # against their scale, where the truncation budget is meaningful
-        scale = max(
-            1.0,
-            abs(T.theta_eval(params, z + m, tol).value),
-            abs(T.theta_eval(params, z + params.F @ m2, tol).value),
-        )
-        worst = max(worst, d / scale)
-    out.append(_outcome("quasi-periodicity", worst, 2 * tol))
+    Z, M, M2 = (_gaussian(rng, (10, r), 0.6), rng.integers(-2, 3, size=(10, r)),
+                rng.integers(-1, 2, size=(10, r)))
+    defects = [T.theta_quasiperiodicity_defect(params, *sample, tol) for sample in zip(Z, M, M2)]
+    # configs with large Im F make both sides big; measure the defect
+    # against their scale, where the truncation budget is meaningful
+    lhs, _ = T.theta_eval_many(params, np.concatenate([Z + M, Z + M2 @ params.F.T]), tol)
+    scale = np.maximum(1.0, np.abs(lhs).reshape(2, -1).max(axis=0))
+    out.append(_outcome("quasi-periodicity", float(np.max(defects / scale)), 2 * tol))
 
-    worst = 0.0
-    for _ in range(10):
-        z = 0.6 * (rng.standard_normal(r) + 1j * rng.standard_normal(r))
-        m = rng.integers(-2, 3, size=r)
-        shifted = T.validate_parameters(params.F, alpha=params.alpha + m, beta=params.beta)
-        worst = max(
-            worst,
-            abs(T.theta_eval(shifted, z, tol).value - T.theta_eval(params, z, tol).value),
-        )
-    out.append(_outcome("characteristic-shift", worst, 2 * tol))
+    Z, M = _gaussian(rng, (10, r), 0.6), rng.integers(-2, 3, size=(10, r))
+    base, _ = T.theta_eval_many(params, Z, tol)
+    shifted = [
+        T.theta_eval(T.validate_parameters(params.F, alpha=params.alpha + m, beta=params.beta),
+                     z, tol).value
+        for z, m in zip(Z, M)
+    ]
+    out.append(_outcome("characteristic-shift", float(np.abs(shifted - base).max()), 2 * tol))
 
     # empirical tails never exceed the certified bound along a radius grid
-    z = 0.5 * (rng.standard_normal(r) + 1j * rng.standard_normal(r))
+    z = _gaussian(rng, r, 0.5)
     ref = T.theta_eval(params, z, 1e-13)
-    worst = 0.0
-    for tol_k in np.logspace(-2, -9, 8):
-        approx = T.theta_eval(params, z, float(tol_k))
-        excess = abs(approx.value - ref.value) - (approx.tail_bound + ref.tail_bound)
-        worst = max(worst, excess)
-    out.append(_outcome("tail-soundness", worst, 0.0))
+    approx = [T.theta_eval(params, z, float(tol_k)) for tol_k in np.logspace(-2, -9, 8)]
+    excess = [abs(a.value - ref.value) - (a.tail_bound + ref.tail_bound) for a in approx]
+    out.append(_outcome("tail-soundness", max(0.0, *excess), 0.0))
 
-    # every term larger than tail/|set| lies inside the planned set
+    # every term larger than tail/|set| lies inside the planned set; a term's
+    # log magnitude is log_prefactor - pi |U(n - c)|^2 (see the theta module notes)
     plan = T.truncation_plan(params, z, 1e-6)
     cap = plan.tail_bound / max(plan.index_set.shape[0], 1)
-    grid = S._integer_box(r, 12)
-    Z = np.asarray(z)[None, :]
-    mags = np.exp(np.real(T._term_exponents(params, Z, grid, *T._rows(params, Z.imag))))[0]
-    inside = {tuple(row) for row in plan.index_set}
-    missing = [
-        tuple(row) for row, mag in zip(grid, mags) if mag > cap and tuple(row) not in inside
-    ]
-    out.append(
-        _outcome("plan-soundness", float(len(missing)), 0.0, detail=f"{len(missing)} escapees")
-    )
+    box = S._integer_box(r, 12)
+    log_mags = plan.log_prefactor - math.pi * np.square((box - plan.center) @ params.chol.T).sum(1)
+    above = {tuple(row) for row in box[np.exp(log_mags) > cap].tolist()}
+    missing = len(above - {tuple(row) for row in plan.index_set.tolist()})
+    out.append(_outcome("plan-soundness", float(missing), 0.0, detail=f"{missing} escapees"))
     return out
 
 
 # ---------------------------------------------------------------------------
 # orthogonality suite
+
+_NODES = (Q._DEFAULT_COMPACT_NODES, Q._DEFAULT_UNBOUNDED_NODES)  # (compact, unbounded) nodes
 
 
 @dataclass(frozen=True)
@@ -373,16 +346,11 @@ def norms_battery(config: S.SpaceConfig, grid, n_max: int, k_max: int) -> NormsB
 
 
 def verify_orthogonality(
-    config: S.SpaceConfig,
-    rng,
-    n_inf: int = 2,
-    compact_nodes: int = Q._DEFAULT_COMPACT_NODES,
-    unbounded_nodes: int = Q._DEFAULT_UNBOUNDED_NODES,
+    config: S.SpaceConfig, rng, n_inf: int = 2, nodes: tuple = _NODES
 ) -> list[PropertyOutcome]:
     out = []
-    grid = Q.build_grid(
-        config, compact_nodes=compact_nodes, unbounded_nodes=unbounded_nodes
-    )
+    compact, unbounded = nodes
+    grid = Q.build_grid(config, compact_nodes=compact, unbounded_nodes=unbounded)
     out.append(_outcome("grid-self-calibration", grid.estimated_error, 1e-9))
 
     battery = norms_battery(config, grid, n_inf, k_max=2)
@@ -400,12 +368,8 @@ def verify_orthogonality(
 
     # the norm is independent of where the compact box sits
     shift = rng.uniform(0.1, 0.9, size=config.r)
-    grid_shifted = Q.build_grid(
-        config,
-        compact_nodes=compact_nodes,
-        unbounded_nodes=unbounded_nodes,
-        box_offset=shift,
-    )
+    grid_shifted = Q.build_grid(config, compact_nodes=compact, unbounded_nodes=unbounded,
+                                box_offset=shift)
     quad_shifted = Q.inner_product(config, f, f, grid_shifted).value
     out.append(
         _outcome(
@@ -422,16 +386,10 @@ def verify_orthogonality(
 # reproducing-kernel suite
 
 
-def verify_reproducing(
-    config: S.SpaceConfig,
-    rng,
-    compact_nodes: int = Q._DEFAULT_COMPACT_NODES,
-    unbounded_nodes: int = Q._DEFAULT_UNBOUNDED_NODES,
-) -> list[PropertyOutcome]:
+def verify_reproducing(config: S.SpaceConfig, rng, nodes: tuple = _NODES) -> list[PropertyOutcome]:
     out = []
-    grid = Q.build_grid(
-        config, compact_nodes=compact_nodes, unbounded_nodes=unbounded_nodes
-    )
+    compact, unbounded = nodes
+    grid = Q.build_grid(config, compact_nodes=compact, unbounded_nodes=unbounded)
 
     worst = 0.0
     for _ in range(5):
@@ -559,19 +517,18 @@ SUITES = {
 }
 
 
-def run_suite(config: S.SpaceConfig, suite: str, seed: int = 0, **kwargs) -> list[PropertyOutcome]:
-    """Run one named suite (or 'all') with a fixed seed."""
-    names = list(SUITES) if suite == "all" else [suite]
+def run_suite(config: S.SpaceConfig, suite: str, seed: int = 0,
+              nodes: tuple = _NODES) -> list[PropertyOutcome]:
+    """Run one named suite (or 'all'), each with a generator of the same seed.
+
+    The grid suites (orthogonality, reproducing) take the node counts
+    (compact, unbounded) of their grids.
+    """
+    if suite != "all" and suite not in SUITES:
+        raise ValueError(f"unknown suite {suite!r}; choose from {sorted(SUITES)} or 'all'")
     results = []
-    for name in names:
-        if name not in SUITES:
-            raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
-        rng = np.random.default_rng(seed)
-        fn = SUITES[name]
-        accepted = {}
-        if name in ("orthogonality", "reproducing"):
-            for key in ("compact_nodes", "unbounded_nodes"):
-                if key in kwargs:
-                    accepted[key] = kwargs[key]
-        results.extend(fn(config, rng, **accepted))
+    for name, fn in SUITES.items():
+        if suite in ("all", name):
+            grid = {"nodes": nodes} if name in ("orthogonality", "reproducing") else {}
+            results.extend(fn(config, np.random.default_rng(seed), **grid))
     return results

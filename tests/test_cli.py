@@ -67,6 +67,36 @@ def test_validate_ok(tmp_path):
     assert result(doc, "rdq_character")["pass"]
 
 
+def test_validate_failing_entry_is_property_failure(tmp_path):
+    # isotropic to within the form tolerance, but the character fails the
+    # cocycle check: one entry with pass false makes the verdict
+    problem = {"g": 2, "r": 2, "nu": 1000.0, "H": [[1, 0], [0, 1]],
+               "omegas": [[1, 0], [[0, 5e-11], 1]], "alpha": [0.1, 0.2]}
+    path = write(tmp_path, problem)
+    code, doc = run(tmp_path, "validate", path)
+    assert code == 4
+    assert doc.pop("timings").keys() == {"wall_seconds"}
+    rdq = doc["results"][3]
+    assert rdq.pop("value") == pytest.approx(2.0e-7, rel=1e-6)
+    assert doc == {
+        "command": "validate",
+        "config_digest": load_problem(path).digest,
+        "status": "property-failure",
+        "flags": {},
+        "results": [
+            {"name": "hermitian", "value": True, "pass": True},
+            {"name": "positive_definite", "value": True, "pass": True},
+            {"name": "isotropic", "value": True, "pass": True},
+            {"name": "rdq_character", "pass": False, "worst_pair": [[2, 0], [0, 2]]},
+            {"name": "B", "value": [[1.0, 0.0], [0.0, 1.0]]},
+            {"name": "det_B", "value": 1.0},
+            {"name": "B_inv", "value": [[1.0, 0.0], [0.0, 1.0]]},
+            {"name": "complement_basis", "value": []},
+            {"name": "ambient_measure_factor", "value": 1.0},
+        ],
+    }
+
+
 def test_validate_non_isotropic(tmp_path):
     bad = dict(G2R1)
     bad["r"] = 2
@@ -139,6 +169,14 @@ def test_oversized_norms_request_is_budget_failure(tmp_path, capsys, flags):
     assert code == 3 and capsys.readouterr().err == ""
     assert doc["status"] == "budget-failure"
     assert result(doc, "budget")["value"] == "NodeBudgetExceeded"
+
+
+def test_hermite_rule_numpy_cannot_build_is_validation_failure(tmp_path):
+    # within the budget, but the fine rule of 10,000 nodes is not finite:
+    # refused before numpy spends about a minute building it
+    code, doc = run(tmp_path, "norms", G1R1_FILE, "--nodes", "32,5000")
+    assert code == 2 and doc["status"] == "validation-failure"
+    assert "not finite" in result(doc, "invariant")["message"]
 
 
 def test_kernel_out_of_range(tmp_path):

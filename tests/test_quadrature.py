@@ -201,20 +201,42 @@ def test_grid_over_budget_builds_no_rule(monkeypatch, cfg_g1r1, nodes):
         tf.build_grid(cfg_g1r1, compact_nodes=nodes[0], unbounded_nodes=nodes[1])
 
 
-@pytest.mark.parametrize("nodes", [(32, 186), (32, 5000)])
+@pytest.mark.parametrize("nodes", [(32, 185), (1, 185)])
 def test_grid_within_budget_reaches_the_rules(monkeypatch, cfg_g1r1, nodes):
-    # these fail on the finite-rule check (test_rule_that_is_not_finite_...),
-    # not on the budget: the fine rule is the first one asked for
+    # the largest unbounded count whose fine Hermite rule numpy builds
+    # finite passes both checks: the fine rule is the first one asked for
     asked = []
 
     def rules(*counts):
         asked.append(counts)
-        raise errors.ValidationError("not finite")
+        raise errors.ValidationError("stub")
 
     monkeypatch.setattr(Q, "_gauss_rules", rules)
-    with pytest.raises(errors.ValidationError, match="not finite"):
+    with pytest.raises(errors.ValidationError, match="stub"):
         tf.build_grid(cfg_g1r1, compact_nodes=nodes[0], unbounded_nodes=nodes[1])
     assert asked == [(2 * nodes[0], 2 * nodes[1])]
+
+
+@pytest.mark.parametrize("nodes", [(32, 186), (32, 5000)])
+def test_hermite_rule_numpy_cannot_build_is_refused_first(monkeypatch, cfg_g1r1, nodes):
+    # a fine Hermite rule of 372 or 10,000 nodes is not finite: refused
+    # before any rule is built (hermgauss(10000) alone takes about a minute)
+    monkeypatch.setattr(Q, "_gauss_rules", _never_called)
+    with pytest.raises(errors.ValidationError, match="not finite"):
+        tf.build_grid(cfg_g1r1, compact_nodes=nodes[0], unbounded_nodes=nodes[1])
+
+
+def test_hermite_threshold_matches_numpy():
+    # the refusal above stands for numpy's own rule: finite up to
+    # _MAX_HERMITE_NODES nodes, not finite one past it, where the check on
+    # what numpy returns still refuses it
+    with np.errstate(all="ignore"):
+        rules = [np.polynomial.hermite.hermgauss(n)
+                 for n in (Q._MAX_HERMITE_NODES, Q._MAX_HERMITE_NODES + 1)]
+    assert [all(np.isfinite(a).all() for a in rule) for rule in rules] == [True, False]
+    Q._gauss_rules(1, Q._MAX_HERMITE_NODES)
+    with pytest.raises(errors.ValidationError, match="not finite"):
+        Q._gauss_rules(1, Q._MAX_HERMITE_NODES + 1)
 
 
 def test_grid_budget_counts_the_values_built(monkeypatch):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from pathlib import Path
 
@@ -78,6 +79,91 @@ def test_geometry_suite_flags_seeded_determinism(cfg):
     a = verify.run_suite(cfg, "geometry", seed=3)
     b = verify.run_suite(cfg, "geometry", seed=3)
     assert [(o.name, o.defect) for o in a] == [(o.name, o.defect) for o in b]
+
+
+_GEOMETRY = ["span-conjugation-symmetry", "lattice-bilinear-pairing", "bilinear-square-expansion",
+             "form-coordinate-decomposition", "coordinate-round-trip", "cocycle-character"]
+_LATTICE = ["generator-isotropy", "gram-positive-definite", "gram-inverse"]
+_THETA = ["determinism", "quasi-periodicity", "characteristic-shift", "tail-soundness",
+          "plan-soundness"]
+_GRID_AND_BOUNDS = {
+    "orthogonality": ["grid-self-calibration", "norms-match-closed-form",
+                      "off-diagonal-orthogonality", "parseval", "translation-invariance"],
+    "reproducing": ["reproducing-property", "kernel-series-agreement",
+                    "kernel-hermitian-symmetry"],
+    "bounds": ["evaluation-bound", "diagonal-consistency", "kernel-positive-semidefinite",
+               "diagonal-series-identity", "diagonal-perp-monotonicity"],
+}
+
+
+@pytest.mark.parametrize("problem, geometry, theta", [
+    ("g2_r0", _GEOMETRY, ["empty-rank-value"]),
+    ("g2_r1", _LATTICE + _GEOMETRY, _THETA),
+    ("g2_r2", _LATTICE + _GEOMETRY + ["cocycle-rejects-non-character"], _THETA),
+], ids=["g2_r0", "g2_r1", "g2_r2"])
+def test_outcome_names_by_rank(problem, geometry, theta):
+    # the rank decides which outcomes a suite lists: none of the lattice's
+    # at r = 0, the non-character gate from r = 2 on
+    cfg = build_config(load_problem(G3R2_FILE.with_name(f"{problem}.json")))
+    expected = {"geometry": geometry, "theta": theta, **_GRID_AND_BOUNDS}
+    for suite, names in expected.items():
+        assert [o.name for o in verify.run_suite(cfg, suite)] == names, suite
+
+
+def test_run_suite_passes_nodes_to_the_grid_suites(monkeypatch, cfg):
+    asked = []
+    build_grid = verify.Q.build_grid
+
+    def recording(config, **kwargs):
+        asked.append((kwargs["compact_nodes"], kwargs["unbounded_nodes"]))
+        return build_grid(config, **kwargs)
+
+    monkeypatch.setattr(verify.Q, "build_grid", recording)
+    verify.run_suite(cfg, "all", nodes=(24, 40))
+    assert asked == [(24, 40)] * 3  # orthogonality's two grids, then reproducing's
+
+
+def test_random_point_draws_real_parts_then_imaginary_parts():
+    # the orthogonality, reproducing and bounds suites sample through it
+    g2r1 = build_config(load_problem(G3R2_FILE.with_name("g2_r1.json")))
+    u = verify.random_point(np.random.default_rng(4), g2r1, scale=0.3)
+    x = np.random.default_rng(4).standard_normal(4)
+    assert np.array_equal(u.z, 0.3 * (x[:1] + 1j * x[1:2]))
+    assert np.array_equal(u.z_perp, 0.3 * (x[2:3] + 1j * x[3:]))
+
+
+def test_plan_soundness_catches_a_dropped_term(monkeypatch):
+    # a plan that lacks its largest term leaves that term, far above the
+    # cap tail/|set|, outside the set: the check must count it
+    cfg = build_config(load_problem(G3R2_FILE.with_name("g2_r2.json")))
+    plan_of = verify.T.truncation_plan
+
+    def drop_largest(params, z, tol, max_radius=None):
+        plan = plan_of(params, z, tol, max_radius)
+        dist = np.square((plan.index_set - plan.center) @ params.chol.T).sum(axis=1)
+        return dataclasses.replace(plan, index_set=np.delete(plan.index_set, dist.argmin(), 0))
+
+    def plan_soundness():
+        return [o for o in verify.run_suite(cfg, "theta") if o.name == "plan-soundness"][0]
+
+    assert plan_soundness().passed
+    monkeypatch.setattr(verify.T, "truncation_plan", drop_largest)
+    outcome = plan_soundness()
+    assert not outcome.passed and outcome.defect >= 1
+    assert outcome.detail == f"{int(outcome.defect)} escapees"
+
+
+def test_plan_soundness_magnitudes_are_the_summed_terms():
+    # plan-soundness ranks terms by log_prefactor - pi |U(n - c)|^2 from the
+    # public plan fields: the real parts of the exponents theta sums
+    params = build_config(load_problem(G3R2_FILE.with_name("g2_r2.json"))).theta_params
+    z = np.array([0.3 - 0.8j, -0.5 + 1.1j])
+    plan = verify.T.truncation_plan(params, z, 1e-6)
+    box = verify.S._integer_box(2, 12)
+    log_mags = plan.log_prefactor - math.pi * np.square((box - plan.center) @ params.chol.T).sum(1)
+    exponents = verify.T._term_exponents(params, z[None, :], box, plan.center[None, :],
+                                         np.array([plan.log_prefactor]))[0]
+    np.testing.assert_allclose(log_mags, exponents.real, rtol=1e-12, atol=1e-9)
 
 
 def test_norms_battery_closed_norms_past_the_square_root_range():
