@@ -14,15 +14,15 @@ counts, cached, and shared read-only by every grid with those counts.
 Both the weight and the tensor grid factor into blocks: the lattice block
 ([0,1] x R)^r (r Legendre times r Hermite axes, carrying the correction
 above and the Jacobian of the y substitution) and the Fock block, one
-two-dimensional Hermite grid per perpendicular coordinate (carrying a
-factor 1/nu).  The integrands built by thetafock.space carry a
-``factored`` attribute (:class:`Factored`): each member is a sum of
-products of one lattice factor and one factor per perpendicular
-coordinate.  A tensor sum of a product is the product of the per-block
-sums, so those integrands are reduced block by block.  The nodes and
-weights are the same as for the full tensor grid; only the order of
-summation differs.  An integrand without that form is refused
-(ValidationError).
+two-dimensional Hermite grid (carrying a factor 1/nu) that every
+perpendicular coordinate shares, as its weight exp(-nu |w|^2) is the same
+in each.  The integrands built by thetafock.space carry a ``factored``
+attribute (:class:`Factored`): each member is a sum of products of one
+lattice factor and one Fock factor per perpendicular coordinate.  A
+tensor sum of a product is the product of the per-block sums, so those
+integrands are reduced block by block.  The nodes and weights are the
+same as for the full tensor grid; only the order of summation differs.
+An integrand without that form is refused (ValidationError).
 
 The lattice block splits again, into its 2r one-dimensional axes.  Every
 lattice factor is a basis factor exp(nu/2 z^T B z + 2 pi i c.z) with B
@@ -36,17 +36,18 @@ points (x_j + offset_j) e_j and i s_j T e_j.
 
 The nodes of each block are built once, with the grid, as one kind of
 node set (_Block): points and weights in segments, and the block's scale.
-The lattice block has its 2r axes as segments, the Fock block (shared by
-every perpendicular coordinate) its n_h^2 grid as one.  A reduction calls
-each factor map once, on its block's nodes of every level it sums, and
-one segment reducer (_segment_sums) sums each segment and level apart.
+The lattice block has its 2r axes as segments, the Fock block its n_h^2
+grid as one.  A reduction calls the lattice map and the Fock map once
+each, on its block's nodes of every level it sums, and one segment
+reducer (_segment_sums) sums each segment and level apart.
 
 The cost of a reduction is the number of factor values it computes: each
 distinct factor once per node of its block.  That count depends on
 node and factor counts alone, so it is checked against one budget before
 any factor map is called; the dimension g and rank r enter only through
-it.  The reducer cuts its rows into chunks so that one map's values stay
-under _CHUNK_BYTES, so memory stays bounded whatever the number of nodes.
+it.  The bytes of the term matrices are checked there against one cap.
+The reducer cuts its rows into chunks so that one map's values stay under
+_CHUNK_BYTES, so memory stays bounded whatever the number of nodes.
 
 The grid calibrates itself on two levels, the requested node counts and
 their doubles, against integrands with closed forms (see _calibrate).
@@ -77,6 +78,7 @@ from .errors import (
     NotSymmetric,
     RealPartNotPositiveDefinite,
     ValidationError,
+    ValueOutOfRange,
 )
 
 __all__ = [
@@ -91,6 +93,7 @@ __all__ = [
 
 _CHUNK_BYTES = 1 << 24  # bytes of (factors x nodes) complex values per chunk of a Factored map
 _WORK_BUDGET = 1 << 29  # factor values per call; factored maps run 27-52M values/s on 2 vCPUs
+_TERM_BYTES = 1 << 30  # bytes of the per-level (terms of f) x (terms of h) matrices per call
 _DEFAULT_COMPACT_NODES = 32
 _DEFAULT_UNBOUNDED_NODES = 48
 _MAX_HERMITE_NODES = 371  # numpy's Hermite weights overflow from 372 nodes on
@@ -132,15 +135,16 @@ def gaussian_integral(a: float, A, b) -> complex:
 
 @dataclass(frozen=True)
 class Factored:
-    """A family of integrands written as sums of products over the grid blocks.
+    """One integrand, sum_t coeffs[0, t] term_t, or a family, member t coeffs[t] term_t.
 
-    Member i is sum_t coeffs[i, t] * term_t, where term t multiplies the
-    lattice factor ``terms[t, 0]`` with the factor ``terms[t, 1 + j]`` of
-    every perpendicular coordinate j.  ``lattice`` maps lattice
-    coordinates (n, r) to the (L, n) values of its distinct factors;
-    ``perp[j]`` maps values (n,) of coordinate j to (P_j, n).  L and P_j
-    are one more than the largest index in their column of ``terms``,
-    which is how the work budget counts them before any map is called.
+    Term t multiplies the lattice factor ``terms[t, 0]`` with the Fock
+    factor ``terms[t, 1 + j]`` of every perpendicular coordinate j.
+    ``lattice`` maps lattice coordinates (n, r) to the (L, n) values of
+    its distinct factors; ``fock`` maps values (n,) of any perpendicular
+    coordinate to the (P, n) values of the distinct factors of all of
+    them.  L and P are one more than the largest index in the lattice
+    column and in the Fock columns, which is how the work budget counts
+    them before any map is called.
 
     Contract on every lattice map: for each pair of its factors,
     f_a conj(f_b) times the weight correction exp(nu (y^T B y - x^T B x))
@@ -162,9 +166,9 @@ class Factored:
     """
 
     lattice: Callable
-    perp: tuple
+    fock: Callable
     terms: np.ndarray  # (n_terms, 1 + g - r) integer factor rows
-    coeffs: np.ndarray  # (n_members, n_terms) complex
+    coeffs: np.ndarray  # (1, n_terms) one function, or (n_terms,) a family's weights; complex
 
 
 class _Block(NamedTuple):
@@ -200,10 +204,6 @@ class _Level:
     lattice: _Block
     fock: _Block
     shape: tuple  # per-dim node counts: r compact, r Hermite, 2(g-r) Hermite
-
-    def block(self, column: int) -> _Block:
-        """The node set of a Factored's factor column: 0 the lattice, 1 + j perpendicular j."""
-        return self.fock if column else self.lattice
 
 
 @dataclass(frozen=True)
@@ -348,8 +348,7 @@ def _calibrate(config, base: _Level, fine: _Level) -> float:
     every diagonal.  A closed form that overflows, or any other defect that
     is not finite, reads as an infinite defect.
     """
-    r, g, nu = config.r, config.g, config.nu
-    m = g - r
+    r, m, nu = config.r, config.g - config.r, config.nu
     B = config.lattice.B
     a_lin = 0.3 + np.arange(r, dtype=float)
     k_cal = tuple(2 if j == 0 else 1 for j in range(m))
@@ -360,11 +359,12 @@ def _calibrate(config, base: _Level, fine: _Level) -> float:
         quad = 0.5 * nu * np.einsum("...j,jk,...k->...", z, B, z)
         return np.array([np.exp(quad + 2j * np.pi * (z @ a)) for a in freqs])
 
+    exponents = sorted(set(k_cal))
     form = Factored(
         lattice=lattice,
-        perp=tuple((lambda w, k=k: (w**k)[None, :]) for k in k_cal),
-        terms=np.array([[i] + [0] * m for i in range(len(freqs))]),
-        coeffs=np.eye(len(freqs), dtype=complex),
+        fock=lambda w: np.array([w**k for k in exponents]),
+        terms=np.array([[i] + [exponents.index(k) for k in k_cal] for i in range(len(freqs))]),
+        coeffs=np.ones(len(freqs), dtype=complex),
     )
     (got, got_fine), _ = _reduce([base, fine], form, form)
 
@@ -408,32 +408,34 @@ def _factored(f) -> Factored:
 
 
 def _factor_counts(form: Factored) -> list:
-    """Distinct factors per block: the lattice block, then each perpendicular coordinate."""
-    if not form.terms.size:
-        return [0] * form.terms.shape[1]
-    return [int(c) + 1 for c in form.terms.max(axis=0)]
+    """Distinct factors of the lattice map and of the Fock map (0 when g = r)."""
+    return [int(c.max(initial=-1)) + 1 for c in (form.terms[:, :1], form.terms[:, 1:])]
 
 
 def _work(levels, ff: Factored, hf: Factored) -> int:
     """Factor values that summing ff conj(hf) over ``levels`` computes, from node counts alone.
 
-    Each distinct factor of a column is computed once per node of its
-    block (_block_lengths): r (n_c + n_h) lattice nodes, n_h^2 Fock nodes
-    per perpendicular coordinate.  When hf is ff it is counted once.
+    Each distinct factor of a block is computed once per node of the block
+    (_block_lengths): r (n_c + n_h) lattice nodes, n_h^2 Fock nodes
+    whatever g - r is.  When hf is ff it is counted once.
     """
     counts = [sum(c) for c in zip(*map(_factor_counts, [ff] if ff is hf else [ff, hf]))]
-    return sum(sum(level.block(col).lengths) * c for level in levels
-               for col, c in enumerate(counts))
+    return sum(sum(block.lengths) * c for level in levels
+               for block, c in zip((level.lattice, level.fock), counts))
 
 
 def _grid_sums(config, grid: QuadratureGrid, refine: bool, fs, hs) -> tuple:
     """_reduce over the grid's base level, then its fine level when refine.
 
-    Raises ValidationError when the grid was built for another configuration.
+    Raises ValidationError when the grid was built for another configuration,
+    and ValueOutOfRange when a level sum is not finite.
     """
     if grid.config is not config:
         raise ValidationError("the quadrature grid was built for another configuration")
-    return _reduce([grid.base, grid.fine] if refine else [grid.base], fs, hs)
+    sums, work = _reduce([grid.base, grid.fine] if refine else [grid.base], fs, hs)
+    if not all(np.isfinite(s).all() for s in sums):
+        raise ValueOutOfRange("a quadrature level sum leaves the double range")
+    return sums, work
 
 
 def _reduce(levels, fs, hs) -> tuple:
@@ -441,7 +443,8 @@ def _reduce(levels, fs, hs) -> tuple:
 
     The one check on an integrand pair, before any factor map is called:
     ValidationError when either has no block form (_factored), then
-    NodeBudgetExceeded when the work exceeds _WORK_BUDGET.
+    NodeBudgetExceeded when the work exceeds _WORK_BUDGET or the term
+    matrices of the levels would take more than _TERM_BYTES.
     """
     ff, hf = _factored(fs), _factored(hs)
     work = _work(levels, ff, hf)
@@ -450,6 +453,10 @@ def _reduce(levels, fs, hs) -> tuple:
             f"the quadrature would compute {work:.3e} factor values, over the budget of "
             f"{_WORK_BUDGET:.3e}; use fewer nodes or fewer factors"
         )
+    nbytes = 16 * len(levels) * len(ff.terms) * len(hf.terms)
+    if nbytes > _TERM_BYTES:
+        raise NodeBudgetExceeded(f"the quadrature's term matrices would take {nbytes:.3e} "
+                                 f"bytes, over the cap of {_TERM_BYTES:.3e}; use fewer terms")
     return _factored_sums(levels, ff, hf), work
 
 
@@ -475,32 +482,37 @@ def _segment_sums(chunks, lengths, f, h, same: bool) -> list:
     return sums
 
 
+@np.errstate(all="ignore")  # a sum that leaves the double range is refused by its caller
 def _factored_sums(levels, ff: Factored, hf: Factored) -> list:
-    """Level sums of the Factored families ff, hf, block by block.
+    """Level sums of the Factored integrands ff, hf, block by block.
 
-    Each factor column (the lattice map, then each perpendicular map) is
-    called once, on its block's nodes of every level (base first), in
-    chunks of rows that keep one map's values under _CHUNK_BYTES.  A
-    level's block Gram is the block's scale times the entrywise product of
-    its segment sums; a block without segments (the lattice at r = 0) is
-    all ones and its map is never called.  Each term pair multiplies its
-    factors' entries of every block Gram, column by column.
+    The lattice map and, when g > r, the Fock map are called once each, on
+    their block's nodes of every level (base first), in chunks of rows
+    that keep one map's values under _CHUNK_BYTES.  A level's block Gram
+    is the block's scale times the entrywise product of its segment sums;
+    a block without segments (the lattice at r = 0) is all ones and its
+    map is never called.  Each term pair multiplies its factors' entries
+    of the block Grams, column by column; family weights scale rows and columns.
     """
-    same = ff is hf
-    f_counts, h_counts = _factor_counts(ff), _factor_counts(hf)
     terms = [np.ones((len(ff.terms), len(hf.terms)), dtype=complex) for _ in levels]
-    for col, (f, h) in enumerate(zip((ff.lattice, *ff.perp), (hf.lattice, *hf.perp))):
-        sets = [level.block(col) for level in levels]
+    width = ff.terms.shape[1]
+    for name, cols, nf, nh in zip(("lattice", "fock")[:width], (range(1), range(1, width)),
+                                  *map(_factor_counts, (ff, hf))):  # no Fock block at g = r
+        sets = [getattr(level, name) for level in levels]
         points, weights, lengths, _ = zip(*sets)
         points, weights = np.concatenate(points), np.concatenate(weights)
-        rows = max(1, _CHUNK_BYTES // (16 * max(f_counts[col], h_counts[col], 1)))
+        rows = max(1, _CHUNK_BYTES // (16 * max(nf, nh, 1)))
         chunks = ((points[i:i + rows], weights[i:i + rows]) for i in range(0, len(weights), rows))
-        sums = iter(_segment_sums(chunks, sum(lengths, ()), f, h, same))
-        ones = np.ones((f_counts[col], h_counts[col]), dtype=complex)
+        f, h = getattr(ff, name), getattr(hf, name)
+        sums = iter(_segment_sums(chunks, sum(lengths, ()), f, h, ff is hf))
+        ones = np.ones((nf, nh), dtype=complex)
         for level_terms, b in zip(terms, sets):
             gram = b.scale * math.prod(itertools.islice(sums, len(b.lengths)), start=ones)
-            level_terms *= gram[ff.terms[:, col, None], hf.terms[None, :, col]]
-    return [ff.coeffs @ t @ hf.coeffs.conj().T for t in terms]
+            for col in cols:
+                level_terms *= gram[ff.terms[:, col, None], hf.terms[None, :, col]]
+    fc, hc = ff.coeffs, hf.coeffs.conj()
+    terms = [fc @ t if fc.ndim == 2 else np.multiply(t, fc[:, None], out=t) for t in terms]
+    return [t @ hc.T if hc.ndim == 2 else np.multiply(t, hc, out=t) for t in terms]
 
 
 def inner_product(config, f, h, grid: QuadratureGrid, refine: bool = True) -> InnerProductResult:
@@ -517,7 +529,9 @@ def inner_product(config, f, h, grid: QuadratureGrid, refine: bool = True) -> In
     that form, for a side with other than one member (families go to
     gram_matrix) or a grid built for another configuration, and
     NodeBudgetExceeded when the levels summed would compute more factor
-    values than the work budget; ``work`` reports that count.
+    values than the work budget, or their term matrices would pass the
+    byte cap; ``work`` reports the value count.  ValueOutOfRange is raised
+    when a level sum is not finite, before the refinement gate.
     """
     ff, hf = _factored(f), _factored(h)
     if len(ff.coeffs) != 1 or len(hf.coeffs) != 1:
@@ -531,7 +545,7 @@ def inner_product(config, f, h, grid: QuadratureGrid, refine: bool = True) -> In
         return InnerProductResult(value=v0, error_estimate=None, work=work)
     v1 = complex(sums[1][0, 0])
     err = abs(v1 - v0)
-    if err > _COARSE_RTOL * (abs(v1) + 1.0):
+    if not err <= _COARSE_RTOL * (abs(v1) + 1.0):  # NaN fails
         raise GridTooCoarse(
             f"refinement changed the value by {err:.3e} (value {abs(v1):.3e})"
         )
@@ -543,10 +557,11 @@ def gram_matrix(config, funcs, grid: QuadratureGrid, refine: bool = True):
 
     ``funcs`` is one family with a block form, such as a
     space.basis_family or its ``factored`` attribute; its members are
-    the rows of the Factored's ``coeffs``.  Returns (G, E): the Gram
-    matrix from the finest level used and the entrywise difference
-    between levels (zeros when refine=False).  Raises ValidationError and
-    NodeBudgetExceeded as inner_product does.
+    the terms scaled by the Factored's ``coeffs`` (a one-function form is
+    a family of one).  Returns (G, E): the Gram matrix from the finest
+    level used and the entrywise difference between levels (zeros when
+    refine=False).  Raises ValidationError, NodeBudgetExceeded and
+    ValueOutOfRange as inner_product does.
     """
     sums, _ = _grid_sums(config, grid, refine, funcs, funcs)
     if not refine:

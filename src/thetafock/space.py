@@ -331,20 +331,22 @@ def basis_eval_many(config: SpaceConfig, indices, z, z_perp):
 
 
 def _member(config: SpaceConfig, n, k, coeffs):
-    """Closure (z, z_perp) -> coeffs @ basis_eval_many((n, k)), with its block form.
+    """Closure (z, z_perp) -> basis_eval_many((n, k)) weighted by coeffs, with its block form.
 
     n and k are index arrays as _index_arrays returns them.
 
-    1-D coeffs give one function (values of shape (n_points,)), 2-D coeffs
-    a family ((n_members, n_points)).  In the ``factored`` form e_{n,k} is
-    the lattice factor e_{n,0}(z) times z_perp_j^k_j for every
-    perpendicular coordinate j; each distinct factor is evaluated once,
-    and the factors of a block are in increasing (lexicographic) order.
+    A (1, N) row of coeffs gives one function (values of shape
+    (n_points,)), an (N,) vector the family coeffs[i] e_i ((N, n_points)).
+    In the ``factored`` form e_{n,k} is the lattice factor e_{n,0}(z)
+    times z_perp_j^k_j for every perpendicular coordinate j, from one
+    power table over the exponents of all of them; each distinct factor
+    is evaluated once, and the factors of a block are in increasing order.
     """
     coeffs = np.asarray(coeffs, dtype=complex)
 
     def f(z, z_perp):
-        return coeffs @ basis_eval_many(config, (n, k), z, z_perp)
+        values = basis_eval_many(config, (n, k), z, z_perp)
+        return coeffs[:, None] * values if coeffs.ndim == 1 else coeffs[0] @ values
 
     # equal n are adjacent in (n, k) order; g >= 1 keys keep lexsort defined at r = 0
     order = np.lexsort((*k.T[::-1], *n.T[::-1]))
@@ -359,12 +361,12 @@ def _member(config: SpaceConfig, n, k, coeffs):
     def lattice(z):
         return basis_eval_many(config, (lattice_n, lattice_k), z, origin)
 
-    exponents = [_distinct(kj) for kj in k.T]
+    exponents = _distinct(k)
     f.factored = Factored(
         lattice=lattice,
-        perp=tuple((lambda w, e=e: _powers(w, 0, e.max(initial=0))[e]) for e in exponents),
-        terms=np.column_stack([lattice_rows] + list(map(np.searchsorted, exponents, k.T))),
-        coeffs=np.atleast_2d(coeffs),
+        fock=lambda w: _powers(w, 0, exponents.max(initial=0))[exponents],
+        terms=np.column_stack([lattice_rows, np.searchsorted(exponents, k)]),
+        coeffs=coeffs,
     )
     return f
 
@@ -378,7 +380,7 @@ def basis_family(config: SpaceConfig, indices, normalized: bool = False):
     """
     n, k = _index_arrays(config, indices)
     scale = 1.0 / np.sqrt(_exp_norms(_log_norms(config, (n, k)))) if normalized else np.ones(len(n))
-    return _member(config, n, k, np.diag(scale))
+    return _member(config, n, k, scale)
 
 
 def basis_eval(
@@ -392,7 +394,7 @@ def basis_eval(
 def basis_function(config: SpaceConfig, idx: BasisIndex, normalized: bool = False):
     """Batch-evaluable closure (z, z_perp) -> values for one basis index."""
     scale = 1.0 / math.sqrt(basis_norm_sq(config, idx)) if normalized else 1.0
-    return _member(config, *_index_arrays(config, [idx]), [scale])
+    return _member(config, *_index_arrays(config, [idx]), [[scale]])
 
 
 def _norm_exponents(config: SpaceConfig, n: np.ndarray) -> np.ndarray:
@@ -445,7 +447,7 @@ def synthesize(config: SpaceConfig, coeffs: CoefficientField, u: PointCoordinate
 
 def synthesized_function(config: SpaceConfig, coeffs: CoefficientField):
     """Batch-evaluable closure for the synthesized field."""
-    return _member(config, *_index_arrays(config, (coeffs.n, coeffs.k)), coeffs.a)
+    return _member(config, *_index_arrays(config, (coeffs.n, coeffs.k)), coeffs.a[None, :])
 
 
 def growth_functional(config: SpaceConfig, coeffs: CoefficientField) -> float:
@@ -550,12 +552,11 @@ def kernel_section(config: SpaceConfig, v: PointCoordinates, tol: float):
         coeffs = C * np.exp(l_v + exponents)
     if not np.isfinite(coeffs).all():
         raise ValueOutOfRange("a coefficient of the kernel expansion leaves the double range")
-    # the lattice part is the member sum_t c_t e_{n,0}; each e_{n,0} has perpendicular factor 1
-    m = config.g - config.r
-    expansion = _member(config, idx, np.zeros((len(idx), m), dtype=np.int64), coeffs)
-    f.factored = replace(expansion.factored, perp=tuple(
-        (lambda w, vj=vj: np.exp(config.nu * w * np.conj(vj))[None, :]) for vj in v.z_perp
-    ))
+    # the lattice part is sum_t c_t e_{n,0}; the rows k = (0, ..., m - 1) give
+    # coordinate j Fock factor j, exp(nu w conj v_j)
+    k = np.broadcast_to(np.arange(config.g - config.r), (len(idx), config.g - config.r))
+    f.factored = replace(_member(config, idx, k, coeffs[None, :]).factored,
+                         fock=lambda w: np.exp(config.nu * w * np.conj(v.z_perp)[:, None]))
     return f
 
 

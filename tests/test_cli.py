@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -169,6 +170,28 @@ def test_oversized_norms_request_is_budget_failure(tmp_path, capsys, flags):
     assert code == 3 and capsys.readouterr().err == ""
     assert doc["status"] == "budget-failure"
     assert result(doc, "budget")["value"] == "NodeBudgetExceeded"
+
+
+def test_norms_term_matrices_over_the_byte_cap_is_budget_failure(tmp_path):
+    # N = 22,001 indices pass the battery's entry count; the family's
+    # coefficient matrix alone asked for 3.61 GiB and, under a 3 GB address
+    # space, ended in a MemoryError traceback (exit 1).  The term matrices'
+    # bytes are refused before anything that size is built
+    cap = 3 * 10**9
+    src = str(Path(thetafock.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out_file = tmp_path / "result.json"
+    out = subprocess.run(
+        [sys.executable, "-m", "thetafock.cli", "norms", G1R1_FILE, "--n-max", "11000",
+         "--out", str(out_file)],
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+        env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 3, out.stderr
+    assert "Traceback" not in out.stderr
+    doc = json.loads(out_file.read_text())
+    assert doc["status"] == "budget-failure"
+    assert result(doc, "budget")["value"] == "NodeBudgetExceeded"
+    assert "bytes" in result(doc, "budget")["message"]
 
 
 def test_hermite_rule_numpy_cannot_build_is_validation_failure(tmp_path):

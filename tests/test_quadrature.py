@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -169,7 +170,7 @@ def test_grid_node_budget(monkeypatch):
     cfg4 = tf.make_config(
         tf.build_lattice(tf.validate_space(np.eye(4)), [[1.0, 0, 0, 0]]), [0.0], math.pi)
     grid4 = tf.build_grid(cfg4)
-    big = Q.Factored(lattice=_never_called, perp=(_never_called,) * 3,
+    big = Q.Factored(lattice=_never_called, fock=_never_called,
                      terms=np.array([[2_300_000, 0, 0, 0]]), coeffs=np.ones((1, 1), dtype=complex))
     assert Q._work([grid4.base, grid4.fine], big, big) > Q._WORK_BUDGET
     with monkeypatch.context() as mp:
@@ -181,13 +182,14 @@ def test_grid_node_budget(monkeypatch):
     assert issubclass(errors.NodeBudgetExceeded, errors.BudgetError)
 
     # factored g = 3 requests at the default nodes run; the work reported is
-    # one value per distinct factor and node of each block, over both levels
+    # one value per distinct factor and node of each block, over both levels:
+    # k = (1, 1) has one distinct Fock factor, w, shared by both coordinates
     cfg3 = tf.make_config(
         tf.build_lattice(tf.validate_space(np.eye(3)), [[1.0, 0, 0]]), [0.0], math.pi)
     grid3 = tf.build_grid(cfg3, requested_tol=1e-9)
     f = S.basis_function(cfg3, tf.BasisIndex(n=(0,), k=(1, 1)))
     res = tf.inner_product(cfg3, f, f, grid3)
-    assert res.work == (32 + 48 + 2 * 48**2) + (64 + 96 + 2 * 96**2)
+    assert res.work == (32 + 48 + 48**2) + (64 + 96 + 96**2) == 11_760
     assert res.value.real == pytest.approx(tf.basis_norm_sq(cfg3, tf.BasisIndex(n=(0,), k=(1, 1))),
                                            rel=1e-8)
 
@@ -304,6 +306,84 @@ def test_grid_too_coarse():
     cfg = tf.make_config(lat, [0.0], math.pi)
     with pytest.raises(errors.GridTooCoarse):
         tf.build_grid(cfg, requested_tol=1e-12, compact_nodes=3, unbounded_nodes=4)
+
+
+@pytest.fixture(scope="module")
+def overflow_case():
+    # a random g2r1 configuration whose high basis functions overflow the
+    # level sums at (32, 48): their products were NaN
+    cfg = verify.random_config(np.random.default_rng([0, 2, 1]), 2, 1)
+    return cfg, tf.build_grid(cfg, compact_nodes=32, unbounded_nodes=48)
+
+
+@pytest.mark.parametrize("action", ["error", "ignore"])
+@pytest.mark.parametrize("nk, refine", [(13, True), (14, False)])
+def test_overflowed_inner_product_is_out_of_range(overflow_case, nk, refine, action):
+    # (13, 13) refined returned nan+nanj with error estimate nan, (14, 14)
+    # unrefined nan+nanj; with warnings as errors numpy's overflow warning
+    # escaped instead
+    cfg, grid = overflow_case
+    e = S.basis_function(cfg, tf.BasisIndex(n=(nk,), k=(nk,)))
+    with warnings.catch_warnings():
+        warnings.simplefilter(action)
+        with pytest.raises(errors.ValueOutOfRange):
+            tf.inner_product(cfg, e, e, grid, refine=refine)
+
+
+@pytest.mark.parametrize("action", ["error", "ignore"])
+def test_overflowed_gram_is_out_of_range(overflow_case, action):
+    # n in [-20, 20], k in [0, 20] (N = 861): all 741,321 entries were NaN
+    cfg, grid = overflow_case
+    n, k = np.arange(-20, 21)[:, None], np.arange(21)[:, None]
+    fam = S.basis_family(cfg, (np.repeat(n, len(k), axis=0), np.tile(k, (len(n), 1))))
+    with warnings.catch_warnings():
+        warnings.simplefilter(action)
+        with pytest.raises(errors.ValueOutOfRange):
+            tf.gram_matrix(cfg, fam, grid, refine=False)
+
+
+def test_finite_disagreement_is_still_too_coarse(overflow_case):
+    # at (10, 10) both levels are finite and disagree: the refinement gate
+    cfg, grid = overflow_case
+    e = S.basis_function(cfg, tf.BasisIndex(n=(10,), k=(10,)))
+    with pytest.raises(errors.GridTooCoarse):
+        tf.inner_product(cfg, e, e, grid)
+
+
+def test_term_matrix_byte_cap(cfg_g1r1, grid_g1r1, monkeypatch):
+    # the term matrices of 2 levels x 3 x 3 terms take 288 bytes: refused
+    # one byte under that, before any map is called
+    fam = S.basis_family(cfg_g1r1, [tf.BasisIndex(n=(n,), k=()) for n in (-1, 0, 1)])
+    monkeypatch.setattr(Q, "_TERM_BYTES", 2 * 3 * 3 * 16)
+    tf.gram_matrix(cfg_g1r1, fam, grid_g1r1)
+    monkeypatch.setattr(Q, "_TERM_BYTES", 2 * 3 * 3 * 16 - 1)
+    monkeypatch.setattr(Q, "_segment_sums", _never_called)
+    with pytest.raises(errors.NodeBudgetExceeded, match="bytes"):
+        tf.gram_matrix(cfg_g1r1, fam, grid_g1r1)
+
+
+def test_two_perpendicular_coordinates_with_a_lattice():
+    # g3r1: the one Fock table serves both perpendicular coordinates; the
+    # Gram of n in {-1, 0, 1} x |k| <= 2 against the closed-form norms, and
+    # the kernel's reproducing property at a v whose perpendicular
+    # coordinates differ, which a table mixing the coordinates fails
+    H = np.array([[1, 0.1j, 0], [-0.1j, 1.2, 0.05], [0, 0.05, 0.9]])
+    cfg = tf.make_config(tf.build_lattice(tf.validate_space(H), [[1, 0.2 + 0.1j, 0.1]]),
+                         [0.3], math.pi)
+    grid = tf.build_grid(cfg, requested_tol=1e-9)
+    idxs = [tf.BasisIndex(n=(n,), k=k) for n in (-1, 0, 1) for k in S._multi_indices(2, 2)]
+    G, _ = tf.gram_matrix(cfg, S.basis_family(cfg, idxs), grid)
+    norms = np.array([tf.basis_norm_sq(cfg, idx) for idx in idxs])
+    assert (np.abs(np.diag(G).real - norms) / norms).max() <= 1e-10
+    off = np.abs(G - np.diag(np.diag(G))) / np.sqrt(np.outer(norms, norms))
+    assert off.max() <= 1e-10
+
+    v = tf.PointCoordinates(np.array([0.15 + 0.1j]), np.array([0.3 - 0.1j, -0.2 + 0.25j]))
+    section = S.kernel_section(cfg, v, 1e-12)
+    for idx in (tf.BasisIndex(n=(1,), k=(1, 2)), tf.BasisIndex(n=(0,), k=(2, 0))):
+        want = S.basis_eval(cfg, idx, v)
+        got = tf.inner_product(cfg, S.basis_function(cfg, idx), section, grid).value
+        assert abs(got - want) <= 1e-8 * abs(want)
 
 
 def test_inner_product_diagonal(cfg_g1r1, grid_g1r1):
@@ -521,24 +601,23 @@ def test_factored_matches_one_block(small_case, refine, monkeypatch):
             want_section = want
 
     # with no cap, each map is called once per reduction, on the nodes of
-    # every level summed: r (n_c + n_h) lattice rows and n_h^2 perpendicular
-    # rows per level
+    # every level summed: r (n_c + n_h) lattice rows and n_h^2 Fock rows per
+    # level, one Fock call whatever g - r is (none at g = r)
     levels = [grid.base, grid.fine] if refine else [grid.base]
     n_lattice = cfg.r * sum(len(lvl.compact_nodes) + len(lvl.herm_nodes) for lvl in levels)
     n_perp = sum(len(lvl.herm_nodes) ** 2 for lvl in levels)
     calls = {}
     got = tf.inner_product(cfg, f, _recording(section, calls), grid, refine=refine).value
     assert abs(got - want_section) <= 1e-13 * abs(want_section)
-    assert calls == ({"lattice": [n_lattice]} if cfg.r else {}) | {
-        j: [n_perp] for j in range(cfg.g - cfg.r)}
+    assert calls == ({"lattice": [n_lattice]} if cfg.r else {}) | (
+        {"fock": [n_perp]} if cfg.g > cfg.r else {})
 
-    # a byte cap of seven values of the smallest summed block's factors cuts
+    # a byte cap of seven values of the smallest nonzero factor count cuts
     # every call to at most seven rows, and a chunk of lattice rows
-    # straddles an axis or level boundary (at r = 0 the perpendicular grids
-    # hold 14^2 and 28^2 nodes, multiples of seven); the sums must not move
+    # straddles an axis or level boundary; the sums must not move
     def seven_rows(a, b):
         counts = map(max, Q._factor_counts(a.factored), Q._factor_counts(b.factored))
-        return 16 * 7 * min(list(counts)[0 if cfg.r else 1:])
+        return 16 * 7 * min(c for c in counts if c)
 
     fam_calls, section_calls = {}, {}
     with monkeypatch.context() as mp:
@@ -562,7 +641,7 @@ def test_factored_matches_one_block(small_case, refine, monkeypatch):
 
 
 def _recording(fn, calls):
-    # fn with its factor maps wrapped to record the rows of each call, by block
+    # fn with its two factor maps wrapped to record the rows of each call, by block
     def record(m, block):
         def wrapped(z):
             calls.setdefault(block, []).append(len(z))
@@ -574,8 +653,7 @@ def _recording(fn, calls):
 
     form = fn.factored
     recorded.factored = dataclasses.replace(
-        form, lattice=record(form.lattice, "lattice"),
-        perp=tuple(record(p, j) for j, p in enumerate(form.perp)))
+        form, lattice=record(form.lattice, "lattice"), fock=record(form.fock, "fock"))
     return recorded
 
 
@@ -593,14 +671,14 @@ def _counted(fn, values):
 
     form = fn.factored
     counted.factored = dataclasses.replace(
-        form, lattice=count(form.lattice), perp=tuple(map(count, form.perp)))
+        form, lattice=count(form.lattice), fock=count(form.fock))
     return counted
 
 
 @pytest.mark.parametrize("refine", [True, False])
 def test_work_counts_the_factor_values_computed(small_case, refine):
-    # at r = 0, 1 and 2: r (n_c + n_h) lattice-axis values and n_h^2 values
-    # per perpendicular coordinate, per distinct factor and level; one
+    # at r = 0, 1 and 2: r (n_c + n_h) lattice-axis values and n_h^2 Fock
+    # values, per distinct factor of the block and level; one
     # function on each side: f is e_(first index) with every other factor of
     # the index box at coefficient 0, so it computes all of their values
     cfg, grid = small_case

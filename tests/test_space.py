@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -562,6 +563,23 @@ def test_malformed_index_pair_raises(cfg_g2r1, entry, bad):
     }
     with pytest.raises(error):
         calls[entry]()
+
+
+def test_family_weights_are_a_vector(cfg_g1r1):
+    # 4,001 indices: the family's weights are an (N,) vector, where an
+    # N x N coefficient matrix (np.diag) took 128 MB
+    n = np.arange(-2000, 2001)[:, None]
+    tracemalloc.start()
+    try:
+        fam = S.basis_family(cfg_g1r1, (n, np.zeros((len(n), 0), dtype=np.int64)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert fam.factored.coeffs.shape == (len(n),)
+    z = np.array([[0.1 + 0j], [0.35 + 0j]])  # real z: every phase has modulus 1
+    values = S.basis_eval_many(cfg_g1r1, (n[:3], np.zeros((3, 0), dtype=np.int64)), z, [[], []])
+    assert np.array_equal(fam(z, [[], []])[:3], values)
 
 
 def test_kernel_positive_semidefinite(cfg_g2r1):
