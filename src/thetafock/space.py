@@ -486,9 +486,10 @@ def _kernel_batch(config: SpaceConfig, Zr, h, perp_log, zv, hv, tol: float):
     drops the perpendicular factor) and tol is positive.  The theta factor
     is evaluated at a per-point absolute tolerance equal to tol divided by
     the magnitude of the outer factor (floored at 1e-290), so their product
-    is within tol of the kernel; it is planned and summed once, at log
-    tolerances.  Raises ValueOutOfRange when an outer factor exceeds the
-    double range.
+    is within tol of the kernel.  It is planned and summed once, at those
+    log tolerances, by theta.planned_sum, the route of theta_eval_many.
+    Raises ValueOutOfRange when an outer factor exceeds the double range,
+    and planned_sum raises it when a theta term or value does.
     """
     log_outer = h + (hv.conjugate() + perp_log)
     C = config.kernel_prefactor
@@ -500,7 +501,7 @@ def _kernel_batch(config: SpaceConfig, Zr, h, perp_log, zv, hv, tol: float):
         )
     outer = C * np.exp(log_outer)
     log_tol = math.log(tol) - np.maximum(log_mag, _LOG_OUTER_FLOOR)
-    return outer, _theta._values(config.theta_params, Zr - zv.conj(), log_tol)
+    return outer, _theta.planned_sum(config.theta_params, Zr - zv.conj(), log_tol)[0]
 
 
 def _check_kernel_args(config: SpaceConfig, tol: float, *points: PointCoordinates) -> None:
@@ -524,8 +525,11 @@ def kernel_section(config: SpaceConfig, v: PointCoordinates, tol: float):
 
         |K(u, v) - expansion(u)| <= tol exp(nu/2 H(u,u) + nu/2 |v_perp|^2)
 
-    for every u.  Raises ValueOutOfRange when a c_t leaves the double range,
-    and the closure raises it when a kernel value does.
+    for every u.  That plan is theta.plan, which checks no term of the F/2
+    series (those leave the double range far out, where the c_t do not);
+    the c_t are theta.log_terms of F at -conj z_v.  Raises ValueOutOfRange
+    when a c_t leaves the double range, and the closure raises it when a
+    kernel value does.
     """
     _check_kernel_args(config, tol, v)
     (zv,), (hv,) = _kernel_sides(config, v.z[None, :])
@@ -544,10 +548,8 @@ def kernel_section(config: SpaceConfig, v: PointCoordinates, tol: float):
     C = config.kernel_prefactor
     half = config.half_theta_params
     log_tol = math.log(tol) - math.log(C) - l_v.real
-    idx = _theta._plan(half, *_theta._rows(half, zv.imag[None, :]), log_tol, None)[1]
-    Z = -zv.conj()[None, :]
-    exponents = _theta._term_exponents(config.theta_params, Z, idx, *_theta._rows(
-        config.theta_params, Z.imag))[0]
+    idx = _theta.plan(half, zv[None, :], log_tol)[1]
+    exponents = _theta.log_terms(config.theta_params, -zv.conj()[None, :], idx)[0]
     with np.errstate(over="ignore", invalid="ignore"):
         coeffs = C * np.exp(l_v + exponents)
     if not np.isfinite(coeffs).all():

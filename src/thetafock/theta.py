@@ -48,18 +48,20 @@ the mass it omits whatever the order of its terms, and they are summed
 in the order they are enumerated, lexicographic from the last
 coordinate.
 
-Tails stay in log scale in the planner: a tail far beyond the double
-range still bounds kernel_section's plans at a far point.  Only the
-entry points that report tails exponentiate them, floored at e^-744.
-In dimension 0 no tail bound exists: _plan returns the one empty index,
-whose term 1 is the value, with log tail -inf.
-truncation_plan and theta_eval_many share one prologue: non-finite
-points raise ValidationError, a tol that is not positive ValueError, and
-a row whose nearest lattice term is beyond the double range
-ValueOutOfRange before it is planned.  theta_eval sums the plan of
-truncation_plan; the space kernels plan and sum through the same
-unchecked core at log tolerances, their inputs checked by their own entry
-points.
+Tails stay in log scale in the planner, floored at e^-744 so that a
+reported tail is a positive double; a tail far above the double range
+still bounds kernel_section's plans at a far point.  In dimension 0 no
+tail bound exists: the plan is the one empty index, whose term 1 is the
+value, with log tail -inf.  Other modules reach the series through plan
+(radius, index set and log tails), log_terms (the term exponents below)
+and planned_sum (values and plan), which serves theta_eval_many and the
+space kernels; theta_eval sums the plan of truncation_plan.  A call
+computes its rows' centers and log prefactors once, for the planner, the
+term formula and the summer.  A route that sums is checked first:
+non-finite points raise ValidationError, a tol that is not positive
+ValueError, and a row whose nearest lattice term is beyond the double
+range ValueOutOfRange before any radius is searched.  plan checks
+nothing: kernel_section plans the F/2 series with it.
 
 Each planned term is computed from its centred distance, with x = Re(z + b)
 and X = Re F (0 for every space configuration):
@@ -101,6 +103,9 @@ __all__ = [
     "ThetaResult",
     "validate_parameters",
     "truncation_plan",
+    "plan",
+    "log_terms",
+    "planned_sum",
     "theta_eval",
     "theta_eval_many",
     "theta_quasiperiodicity_defect",
@@ -309,22 +314,6 @@ def _find_radius(params: ThetaParameters, log_target: float, max_radius: float):
     )
 
 
-def _select(params: ThetaParameters, pts: np.ndarray, lo, hi, R: float) -> np.ndarray:
-    """The rows n of pts within Y-distance R (+ _SLACK) of the box [lo, hi], in their order.
-
-    d = U(n - m), m = (lo + hi)/2, is computed once per row.  Over the box
-    (Uc)_i spans m_i -+ h_i, h = |U| (hi - lo)/2, so with each row's worst
-    center the box distance is max(|d_i| - h_i, 0) summed in squares; a
-    point, passed as hi is lo, has m = lo and h = 0 and skips that step.
-    The rows kept are returned as int64.
-    """
-    U = params.chol
-    d = pts @ U.T - U @ (lo if hi is lo else 0.5 * (lo + hi))
-    if hi is not lo:
-        d = np.maximum(np.abs(d) - np.abs(U) @ (0.5 * (hi - lo)), 0.0)
-    return pts[np.einsum("ij,ij->i", d, d) <= (R + _SLACK) ** 2].astype(np.int64, copy=False)
-
-
 def _enumerate(params: ThetaParameters, lo: np.ndarray, hi: np.ndarray, R: float) -> np.ndarray:
     """Integer points n within Y-distance R of the box of centers [lo, hi].
 
@@ -333,7 +322,7 @@ def _enumerate(params: ThetaParameters, lo: np.ndarray, hi: np.ndarray, R: float
     n_j fixed for j > i, that row confines n_i to an interval; each prefix
     is expanded over its interval with np.repeat, one level at a time.
     The intervals carry a slack against rounding, so the candidates hold
-    every point that _select keeps.  Every row takes its own worst center,
+    every point that _cells keeps.  Every row takes its own worst center,
     so the set covers every center's ellipsoid.  The points are in
     lexicographic order from the last coordinate.  Raises
     TailBoundUnreachable when a level would hold more than _MAX_INDICES.
@@ -369,7 +358,7 @@ def _enumerate(params: ThetaParameters, lo: np.ndarray, hi: np.ndarray, R: float
 
 
 def _cells(params: ThetaParameters, lo: np.ndarray, hi: np.ndarray, R: float) -> np.ndarray:
-    """The plan index set of the box [lo, hi] at radius R: _select of cached candidates.
+    """The plan index set of the box [lo, hi] at radius R, selected from cached candidates.
 
     With k = floor(lo) and e = floor(hi) - k + 1, k plus the candidates of
     [0, e] cover those of [lo, hi], in the same lexicographic order, which
@@ -377,7 +366,11 @@ def _cells(params: ThetaParameters, lo: np.ndarray, hi: np.ndarray, R: float) ->
     (R, e) and kept in params.cache as int32 while all its cached sets
     stay within _CHUNK_BYTES; a set that would pass that cap is used but
     not kept.  The shift by k is made in floating point, where these
-    integers are exact.
+    integers are exact.  The candidates n within Y-distance R (+ _SLACK)
+    of the box are kept, in order, as int64: over the box (Uc)_i spans
+    m_i -+ h_i, m = U(lo + hi)/2 and h = |U| (hi - lo)/2, so the box
+    distance is max(|U n - m| - h, 0), with U n - m formed once per
+    candidate; a point, passed as hi is lo, skips the max.
     """
     k = np.floor(lo)
     span = np.floor(hi) - k  # e - 1
@@ -389,7 +382,11 @@ def _cells(params: ThetaParameters, lo: np.ndarray, hi: np.ndarray, R: float) ->
         kept = sum(c.nbytes for c in cache.values()) + cells.nbytes // 2
         if kept <= _CHUNK_BYTES and np.abs(cells).max() < 2**31:
             cache[key] = cells = _readonly(cells.astype(np.int32))
-    return _select(params, cells + k, lo, hi, R)
+    pts, U = cells + k, params.chol
+    d = pts @ U.T - U @ (lo if hi is lo else 0.5 * (lo + hi))
+    if hi is not lo:
+        d = np.maximum(np.abs(d) - np.abs(U) @ (0.5 * (hi - lo)), 0.0)
+    return pts[np.einsum("ij,ij->i", d, d) <= (R + _SLACK) ** 2].astype(np.int64, copy=False)
 
 
 def _rows(params: ThetaParameters, S: np.ndarray):
@@ -402,18 +399,26 @@ def _rows(params: ThetaParameters, S: np.ndarray):
     return -params.alpha - SY, math.pi * np.einsum("ij,ij->i", SY, S)
 
 
-def _check_summable(params: ThetaParameters, centers: np.ndarray, log_pref: np.ndarray) -> None:
-    """Raise ValueOutOfRange for a row whose nearest-plane term is not a double.
+def _check_summable(params: ThetaParameters, Z: np.ndarray, log_tol):
+    """The _rows of a batch Z (N, r) to be summed at log tolerances log_tol, checked.
 
-    Rounding one coordinate at a time on U, last first (Babai's nearest
-    plane), gives a lattice point n with q = |U(n - c)|^2.  When
-    log_pref - pi q is beyond the double range, that term exceeds any tol,
-    so every certified plan of the row holds it, and its exponential is
-    inf: the sum cannot be a double.  Raising here spares enumerating the
-    ellipsoid that such a row's target asks for.
+    Non-finite points raise ValidationError, a log_tol of -inf or NaN (tol
+    not positive) ValueError, points without r coordinates
+    DimensionMismatch.  Rounding one coordinate at a time on U, last first
+    (Babai's nearest plane), gives a lattice point n with q = |U(n - c)|^2.
+    When log_pref - pi q is beyond the double range, that term exceeds any
+    tol, so every certified plan of the row holds it, and its exponential
+    is inf: ValueOutOfRange is raised before any radius is searched.
     """
-    if log_pref.max() <= _LOG_TERM_MAX:
-        return
+    if not np.isfinite(Z).all():
+        raise ValidationError("theta points must be finite")
+    if not (np.asarray(log_tol) > -np.inf).all():  # NaN included
+        raise ValueError("tol must be positive")
+    if Z.shape[1] != params.r:
+        raise DimensionMismatch(f"points must have {params.r} coordinates")
+    centers, log_pref = _rows(params, Z.imag)  # Im(z + beta) = Im z
+    if log_pref.max(initial=-np.inf) <= _LOG_TERM_MAX:
+        return centers, log_pref
     U = params.chol
     n = np.zeros_like(centers)
     q = np.zeros(centers.shape[0])
@@ -429,53 +434,36 @@ def _check_summable(params: ThetaParameters, centers: np.ndarray, log_pref: np.n
             f"theta term [{term}] at point {bad} has log magnitude "
             f"{log_term[bad]:.1f}: the value leaves the double range"
         )
+    return centers, log_pref
 
 
 def _plan(params: ThetaParameters, centers, log_pref, log_tol, max_radius: float | None):
-    """One truncation plan for the rows of a batch, given their _rows.
+    """The planner: one truncation plan for the rows of a batch, given their _rows.
 
     The radius meets the tightest row's target log_tol - log_prefactor;
     the index set covers every row's ellipsoid, so extra indices only
     tighten the other rows.  Returns (radius, index set, log tails): the
     log of each row's certified bound on the omitted mass, which can be
-    far beyond the double range when log_tol is (kernel_section).  No tail
-    bound exists in dimension 0: the one term n = () is the value, its log
-    tail -inf.
+    far above the double range when log_tol is (kernel_section), floored
+    at e^-744 (still a bound).  No tail bound exists in dimension 0: the
+    one term n = () is the value, its log tail -inf; so for an empty batch.
     """
-    if not params.r:
-        return 0.0, np.zeros((1, 0), dtype=np.int64), np.full(centers.shape[0], -np.inf)
+    if not (params.r and centers.shape[0]):
+        return 0.0, np.zeros((1, params.r), dtype=np.int64), np.full(centers.shape[0], -np.inf)
     budget = params.max_radius if max_radius is None else float(max_radius)
     R, log_sb = _find_radius(params, float((log_tol - log_pref).min()), budget)
     lo = centers[0] if centers.shape[0] == 1 else centers.min(axis=0)
     hi = lo if centers.shape[0] == 1 else centers.max(axis=0)
-    return R, _cells(params, lo, hi, R), log_pref + log_sb
+    return R, _cells(params, lo, hi, R), np.maximum(log_pref + log_sb, -744.0)
 
 
-def _plan_points(params: ThetaParameters, Z: np.ndarray, log_tol, max_radius: float | None):
-    """(radius, index set, log tails, centers, log prefactors) of the finite rows of Z (N, r)."""
-    if not Z.shape[0]:  # a batch with no rows has nothing to plan
-        r = params.r
-        return 0.0, np.zeros((1, r), dtype=np.int64), np.zeros(0), np.zeros((0, r)), np.zeros(0)
-    centers, log_pref = _rows(params, Z.imag)  # Im(z + beta) = Im z
-    _check_summable(params, centers, log_pref)
-    return (*_plan(params, centers, log_pref, log_tol, max_radius), centers, log_pref)
+def plan(params: ThetaParameters, Z, log_tol):
+    """(radius, index set, log tails) of one plan for the points Z (N, r), unchecked.
 
-
-def _checked_plan(params: ThetaParameters, Z: np.ndarray, tol, max_radius: float | None):
-    """(radius, index set, tails, centers, log prefactors) of the rows of Z (N, r), checked.
-
-    The prologue of truncation_plan and theta_eval_many.
+    A series whose terms leave the double range still has a plan.
     """
-    if not np.isfinite(Z).all():
-        raise ValidationError("theta points must be finite")
-    if not (np.asarray(tol) > 0).all():  # NaN included
-        raise ValueError("tol must be positive")
-    if Z.shape[1] != params.r:
-        raise DimensionMismatch(f"points must have {params.r} coordinates")
-    R, idx, log_tails, centers, log_pref = _plan_points(params, Z, np.log(tol), max_radius)
-    # a tail is at most its row's tol; the floor keeps it positive (0 at r = 0)
-    tails = np.exp(np.maximum(log_tails, -744.0) if params.r else log_tails)
-    return R, idx, tails, centers, log_pref
+    Z = np.asarray(Z, dtype=complex)
+    return _plan(params, *_rows(params, Z.imag), log_tol, None)
 
 
 def truncation_plan(
@@ -489,15 +477,18 @@ def truncation_plan(
     plan would leave the double range, so that no plan can be summed.
     """
     Z = np.asarray(z, dtype=complex).reshape(1, -1)
-    R, idx, tails, centers, log_pref = _checked_plan(params, Z, tol, max_radius)
+    with np.errstate(divide="ignore", invalid="ignore"):  # a tol <= 0 is refused below
+        log_tol = np.log(tol)
+    centers, log_pref = _check_summable(params, Z, log_tol)
+    R, idx, log_tails = _plan(params, centers, log_pref, log_tol, max_radius)
     for a in (idx, centers):  # fresh arrays: the plan keeps them without a copy
         a.setflags(write=False)
-    return TruncationPlan(radius=R, index_set=idx, tail_bound=float(tails[0]),
+    return TruncationPlan(radius=R, index_set=idx, tail_bound=float(np.exp(log_tails[0])),
                           center=centers[0], log_prefactor=float(log_pref[0]))
 
 
 def _term_exponents(params: ThetaParameters, Z, idx, centers, log_pref) -> np.ndarray:
-    """Exponents of the terms idx (K, r) at the rows of Z (N, r), shape (N, K).
+    """The term formula: exponents of the terms idx (K, r) at the rows of Z (N, r), (N, K).
 
     With the rows' centers c_i and log prefactors (_rows), t = n + alpha,
     X = Re F and x_i = Re(z_i + beta), the term is exactly
@@ -517,8 +508,17 @@ def _term_exponents(params: ThetaParameters, Z, idx, centers, log_pref) -> np.nd
     return out
 
 
+def log_terms(params: ThetaParameters, Z, idx) -> np.ndarray:
+    """Exponents (N, K) of the terms idx (K, r) at the points Z (N, r), as summed.
+
+    The real part of each is the term's log magnitude.
+    """
+    Z = np.asarray(Z, dtype=complex)
+    return _term_exponents(params, Z, idx, *_rows(params, Z.imag))
+
+
 def _sum_terms(params: ThetaParameters, Z: np.ndarray, idx, centers, log_pref) -> np.ndarray:
-    """Sum of the planned terms at each row of Z (N, r), in plan order.
+    """The summer: the planned terms at each row of Z (N, r), summed in plan order.
 
     Rows are processed in chunks whose (rows x terms) temporaries stay
     under _CHUNK_BYTES; the chunking does not change any value.  Raises
@@ -539,10 +539,17 @@ def _sum_terms(params: ThetaParameters, Z: np.ndarray, idx, centers, log_pref) -
     return out
 
 
-def _values(params: ThetaParameters, Z: np.ndarray, log_tol) -> np.ndarray:
-    """Values at the finite rows of Z (N, r) within log tolerances log_tol, unchecked."""
-    _, idx, _, centers, log_pref = _plan_points(params, Z, log_tol, None)
-    return _sum_terms(params, Z, idx, centers, log_pref)
+def planned_sum(params: ThetaParameters, Z, log_tol):
+    """(values (N,), plan) at the points Z (N, r) within log tolerances log_tol.
+
+    The points are checked, planned once and summed; the plan is
+    (radius, index set, log tails).  Raises ValueOutOfRange when a term or
+    a value leaves the double range.
+    """
+    Z = np.asarray(Z, dtype=complex)
+    centers, log_pref = _check_summable(params, Z, log_tol)
+    summary = _plan(params, centers, log_pref, log_tol, None)
+    return _sum_terms(params, Z, summary[1], centers, log_pref), summary
 
 
 def theta_eval(
@@ -554,10 +561,10 @@ def theta_eval(
     those of theta_eval_many on the batch [z].  Raises ValueOutOfRange when
     the value leaves the double range.
     """
-    plan = truncation_plan(params, z, tol, max_radius)
+    p = truncation_plan(params, z, tol, max_radius)
     Z = np.asarray(z, dtype=complex).reshape(1, -1)
-    value = _sum_terms(params, Z, plan.index_set, plan.center[None, :], np.array([plan.log_prefactor]))
-    return ThetaResult(complex(value[0]), tail_bound=plan.tail_bound, terms=plan.index_set.shape[0])
+    value = _sum_terms(params, Z, p.index_set, p.center[None, :], np.array([p.log_prefactor]))
+    return ThetaResult(complex(value[0]), tail_bound=p.tail_bound, terms=p.index_set.shape[0])
 
 
 def theta_eval_many(params: ThetaParameters, Z, tol):
@@ -572,9 +579,10 @@ def theta_eval_many(params: ThetaParameters, Z, tol):
     ValueOutOfRange when a value leaves the double range.  Returns
     (values (N,), tails (N,)).
     """
-    Z = np.atleast_2d(np.asarray(Z, dtype=complex))
-    _, idx, tails, centers, log_pref = _checked_plan(params, Z, tol, None)
-    return _sum_terms(params, Z, idx, centers, log_pref), tails
+    with np.errstate(divide="ignore", invalid="ignore"):  # planned_sum refuses a tol <= 0
+        log_tol = np.log(tol)
+    values, (_, _, log_tails) = planned_sum(params, np.atleast_2d(Z), log_tol)
+    return values, np.exp(log_tails)
 
 
 def theta_quasiperiodicity_defect(params: ThetaParameters, z, m, m2, tol: float) -> float:

@@ -282,7 +282,10 @@ def verify_theta(config: S.SpaceConfig, rng) -> list[PropertyOutcome]:
                      z, tol).value
         for z, m in zip(Z, M)
     ]
-    out.append(_outcome("characteristic-shift", float(np.abs(shifted - base).max()), 2 * tol))
+    # on the value's scale, as quasi-periodicity: rounding grows with |theta|
+    scale = np.maximum(1.0, np.abs(base))
+    out.append(_outcome("characteristic-shift", float((np.abs(shifted - base) / scale).max()),
+                        2 * tol))
 
     # empirical tails never exceed the certified bound along a radius grid
     z = _gaussian(rng, r, 0.5)
@@ -291,12 +294,12 @@ def verify_theta(config: S.SpaceConfig, rng) -> list[PropertyOutcome]:
     excess = [abs(a.value - ref.value) - (a.tail_bound + ref.tail_bound) for a in approx]
     out.append(_outcome("tail-soundness", max(0.0, *excess), 0.0))
 
-    # every term larger than tail/|set| lies inside the planned set; a term's
-    # log magnitude is log_prefactor - pi |U(n - c)|^2 (see the theta module notes)
+    # every term larger than tail/|set| lies inside the planned set; the
+    # terms' log magnitudes are the real parts of the exponents theta sums
     plan = T.truncation_plan(params, z, 1e-6)
     cap = plan.tail_bound / max(plan.index_set.shape[0], 1)
     box = S._integer_box(r, 12)
-    log_mags = plan.log_prefactor - math.pi * np.square((box - plan.center) @ params.chol.T).sum(1)
+    log_mags = T.log_terms(params, z[None, :], box)[0].real
     above = {tuple(row) for row in box[np.exp(log_mags) > cap].tolist()}
     missing = len(above - {tuple(row) for row in plan.index_set.tolist()})
     out.append(_outcome("plan-soundness", float(missing), 0.0, detail=f"{missing} escapees"))

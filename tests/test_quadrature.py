@@ -742,11 +742,10 @@ def test_kernel_expansion_mutation_is_caught(small_case, monkeypatch):
     f = S.basis_function(cfg, tf.BasisIndex(n=(1,) * cfg.r, k=(1,) * (cfg.g - cfg.r)))
     section = S.kernel_section(cfg, v, 1e-10)
     want = _tensor_gram(cfg, f, section, grid, refine=False)[0][0, 0]
-    exponents = S._theta._term_exponents
+    log_terms = S._theta.log_terms
     with monkeypatch.context() as mp:
         # the coefficients take the exponents at -conj z_v; conjugating gives -z_v
-        mp.setattr(S._theta, "_term_exponents", lambda p, Z, idx, *rows: exponents(
-            p, np.conj(Z), idx, *S._theta._rows(p, np.conj(Z).imag)))
+        mp.setattr(S._theta, "log_terms", lambda p, Z, idx: log_terms(p, np.conj(Z), idx))
         wrong = S.kernel_section(cfg, v, 1e-10)
     got = tf.inner_product(cfg, f, wrong, grid, refine=False).value
     if cfg.r:

@@ -628,18 +628,22 @@ def test_series_indices_order_is_the_tuple_sort(g, r):
             assert list(got) == [(n, k) for _, _, n, k in want]
 
 
-_SCALAR_CALLS = {
+_PLANNED_CALLS = {
     "theta_eval": lambda cfg, u, v, f: tf.theta_eval(cfg.theta_params, u.z, 1e-12),
+    "theta_eval_many": lambda cfg, u, v, f: T.theta_eval_many(
+        cfg.theta_params, np.array([u.z, v.z]), 1e-12),
     "kernel_eval": lambda cfg, u, v, f: tf.kernel_eval(cfg, u, v, 1e-12),
     "kernel_diagonal": lambda cfg, u, v, f: tf.kernel_diagonal(cfg, u, 1e-12),
     "evaluation_bound_check": lambda cfg, u, v, f: tf.evaluation_bound_check(cfg, f, u, 1e-12),
+    "kernel_section": lambda cfg, u, v, f: S.kernel_section(cfg, v, 1e-12),
 }
 
 
-@pytest.mark.parametrize("entry", list(_SCALAR_CALLS))
+@pytest.mark.parametrize("entry", list(_PLANNED_CALLS))
 @pytest.mark.parametrize("name", ["cfg_g2r1", "cfg_g2r2"])
 def test_one_plan_per_scalar_call(name, entry, request, monkeypatch):
-    # a scalar call plans its theta factor once, on the same path as a batch
+    # each call plans once, through the one planner; a kernel section plans
+    # the series of F/2, the others that of F
     cfg = request.getfixturevalue(name)
     rng = np.random.default_rng(50)
     u, v = verify.random_point(rng, cfg), verify.random_point(rng, cfg)
@@ -647,8 +651,52 @@ def test_one_plan_per_scalar_call(name, entry, request, monkeypatch):
     plans = []
     plan = T._plan
     monkeypatch.setattr(T, "_plan", lambda *args: plans.append(args) or plan(*args))
-    _SCALAR_CALLS[entry](cfg, u, v, field)
+    _PLANNED_CALLS[entry](cfg, u, v, field)
     assert len(plans) == 1
+    planned = cfg.half_theta_params if entry == "kernel_section" else cfg.theta_params
+    assert plans[0][0] is planned
+
+
+@pytest.mark.parametrize("entry", [*_PLANNED_CALLS, "truncation_plan", "section_values"])
+def test_rows_once_per_parameter_set(cfg_g2r2, entry, monkeypatch):
+    # a call computes its points' centers and log prefactors once for each
+    # series it plans or sums: the term formula and the summability check
+    # reuse them
+    cfg = cfg_g2r2
+    rng = np.random.default_rng(51)
+    u, v = verify.random_point(rng, cfg), verify.random_point(rng, cfg)
+    field = verify.random_field(rng, cfg)
+    section = S.kernel_section(cfg, v, 1e-12)
+    calls = {
+        **_PLANNED_CALLS,
+        "truncation_plan": lambda cfg, u, v, f: tf.truncation_plan(cfg.theta_params, u.z, 1e-12),
+        "section_values": lambda cfg, u, v, f: section(np.array([u.z, v.z]),
+                                                       np.array([u.z_perp, v.z_perp])),
+    }
+    seen = []
+    rows = T._rows
+    monkeypatch.setattr(T, "_rows", lambda params, S: seen.append(params) or rows(params, S))
+    calls[entry](cfg, u, v, field)
+    # parameter sets compare by identity
+    half = [cfg.half_theta_params] if entry == "kernel_section" else []
+    assert seen == half + [cfg.theta_params]
+
+
+def test_far_kernel_is_refused_before_enumeration(monkeypatch):
+    # r = 3 at Im z = 30: the nearest theta term has log magnitude 911.8 >
+    # 710.8, so the summability check raises before any ellipsoid is
+    # enumerated (a fresh configuration has no cached candidates)
+    lattice = tf.build_lattice(tf.validate_space(np.eye(3)), np.eye(3).astype(complex))
+    cfg = tf.make_config(lattice, [0.1, 0.2, 0.3], 2.0)
+    u = PointCoordinates(np.array([0.1, 0.2, -0.1]) + 30j / math.sqrt(3), np.zeros(0))
+    v = PointCoordinates(np.array([0.2 + 0.1j, -0.1, 0.3j]), np.zeros(0))
+
+    def never(*args):
+        raise AssertionError("the ellipsoid was enumerated")
+
+    monkeypatch.setattr(T, "_enumerate", never)
+    with pytest.raises(ValueOutOfRange, match="log magnitude 911.8"):
+        tf.kernel_eval(cfg, u, v, 1e-10)
 
 
 @pytest.mark.parametrize("g, r", [(r + 1, r) for r in range(1, 5)])

@@ -312,9 +312,9 @@ def test_batch_plan_covers_every_row_ellipsoid(off, centers):
     Y = np.array([[1.0, off], [off, 1.0]])
     params = tf.validate_parameters(1j * Y)
     centers = np.array(centers)
-    planned, log_pref = T._rows(params, -centers @ Y)
-    assert np.allclose(planned, centers)
-    R, idx, _ = T._plan(params, planned, log_pref, math.log(1e-12), None)
+    # Im z = -Y c puts a row's center at c (alpha = 0)
+    assert np.allclose(T._rows(params, -centers @ Y)[0], centers)
+    R, idx, _ = T.plan(params, -1j * (centers @ Y), math.log(1e-12))
     for c in centers:
         pts = _box(c, R * np.sqrt(np.diag(params.y_inv)) + 1.0)
         d = pts - c
@@ -392,8 +392,7 @@ def test_plan_soundness_brute_force():
     cap = plan.tail_bound / plan.index_set.shape[0]
     inside = {tuple(row) for row in plan.index_set}
     grid = np.arange(-25, 26)[:, None]
-    Z = z[None, :]
-    mags = np.exp(np.real(T._term_exponents(params, Z, grid, *T._rows(params, Z.imag))))[0]
+    mags = np.exp(T.log_terms(params, z[None, :], grid).real)[0]
     for row, mag in zip(grid, mags):
         if mag > cap:
             assert tuple(row) in inside
@@ -439,8 +438,7 @@ def test_continuity_bounded_by_gradient_sum():
     params = tf.validate_parameters([[0.1 + 1.2j]], alpha=[0.3], beta=[0.2])
     z = np.array([0.4 + 0.3j])
     plan = tf.truncation_plan(params, z, 1e-13)
-    Z = z[None, :]
-    terms = np.exp(T._term_exponents(params, Z, plan.index_set, *T._rows(params, Z.imag)))[0]
+    terms = np.exp(T.log_terms(params, z[None, :], plan.index_set))[0]
     grad_sum = float(
         np.sum(2 * np.pi * np.abs(plan.index_set[:, 0] + 0.3) * np.abs(terms))
     )
@@ -501,7 +499,8 @@ def test_row_value_does_not_depend_on_its_batch(r):
     params = _random_params(rng, r)
     Z = 0.6 * rng.standard_normal((25, r)) + 1j * rng.standard_normal((25, r))
     vals, _ = T.theta_eval_many(params, Z, 1e-9)
-    _, idx, _, _, _ = T._checked_plan(params, Z, 1e-9, None)
+    values, (_, idx, _) = T.planned_sum(params, Z, math.log(1e-9))
+    assert np.array_equal(values, vals)
     for i in range(Z.shape[0]):
         row = Z[i : i + 1]
         assert T._sum_terms(params, row, idx, *T._rows(params, row.imag))[0] == vals[i]
@@ -556,6 +555,19 @@ def _cell_case(seed, r):
     return _random_params(rng, r), rng.uniform(-30.0, 30.0, r), rng
 
 
+def _box_select(params, pts, lo, hi, R):
+    """The rows n of pts within Y-distance R (+ slack) of the box [lo, hi], as int64.
+
+    Over the box (U c)_i spans m_i -+ h_i, m = U (lo + hi)/2 and
+    h = |U| (hi - lo)/2, so the box distance of U n is max(|U n - m| - h, 0).
+    """
+    U = params.chol
+    d = pts @ U.T - U @ (lo if hi is lo else 0.5 * (lo + hi))
+    if hi is not lo:
+        d = np.maximum(np.abs(d) - np.abs(U) @ (0.5 * (hi - lo)), 0.0)
+    return pts[np.einsum("ij,ij->i", d, d) <= (R + T._SLACK) ** 2].astype(np.int64, copy=False)
+
+
 @settings(max_examples=80, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), r=st.integers(1, 4),
        R=st.sampled_from([1.0, 2.0, 3.5, 5.25]), box=st.booleans())
@@ -569,7 +581,7 @@ def test_cell_cache_equals_enumeration(seed, r, R, box):
         lo = lo + shift
         hi = lo + rng.uniform(0.0, 2.5, r) if box else lo
         got = T._cells(params, lo, hi, R)
-        want = T._select(params, T._enumerate(params, lo, hi, R), lo, hi, R)
+        want = _box_select(params, T._enumerate(params, lo, hi, R), lo, hi, R)
         assert got.dtype == want.dtype == np.int64
         assert np.array_equal(got, want)
 

@@ -153,17 +153,23 @@ def test_plan_soundness_catches_a_dropped_term(monkeypatch):
     assert outcome.detail == f"{int(outcome.defect)} escapees"
 
 
-def test_plan_soundness_magnitudes_are_the_summed_terms():
-    # plan-soundness ranks terms by log_prefactor - pi |U(n - c)|^2 from the
-    # public plan fields: the real parts of the exponents theta sums
-    params = build_config(load_problem(G3R2_FILE.with_name("g2_r2.json"))).theta_params
+def test_plan_soundness_magnitudes_are_the_summed_terms(monkeypatch):
+    # plan-soundness ranks terms by theta's own term formula, and that
+    # formula's real part is log_prefactor - pi |U(n - c)|^2 from the public
+    # plan fields
+    cfg = build_config(load_problem(G3R2_FILE.with_name("g2_r2.json")))
+    params = cfg.theta_params
     z = np.array([0.3 - 0.8j, -0.5 + 1.1j])
     plan = verify.T.truncation_plan(params, z, 1e-6)
     box = verify.S._integer_box(2, 12)
     log_mags = plan.log_prefactor - math.pi * np.square((box - plan.center) @ params.chol.T).sum(1)
-    exponents = verify.T._term_exponents(params, z[None, :], box, plan.center[None, :],
-                                         np.array([plan.log_prefactor]))[0]
+    exponents = verify.T.log_terms(params, z[None, :], box)[0]
     np.testing.assert_allclose(log_mags, exponents.real, rtol=1e-12, atol=1e-9)
+    asked = []
+    log_terms = verify.T.log_terms
+    monkeypatch.setattr(verify.T, "log_terms", lambda *a: asked.append(a) or log_terms(*a))
+    assert [o for o in verify.run_suite(cfg, "theta") if o.name == "plan-soundness"][0].passed
+    assert len(asked) == 1 and asked[0][2].shape == (25**2, 2)
 
 
 def test_norms_battery_closed_norms_past_the_square_root_range():
@@ -258,3 +264,15 @@ def test_under_resolved_g3_config_is_flagged():
     except errors.GridTooCoarse:
         passed = False
     assert not passed
+
+
+@pytest.mark.parametrize("name", ["g2_r2.json", "g3_r2.json"])
+def test_characteristic_shift_is_measured_on_the_value_scale(name):
+    # at seed 189 the sampled values reach ~1e5 and the shifted and unshifted
+    # sums differ by rounding alone, 2.3e-10 in absolute terms: relative to
+    # max(1, |theta|) the defect is at rounding level
+    cfg = build_config(load_problem(G3R2_FILE.with_name(name)))
+    outcome = [o for o in verify.run_suite(cfg, "theta", seed=189)
+               if o.name == "characteristic-shift"][0]
+    assert outcome.passed and outcome.tolerance == 2e-10
+    assert outcome.defect <= 1e-13
