@@ -6,7 +6,11 @@ them and the acceptance tests drive them across many configurations.
 Every complex sample is drawn through one sampler, _gaussian.  The
 geometry and theta suites draw each property's samples as arrays: each
 geometry property is one array expression over them, and the theta suite
-evaluates its unshifted points in batches.
+evaluates its unshifted points in batches.  The reproducing and bounds
+suites read one kernel sample each: the matrix K(p_i, p_j) of 6 points,
+one kernel section's closure per column, and every kernel property is
+one expression on it, measured against sqrt(K(p_i, p_i) K(p_j, p_j)),
+which bounds |K(p_i, p_j)|.
 Random configurations are sampled here as well: isotropic generators are
 drawn by projecting random vectors onto the symplectic annihilator of the
 ones already chosen.
@@ -389,60 +393,55 @@ def verify_orthogonality(
 # reproducing-kernel suite
 
 
+def _kernel_sample(config: S.SpaceConfig, rng):
+    """6 points at scale 0.4, the kernel section of each at tol 1e-12, and the matrix
+    K[i, j] = K(p_i, p_j): column j is section j evaluated over the whole batch."""
+    Z, Zp = _gaussian(rng, (6, config.r), 0.4), _gaussian(rng, (6, config.g - config.r), 0.4)
+    pts = [PointCoordinates(z=z, z_perp=zp) for z, zp in zip(Z, Zp)]
+    sections = [S.kernel_section(config, p, 1e-12) for p in pts]
+    return pts, sections, np.column_stack([section(Z, Zp) for section in sections])
+
+
 def verify_reproducing(config: S.SpaceConfig, rng, nodes: tuple = _NODES) -> list[PropertyOutcome]:
-    out = []
+    """Each property is one expression on the sample's kernel matrix, over sqrt(K_ii K_jj)."""
     compact, unbounded = nodes
     grid = Q.build_grid(config, compact_nodes=compact, unbounded_nodes=unbounded)
+    pts, sections, K = _kernel_sample(config, rng)
+    root = np.sqrt(np.diag(K).real)  # |K_ij| <= sqrt(K_ii K_jj), Cauchy-Schwarz on the sections
+    scale = np.outer(root, root)
 
-    worst = 0.0
-    for _ in range(5):
-        coeffs = random_field(rng, config, max_terms=3, n_inf=1, k_total=1)
-        v = random_point(rng, config, scale=0.3)
-        f = S.synthesized_function(config, coeffs)
-        section = S.kernel_section(config, v, 1e-10)
-        lhs = Q.inner_product(config, f, section, grid, refine=False).value
-        rhs = S.synthesize(config, coeffs, v)
-        worst = max(worst, abs(lhs - rhs) / (1.0 + abs(rhs)))
-    out.append(_outcome("reproducing-property", worst, 1e-5))
-
-    worst = 0.0
-    for _ in range(5):
-        u = random_point(rng, config, scale=0.4)
-        v = random_point(rng, config, scale=0.4)
-        closed = S.kernel_eval(config, u, v, 1e-12)
-        series = _kernel_series(config, u, v)
-        worst = max(worst, abs(closed - series))
-    out.append(_outcome("kernel-series-agreement", worst, 1e-8))
-
-    worst = 0.0
-    for _ in range(5):
-        u = random_point(rng, config, scale=0.6)
-        v = random_point(rng, config, scale=0.6)
-        worst = max(
-            worst,
-            abs(
-                S.kernel_eval(config, u, v, 1e-12)
-                - np.conj(S.kernel_eval(config, v, u, 1e-12))
-            ),
-        )
-    out.append(_outcome("kernel-hermitian-symmetry", worst, 1e-10))
+    # <K_u, K_v> = K_u(v) = K(v, u), for consecutive sample points
+    inner = [Q.inner_product(config, sections[i + 1], sections[i], grid, refine=False).value
+             for i in range(len(pts) - 1)]
+    out = [_outcome("reproducing-property",
+                    float((np.abs(inner - np.diag(K, 1)) / np.diag(scale, 1)).max()), 1e-5)]
+    out.append(_outcome("kernel-series-agreement",
+                        float((np.abs(K - _kernel_series(config, pts, pts)) / scale).max()), 1e-8))
+    out.append(_outcome("kernel-hermitian-symmetry",
+                        float((np.abs(K - K.conj().T) / scale).max()), 1e-10))
     return out
 
 
-def _kernel_series(config: S.SpaceConfig, u, v, n_radius: int = 8, k_total: int = 40) -> complex:
-    """Brute-force basis expansion of the kernel over a fixed index box.
+def _kernel_series(config: S.SpaceConfig, us, vs, n_radius: int = 8,
+                   k_total: int = 40) -> np.ndarray:
+    """Brute-force basis expansion of the kernel over a fixed index box, as a matrix.
 
-    Sums e_{n,k}(u) conj(e_{n,k}(v)) / ||e_{n,k}||^2 over |n_j| <= n_radius
-    and |k| <= k_total (8 and 40 by default), evaluating the whole box as
-    index arrays.  Inverse norms go through log space: indices whose norm
-    overflows the double range contribute below resolution and underflow
-    to zero.
+    Entry [i, j] sums e_{n,k}(us[i]) conj(e_{n,k}(vs[j])) / ||e_{n,k}||^2
+    over |n_j| <= n_radius and |k| <= k_total (8 and 40 by default).  The
+    box is evaluated once per point list (once when vs is us), each value
+    scaled by 1/||e_{n,k}||; the scales go through log space, so indices
+    whose norm overflows the double range contribute below resolution and
+    underflow to zero.
     """
     idxs = S.series_indices(config, n_radius, k_total)
-    vals_u = S.basis_eval_many(config, idxs, u.z[None, :], u.z_perp[None, :])[:, 0]
-    vals_v = S.basis_eval_many(config, idxs, v.z[None, :], v.z_perp[None, :])[:, 0]
-    inv_norms = np.exp(-S._log_norms(config, idxs))
-    return complex(np.sum(vals_u * np.conj(vals_v) * inv_norms))
+    inv_norms = np.exp(-0.5 * S._log_norms(config, idxs))[:, None]
+
+    def normalized(points):
+        return inv_norms * S.basis_eval_many(config, idxs, [p.z for p in points],
+                                             [p.z_perp for p in points])
+
+    a = normalized(us)
+    return a.T @ (a if vs is us else normalized(vs)).conj()
 
 
 # ---------------------------------------------------------------------------
@@ -450,6 +449,8 @@ def _kernel_series(config: S.SpaceConfig, u, v, n_radius: int = 8, k_total: int 
 
 
 def verify_bounds(config: S.SpaceConfig, rng) -> list[PropertyOutcome]:
+    """The evaluation bound samples fields one at a time; the kernel properties read one
+    kernel matrix, the series identity on the kernel's own scale K(u, u)."""
     out = []
     failures = 0
     worst_ratio = 0.0
@@ -468,46 +469,25 @@ def verify_bounds(config: S.SpaceConfig, rng) -> list[PropertyOutcome]:
         )
     )
 
-    worst = 0.0
-    for _ in range(5):
-        u = random_point(rng, config, scale=0.6)
-        kd = S.kernel_diagonal(config, u, 1e-12)
-        ke = S.kernel_eval(config, u, u, 1e-12)
-        worst = max(worst, abs(kd - ke) / max(kd, 1e-300))
-        if kd <= 0:
-            worst = math.inf
+    pts, _, K = _kernel_sample(config, rng)
+    diag = np.array([S.kernel_diagonal(config, p, 1e-12) for p in pts])
+    worst = float((np.abs(diag - np.diag(K)) / diag).max()) if diag.min() > 0 else math.inf
     out.append(_outcome("diagonal-consistency", worst, 1e-10))
 
-    pts = [random_point(rng, config, scale=0.5) for _ in range(6)]
-    K = np.array([[S.kernel_eval(config, a, b, 1e-12) for b in pts] for a in pts])
     eigs = np.linalg.eigvalsh(0.5 * (K + K.conj().T))
-    out.append(
-        _outcome(
-            "kernel-positive-semidefinite",
-            max(0.0, -float(eigs.min())),
-            1e-8 * float(np.trace(K).real),
-        )
-    )
+    out.append(_outcome("kernel-positive-semidefinite", max(0.0, -float(eigs.min())),
+                        1e-8 * float(np.trace(K).real)))
 
     # truncated diagonal series approaches the closed-form diagonal
-    worst = 0.0
-    for _ in range(3):
-        u = random_point(rng, config, scale=0.4)
-        kd = S.kernel_diagonal(config, u, 1e-12)
-        series = _kernel_series(config, u, u).real
-        worst = max(worst, abs(series - kd))
-    out.append(_outcome("diagonal-series-identity", worst, 1e-8))
+    series = np.diag(_kernel_series(config, pts, pts)).real
+    out.append(_outcome("diagonal-series-identity", float((np.abs(series - diag) / diag).max()),
+                        1e-8))
 
     # K(z, t z_perp) grows with |t| through the exp(nu |z_perp|^2) factor
-    monotone_ok = True
-    for _ in range(5):
-        u = random_point(rng, config, scale=0.5)
-        if config.g == config.r:  # no perpendicular coordinate to scale
-            break
-        u2 = PointCoordinates(z=u.z, z_perp=2.0 * u.z_perp)
-        if S.kernel_diagonal(config, u2, 1e-12) < S.kernel_diagonal(config, u, 1e-12):
-            monotone_ok = False
-    out.append(_outcome("diagonal-perp-monotonicity", 0.0 if monotone_ok else 1.0, 0.0))
+    # (at r = g the doubled point is the point itself)
+    doubled = np.array([S.kernel_diagonal(config, PointCoordinates(z=p.z, z_perp=2 * p.z_perp),
+                                          1e-12) for p in pts])
+    out.append(_outcome("diagonal-perp-monotonicity", float((doubled < diag).any()), 0.0))
     return out
 
 

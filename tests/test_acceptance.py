@@ -177,8 +177,8 @@ def test_criterion_5_kernel_series():
             v = verify.random_point(rng, cfg, scale=0.4)
             closed = tf.kernel_eval(cfg, u, v, 1e-12)
             # series grown until stable between truncation levels
-            s1 = verify._kernel_series(cfg, u, v, n_radius=6, k_total=30)
-            s2 = verify._kernel_series(cfg, u, v, n_radius=8, k_total=40)
+            s1 = verify._kernel_series(cfg, [u], [v], n_radius=6, k_total=30)[0, 0]
+            s2 = verify._kernel_series(cfg, [u], [v], n_radius=8, k_total=40)[0, 0]
             assert abs(s2 - s1) <= 1e-10, "series not yet stable"
             worst = max(worst, abs(closed - s2))
             pairs += 1

@@ -222,6 +222,17 @@ def test_kernel_symmetry_spot_check(tmp_path):
     assert result(doc, "hermitian_symmetry_defect")["pass"]
 
 
+def test_kernel_symmetry_is_measured_on_the_value_scale(tmp_path):
+    # |K(u, v)| = 6.1e4: K(u, v) and conj K(v, u) differ by rounding alone,
+    # 2.2e-10, above 2 tol in absolute terms but 3.6e-15 of the value
+    code, doc = run(tmp_path, "kernel", G3R2_FILE, "--u=1.8,1.7", "--u=1.8,1.6", "--u=0.5,-0.4",
+                    "--v=-0.6,-0.2", "--v=0.7,-0.6", "--v=1.6,-0.3")
+    assert code == 0 and doc["status"] == "ok"
+    entry = result(doc, "hermitian_symmetry_defect")
+    assert entry["pass"]
+    assert entry["value"] <= 1e-13 * abs(complex(*result(doc, "kernel")["value"]))
+
+
 def test_norms_table(tmp_path):
     code, doc = run(
         tmp_path, "norms", write(tmp_path, G1R1), "--n-max", "1", "--k-max", "0",

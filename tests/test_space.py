@@ -239,7 +239,7 @@ def test_kernel_series_agreement(cfg_g2r1):
         u = verify.random_point(rng, cfg_g2r1, scale=0.4)
         v = verify.random_point(rng, cfg_g2r1, scale=0.4)
         closed = tf.kernel_eval(cfg_g2r1, u, v, 1e-12)
-        series = verify._kernel_series(cfg_g2r1, u, v)
+        series = verify._kernel_series(cfg_g2r1, [u], [v])[0, 0]
         assert abs(closed - series) <= 1e-8
 
 
@@ -440,7 +440,7 @@ def test_diagonal_series_identity(cfg_g2r1):
     rng = np.random.default_rng(28)
     u = verify.random_point(rng, cfg_g2r1, scale=0.4)
     kd = tf.kernel_diagonal(cfg_g2r1, u, 1e-12)
-    series = verify._kernel_series(cfg_g2r1, u, u).real
+    series = verify._kernel_series(cfg_g2r1, [u], [u])[0, 0].real
     assert abs(series - kd) <= 1e-8
 
 

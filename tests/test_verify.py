@@ -276,3 +276,25 @@ def test_characteristic_shift_is_measured_on_the_value_scale(name):
                if o.name == "characteristic-shift"][0]
     assert outcome.passed and outcome.tolerance == 2e-10
     assert outcome.defect <= 1e-13
+
+
+@pytest.mark.parametrize("key, nodes", [((1, 3, 3), (32, 160)), ((0, 2, 2), (32, 48))],
+                         ids=["g3r3", "g2r2"])
+def test_reproducing_property_reads_the_kernel_scale(key, nodes):
+    # with random fields, <f, K_v> - f(v) over 1 + |f(v)| read 2.04 and 7.8e2
+    # here: the section's plan omits indices of norm far beyond |f(v)|.  Between
+    # two kernel sections <K_u, K_v> = K(v, u), on the scale sqrt(K(u,u) K(v,v))
+    cfg = verify.random_config(np.random.default_rng(list(key)), key[1], key[2])
+    outcomes = verify.verify_reproducing(cfg, np.random.default_rng(0), nodes=nodes)
+    _assert_all_pass(outcomes)
+    assert outcomes[0].name == "reproducing-property" and outcomes[0].defect <= 1e-12
+
+
+@pytest.mark.parametrize("name, suite, seed", [("g3_r2", "reproducing", 26),
+                                               ("g2_r0", "bounds", 36)])
+def test_kernel_suites_pass_where_absolute_defects_failed(name, suite, seed):
+    # absolute defects failed here by rounding and series truncation alone:
+    # kernel-hermitian-symmetry 6.1e-9 at |K| = 3.6e6, diagonal-series-identity
+    # 1.3e-8 at K(u,u) = 2.95e4; tolerances unchanged, on the kernel's scale
+    cfg = build_config(load_problem(G3R2_FILE.with_name(f"{name}.json")))
+    _assert_all_pass(verify.run_suite(cfg, suite, seed=seed))
