@@ -103,12 +103,13 @@ _COARSE_RTOL = 1e-3  # inner_product accepts a refinement change up to this time
 def gaussian_integral(a: float, A, b) -> complex:
     """Closed form of int_{R^r} exp(-a y^T A y + b.y) dy.
 
-    Requires a > 0 and symmetric A with positive definite real part; the
-    determinant square root is the product of principal eigenvalue roots,
-    which is the analytic continuation from real positive definite A.
+    Requires a finite a > 0 (ValueError), finite A and b (ValidationError)
+    and symmetric A with positive definite real part; the determinant
+    square root is the product of principal eigenvalue roots, which is the
+    analytic continuation from real positive definite A.
     """
-    if a <= 0:
-        raise ValueError("a must be positive")
+    if not 0 < a < math.inf:  # NaN included
+        raise ValueError("a must be finite and positive")
     A = np.asarray(A, dtype=complex)
     if A.size == 0:
         A = A.reshape(0, 0)
@@ -119,6 +120,8 @@ def gaussian_integral(a: float, A, b) -> complex:
     b = np.asarray(b, dtype=complex).reshape(-1)
     if b.shape[0] != r:
         raise DimensionMismatch("b must have the same dimension as A")
+    if not (np.isfinite(A).all() and np.isfinite(b).all()):
+        raise ValidationError("A and b must be finite")
     scale = max(1.0, float(np.abs(A).max(initial=0.0)))
     if np.abs(A - A.T).max(initial=0.0) > 1e-10 * scale:
         raise NotSymmetric("A must be symmetric")

@@ -223,9 +223,6 @@ class CoefficientField:
     def indices(self):
         return [idx for idx, _ in self.entries]
 
-    def coefficients(self) -> np.ndarray:
-        return self.a
-
 
 def _as_batch(config: SpaceConfig, z, z_perp):
     Z = np.atleast_2d(np.asarray(z, dtype=complex))
@@ -398,7 +395,8 @@ def basis_function(config: SpaceConfig, idx: BasisIndex, normalized: bool = Fals
 
 
 def _norm_exponents(config: SpaceConfig, n: np.ndarray) -> np.ndarray:
-    """q = (n+alpha)^T B^-1 (n+alpha) per row of n, one stacked product per row: batch-independent."""
+    """q = (n+alpha)^T B^-1 (n+alpha) per row of n, the exponent of _log_norms; one
+    stacked product per row, so an index's q does not depend on the batch."""
     na = n + config.alpha
     return (na[:, None, :] @ config.lattice.B_inv @ na[:, :, None])[:, 0, 0]
 
@@ -620,17 +618,12 @@ def evaluation_bound_check(
 def series_indices(config: SpaceConfig, n_radius: int, k_total: int) -> tuple:
     """Basis indices with |n_j| <= n_radius and |k| <= k_total, as an (n, k) pair of arrays.
 
-    Ordered dominant-first for series truncation: by the norm exponent
-    (n+alpha)^T B^-1 (n+alpha), then by |k|, then lexicographically.
+    In lexicographic order: n-major over the integer box, then k as
+    _multi_indices orders it.
     """
     ns = _integer_box(config.r, n_radius)
     ks = _multi_indices(config.g - config.r, k_total)
-    q = _norm_exponents(config, ns)
-    # pair p = (n, k) = (ns[p // len(ks)], ks[p % len(ks)]) runs in lexicographic
-    # order, which the stable lexsort keeps among equal (q, |k|)
-    order = np.lexsort((np.tile(ks.sum(axis=1), len(ns)), np.repeat(q, len(ks))))
-    rows, cols = np.divmod(order, max(len(ks), 1))
-    return ns[rows], ks[cols]
+    return np.repeat(ns, len(ks), axis=0), np.tile(ks, (len(ns), 1))
 
 
 def _integer_box(r: int, radius: int) -> np.ndarray:

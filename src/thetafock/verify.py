@@ -302,7 +302,7 @@ def verify_theta(config: S.SpaceConfig, rng) -> list[PropertyOutcome]:
     # terms' log magnitudes are the real parts of the exponents theta sums
     plan = T.truncation_plan(params, z, 1e-6)
     cap = plan.tail_bound / max(plan.index_set.shape[0], 1)
-    box = S._integer_box(r, 12)
+    box = S.series_indices(config, 12, 0)[0]
     log_mags = T.log_terms(params, z[None, :], box)[0].real
     above = {tuple(row) for row in box[np.exp(log_mags) > cap].tolist()}
     missing = len(above - {tuple(row) for row in plan.index_set.tolist()})
@@ -335,9 +335,7 @@ def norms_battery(config: S.SpaceConfig, grid, n_max: int, k_max: int) -> NormsB
     if n * n > Q._WORK_BUDGET:
         raise NodeBudgetExceeded(f"the norms battery's Gram matrix of {n} basis indices has "
                                  f"more entries than the budget of {Q._WORK_BUDGET:.3e}")
-    ns = S._integer_box(config.r, n_max)
-    ks = S._multi_indices(m, k_max)
-    idxs = np.repeat(ns, len(ks), axis=0), np.tile(ks, (len(ns), 1))
+    idxs = S.series_indices(config, n_max, k_max)
     G, _ = Q.gram_matrix(config, S.basis_family(config, idxs), grid)
     closed = S._exp_norms(S._log_norms(config, idxs))
     oracle = np.diag(G).real

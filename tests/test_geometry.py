@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from thetafock.geometry import (
     coordinate_conjugate,
     coordinates_many,
 )
+from thetafock.problem import build_config, load_problem
 
 
 def test_validate_space_identity():
@@ -292,10 +294,86 @@ def test_check_rdq_trivial_character():
 
 
 def test_check_rdq_non_unit_modulus():
+    # a NaN character used to pass with defect 0.0
     sp = tf.validate_space(np.eye(1))
     lat = tf.build_lattice(sp, [[1.0]])
-    with pytest.raises(errors.NonUnitModulus):
-        tf.check_rdq(lat, lambda m: 2.0 + 0.0j, nu=1.0)
+    for value in (2.0 + 0.0j, complex(math.nan, math.nan)):
+        with pytest.raises(errors.NonUnitModulus):
+            tf.check_rdq(lat, lambda m: value, nu=1.0)
+
+
+@pytest.mark.parametrize("nu", [math.nan, math.inf])
+def test_check_rdq_non_finite_nu_fails(nu):
+    # a non-finite defect reads as inf and fails; a NaN defect used to pass as 0.0
+    lat = tf.build_lattice(tf.validate_space(np.eye(2)), np.eye(2))
+    rep = tf.check_rdq(lat, Character(np.array([0.37, 0.81])), nu)
+    assert rep.passed is False
+    assert rep.worst_defect == math.inf
+    assert rep.worst_pair == ((0, 0), (0, 0))
+
+
+def _rdq_reference(lattice, chi, nu):
+    """The pair loop that check_rdq replaced: (passed, worst_defect, worst_pair)."""
+    r = lattice.r
+    vecs = [np.zeros(r, dtype=int)]
+    eye = np.eye(r, dtype=int)
+    for i in range(r):
+        vecs.extend([eye[i], -eye[i], 2 * eye[i]])
+    for i in range(r):
+        for j in range(i + 1, r):
+            vecs.extend([eye[i] + eye[j], eye[i] - eye[j]])
+    ms = np.array(vecs, dtype=int)
+    vals = {tuple(m): complex(chi(m)) for m in ms}
+    sums = {tuple(m + mp) for m in ms for mp in ms}
+    for s in sums:
+        if s not in vals:
+            vals[s] = complex(chi(np.array(s, dtype=int)))
+    for m, v in vals.items():
+        if abs(abs(v) - 1.0) > 1e-9:
+            raise errors.NonUnitModulus(f"|chi({m})| = {abs(v):.12f}")
+    worst = 0.0
+    worst_pair = (tuple(ms[0]), tuple(ms[0]))
+    for m in ms:
+        gm = lattice.gamma(m)
+        for mp in ms:
+            e_val = float(lattice.space.symplectic(gm, lattice.gamma(mp)))
+            defect = abs(
+                vals[tuple(m + mp)] - vals[tuple(m)] * vals[tuple(mp)] * np.exp(1j * nu * e_val)
+            )
+            if defect > worst:
+                worst = defect
+                worst_pair = (tuple(m), tuple(mp))
+    return worst <= 1e-9, worst, worst_pair
+
+
+_PROBLEMS = sorted((Path(__file__).resolve().parent.parent / "problems").glob("*.json"))
+
+
+@pytest.mark.parametrize("source", _PROBLEMS + [(s, g, r) for s in range(3) for g in range(1, 5)
+                                                for r in range(g + 1)],
+                         ids=lambda source: getattr(source, "stem", str(source)))
+def test_check_rdq_matches_the_pair_loop(source):
+    if isinstance(source, Path):
+        cfg = build_config(load_problem(str(source)))
+    else:
+        cfg = verify.random_config(np.random.default_rng(list(source)), *source[1:])
+    lat = cfg.lattice
+    rng = np.random.default_rng(71)
+    chis = [cfg.character] + [Character(rng.uniform(0, 1, lat.r)) for _ in range(3)]
+    if lat.r >= 2:
+        chis += [verify._non_character(cfg.alpha),
+                 lambda m: np.exp(2j * np.pi * (0.1 * m[0]) + 1j * m[0] * m[1])]
+    for chi in chis:
+        passed, worst, pair = _rdq_reference(lat, chi, cfg.nu)
+        rep = tf.check_rdq(lat, chi, cfg.nu)
+        assert rep.passed is bool(passed)
+        assert rep.worst_defect == pytest.approx(worst, rel=1e-12, abs=1e-14)
+        # numpy's einsum of one pair of length-2 vectors sums each row of H
+        # before adding it, which the broadcast sums in one sequence: E differs
+        # in its last bits there, and so can the largest of rounding-sized defects
+        if worst > 1e-12 or lat.g != 2:
+            assert rep.worst_pair == pair
+        assert type(rep.worst_defect) is float and rep.pairs_checked == (1 + lat.r) ** 4
 
 
 def test_r_zero_lattice():

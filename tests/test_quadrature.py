@@ -71,6 +71,18 @@ def test_gaussian_integral_errors():
         tf.gaussian_integral(-1.0, [[1.0]], [0.0])
 
 
+@pytest.mark.parametrize("a, A, b, error", [
+    (math.nan, [[1.0]], [0.0], ValueError),
+    (math.inf, [[1.0]], [0.0], ValueError),
+    (1.0, [[math.nan]], [0.0], errors.ValidationError),
+    (1.0, [[1.0]], [math.nan], errors.ValidationError),
+], ids=["a-nan", "a-inf", "A-nan", "b-nan"])
+def test_gaussian_integral_rejects_non_finite_input(a, A, b, error):
+    # these returned nan+nanj or 0j, or raised numpy's LinAlgError
+    with pytest.raises(error):
+        tf.gaussian_integral(a, A, b)
+
+
 @pytest.mark.parametrize("r", [0, 1, 2, 3])
 def test_calibration_closed_forms_match_gaussian_integral(r):
     # the calibration reads its closed forms from det B and B^-1; they must

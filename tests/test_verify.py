@@ -195,7 +195,7 @@ def _never_called(*args, **kwargs):
 def test_norms_battery_over_budget_builds_no_index(monkeypatch, problem, n_max, k_max):
     cfg = build_config(load_problem(G3R2_FILE.with_name(f"{problem}.json")))
     grid = tf.build_grid(cfg, compact_nodes=4, unbounded_nodes=4)
-    for name in ("_integer_box", "_multi_indices", "basis_family"):
+    for name in ("series_indices", "_integer_box", "_multi_indices", "basis_family"):
         monkeypatch.setattr(verify.S, name, _never_called)
     with pytest.raises(errors.NodeBudgetExceeded, match="norms battery"):
         verify.norms_battery(cfg, grid, n_max, k_max)
@@ -209,9 +209,20 @@ def test_norms_battery_budget_counts_the_indices_it_builds(monkeypatch):
     n = len(verify.norms_battery(cfg, grid, 1, 2).indices[0])
     assert n == 3 * 3
     monkeypatch.setattr(verify.Q, "_WORK_BUDGET", n * n - 1)
-    monkeypatch.setattr(verify.S, "_integer_box", _never_called)
+    monkeypatch.setattr(verify.S, "series_indices", _never_called)
     with pytest.raises(errors.NodeBudgetExceeded):
         verify.norms_battery(cfg, grid, 1, 2)
+
+
+def test_norms_battery_indices_are_the_series_box():
+    # the battery, the kernel series and `thetafock norms` read one index box
+    cfg = build_config(load_problem(str(G3R2_FILE)))
+    grid = tf.build_grid(cfg, compact_nodes=8, unbounded_nodes=12)
+    n, k = verify.norms_battery(cfg, grid, 1, 2).indices
+    want_n, want_k = tf.series_indices(cfg, 1, 2)
+    assert len(n) == 9 * 3  # r = 2, g - r = 1
+    np.testing.assert_array_equal(n, want_n)
+    np.testing.assert_array_equal(k, want_k)
 
 
 def _assert_all_pass(outcomes):
