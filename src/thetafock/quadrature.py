@@ -189,7 +189,7 @@ class _Block(NamedTuple):
 
 @dataclass(frozen=True)
 class _Level:
-    """One level's 1-D rules and the node sets of its two blocks.
+    """One level's node sets of its two blocks.
 
     ``lattice`` has 2r segments, x_j then s_j for each j: the n_c points
     (x_j + offset_j) e_j, weighted by the Legendre weights times
@@ -200,10 +200,6 @@ class _Level:
     w_a w_b, and scale 1/nu; every perpendicular coordinate reads it.
     """
 
-    compact_nodes: np.ndarray
-    compact_weights: np.ndarray
-    herm_nodes: np.ndarray
-    herm_weights: np.ndarray
     lattice: _Block
     fock: _Block
     shape: tuple  # per-dim node counts: r compact, r Hermite, 2(g-r) Hermite
@@ -282,8 +278,7 @@ def _make_level(config, n_compact: int, n_unbounded: int, offset, T, jacobian: f
     fock = _Block((s[:, None] + 1j * s).ravel(), np.outer(wt, wt).ravel(), fock_lengths, 1 / nu)
     for a in (lattice.points, lattice.weights, fock.points, fock.weights):
         a.setflags(write=False)
-    return _Level(compact_nodes=x, compact_weights=wx, herm_nodes=t, herm_weights=wt,
-                  lattice=lattice, fock=fock,
+    return _Level(lattice=lattice, fock=fock,
                   shape=(n_compact,) * r + (n_unbounded,) * r + (n_unbounded,) * (2 * (g - r)))
 
 

@@ -349,7 +349,7 @@ def _rdq_reference(lattice, chi, nu):
 _PROBLEMS = sorted((Path(__file__).resolve().parent.parent / "problems").glob("*.json"))
 
 
-@pytest.mark.parametrize("source", _PROBLEMS + [(s, g, r) for s in range(3) for g in range(1, 5)
+@pytest.mark.parametrize("source", _PROBLEMS + [(s, g, r) for s in range(10) for g in range(1, 5)
                                                 for r in range(g + 1)],
                          ids=lambda source: getattr(source, "stem", str(source)))
 def test_check_rdq_matches_the_pair_loop(source):

@@ -112,21 +112,25 @@ def test_requested_tol_must_be_positive(cfg_g1r1, bad, monkeypatch):
         tf.build_grid(cfg_g1r1, requested_tol=bad)
 
 
-def test_hermite_exactness_degree(grid_g1r1):
-    # the Hermite rules the oracle sums with integrate t^(2j) against
-    # exp(-t^2) exactly
-    for lvl in (grid_g1r1.base, grid_g1r1.fine):
-        t, w = lvl.herm_nodes, lvl.herm_weights
+_DEFAULT_LEVELS = [(Q._DEFAULT_COMPACT_NODES, Q._DEFAULT_UNBOUNDED_NODES),
+                   (2 * Q._DEFAULT_COMPACT_NODES, 2 * Q._DEFAULT_UNBOUNDED_NODES)]
+
+
+def test_hermite_exactness_degree():
+    # the Hermite rules the oracle sums with, on both default levels,
+    # integrate t^(2j) against exp(-t^2) exactly
+    for counts in _DEFAULT_LEVELS:
+        _, _, t, w = Q._gauss_rules(*counts)
         for j in range(0, 16):
             got = float(w @ t ** (2 * j))
             want = math.gamma(j + 0.5)
             assert abs(got - want) <= 1e-12 * want
 
 
-def test_legendre_exactness_degree(grid_g1r1):
+def test_legendre_exactness_degree():
     # an n-node Legendre rule on [0, 1] integrates x^k exactly for k < 2n
-    for lvl in (grid_g1r1.base, grid_g1r1.fine):
-        x, w = lvl.compact_nodes, lvl.compact_weights
+    for counts in _DEFAULT_LEVELS:
+        x, w, _, _ = Q._gauss_rules(*counts)
         for k in range(2 * len(x)):
             want = 1.0 / (k + 1)
             assert abs(float(w @ x**k) - want) <= 1e-12 * want
@@ -151,22 +155,26 @@ def test_rule_that_is_not_finite_is_validation_error(cfg_g1r1):
 
 
 def test_cached_rules_are_read_only(cfg_g1r1):
-    grid = tf.build_grid(cfg_g1r1, compact_nodes=7, unbounded_nodes=9)
-    t = grid.base.herm_nodes
-    saved = t.copy()
-    for arr in (t, grid.base.herm_weights, grid.fine.compact_nodes, grid.fine.compact_weights):
+    tf.build_grid(cfg_g1r1, compact_nodes=7, unbounded_nodes=9)
+    rules = Q._gauss_rules(7, 9) + Q._gauss_rules(14, 18)
+    saved = [arr.copy() for arr in rules]
+    for arr in rules:
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 0.0
-    again = tf.build_grid(cfg_g1r1, compact_nodes=7, unbounded_nodes=9)
-    assert again.base.herm_nodes is t
-    np.testing.assert_array_equal(again.base.herm_nodes, saved)
+    # building again reads both levels' rules from the cache, unchanged
+    hits = Q._gauss_rules.cache_info().hits
+    tf.build_grid(cfg_g1r1, compact_nodes=7, unbounded_nodes=9)
+    assert Q._gauss_rules.cache_info().hits == hits + 2
+    assert all(a is b for a, b in zip(Q._gauss_rules(7, 9) + Q._gauss_rules(14, 18), rules))
+    for arr, copy in zip(rules, saved):
+        np.testing.assert_array_equal(arr, copy)
 
 
 def test_grid_invariants(grid_g1r1):
-    lvl = grid_g1r1.base
-    assert np.all(lvl.compact_weights > 0)
-    assert np.all(lvl.herm_weights > 0)
-    assert np.all((lvl.compact_nodes > 0) & (lvl.compact_nodes < 1))
+    x, wx, _, wt = Q._gauss_rules(*_DEFAULT_LEVELS[0])
+    assert np.all(wx > 0)
+    assert np.all(wt > 0)
+    assert np.all((x > 0) & (x < 1))
     assert grid_g1r1.estimated_error <= 1e-10
 
 
@@ -324,7 +332,7 @@ def test_grid_too_coarse():
 def overflow_case():
     # a random g2r1 configuration whose high basis functions overflow the
     # level sums at (32, 48): their products were NaN
-    cfg = verify.random_config(np.random.default_rng([0, 2, 1]), 2, 1)
+    cfg = verify.random_config(np.random.default_rng([7, 2, 1]), 2, 1)
     return cfg, tf.build_grid(cfg, compact_nodes=32, unbounded_nodes=48)
 
 
@@ -530,24 +538,23 @@ def small_case(request):
         offset = [0.37, -0.21]
         nodes = (6, 12)
     return cfg, tf.build_grid(cfg, compact_nodes=nodes[0], unbounded_nodes=nodes[1],
-                              box_offset=offset)
+                              box_offset=offset), nodes
 
 
 _CHUNK = 1 << 14  # tensor nodes per chunk of the reference sum
 
 
-def _tensor_chunks(cfg, level, offset, T):
+def _tensor_chunks(cfg, counts, offset, T):
     # ((Z, Zp), w) over the level's whole tensor grid, _CHUNK nodes at a
     # time: r Legendre axes at x + offset, weighted by exp(-nu x^T B x); r
     # Hermite axes weighted by exp(t^2 / 2), with y = T s for the
     # eigen-coordinates s of 2 nu B; two Hermite axes t / sqrt(nu) per
-    # perpendicular coordinate.  Points are column-major, as the
-    # evaluators read them.
+    # perpendicular coordinate; counts are the level's (n_c, n_h).  Points
+    # are column-major, as the evaluators read them.
     r, nu = cfg.r, cfg.nu
-    t = level.herm_nodes
-    rules = ([(level.compact_nodes, level.compact_weights)] * r
-             + [(t, level.herm_weights * np.exp(0.5 * t * t))] * r
-             + [(t / math.sqrt(nu), level.herm_weights)] * (2 * (cfg.g - r)))
+    x, wx, t, wt = Q._gauss_rules(*counts)
+    rules = ([(x, wx)] * r + [(t, wt * np.exp(0.5 * t * t))] * r
+             + [(t / math.sqrt(nu), wt)] * (2 * (cfg.g - r)))
     sizes = [len(nodes) for nodes, _ in rules]
     total = math.prod(sizes)
     for start in range(0, total, _CHUNK):
@@ -566,19 +573,20 @@ def _tensor_chunks(cfg, level, offset, T):
         yield (Z, q[:, 0::2] + 1j * q[:, 1::2]), w
 
 
-def _tensor_gram(cfg, f, h, grid, refine):
+def _tensor_gram(cfg, f, h, grid, nodes, refine):
     # the reference for the block-by-block oracle: (G, E) as gram_matrix
     # returns them, from f conj(h) called directly on each level's whole
     # tensor grid (the same nodes and weights, summed as one block), times
-    # the lattice Jacobian and nu^-(g - r)
+    # the lattice Jacobian and nu^-(g - r); the grid was built at nodes
     evals, evecs = np.linalg.eigh(2.0 * cfg.nu * cfg.lattice.B)
     scale = float(np.prod(1.0 / np.sqrt(evals))) / cfg.nu ** (cfg.g - cfg.r)
     T = evecs / np.sqrt(evals)
-    sums = [scale * Q._segment_sums(_tensor_chunks(cfg, level, grid.box_offset, T),
+    levels = [(grid.base, nodes), (grid.fine, (2 * nodes[0], 2 * nodes[1]))]
+    sums = [scale * Q._segment_sums(_tensor_chunks(cfg, counts, grid.box_offset, T),
                                     [math.prod(level.shape)],
                                     lambda p: np.atleast_2d(f(*p)),
                                     lambda p: np.atleast_2d(h(*p)), f is h)[0]
-            for level in ([grid.base, grid.fine] if refine else [grid.base])]
+            for level, counts in (levels if refine else levels[:1])]
     if not refine:
         return sums[0], np.zeros(sums[0].shape)
     return sums[1], np.abs(sums[1] - sums[0])
@@ -587,7 +595,7 @@ def _tensor_gram(cfg, f, h, grid, refine):
 @pytest.mark.parametrize("refine", [True, False])
 def test_factored_matches_one_block(small_case, refine, monkeypatch):
     # the oracle's block-by-block sums against the tests-side tensor sum
-    cfg, grid = small_case
+    cfg, grid, nodes = small_case
     idxs = [
         tf.BasisIndex(n=n, k=k)
         for n in S._integer_box(cfg.r, 1)
@@ -595,7 +603,7 @@ def test_factored_matches_one_block(small_case, refine, monkeypatch):
     ]
     fam = S.basis_family(cfg, idxs)
     G, E = tf.gram_matrix(cfg, fam, grid, refine=refine)
-    G1, E1 = _tensor_gram(cfg, fam, fam, grid, refine)
+    G1, E1 = _tensor_gram(cfg, fam, fam, grid, nodes, refine)
     assert np.abs(G - G1).max() <= 1e-13 * np.abs(G1).max()
     assert np.abs(E - E1).max() <= 1e-13 * np.abs(G1).max()
 
@@ -607,7 +615,7 @@ def test_factored_matches_one_block(small_case, refine, monkeypatch):
     empty = S.synthesized_function(cfg, S.CoefficientField.from_dict({}))
     for a, b in ((f, f), (f, section), (section, f), (empty, section)):
         got = tf.inner_product(cfg, a, b, grid, refine=refine).value
-        want = _tensor_gram(cfg, a, b, grid, refine)[0][0, 0]
+        want = _tensor_gram(cfg, a, b, grid, nodes, refine)[0][0, 0]
         assert abs(got - want) <= 1e-13 * abs(want)
         if (a, b) == (f, section):
             want_section = want
@@ -615,9 +623,9 @@ def test_factored_matches_one_block(small_case, refine, monkeypatch):
     # with no cap, each map is called once per reduction, on the nodes of
     # every level summed: r (n_c + n_h) lattice rows and n_h^2 Fock rows per
     # level, one Fock call whatever g - r is (none at g = r)
-    levels = [grid.base, grid.fine] if refine else [grid.base]
-    n_lattice = cfg.r * sum(len(lvl.compact_nodes) + len(lvl.herm_nodes) for lvl in levels)
-    n_perp = sum(len(lvl.herm_nodes) ** 2 for lvl in levels)
+    levels = [nodes, (2 * nodes[0], 2 * nodes[1])][:2 if refine else 1]
+    n_lattice = cfg.r * sum(n_c + n_h for n_c, n_h in levels)
+    n_perp = sum(n_h**2 for _, n_h in levels)
     calls = {}
     got = tf.inner_product(cfg, f, _recording(section, calls), grid, refine=refine).value
     assert abs(got - want_section) <= 1e-13 * abs(want_section)
@@ -644,9 +652,8 @@ def test_factored_matches_one_block(small_case, refine, monkeypatch):
     for rows in (*fam_calls.values(), *section_calls.values()):
         assert max(rows) <= 7 and len(rows) > 1
     if cfg.r:
-        lengths = [len(a) for lvl in levels for _ in range(cfg.r)
-                   for a in (lvl.compact_nodes, lvl.herm_nodes)]
-        bounds = set(itertools.accumulate(lengths))
+        bounds = set(itertools.accumulate(n for counts in levels for _ in range(cfg.r)
+                                          for n in counts))
         starts = list(itertools.accumulate(fam_calls["lattice"], initial=0))
         assert starts[-1] == n_lattice
         assert any(lo < b < hi for lo, hi in zip(starts, starts[1:]) for b in bounds)
@@ -693,7 +700,7 @@ def test_work_counts_the_factor_values_computed(small_case, refine):
     # values, per distinct factor of the block and level; one
     # function on each side: f is e_(first index) with every other factor of
     # the index box at coefficient 0, so it computes all of their values
-    cfg, grid = small_case
+    cfg, grid, _ = small_case
     idxs = [tf.BasisIndex(n=n, k=k) for n in S._integer_box(cfg.r, 1)
             for k in S._multi_indices(cfg.g - cfg.r, 2)]
     fam = S.synthesized_function(
@@ -709,7 +716,7 @@ def test_work_counts_the_factor_values_computed(small_case, refine):
 
 
 def test_oracle_never_reads_closed_forms(small_case, monkeypatch):
-    cfg, _ = small_case
+    cfg, _, _ = small_case
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the oracle consulted a closed form")
@@ -731,7 +738,7 @@ def test_oracle_never_reads_closed_forms(small_case, monkeypatch):
 def test_wrapped_family_keeps_block_path(small_case):
     # functools.wraps copies the attributes but not the closure itself,
     # as tracing wrappers do; the block path must still be taken
-    cfg, grid = small_case
+    cfg, grid, _ = small_case
     idxs = [tf.BasisIndex(n=(n,) * cfg.r, k=(1,) * (cfg.g - cfg.r)) for n in (-1, 0, 1)]
     fam = S.basis_family(cfg, idxs)
 
@@ -749,11 +756,11 @@ def test_kernel_expansion_mutation_is_caught(small_case, monkeypatch):
     # dropping the conjugate of z_v in the expansion coefficients
     # c_t = C exp(l_v + 2 pi i (1/2 t F t - t.conj z_v)) must move the
     # value, so the agreement test above would catch such a slip
-    cfg, grid = small_case
+    cfg, grid, nodes = small_case
     v = tf.PointCoordinates(np.full(cfg.r, 0.1 + 0.2j), np.full(cfg.g - cfg.r, 0.2 - 0.1j))
     f = S.basis_function(cfg, tf.BasisIndex(n=(1,) * cfg.r, k=(1,) * (cfg.g - cfg.r)))
     section = S.kernel_section(cfg, v, 1e-10)
-    want = _tensor_gram(cfg, f, section, grid, refine=False)[0][0, 0]
+    want = _tensor_gram(cfg, f, section, grid, nodes, refine=False)[0][0, 0]
     log_terms = S._theta.log_terms
     with monkeypatch.context() as mp:
         # the coefficients take the exponents at -conj z_v; conjugating gives -z_v

@@ -339,7 +339,7 @@ def test_point_must_be_finite(cfg_g2r1, entry, bad):
         _POINT_ENTRY_POINTS[entry](cfg_g2r1, np.array([bad], dtype=complex))
 
 
-@pytest.mark.parametrize("im, terms", [(30.0, 1724), (40.0, 3011)])
+@pytest.mark.parametrize("im, terms", [(30.0, 1986), (40.0, 3406)])
 def test_far_kernel_section_builds(im, terms):
     # K(v, v) leaves the double range here, but the section's expansion is
     # finite: its plan's tails, far beyond the double range, stay in log scale
@@ -373,12 +373,12 @@ def test_kernel_outer_factor_out_of_range(cfg_g2r1):
 
 
 def test_kernel_product_out_of_range():
-    # the outer factor (about e^278) and the theta factor (about e^444) are
+    # the outer factor (about e^357) and the theta factor (about e^388) are
     # doubles, their product is not
     config = verify.random_config(np.random.default_rng(1), 2, 1)
-    u = PointCoordinates(np.array([0.2 + 8j]), np.array([12.0 + 0j]))
+    u = PointCoordinates(np.array([0.2 + 10j]), np.array([16.0 + 0j]))
     Zr, h = S._kernel_sides(config, u.z[None, :])
-    outer, vals = S._kernel_batch(config, Zr, h, config.nu * 144.0, Zr[0], h[0], 1e-10)
+    outer, vals = S._kernel_batch(config, Zr, h, config.nu * 256.0, Zr[0], h[0], 1e-10)
     assert np.isfinite(outer).all() and np.isfinite(vals).all()
     with pytest.raises(ValueOutOfRange):
         tf.kernel_eval(config, u, u, 1e-10)

@@ -65,6 +65,21 @@ def test_random_config_conditioning():
         assert np.linalg.eigvalsh(cfg.lattice.B).min() >= 0.35
 
 
+def test_random_config_builds_isotropic_lattices():
+    # every draw for g <= 6, r <= g and seeds 0-99 is built, never resampled
+    # (build_lattice raises on generators that are not isotropic): E = Im H
+    # vanishes on the generators and B has the sampler's spectrum [0.5, 1.5]
+    for g in range(1, 7):
+        for r in range(g + 1):
+            for s in range(100):
+                lat = verify.random_config(np.random.default_rng([s, g, r]), g, r).lattice
+                assert lat.r == r
+                gram = lat.space.hermitian(lat.generators[:, None, :], lat.generators[None, :, :])
+                assert np.abs(gram.imag).max(initial=0.0) <= lat.space.tol
+                eigs = np.linalg.eigvalsh(lat.B)
+                assert np.all((eigs >= 0.5 - 1e-12) & (eigs <= 1.5 + 1e-12))
+
+
 def test_random_field_respects_caps():
     rng = np.random.default_rng(52)
     space = tf.validate_space(np.eye(1))
@@ -266,8 +281,8 @@ def test_g3r3_calibration_reads_the_grid_at_nu_pi():
 
 
 def test_under_resolved_g3_config_is_flagged():
-    # (32, 48) nodes leave this lattice's calibration defect at 8.5e-6
-    cfg = verify.random_config(np.random.default_rng([2, 3, 2]), 3, 2)
+    # (32, 48) nodes leave this lattice's calibration defect at 5.8e-4
+    cfg = verify.random_config(np.random.default_rng([34, 3, 2]), 3, 2)
     with pytest.raises(errors.GridTooCoarse):
         tf.build_grid(cfg, requested_tol=1e-9)
     try:
