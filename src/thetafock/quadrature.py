@@ -490,9 +490,9 @@ def _factored_sums(levels, ff: Factored, hf: Factored) -> list:
     is the block's scale times the entrywise product of its segment sums;
     a block without segments (the lattice at r = 0) is all ones and its
     map is never called.  Each term pair multiplies its factors' entries
-    of the block Grams, column by column; family weights scale rows and columns.
+    of the block Grams, from the first column's gather on; family weights scale rows and columns.
     """
-    terms = [np.ones((len(ff.terms), len(hf.terms)), dtype=complex) for _ in levels]
+    terms = [None] * len(levels)
     width = ff.terms.shape[1]
     for name, cols, nf, nh in zip(("lattice", "fock")[:width], (range(1), range(1, width)),
                                   *map(_factor_counts, (ff, hf))):  # no Fock block at g = r
@@ -504,10 +504,11 @@ def _factored_sums(levels, ff: Factored, hf: Factored) -> list:
         f, h = getattr(ff, name), getattr(hf, name)
         sums = iter(_segment_sums(chunks, sum(lengths, ()), f, h, ff is hf))
         ones = np.ones((nf, nh), dtype=complex)
-        for level_terms, b in zip(terms, sets):
+        for i, b in enumerate(sets):
             gram = b.scale * math.prod(itertools.islice(sums, len(b.lengths)), start=ones)
             for col in cols:
-                level_terms *= gram[ff.terms[:, col, None], hf.terms[None, :, col]]
+                pair = gram[ff.terms[:, col, None], hf.terms[None, :, col]]
+                terms[i] = pair if terms[i] is None else np.multiply(terms[i], pair, out=terms[i])
     fc, hc = ff.coeffs, hf.coeffs.conj()
     terms = [fc @ t if fc.ndim == 2 else np.multiply(t, fc[:, None], out=t) for t in terms]
     return [t @ hc.T if hc.ndim == 2 else np.multiply(t, hc, out=t) for t in terms]

@@ -10,30 +10,32 @@ t = n + a and s = Im(z + b), the term magnitudes are
     |term(n)| = exp(pi s^T Y^-1 s) * exp(-pi |Y^(1/2) (n - c)|^2),
 
 with real center c = -a - Y^-1 s.  Truncation keeps the lattice points of
-the ellipsoid |Y^(1/2)(n - c)| <= R.  The omitted mass is bounded by
-placing a ball of radius h = rho/2, rho = sqrt(lambda_min(Y)), around the
-image point x_n = Y^(1/2)(n - c) of every omitted n (Deconinck, Heil,
-Bobenko, van Hoeij and Schmies, Math. Comp. 2004): |Y^(1/2) m| >= rho for
-every nonzero integer m, so these balls do not overlap, they lie in
-|y| >= R - h, and exp(-pi |x_n|^2) <= exp(-pi max(|y|-h,0)^2) on each, so
+the ellipsoid |Y^(1/2)(n - c)| <= R.  With rho(x) = exp(-pi |x|^2) and
+the lattice L = U Z^r (Y = U^T U), the omitted terms are
+exp(pi s^T Y^-1 s) rho(x) over the points x of L - Uc outside the ball RB,
+and Banaszczyk's bound (Math. Ann. 296, 1993, Lemma 1.5(ii)) holds for
+every shift u and every c = R/sqrt(r) >= 1/sqrt(2 pi):
 
-    tail(R) <= exp(pi s^T Y^-1 s) Surf(r-1) / V_r(h)
-               * int_{max(R-h,0)}^inf t^(r-1) exp(-pi max(t-h,0)^2) dt.
+    rho(points of L + u outside c sqrt(r) B) < 2 (c sqrt(2 pi e) e^(-pi c^2))^r rho(L),
 
-The integral is evaluated in closed form through upper incomplete gamma
-functions Gamma(s, x) at half-integer s: the recurrence
-Gamma(s+1, x) = s Gamma(s, x) + x^s e^-x from Gamma(1/2, x) =
-sqrt(pi) erfc(sqrt x) or Gamma(1, x) = e^-x, rounded up by a relative
-1e-12 so that floating-point error cannot undercut it.  It is
-evaluated in log scale (with e^x Gamma(s, x)), so a bound far below the
-smallest double is still exact enough to choose a radius.  The radius is
-the first point of the grid R = 1, 1.25, 1.5, ... whose bound meets the
-target.  ThetaParameters is a value type: it takes only F, alpha and
-beta, rejects non-finite entries, and derives lambda_min(Y), Y^-1 and
-the Cholesky factor Y = U^T U when it is built, so a copy made with
-dataclasses.replace derives them again and its tails stay certified.
-Its one cache field holds the log bound on that grid, so a plan scans
-a table instead of evaluating the integral, and the cell sets below.
+while rho(L + u) <= rho(L) at every radius.  So
+
+    tail(R) <= exp(pi s^T Y^-1 s) rho(L) min(1, 2 (c sqrt(2 pi e) e^(-pi c^2))^r),
+
+in closed form, with no lambda_min.  rho(L) = sum_n exp(-pi n^T Y n) bounds
+itself: the sum S over one enumeration at R0 = sqrt(r) around 0 misses
+less than 2 C(1)^r rho(L), C(1) = sqrt(2 pi e) e^-pi = 0.179, so
+rho(L) < S / (1 - 2 C(1)^r).  The log bound is rounded up by a relative
+1e-12 of its terms, so floating-point error cannot undercut it, and it
+stays in log scale, so a bound far below the smallest double is still
+exact enough to choose a radius.  The radius is the first point of the
+grid R = 1, 1.25, 1.5, ... whose bound meets the target.  ThetaParameters
+is a value type: it takes only F, alpha and beta, rejects non-finite
+entries, and derives lambda_min(Y), Y^-1 and the Cholesky factor
+Y = U^T U when it is built, so a copy made with dataclasses.replace
+derives them again and its tails stay certified.  Its one cache field
+holds log rho(L) and the log bound on that grid, both filled by the
+first plan, so a plan scans a table, and the cell sets below.
 
 The ellipsoid is enumerated directly (Fincke and Pohst, Math. Comp.
 1985): on U, last coordinate first, each fixed tail of n confines the
@@ -113,26 +115,21 @@ __all__ = [
 
 _RADIUS_STEP = 0.25
 _TABLE_BLOCK = 64  # radii per step of the tail table's growth
-# Past this x, e^x erfc(sqrt x) is replaced by its bound: erfc underflows.
-_ERFC_LIMIT = 700.0
+# 1/2 log(2 pi e), of Banaszczyk's factor C(c) = c sqrt(2 pi e) e^(-pi c^2)
+_HALF_LOG_2PIE = 0.5 * math.log(2.0 * math.pi * math.e)
+# Relative round-up of the log bound against the sum of its terms' magnitudes,
+# far above their rounding (a few ulps each), so it stays an upper bound.
+_ROUND_UP = 1e-12
 # A term whose log magnitude is above log(DBL_MAX) = 709.78 is inf; the
 # margin keeps rounding from deciding.
 _LOG_TERM_MAX = 710.8
 # Enumeration slack in index units, far above the rounding of its intervals.
 _SLACK = 1e-9
-# Relative round-up of _scaled_upper_gamma_half, far above the <= 9e-14
-# rounding error of its recurrence for s <= 5 and x <= _ERFC_LIMIT (against
-# 50-digit mpmath), so the tail bound stays an upper bound.  Past
-# _ERFC_LIMIT it is the start x^(-1/2), itself above e^x Gamma(1/2, x),
-# that keeps the result an upper bound.
-_GAMMA_ROUND_UP = 1.0 + 1e-12
 _MAX_INDICES = 5_000_000
 # Cap on the bytes of one (points x terms) temporary in the reducer, the
 # complex terms or the r coordinates of their distances; batches are summed
 # in chunks of rows that stay under it.
 _CHUNK_BYTES = 1 << 24
-
-_erfc = np.vectorize(math.erfc, otypes=[float])
 
 
 def _readonly(a):
@@ -154,10 +151,10 @@ class ThetaParameters:
     the radius budget max_radius, X = Re F (``f_real``, None when 0) and
     the Cholesky factor Y = U^T U (``chol``), so dataclasses.replace
     checks and derives them again.  ``cache`` holds what plans fill in on
-    first use: the log tail bound on the radius grid, negated (grown by
-    _find_radius), and the enumerated candidates of each integer box
-    [0, e] at each radius R (keyed by (R, e), stored as int32, at most
-    _CHUNK_BYTES in all; see _cells).  Instances compare and hash by
+    first use: log rho(L) (_log_mass), the log tail bound on the radius
+    grid, negated (grown by _find_radius), and the enumerated candidates
+    of each integer box [0, e] at each radius R (keyed by (R, e), stored
+    as int32, at most _CHUNK_BYTES in all; see _cells).  Instances compare and hash by
     identity, so they serve as dict keys.
     """
 
@@ -197,10 +194,11 @@ class ThetaParameters:
         lambda_min = float(evals.min(initial=math.inf))  # inf at r = 0
         if lambda_min <= 1e-12 * scale:
             raise ImaginaryPartNotPositiveDefinite(f"min eigenvalue of Im F is {lambda_min:.6e}")
-        rho = math.sqrt(lambda_min)
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "lambda_min", lambda_min)
-        object.__setattr__(self, "max_radius", max(40.0 / rho, 40.0 + rho))
+        # the bound at R0 + sqrt(r) is below rho(L) e^(-pi R0^2), since
+        # r log(1 + R0/sqrt(r)) <= R0 sqrt(r); R0 = 40 shortest-vector lengths when below 1
+        object.__setattr__(self, "max_radius", 40.0 / min(1.0, math.sqrt(lambda_min)) + math.sqrt(r))
         object.__setattr__(self, "f_real", _readonly(F.real) if F.real.any() else None)
         for name, value in (
             ("F", F), ("alpha", alpha), ("beta", beta),
@@ -237,54 +235,37 @@ class ThetaResult:
     terms: int
 
 
-def _scaled_upper_gamma_half(j: int, x):
-    """e^x Gamma((j+1)/2, x) for x >= 0, rounded up; elementwise in x.
+def _log_mass(params: ThetaParameters) -> float:
+    """log rho(L), L = U Z^r, rounded up; kept in params.cache from the first call.
 
-    Starts from e^x Gamma(1, x) = 1 or e^x Gamma(1/2, x) =
-    sqrt(pi) e^x erfc(sqrt x), which past x = _ERFC_LIMIT, where erfc
-    underflows, is replaced by its upper bound x^(-1/2); then steps
-    G(s+1) = s G(s) + x^s.  Every term is non-negative, so the rounding
-    error grows by a few ulps per step.
+    One enumeration at R0 = sqrt(r) around 0 holds every n with |U n| <= R0,
+    so its sum S is at least the mass of L within R0 B, and Banaszczyk's
+    bound at c = 1 leaves less than 2 C(1)^r rho(L) outside:
+    rho(L) < S / (1 - 2 C(1)^r).
     """
-    x = np.asarray(x, dtype=float)
-    if j % 2:
-        s, gam = 1.0, np.ones_like(x)
-    else:
-        near = np.minimum(x, _ERFC_LIMIT)
-        s, gam = 0.5, np.where(
-            x <= _ERFC_LIMIT,
-            math.sqrt(math.pi) * np.exp(near) * _erfc(np.sqrt(near)),
-            1.0 / np.sqrt(np.maximum(x, _ERFC_LIMIT)),
-        )
-    with np.errstate(divide="ignore"):
-        log_x = np.log(x)  # -inf at x = 0, where x^s is 0
-    for _ in range(j // 2):
-        gam = s * gam + np.exp(s * log_x)
-        s += 1.0
-    return gam * _GAMMA_ROUND_UP
+    log_mass = params.cache.get("log_mass")
+    if log_mass is None:
+        r = params.r
+        d = _enumerate(params, np.zeros(r), np.zeros(r), math.sqrt(r)) @ params.chol.T
+        log_mass = math.log(np.exp(-math.pi * np.einsum("ij,ij->i", d, d)).sum())
+        log_mass -= math.log1p(-2.0 * math.exp(r * (_HALF_LOG_2PIE - math.pi)))  # 1 - 2 C(1)^r
+        params.cache["log_mass"] = log_mass = log_mass + _ROUND_UP * (1.0 + abs(log_mass))
+    return log_mass
 
 
 def _log_bound(params: ThetaParameters, R):
-    """Log of the ball bound at radius R without its prefactor, elementwise in R.
+    """Log of Banaszczyk's bound at radius R without its prefactor, elementwise in R.
 
-    Past R = 2h the shell integral is e^-x times a sum of scaled gammas,
-    x = pi (R - 2h)^2, so its log does not underflow.
+    log rho(L) + min(0, log 2 + r (log c + 1/2 log(2 pi e) - pi c^2)),
+    c = R/sqrt(r), where c >= 1/sqrt(2 pi); below that, log rho(L).
     """
-    r = params.r
-    h = 0.5 * math.sqrt(params.lambda_min)
-    a = np.maximum(np.asarray(R, dtype=float) - h, 0.0)
-    b = np.maximum(a - h, 0.0)
-    # int_b^inf (s+h)^(r-1) e^(-pi s^2) ds, expanded binomially;
-    # int_b^inf s^j e^(-pi s^2) ds = Gamma((j+1)/2, pi b^2) / (2 pi^((j+1)/2))
-    x = math.pi * b * b
-    # the part within h, where x = 0 and the scaling e^x is 1
-    total = np.where(a < h, (h**r - np.minimum(a, h) ** r) / r, 0.0)
-    for j in range(r):
-        coeff = math.comb(r - 1, j) * h ** (r - 1 - j)
-        total = total + coeff * _scaled_upper_gamma_half(j, x) / (2.0 * math.pi ** ((j + 1) / 2.0))
-    ball = math.pi ** (r / 2.0) * h**r / math.gamma(r / 2.0 + 1.0)
-    surf = 2.0 * math.pi ** (r / 2.0) / math.gamma(r / 2.0)
-    return math.log(surf / ball) + (np.log(total) - x)
+    r, log_mass = params.r, _log_mass(params)
+    c = np.asarray(R, dtype=float) / math.sqrt(r)
+    log_c, pi_c2 = np.log(c), math.pi * c * c
+    excess = np.where(c * math.sqrt(2.0 * math.pi) >= 1.0,
+                      np.minimum(math.log(2.0) + r * (log_c + _HALF_LOG_2PIE - pi_c2), 0.0), 0.0)
+    magnitude = 1.0 + abs(log_mass) + r * (np.abs(log_c) + _HALF_LOG_2PIE + pi_c2)
+    return log_mass + excess + _ROUND_UP * magnitude
 
 
 def _find_radius(params: ThetaParameters, log_target: float, max_radius: float):

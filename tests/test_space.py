@@ -339,7 +339,7 @@ def test_point_must_be_finite(cfg_g2r1, entry, bad):
         _POINT_ENTRY_POINTS[entry](cfg_g2r1, np.array([bad], dtype=complex))
 
 
-@pytest.mark.parametrize("im, terms", [(30.0, 1986), (40.0, 3406)])
+@pytest.mark.parametrize("im, terms", [(30.0, 1822), (40.0, 3236)])
 def test_far_kernel_section_builds(im, terms):
     # K(v, v) leaves the double range here, but the section's expansion is
     # finite: its plan's tails, far beyond the double range, stay in log scale

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import special
 
 import thetafock as tf
 from thetafock import errors
@@ -53,7 +52,7 @@ def test_r0_is_exactly_one():
 def test_r0_point_with_coordinates_is_rejected():
     # r = 0 runs the rank checks of every rank
     params = tf.validate_parameters(np.zeros((0, 0)))
-    assert params.max_radius == math.inf
+    assert params.max_radius == 40.0  # R0 + sqrt(0); no plan reads it at r = 0
     with pytest.raises(errors.DimensionMismatch):
         tf.theta_eval(params, [0.5], 1e-12)
     with pytest.raises(errors.DimensionMismatch):
@@ -198,44 +197,62 @@ def test_tail_bound_monotone_in_radius():
         assert table.size > T._TABLE_BLOCK and np.all(np.diff(table) <= 0.0), params.r
 
 
-def test_upper_gamma_half_is_rounded_up_against_mpmath():
-    # e^x Gamma((j+1)/2, x) must never fall below the 50-digit value, or the
-    # tail bound built on it would no longer be certified; past _ERFC_LIMIT
-    # e^x Gamma(1/2, x) is replaced by its bound x^(-1/2), 1/(2x) above it
-    with mpmath.workdps(50):
-        for j in range(10):
-            for x in [0.0, *np.geomspace(1e-6, 5000.0, 160)]:
-                got = T._scaled_upper_gamma_half(j, float(x))
-                xm = mpmath.mpf(float(x))
-                ref = mpmath.exp(xm) * mpmath.gammainc(mpmath.mpf(j + 1) / 2, xm)
-                rel = (mpmath.mpf(float(got)) - ref) / ref
-                assert 0 <= rel <= (2e-12 if x <= T._ERFC_LIMIT else 1.0 / x), (j, x, float(rel))
+def _ellipsoid(Y, center, R):
+    """Every integer n with (n - center)^T Y (n - center) <= R^2, last coordinate first.
+
+    With the coordinates after k fixed, the minimum of the form over those
+    before k is the form of the Schur complement S = ((Y^-1)[k:, k:])^-1, a
+    quadratic in coordinate k; its roots bound that coordinate.
+    """
+    r, y_inv = len(center), np.linalg.inv(Y)
+    x = np.zeros((1, 0))  # n - center over the fixed coordinates
+    for k in reversed(range(r)):
+        S = np.linalg.inv(y_inv[k:, k:])
+        b = x @ S[0, 1:]
+        w = np.sqrt(np.maximum(b * b - S[0, 0] * (np.einsum("ij,jk,ik->i", x, S[1:, 1:], x) - R * R), 0))
+        first = np.ceil((-b - w) / S[0, 0] + center[k] - 1e-9)
+        counts = np.maximum(np.floor((w - b) / S[0, 0] + center[k] + 1e-9) - first + 1, 0).astype(int)
+        rows = np.repeat(np.arange(len(x)), counts)
+        n = np.repeat(first - (np.cumsum(counts) - counts), counts) + np.arange(counts.sum())
+        x = np.concatenate(((n - center[k])[:, None], x[rows]), axis=1)
+    return np.rint(x + center).astype(np.int64)
 
 
-def scipy_surface_times_shell(r, delta, R):
-    """Surf(r-1) int_{max(R-delta,0)}^inf t^(r-1) exp(-pi max(t-delta,0)^2) dt on scipy."""
-    a = max(R - delta, 0.0)
-    total = (delta**r - a**r) / r if a < delta else 0.0
-    x = math.pi * max(a - delta, 0.0) ** 2
-    for j in range(r):
-        half = (j + 1) / 2.0
-        coeff = math.comb(r - 1, j) * delta ** (r - 1 - j)
-        total += coeff * special.gamma(half) * special.gammaincc(half, x) / (2.0 * math.pi**half)
-    return 2.0 * math.pi ** (r / 2.0) / special.gamma(r / 2.0) * total
+def _bound_cases(r):
+    """A random Y = A A^T + 0.7 I and a skewed one, eigenvalues 0.5 to 50, as theta parameters."""
+    rng = np.random.default_rng(200 + r)
+    A = rng.standard_normal((r, r))
+    return [tf.validate_parameters(1j * Y) for Y in (A @ A.T + 0.7 * np.eye(r), _spectrum_y(rng, r, 0.5, 50.0))]
 
 
 @pytest.mark.parametrize("r", range(1, 7))
-def test_ball_bound_matches_scipy_formula(r):
-    # balls of radius rho/2, rho = sqrt(lambda_min(Y)), around the omitted points
-    rng = np.random.default_rng(200 + r)
-    A = rng.standard_normal((r, r))
-    params = tf.validate_parameters(1j * (A @ A.T + 0.7 * np.eye(r)))
-    half = 0.5 * math.sqrt(np.linalg.eigvalsh(params.F.imag).min())
-    volume = math.pi ** (r / 2.0) * half**r / special.gamma(r / 2.0 + 1.0)
-    for R in TAIL_RADII:
-        ref = scipy_surface_times_shell(r, half, float(R)) / volume
-        got = math.exp(T._log_bound(params, float(R)))
-        assert ref <= got <= ref * (1 + 2e-12), (R, got / ref - 1)
+def test_log_bound_is_rounded_up_against_mpmath(r):
+    # the cached log rho(L) is at least the 50-digit sum over |U n| <= 4.5,
+    # whose omitted part is below 1e-22 of it, and at least its own formula,
+    # log S - log(1 - 2 C(1)^r) with S the sum over |U n| <= sqrt(r), in 50
+    # digits; _log_bound at every radius is at least Banaszczyk's formula on
+    # the cached value; both round-ups stay within 1e-9
+    for params in _bound_cases(r):
+        T.theta_eval(params, np.zeros(r), 1e-6)  # the first plan fills the cache
+        log_mass = params.cache["log_mass"]
+        with mpmath.workdps(50):
+            Y = [mpmath.mpf(float(v)) for v in params.F.imag.reshape(-1)]
+            n = _ellipsoid(params.F.imag, np.zeros(r), 4.5)
+            pairs = (n[:, :, None] * n[:, None, :]).reshape(len(n), -1)
+            q = [mpmath.fdot(Y, p) for p in pairs.tolist()]
+            terms = [mpmath.exp(-mpmath.pi * v) for v in q]
+            assert mpmath.mpf(log_mass) >= mpmath.log(mpmath.fsum(terms)), r
+            c1 = mpmath.sqrt(2 * mpmath.pi * mpmath.e) * mpmath.exp(-mpmath.pi)
+            near = mpmath.fsum(t for t, v in zip(terms, q) if v <= r)
+            own = mpmath.log(near) - mpmath.log(1 - 2 * c1**r)
+            assert 0 <= mpmath.mpf(log_mass) - own <= 1e-9, (r, float(log_mass - own))
+            for R in TAIL_RADII:
+                c = mpmath.mpf(float(R)) / mpmath.sqrt(r)
+                factor = mpmath.log(2) + r * (mpmath.log(c * mpmath.sqrt(2 * mpmath.pi * mpmath.e))
+                                              - mpmath.pi * c * c)
+                ref = mpmath.mpf(log_mass) + (min(factor, 0) if c * mpmath.sqrt(2 * mpmath.pi) >= 1 else 0)
+                got = mpmath.mpf(float(T._log_bound(params, float(R))))
+                assert 0 <= got - ref <= 1e-9 * (1 + abs(ref)), (r, R, float(got - ref))
 
 
 def _rows_missing_from(idx, pts):
@@ -260,18 +277,20 @@ def _spectrum_y(rng, r, lam_min, lam_max):
     return (q * lam) @ q.T
 
 
-@pytest.mark.parametrize("r", range(1, 5))
+@pytest.mark.parametrize("r", range(1, 7))
 def test_tail_bound_covers_brute_force_omitted_mass(r):
-    # the reported tail is at least the omitted mass summed over a box 3R wide
+    # the reported tail is at least the omitted mass summed over the
+    # ellipsoid of the plan radius R + 1, on random and skewed Y; past it
+    # Banaszczyk's bound is about e^(-pi (2R + 1)) of its value at R
     rng = np.random.default_rng(300 + r)
     for cond in (1.5, 10.0, 100.0):
         X = rng.standard_normal((r, r))
         F = 0.5 * (X + X.T) + 1j * _spectrum_y(rng, r, 0.5, 0.5 * cond)
         params = tf.validate_parameters(F, rng.uniform(0, 1, r), rng.uniform(0, 1, r))
         z = rng.standard_normal(r) + 0.5j * rng.standard_normal(r)
-        for tol in (1e-6, 1e-12):
+        for tol in (1e-6, 1e-12, 1e-15):
             plan = tf.truncation_plan(params, z, tol)
-            pts = _box(plan.center, 1.5 * plan.radius * np.sqrt(np.diag(params.y_inv)))
+            pts = _ellipsoid(params.F.imag, plan.center, plan.radius + 1.0)
             d = _rows_missing_from(plan.index_set, pts) - plan.center
             q = np.einsum("ij,jk,ik->i", d, params.F.imag, d)
             omitted = math.fsum(np.exp(plan.log_prefactor - math.pi * q))
@@ -337,6 +356,26 @@ def test_rank_six_plans_and_its_tails_hold():
     for tol in (1e-3, 1e-6, 1e-10):
         coarse = tf.theta_eval(params, z, tol)
         assert abs(coarse.value - ref.value) <= coarse.tail_bound + ref.tail_bound
+
+
+def test_rank_five_value_agrees_with_brute_force():
+    # a long-double sum of the series terms over the ellipsoid of radius
+    # R + 2 around the plan center, past which the terms fall below e^-100
+    # of the largest, from their definition
+    rng = np.random.default_rng(55)
+    X = rng.standard_normal((5, 5))
+    F = 0.1 * (X + X.T) + 1j * _spectrum_y(rng, 5, 0.5, 1.5)
+    params = tf.validate_parameters(F, rng.uniform(0, 1, 5), rng.uniform(0, 1, 5))
+    z = 0.4 * (rng.standard_normal(5) + 1j * rng.standard_normal(5))
+    res, plan = tf.theta_eval(params, z, 1e-12), tf.truncation_plan(params, z, 1e-12)
+    t = _ellipsoid(params.F.imag, plan.center, plan.radius + 2.0) + params.alpha
+    t = t.astype(np.longdouble)
+    Fl, zb = params.F.astype(np.clongdouble), (z + params.beta).astype(np.clongdouble)
+    two_pi_i = 8j * np.arctan(np.longdouble(1.0))
+    terms = np.exp(two_pi_i * (0.5 * np.einsum("ij,jk,ik->i", t, Fl, t) + t @ zb))
+    ref, mass = complex(terms.sum()), float(np.abs(terms).sum())
+    assert res.tail_bound <= 1e-12
+    assert abs(res.value - ref) <= res.tail_bound + 1e-15 * mass, abs(res.value - ref)
 
 
 def mpmath_theta(F, alpha, beta, z, half_widths):
@@ -406,11 +445,9 @@ def test_tail_bound_unreachable():
 
 @pytest.mark.parametrize("y", [40.0, 1e4])
 def test_default_budget_reaches_wide_spacing(y):
-    # the ball bound's shift sqrt(lambda_min) grows with Y: the default
-    # budget must grow with it, not shrink like 40 / sqrt(lambda_min)
+    # the default budget must not shrink like 40 / sqrt(lambda_min) as Y grows
     for alpha in ([0.0], [0.3]):
         params = tf.validate_parameters([[1j * y]], alpha=alpha)
-        assert params.max_radius >= 40.0 + math.sqrt(y)
         for z in ([0.0], [0.3 + 0.5j]):
             ref = brute_theta([[1j * y]], alpha, [0.0], z, radius=3)
             for tol in (1e-6, 1e-12):
@@ -542,7 +579,7 @@ def test_reported_tail_is_not_clamped():
     # the certified bound is e^709.5, still a double below the requested tol;
     # it must be reported as it is, not clamped to e^709
     params = tf.validate_parameters([[1j]])
-    plan = tf.truncation_plan(params, [0.1 + 15.028j], 1.7e308)
+    plan = tf.truncation_plan(params, [0.1 + 15.033j], 1.7e308)
     log_bound = plan.log_prefactor + float(T._log_bound(params, plan.radius))
     assert log_bound > 709.0
     assert math.log(plan.tail_bound) == pytest.approx(log_bound, abs=1e-9)

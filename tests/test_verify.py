@@ -324,3 +324,13 @@ def test_kernel_suites_pass_where_absolute_defects_failed(name, suite, seed):
     # 1.3e-8 at K(u,u) = 2.95e4; tolerances unchanged, on the kernel's scale
     cfg = build_config(load_problem(G3R2_FILE.with_name(f"{name}.json")))
     _assert_all_pass(verify.run_suite(cfg, suite, seed=seed))
+
+
+@pytest.mark.parametrize("name", ["g1_r1", "g2_r0", "g2_r1", "g2_r2", "g3_r2"])
+def test_theta_suite_passes_over_fifty_seeds(name):
+    # plan soundness (every term above tail/|set| is planned) is not a
+    # theorem of the tail bound, so it is checked over many seeds
+    cfg = build_config(load_problem(G3R2_FILE.with_name(f"{name}.json")))
+    for seed in range(50):
+        failed = [o for o in verify.run_suite(cfg, "theta", seed=seed) if not o.passed]
+        assert not failed, (seed, failed)
