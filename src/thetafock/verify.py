@@ -11,6 +11,14 @@ suites read one kernel sample each: the matrix K(p_i, p_j) of 6 points,
 one kernel section's closure per column, and every kernel property is
 one expression on it, measured against sqrt(K(p_i, p_i) K(p_j, p_j)),
 which bounds |K(p_i, p_j)|.
+The two brute-force references sum only the indices their inputs need:
+the kernel series (_kernel_series) the indices of one theta plan of the
+F/2 series over its points, with |k| up to the degree where the Poisson
+tail of the perpendicular factor ends, and plan-soundness the closed-form
+bounding box of the ellipsoid where a theta term exceeds its cap.  Each
+counts its indices times points against the quadrature work budget
+before it builds its index arrays (NodeBudgetExceeded), then builds and
+evaluates them in blocks, so its memory stays bounded.
 Random configurations are sampled here as well: isotropic generators are
 built as real combinations of an H-orthonormal frame, with a Gram
 spectrum in the fixed range [0.5, 1.5], so no draw is rejected.
@@ -76,6 +84,34 @@ def _outcome(name, defect, tolerance, detail=""):
 def _relative(lhs, rhs) -> float:
     """Worst |lhs - rhs| / max(|lhs|, 1) over the samples (entries) of lhs."""
     return float((np.abs(lhs - rhs) / np.maximum(np.abs(lhs), 1.0)).max())
+
+
+# index values over points that a reference evaluates at a time
+_BLOCK = 1 << 16
+
+
+def _counted(what: str, indices: int, points: int) -> int:
+    """indices, once its indices x points values are within the work budget;
+    NodeBudgetExceeded, before any index is built, when they are not."""
+    if indices * points > Q._WORK_BUDGET:
+        raise NodeBudgetExceeded(f"{what} would take {indices} x {points} values, more than "
+                                 f"the budget of {Q._WORK_BUDGET:.3e}")
+    return indices
+
+
+def _blocks(count: int, points: int):
+    """range(count) in consecutive blocks of at most _BLOCK // points entries (at least one)."""
+    step = max(1, _BLOCK // points)
+    for start in range(0, count, step):
+        yield np.arange(start, min(start + step, count))
+
+
+def _centers(params: T.ThetaParameters, Z):
+    """Centers c = -alpha - Y^-1 Im z and log prefactors pi Im z^T Y^-1 Im z of the rows
+    of Z: term n of the theta series at z has log magnitude log_pref - pi |U(n - c)|^2."""
+    s = np.asarray(Z).imag
+    sy = s @ params.y_inv
+    return -params.alpha - sy, math.pi * np.einsum("ij,ij->i", sy, s)
 
 
 # ---------------------------------------------------------------------------
@@ -273,14 +309,23 @@ def verify_theta(config: S.SpaceConfig, rng) -> list[PropertyOutcome]:
     excess = [abs(a.value - ref.value) - (a.tail_bound + ref.tail_bound) for a in approx]
     out.append(_outcome("tail-soundness", max(0.0, *excess), 0.0))
 
-    # every term larger than tail/|set| lies inside the planned set; the
-    # terms' log magnitudes are the real parts of the exponents theta sums
+    # every term larger than tail/|set| lies inside the planned set.  Term n has log
+    # magnitude log_pref - pi |U(n - c)|^2, so every such term lies in the ellipsoid
+    # |U(n - c)|^2 < q = (log_pref - log cap)/pi, within |n_j - c_j| <= sqrt(q (Y^-1)_jj);
+    # q is widened by 1e-6 against the rounding of the exponents theta sums
     plan = T.truncation_plan(params, z, 1e-6)
     cap = plan.tail_bound / max(plan.index_set.shape[0], 1)
-    box = S.series_indices(config, 12, 0)[0]
-    log_mags = T.log_terms(params, z[None, :], box)[0].real
-    above = {tuple(row) for row in box[np.exp(log_mags) > cap].tolist()}
-    missing = len(above - {tuple(row) for row in plan.index_set.tolist()})
+    (c,), (log_pref,) = _centers(params, z[None, :])
+    w = np.sqrt(max((log_pref - math.log(cap)) / math.pi + 1e-6, 0.0) * np.diag(params.y_inv))
+    lo = np.ceil(c - w)
+    sides = [int(side) for side in np.floor(c + w) - lo + 1]  # floor(c + w) >= ceil(c - w) - 1
+    count = _counted("plan-soundness", math.prod(sides), 1)
+    planned = {tuple(row) for row in plan.index_set.tolist()}
+    missing = 0
+    for block in _blocks(count, 1):
+        box = np.column_stack(np.unravel_index(block, sides)) + lo.astype(np.int64)
+        log_mags = T.log_terms(params, z[None, :], box)[0].real
+        missing += sum(tuple(row) not in planned for row in box[np.exp(log_mags) > cap].tolist())
     out.append(_outcome("plan-soundness", float(missing), 0.0, detail=f"{missing} escapees"))
     return out
 
@@ -307,9 +352,7 @@ def norms_battery(config: S.SpaceConfig, grid, n_max: int, k_max: int) -> NormsB
     before any index is built, when its N x N Gram has more entries than the work budget."""
     m = config.g - config.r
     n = (2 * n_max + 1) ** config.r * math.comb(k_max + m, m)
-    if n * n > Q._WORK_BUDGET:
-        raise NodeBudgetExceeded(f"the norms battery's Gram matrix of {n} basis indices has "
-                                 f"more entries than the budget of {Q._WORK_BUDGET:.3e}")
+    _counted("the norms battery's Gram matrix", n, n)
     idxs = S.series_indices(config, n_max, k_max)
     G, _ = Q.gram_matrix(config, S.basis_family(config, idxs), grid)
     closed = S._exp_norms(S._log_norms(config, idxs))
@@ -395,26 +438,69 @@ def verify_reproducing(config: S.SpaceConfig, rng, nodes: tuple = _NODES) -> lis
     return out
 
 
-def _kernel_series(config: S.SpaceConfig, us, vs, n_radius: int = 8,
-                   k_total: int = 40) -> np.ndarray:
-    """Brute-force basis expansion of the kernel over a fixed index box, as a matrix.
+# the share of K(p, p) that each part of the kernel series may omit at a point p
+_SERIES_SHARE = 5e-15
 
-    Entry [i, j] sums e_{n,k}(us[i]) conj(e_{n,k}(vs[j])) / ||e_{n,k}||^2
-    over |n_j| <= n_radius and |k| <= k_total (8 and 40 by default).  The
-    box is evaluated once per point list (once when vs is us), each value
-    scaled by 1/||e_{n,k}||; the scales go through log space, so indices
-    whose norm overflows the double range contribute below resolution and
-    underflow to zero.
+
+def _kernel_series(config: S.SpaceConfig, us, vs) -> np.ndarray:
+    """Basis expansion of the kernel over the indices its points need, as a matrix.
+
+    Entry [i, j] sums e_{n,k}(us[i]) conj(e_{n,k}(vs[j])) / ||e_{n,k}||^2.
+    At a point p = (z, z_perp), |e_{n,k}(p)|^2 / ||e_{n,k}||^2 is
+    C e^(nu Re B(z,z)) a_n(z)^2 times nu^|k| |z_perp^k|^2 / k!, with a_n(z)
+    the magnitude of term n of the theta series of F/2 at z; so K(p, p) is
+    C e^(nu Re B(z,z) + nu |z_perp|^2) times the sum of the a_n^2.  Each
+    part omits at most a share 5e-15 of it:
+
+    - n: one theta.plan of the F/2 series over all the points, at the log
+      tolerance log a_n0 + 1/2 log(5e-15) per point, n0 the rounded center.
+      The a_n it omits sum to at most sqrt(5e-15) a_n0, so their squares
+      to 5e-15 a_n0^2, at most 5e-15 times the sum of the a_n^2.
+    - k: |k| <= K, the first degree at which the Poisson tail of mean
+      nu |z_perp|^2, largest over the points, is at most 5e-15; the terms
+      of degree d sum to the Poisson weight of d times e^(nu |z_perp|^2).
+
+    So each point omits at most 1e-14 K(p, p), and by Cauchy-Schwarz each
+    entry at most 1e-14 sqrt(K(us[i], us[i]) K(vs[j], vs[j])).  The plan
+    picks the indices only: values come from basis_eval_many, scaled by
+    1/||e_{n,k}|| through log space (_log_norms), so an index whose norm
+    overflows the double range underflows to zero.  The (n, k) indices
+    times the points are counted against the work budget before any
+    (n, k) index is built (NodeBudgetExceeded); they are built, evaluated
+    and summed in blocks.
     """
-    idxs = S.series_indices(config, n_radius, k_total)
-    inv_norms = np.exp(-0.5 * S._log_norms(config, idxs))[:, None]
+    points = us if vs is us else [*us, *vs]
+    Z, Zp = np.array([p.z for p in points]), np.array([p.z_perp for p in points])
+    params = config.half_theta_params
+    centers, log_pref = _centers(params, Z)
+    d = (np.rint(centers) - centers) @ params.chol.T  # U(n0 - c)
+    ns = T.plan(params, Z, log_pref - math.pi * np.einsum("ij,ij->i", d, d)
+                + 0.5 * math.log(_SERIES_SHARE))[1]
+    degree = _poisson_degree(config.nu * float(np.max(np.sum(np.abs(Zp) ** 2, axis=1))))
+    m = config.g - config.r
+    count = _counted("the kernel series", len(ns) * math.comb(degree + m, m), len(points))
+    ks = S.series_indices(config, 0, degree)[1]
+    out = np.zeros((len(us), len(vs)), dtype=complex)
+    for block in _blocks(count, len(points)):
+        idx = ns[block // len(ks)], ks[block % len(ks)]
+        inv_norms = np.exp(-0.5 * S._log_norms(config, idx))[:, None]
+        a = inv_norms * S.basis_eval_many(config, idx, Z, Zp)
+        out += a[:, :len(us)].T @ a[:, len(points) - len(vs):].conj()
+    return out
 
-    def normalized(points):
-        return inv_norms * S.basis_eval_many(config, idxs, [p.z for p in points],
-                                             [p.z_perp for p in points])
 
-    a = normalized(us)
-    return a.T @ (a if vs is us else normalized(vs)).conj()
+def _poisson_degree(x: float) -> int:
+    """The first degree K at which P(D > K) <= _SERIES_SHARE, for D Poisson of mean x.
+
+    Past d + 1 > x the weights e^-x x^d / d! fall by at least x / (K + 2)
+    per degree, so the tail is at most the weight of K + 1 over
+    1 - x / (K + 2).  At x = 0 every weight past degree 0 is 0.
+    """
+    K = 0
+    while x > 0 and not (K + 2 > x and -x + (K + 1) * math.log(x) - math.lgamma(K + 2)
+                         - math.log1p(-x / (K + 2)) <= math.log(_SERIES_SHARE)):
+        K += 1
+    return K
 
 
 # ---------------------------------------------------------------------------

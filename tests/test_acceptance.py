@@ -159,6 +159,14 @@ def test_criterion_4_reproducing_property():
     )
 
 
+def _box_series(cfg, u, v):
+    """The kernel's basis expansion at (u, v) over the box |n_j| <= 8, |k| <= 40."""
+    idxs = S.series_indices(cfg, 8, 40)
+    a = np.exp(-0.5 * S._log_norms(cfg, idxs))[:, None] * S.basis_eval_many(
+        cfg, idxs, [u.z, v.z], [u.z_perp, v.z_perp])
+    return complex(a[:, 0] @ a[:, 1].conj())
+
+
 def test_criterion_5_kernel_series():
     t0 = time.time()
     rng = np.random.default_rng(505)
@@ -176,11 +184,10 @@ def test_criterion_5_kernel_series():
             u = verify.random_point(rng, cfg, scale=0.4)
             v = verify.random_point(rng, cfg, scale=0.4)
             closed = tf.kernel_eval(cfg, u, v, 1e-12)
-            # series grown until stable between truncation levels
-            s1 = verify._kernel_series(cfg, [u], [v], n_radius=6, k_total=30)[0, 0]
-            s2 = verify._kernel_series(cfg, [u], [v], n_radius=8, k_total=40)[0, 0]
-            assert abs(s2 - s1) <= 1e-10, "series not yet stable"
-            worst = max(worst, abs(closed - s2))
+            # the series over the indices the points need agrees with a fixed box
+            series = verify._kernel_series(cfg, [u], [v])[0, 0]
+            assert abs(series - _box_series(cfg, u, v)) <= 1e-10, "series differs from the box"
+            worst = max(worst, abs(closed - series))
             pairs += 1
     dt = time.time() - t0
     report(

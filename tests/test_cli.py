@@ -194,6 +194,17 @@ def test_norms_term_matrices_over_the_byte_cap_is_budget_failure(tmp_path):
     assert "bytes" in result(doc, "budget")["message"]
 
 
+def test_verify_reference_over_budget_is_budget_failure(tmp_path, monkeypatch):
+    # the kernel series counts its indices x points (150 x 6 here) against
+    # the work budget; at nodes (4, 4) the grid and inner products fit in it
+    monkeypatch.setattr(thetafock.quadrature, "_WORK_BUDGET", 300)
+    code, doc = run(tmp_path, "verify", G2R1_FILE, "--suite", "reproducing", "--nodes", "4,4")
+    assert code == 3
+    assert doc["status"] == "budget-failure"
+    assert result(doc, "budget")["value"] == "NodeBudgetExceeded"
+    assert "kernel series" in result(doc, "budget")["message"]
+
+
 def test_hermite_rule_numpy_cannot_build_is_validation_failure(tmp_path):
     # within the budget, but the fine rule of 10,000 nodes is not finite:
     # refused before numpy spends about a minute building it

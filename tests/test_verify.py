@@ -168,23 +168,42 @@ def test_plan_soundness_catches_a_dropped_term(monkeypatch):
     assert outcome.detail == f"{int(outcome.defect)} escapees"
 
 
-def test_plan_soundness_magnitudes_are_the_summed_terms(monkeypatch):
+def test_plan_soundness_magnitudes_are_the_summed_terms():
     # plan-soundness ranks terms by theta's own term formula, and that
-    # formula's real part is log_prefactor - pi |U(n - c)|^2 from the public
-    # plan fields
+    # formula's real part is log_prefactor - pi |U(n - c)|^2, with c and the
+    # log prefactor as verify computes them from the parameters
     cfg = build_config(load_problem(G3R2_FILE.with_name("g2_r2.json")))
     params = cfg.theta_params
     z = np.array([0.3 - 0.8j, -0.5 + 1.1j])
     plan = verify.T.truncation_plan(params, z, 1e-6)
+    (c,), (log_pref,) = verify._centers(params, z[None, :])
+    np.testing.assert_allclose(c, plan.center, rtol=1e-12)
+    assert log_pref == pytest.approx(plan.log_prefactor, rel=1e-12)
     box = verify.S._integer_box(2, 12)
-    log_mags = plan.log_prefactor - math.pi * np.square((box - plan.center) @ params.chol.T).sum(1)
+    log_mags = log_pref - math.pi * np.square((box - c) @ params.chol.T).sum(1)
     exponents = verify.T.log_terms(params, z[None, :], box)[0]
     np.testing.assert_allclose(log_mags, exponents.real, rtol=1e-12, atol=1e-9)
+
+
+def test_plan_soundness_box_holds_every_term_above_the_cap(monkeypatch):
+    # the closed-form bounding box of the ellipsoid where a term exceeds
+    # tail/|set| holds every such term of the |n_j| <= 12 box it replaced
     asked = []
     log_terms = verify.T.log_terms
     monkeypatch.setattr(verify.T, "log_terms", lambda *a: asked.append(a) or log_terms(*a))
-    assert [o for o in verify.run_suite(cfg, "theta") if o.name == "plan-soundness"][0].passed
-    assert len(asked) == 1 and asked[0][2].shape == (25**2, 2)
+    for name in ("g1_r1", "g2_r1", "g2_r2", "g3_r2"):
+        cfg = build_config(load_problem(G3R2_FILE.with_name(f"{name}.json")))
+        for seed in range(10):
+            asked.clear()
+            assert [o for o in verify.run_suite(cfg, "theta", seed=seed)
+                    if o.name == "plan-soundness"][0].passed
+            (params, Z, box), = asked
+            plan = verify.T.truncation_plan(params, Z[0], 1e-6)
+            cap = plan.tail_bound / len(plan.index_set)
+            wide = verify.S._integer_box(params.r, 12)
+            above = wide[np.exp(log_terms(params, Z, wide)[0].real) > cap]
+            assert {tuple(n) for n in above.tolist()} <= {tuple(n) for n in box.tolist()}
+            assert len(box) < len(wide)
 
 
 def test_norms_battery_closed_norms_past_the_square_root_range():
@@ -230,7 +249,7 @@ def test_norms_battery_budget_counts_the_indices_it_builds(monkeypatch):
 
 
 def test_norms_battery_indices_are_the_series_box():
-    # the battery, the kernel series and `thetafock norms` read one index box
+    # the battery and `thetafock norms` read one index box
     cfg = build_config(load_problem(str(G3R2_FILE)))
     grid = tf.build_grid(cfg, compact_nodes=8, unbounded_nodes=12)
     n, k = verify.norms_battery(cfg, grid, 1, 2).indices
@@ -256,7 +275,7 @@ def test_reproducing_suite_g3r2():
 
 
 def test_reproducing_suite_g4r2():
-    # the default series box holds 248,829 indices at g = 4, r = 2
+    # g - r = 2: the kernel series' k part runs over two perpendicular coordinates
     cfg = verify.random_config(np.random.default_rng([0, 4, 2]), 4, 2)
     _assert_all_pass(verify.verify_reproducing(cfg, np.random.default_rng(0)))
 
@@ -334,3 +353,42 @@ def test_theta_suite_passes_over_fifty_seeds(name):
     for seed in range(50):
         failed = [o for o in verify.run_suite(cfg, "theta", seed=seed) if not o.passed]
         assert not failed, (seed, failed)
+
+
+@pytest.mark.parametrize("name", ["g2_r0", "g2_r1", "g2_r2", "g3_r2"])
+def test_references_over_budget_build_no_index(monkeypatch, name):
+    # the kernel series and plan-soundness count their indices x points
+    # against the work budget: one value short of a run refuses it before
+    # any index array is built or any value evaluated
+    cfg = build_config(load_problem(G3R2_FILE.with_name(f"{name}.json")))
+    pts = verify._kernel_sample(cfg, np.random.default_rng(0))[0]
+    built = []
+    evaluate, log_terms = verify.S.basis_eval_many, verify.T.log_terms
+    monkeypatch.setattr(verify.S, "basis_eval_many",
+                        lambda c, idx, *a: built.append(len(idx[0])) or evaluate(c, idx, *a))
+    monkeypatch.setattr(verify.T, "log_terms",
+                        lambda p, Z, idx: built.append(len(idx)) or log_terms(p, Z, idx))
+    verify._kernel_series(cfg, pts, pts)
+    series, built[:] = sum(built) * len(pts), []
+    verify.run_suite(cfg, "theta")
+    soundness = sum(built)  # 0 at r = 0, which lists no plan-soundness
+    for name in ("basis_eval_many", "series_indices", "_log_norms"):
+        monkeypatch.setattr(verify.S, name, _never_called)
+    monkeypatch.setattr(verify.T, "log_terms", _never_called)
+    monkeypatch.setattr(verify.Q, "_WORK_BUDGET", series - 1)
+    with pytest.raises(errors.NodeBudgetExceeded, match="kernel series"):
+        verify._kernel_series(cfg, pts, pts)
+    if cfg.r:
+        monkeypatch.setattr(verify.Q, "_WORK_BUDGET", soundness - 1)
+        with pytest.raises(errors.NodeBudgetExceeded, match="plan-soundness"):
+            verify.run_suite(cfg, "theta")
+
+
+@pytest.mark.parametrize("suite", ["theta", "reproducing", "bounds"])
+@pytest.mark.parametrize("g, r", [(5, 5), (5, 3)], ids=["g5r5", "g5r3"])
+def test_suites_pass_at_genus_five(g, r, suite):
+    # the references sum only the indices their points need: 0.02-0.9 s and
+    # at most 260 MB each here on 2 vCPUs, where the fixed boxes took
+    # 0.7-2.0 s and peaked at 1.9 GB (theta, r = g = 5) and 1.0 GB (r = 3)
+    cfg = verify.random_config(np.random.default_rng([0, g, r]), g, r)
+    _assert_all_pass(verify.run_suite(cfg, suite, seed=0))
