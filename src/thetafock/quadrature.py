@@ -2,17 +2,17 @@
 
 The integration domain in adapted coordinates is ([0,1] x R)^r x C^(g-r)
 with weight exp(-nu H(u,u)) = exp(-nu (x^T B x + y^T B y + |z_perp|^2))
-for z = x + iy.  Gauss-Legendre handles the compact box; Gauss-Hermite
-handles every unbounded direction after the quadratic form 2 nu B (in y)
-and nu I (in z_perp) are diagonalized into the Hermite weight.  The
-leftover exp(nu (y^T B y - x^T B x)) is folded into the node weights; it
-stays bounded against members of the space since their own Gaussian
-growth cancels it.  The 1-D rules come from numpy
-(``leggauss``, ``hermgauss``); they are built once per pair of node
-counts, cached, and shared read-only by every grid with those counts.
+for z = x + iy, with the forms 2 nu B (in y) and nu I (in z_perp)
+diagonalized.  Gauss-Legendre handles the compact box, the trapezoid rule
+the lattice's unbounded axes, and Gauss-Hermite, exact on the polynomial
+Fock factors, the perpendicular ones.  The leftover
+exp(nu (y^T B y - x^T B x)) is folded into the node weights; it stays
+bounded against members of the space since their own Gaussian growth
+cancels it.  The 1-D rules are built once per pair of node counts,
+cached, and shared read-only by every grid with those counts.
 
 Both the weight and the tensor grid factor into blocks: the lattice block
-([0,1] x R)^r (r Legendre times r Hermite axes, carrying the correction
+([0,1] x R)^r (r Legendre times r trapezoid axes, carrying the correction
 above and the Jacobian of the y substitution) and the Fock block, one
 two-dimensional Hermite grid (carrying a factor 1/nu) that every
 perpendicular coordinate shares, as its weight exp(-nu |w|^2) is the same
@@ -32,14 +32,17 @@ exp(2 pi i (c_a - conj c_b).x) in x times, in the eigen-coordinates s
 of 2 nu B (y = T s), exp(-|s|^2) e^(|s|^2/2) exp(linear in s): a
 product over the axes x_j and s_j, each factor 1 at the origin.  The
 lattice Gram is then the entrywise product of one sum per axis, on the
-points (x_j + offset_j) e_j and i s_j T e_j.
+points (x_j + offset_j) e_j and i s_j T e_j.  On s_j the factor is a
+Gaussian exp(-(s - s*)^2) times a bounded phase, which the trapezoid rule
+of step h sums to an aliasing of about 2 exp(-pi^2 / h^2) wherever its
+nodes reach (Trefethen and Weideman, SIAM Rev. 56, 2014, section 5).
 
 The nodes of each block are built once, with the grid, as one kind of
 node set (_Block): points and weights in segments, and the block's scale.
-The lattice block has its 2r axes as segments, the Fock block its n_h^2
-grid as one.  A reduction calls the lattice map and the Fock map once
+The lattice block has its 2r axes as segments, the Fock block its 2-D
+Hermite grid as one.  A reduction calls the lattice map and the Fock map once
 each, on its block's nodes of every level it sums, and one segment
-reducer (_segment_sums) sums each segment and level apart.
+reducer (_segment_sums) hands on each segment's sum as it completes.
 
 The cost of a reduction is the number of factor values it computes: each
 distinct factor once per node of its block.  That count depends on
@@ -96,7 +99,9 @@ _WORK_BUDGET = 1 << 29  # factor values per call; factored maps run 27-52M value
 _TERM_BYTES = 1 << 30  # bytes of the per-level (terms of f) x (terms of h) matrices per call
 _DEFAULT_COMPACT_NODES = 32
 _DEFAULT_UNBOUNDED_NODES = 48
-_MAX_HERMITE_NODES = 371  # numpy's Hermite weights overflow from 372 nodes on
+_MAX_HERMITE_NODES = 370  # the Fock rule's cap: numpy's Hermite weights are 0 at 371, inf from 372
+_TRAPEZOID_STEP = 0.5  # lattice s-axes: aliasing about 2 exp(-pi^2 / h^2) = 1e-17
+_TRAPEZOID_HALF_WIDTH = 30.0  # past |s| = 30 basis factors overflow before their weights apply
 _COARSE_RTOL = 1e-3  # inner_product accepts a refinement change up to this times |value| + 1
 
 
@@ -193,16 +198,16 @@ class _Level:
 
     ``lattice`` has 2r segments, x_j then s_j for each j: the n_c points
     (x_j + offset_j) e_j, weighted by the Legendre weights times
-    exp(-nu B_jj x_j^2), and the n_h points i s_j T e_j (s the
-    eigen-coordinates of 2 nu B, y = T s), weighted by the Hermite weights
-    times exp(s_j^2 / 2); its scale is the Jacobian of y = T s.  ``fock``
-    has one segment, the n_h^2 grid (t_a + i t_b) / sqrt(nu) with weights
-    w_a w_b, and scale 1/nu; every perpendicular coordinate reads it.
+    exp(-nu B_jj x_j^2), and the n_h trapezoid points i s_j T e_j (s the
+    eigen-coordinates of 2 nu B, y = T s) weighted by h exp(-s_j^2 / 2);
+    its scale is the Jacobian of y = T s.  ``fock`` has one segment, the
+    n_f^2 Hermite grid (t_a + i t_b) / sqrt(nu) with weights w_a w_b, and
+    scale 1/nu; every perpendicular coordinate reads it.
     """
 
     lattice: _Block
     fock: _Block
-    shape: tuple  # per-dim node counts: r compact, r Hermite, 2(g-r) Hermite
+    shape: tuple  # per-dim node counts: r compact, r trapezoid, 2(g-r) Hermite
 
 
 @dataclass(frozen=True)
@@ -230,56 +235,47 @@ class InnerProductResult:
 
 
 @functools.lru_cache(maxsize=8)
-def _gauss_rules(n_compact: int, n_unbounded: int):
-    """Read-only Legendre rule on [0, 1] and Hermite rule, built once per pair.
-
-    Raises ValidationError, and caches nothing, when a rule is not finite:
-    numpy's Hermite weights overflow from 372 nodes on.
-    """
+def _rules(n_compact: int, n_unbounded: int):
+    """Read-only rules of one level, built once per pair: Legendre on [0, 1]; the trapezoid
+    rule s_k = h (k - (n - 1)/2), weights h exp(-s_k^2 / 2), of the lattice s-axes, at step
+    h = _TRAPEZOID_STEP until its half-width reaches _TRAPEZOID_HALF_WIDTH; and the Fock
+    block's Hermite rule at min(n, _MAX_HERMITE_NODES) nodes."""
     x, wx = leggauss(n_compact)
-    with np.errstate(all="ignore"):
-        rules = (0.5 * (x + 1.0), 0.5 * wx) + hermgauss(n_unbounded)
-    if not all(np.isfinite(a).all() for a in rules):
-        raise _rules_not_finite(n_compact, n_unbounded)
+    h = min(_TRAPEZOID_STEP, 2 * _TRAPEZOID_HALF_WIDTH / max(n_unbounded - 1, 1))
+    s = h * (np.arange(n_unbounded) - (n_unbounded - 1) / 2)
+    t, wt = hermgauss(min(n_unbounded, _MAX_HERMITE_NODES))
+    rules = (0.5 * (x + 1.0), 0.5 * wx, s, h * np.exp(-0.5 * s * s), t, wt)
     for a in rules:
         a.setflags(write=False)
     return rules
 
 
-def _rules_not_finite(n_compact: int, n_unbounded: int) -> ValidationError:
-    return ValidationError(
-        f"the Gauss rules for ({n_compact}, {n_unbounded}) nodes are not finite; the "
-        f"fine level doubles the requested node counts, so request fewer"
-    )
-
-
 def _block_lengths(r: int, n_compact: int, n_unbounded: int) -> tuple:
     """Segment lengths of a level's lattice block (x_j then s_j for each j) and Fock block."""
-    return (n_compact, n_unbounded) * r, (n_unbounded**2,)
+    return (n_compact, n_unbounded) * r, (min(n_unbounded, _MAX_HERMITE_NODES) ** 2,)
 
 
 def _make_level(config, n_compact: int, n_unbounded: int, offset, T, jacobian: float) -> _Level:
     """The level's rules and node sets; T and jacobian come from 2 nu B, diagonalised once per grid."""
     r, g, nu, B = config.r, config.g, config.nu, config.lattice.B
     lattice_lengths, fock_lengths = _block_lengths(r, n_compact, n_unbounded)
-    x, wx, t, wt = _gauss_rules(n_compact, n_unbounded)
+    x, wx, s, ws, t, wt = _rules(n_compact, n_unbounded)
     n = n_compact + n_unbounded
     points = np.zeros((r * n, r), dtype=complex)
     weights = np.empty(r * n)
-    herm = wt * np.exp(0.5 * t * t)
     for j in range(r):
         xs = x + offset[j]
         points[j * n:j * n + n_compact, j] = xs
         weights[j * n:j * n + n_compact] = wx * np.exp(-nu * B[j, j] * xs * xs)
-        points[j * n + n_compact:(j + 1) * n].imag = np.outer(t, T[:, j])
-        weights[j * n + n_compact:(j + 1) * n] = herm
-    s = t / math.sqrt(nu)
+        points[j * n + n_compact:(j + 1) * n].imag = np.outer(s, T[:, j])
+        weights[j * n + n_compact:(j + 1) * n] = ws
+    t = t / math.sqrt(nu)
     lattice = _Block(points, weights, lattice_lengths, jacobian)
-    fock = _Block((s[:, None] + 1j * s).ravel(), np.outer(wt, wt).ravel(), fock_lengths, 1 / nu)
+    fock = _Block((t[:, None] + 1j * t).ravel(), np.outer(wt, wt).ravel(), fock_lengths, 1 / nu)
     for a in (lattice.points, lattice.weights, fock.points, fock.weights):
         a.setflags(write=False)
     return _Level(lattice=lattice, fock=fock,
-                  shape=(n_compact,) * r + (n_unbounded,) * r + (n_unbounded,) * (2 * (g - r)))
+                  shape=(n_compact,) * r + (n_unbounded,) * r + (len(t),) * (2 * (g - r)))
 
 
 def build_grid(
@@ -293,15 +289,14 @@ def build_grid(
 
     Any g and r are admitted; the work budget (NodeBudgetExceeded) bounds
     the values building both levels asks for (numpy's n x n companion
-    matrix of each Gauss rule, and the node sets) and the calibration's
-    reduction.  Node counts must be ints >= 1 whose Gauss rules, at both
-    levels, are finite (ValidationError otherwise): the fine level's
-    2 unbounded_nodes is at most _MAX_HERMITE_NODES.  The calibration sums
+    matrix of each Gauss rule, the Hermite one capped, and the node sets)
+    and the calibration's reduction; every node count it admits builds.
+    Node counts must be ints >= 1 (ValidationError).  The calibration sums
     integrands with closed forms on both levels; GridTooCoarse when their
     defect exceeds requested_tol, ValueError when that is not positive
     (NaN included).  A box_offset of the wrong length raises
     DimensionMismatch, one not finite ValidationError.  The arguments and
-    the budget are checked before any Gauss rule is built.
+    the budget are checked before any rule is built.
     """
     if requested_tol is not None and not requested_tol > 0:  # NaN included
         raise ValueError("requested_tol must be positive")
@@ -316,17 +311,14 @@ def build_grid(
     if not np.isfinite(offset).all():
         raise ValidationError(f"box_offset must be finite, got {offset.tolist()}")
     levels = ((compact_nodes, unbounded_nodes), (2 * compact_nodes, 2 * unbounded_nodes))
-    values = sum(n_c**2 + n_h**2 + sum(map(sum, _block_lengths(r, n_c, n_h)))
-                 for n_c, n_h in levels)
+    values = sum(n_c**2 + min(n_h, _MAX_HERMITE_NODES) ** 2
+                 + sum(map(sum, _block_lengths(r, n_c, n_h))) for n_c, n_h in levels)
     if values > _WORK_BUDGET:
         raise NodeBudgetExceeded(f"building the grid's Gauss rules and node sets would ask for "
                                  f"{values} values, over the budget of {_WORK_BUDGET:.3e}")
-    if levels[1][1] > _MAX_HERMITE_NODES:
-        raise _rules_not_finite(*levels[1])
     evals, evecs = np.linalg.eigh(2.0 * config.nu * config.lattice.B)
     axes = (offset, evecs / np.sqrt(evals), float(np.prod(1.0 / np.sqrt(evals))))
-    # fine first: a rule that is not finite fails there before the base rule is cached
-    fine, base = [_make_level(config, n_c, n_h, *axes) for n_c, n_h in levels[::-1]]
+    base, fine = [_make_level(config, n_c, n_h, *axes) for n_c, n_h in levels]
     est = _calibrate(config, base, fine)
     if requested_tol is not None and est > requested_tol:
         raise GridTooCoarse(
@@ -414,7 +406,7 @@ def _work(levels, ff: Factored, hf: Factored) -> int:
     """Factor values that summing ff conj(hf) over ``levels`` computes, from node counts alone.
 
     Each distinct factor of a block is computed once per node of the block
-    (_block_lengths): r (n_c + n_h) lattice nodes, n_h^2 Fock nodes
+    (_block_lengths): r (n_c + n_h) lattice nodes, n_f^2 Fock nodes
     whatever g - r is.  When hf is ff it is counted once.
     """
     counts = [sum(c) for c in zip(*map(_factor_counts, [ff] if ff is hf else [ff, hf]))]
@@ -442,7 +434,9 @@ def _reduce(levels, fs, hs) -> tuple:
     The one check on an integrand pair, before any factor map is called:
     ValidationError when either has no block form (_factored), then
     NodeBudgetExceeded when the work exceeds _WORK_BUDGET or the term
-    matrices of the levels would take more than _TERM_BYTES.
+    matrices of the levels, one (terms of f) x (terms of h) each, take more
+    than _TERM_BYTES.  Besides them a reduction holds one block Gram, one
+    segment sum with one product into it, and one chunk of each map.
     """
     ff, hf = _factored(fs), _factored(hs)
     work = _work(levels, ff, hf)
@@ -458,26 +452,28 @@ def _reduce(levels, fs, hs) -> tuple:
     return _factored_sums(levels, ff, hf), work
 
 
-def _segment_sums(chunks, lengths, f, h, same: bool) -> list:
-    """Sums of w f_a conj(h_b) over consecutive segments of ``lengths`` nodes: (A, B) each.
+def _segment_sums(chunks, lengths, f, h, same: bool):
+    """Yields the sum of w f_a conj(h_b), (A, B), over each segment of ``lengths`` nodes in turn.
 
     ``chunks`` yields (points, w) for runs of nodes in order; f and h map
     a run's points to its (A, n) and (B, n) values and are called once per
     run, and a run may straddle segment boundaries.
     """
     bounds = list(itertools.accumulate(lengths, initial=0))
-    sums = [0.0] * len(lengths)
-    start = 0
+    i, total, start = 0, 0.0, 0
     for points, w in chunks:
         U = f(points)
         V = U if same else h(points)
         Uw = U * w
-        for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        for lo, hi in zip(bounds[i:], bounds[i + 1:]):
             a, b = max(lo - start, 0), min(hi - start, len(w))
             if a < b:
-                sums[i] = sums[i] + Uw[:, a:b] @ V[:, a:b].conj().T
+                total += Uw[:, a:b] @ V[:, a:b].conj().T  # in place once total is an array
+            if hi > start + len(w):
+                break
+            yield total
+            i, total = i + 1, 0.0
         start += len(w)
-    return sums
 
 
 @np.errstate(all="ignore")  # a sum that leaves the double range is refused by its caller
@@ -490,7 +486,8 @@ def _factored_sums(levels, ff: Factored, hf: Factored) -> list:
     is the block's scale times the entrywise product of its segment sums;
     a block without segments (the lattice at r = 0) is all ones and its
     map is never called.  Each term pair multiplies its factors' entries
-    of the block Grams, from the first column's gather on; family weights scale rows and columns.
+    of the block Grams, from the first column's gather on; family weights
+    scale rows and columns.
     """
     terms = [None] * len(levels)
     width = ff.terms.shape[1]
@@ -502,10 +499,13 @@ def _factored_sums(levels, ff: Factored, hf: Factored) -> list:
         rows = max(1, _CHUNK_BYTES // (16 * max(nf, nh, 1)))
         chunks = ((points[i:i + rows], weights[i:i + rows]) for i in range(0, len(weights), rows))
         f, h = getattr(ff, name), getattr(hf, name)
-        sums = iter(_segment_sums(chunks, sum(lengths, ()), f, h, ff is hf))
-        ones = np.ones((nf, nh), dtype=complex)
+        sums = _segment_sums(chunks, sum(lengths, ()), f, h, ff is hf)
+        gram = np.empty((nf, nh), dtype=complex)  # one buffer, refilled per level
         for i, b in enumerate(sets):
-            gram = b.scale * math.prod(itertools.islice(sums, len(b.lengths)), start=ones)
+            gram.fill(1)
+            for _ in b.lengths:  # in place, and no name keeps a folded sum
+                gram *= next(sums)
+            gram *= b.scale
             for col in cols:
                 pair = gram[ff.terms[:, col, None], hf.terms[None, :, col]]
                 terms[i] = pair if terms[i] is None else np.multiply(terms[i], pair, out=terms[i])

@@ -368,7 +368,7 @@ def _member(config: SpaceConfig, n, k, coeffs):
     return f
 
 
-def basis_family(config: SpaceConfig, indices, normalized: bool = False):
+def basis_family(config: SpaceConfig, indices):
     """Batch closure (z, z_perp) -> (N, n_points) value matrix.
 
     ``indices`` is a list of BasisIndex or an (n, k) pair of integer
@@ -376,8 +376,7 @@ def basis_family(config: SpaceConfig, indices, normalized: bool = False):
     batteries.
     """
     n, k = _index_arrays(config, indices)
-    scale = 1.0 / np.sqrt(_exp_norms(_log_norms(config, (n, k)))) if normalized else np.ones(len(n))
-    return _member(config, n, k, scale)
+    return _member(config, n, k, np.ones(len(n)))
 
 
 def basis_eval(

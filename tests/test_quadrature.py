@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -117,10 +118,10 @@ _DEFAULT_LEVELS = [(Q._DEFAULT_COMPACT_NODES, Q._DEFAULT_UNBOUNDED_NODES),
 
 
 def test_hermite_exactness_degree():
-    # the Hermite rules the oracle sums with, on both default levels,
-    # integrate t^(2j) against exp(-t^2) exactly
+    # the Fock block's Hermite rules, on both default levels, integrate
+    # t^(2j) against exp(-t^2) exactly
     for counts in _DEFAULT_LEVELS:
-        _, _, t, w = Q._gauss_rules(*counts)
+        *_, t, w = Q._rules(*counts)
         for j in range(0, 16):
             got = float(w @ t ** (2 * j))
             want = math.gamma(j + 0.5)
@@ -130,7 +131,7 @@ def test_hermite_exactness_degree():
 def test_legendre_exactness_degree():
     # an n-node Legendre rule on [0, 1] integrates x^k exactly for k < 2n
     for counts in _DEFAULT_LEVELS:
-        x, w, _, _ = Q._gauss_rules(*counts)
+        x, w, *_ = Q._rules(*counts)
         for k in range(2 * len(x)):
             want = 1.0 / (k + 1)
             assert abs(float(w @ x**k) - want) <= 1e-12 * want
@@ -139,40 +140,48 @@ def test_legendre_exactness_degree():
 @pytest.mark.parametrize("bad", [0, -1, 2.5, True])
 @pytest.mark.parametrize("name", ["compact_nodes", "unbounded_nodes"])
 def test_bad_node_count_is_validation_error(cfg_g1r1, name, bad):
-    before = Q._gauss_rules.cache_info().currsize
+    before = Q._rules.cache_info().currsize
     with pytest.raises(errors.ValidationError, match=name):
         tf.build_grid(cfg_g1r1, **{name: bad})
-    assert Q._gauss_rules.cache_info().currsize == before
-
-
-def test_rule_that_is_not_finite_is_validation_error(cfg_g1r1):
-    # numpy's Hermite weights overflow from 372 nodes on, which the fine
-    # level reaches at 186; calibration reads only the base level
-    Q._gauss_rules.cache_clear()
-    with pytest.raises(errors.ValidationError, match="not finite"):
-        tf.build_grid(cfg_g1r1, requested_tol=1e-9, compact_nodes=16, unbounded_nodes=186)
-    assert Q._gauss_rules.cache_info().currsize == 0
+    assert Q._rules.cache_info().currsize == before
 
 
 def test_cached_rules_are_read_only(cfg_g1r1):
     tf.build_grid(cfg_g1r1, compact_nodes=7, unbounded_nodes=9)
-    rules = Q._gauss_rules(7, 9) + Q._gauss_rules(14, 18)
+    rules = Q._rules(7, 9) + Q._rules(14, 18)
     saved = [arr.copy() for arr in rules]
     for arr in rules:
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 0.0
     # building again reads both levels' rules from the cache, unchanged
-    hits = Q._gauss_rules.cache_info().hits
+    hits = Q._rules.cache_info().hits
     tf.build_grid(cfg_g1r1, compact_nodes=7, unbounded_nodes=9)
-    assert Q._gauss_rules.cache_info().hits == hits + 2
-    assert all(a is b for a, b in zip(Q._gauss_rules(7, 9) + Q._gauss_rules(14, 18), rules))
+    assert Q._rules.cache_info().hits == hits + 2
+    assert all(a is b for a, b in zip(Q._rules(7, 9) + Q._rules(14, 18), rules))
     for arr, copy in zip(rules, saved):
         np.testing.assert_array_equal(arr, copy)
 
 
+@pytest.mark.parametrize("n, step", [(48, 0.5), (96, 0.5), (121, 0.5), (372, 60 / 371)],
+                         ids=["48", "96", "121", "372"])
+def test_trapezoid_rule_integrates_the_lattice_integrands(n, step):
+    # on a lattice s-axis each pair's integrand, against the weight, is
+    # exp(-s^2 / 2 + b s): the rule's sum is sqrt(2 pi) exp(b^2 / 2) to
+    # rounding, and the half-width (n - 1) h / 2 stops at 30
+    _, _, s, w, _, _ = Q._rules(1, n)
+    assert len(s) == n and np.allclose(np.diff(s), step, rtol=1e-12, atol=0)
+    assert s[-1] == pytest.approx(min(0.25 * (n - 1), 30.0), rel=1e-12) and s[0] == -s[-1]
+    np.testing.assert_allclose(w, step * np.exp(-0.5 * s * s), rtol=1e-15, atol=0)
+    for b in (0.0, 1.5, -3.0 + 0.7j, 2.0 - 2.0j, 2j):
+        want = math.sqrt(2 * math.pi) * np.exp(b * b / 2)
+        scale = math.sqrt(2 * math.pi) * math.exp(b.real**2 / 2)
+        assert abs(w @ np.exp(b * s) - want) <= 1e-14 * scale
+
+
 def test_grid_invariants(grid_g1r1):
-    x, wx, _, wt = Q._gauss_rules(*_DEFAULT_LEVELS[0])
+    x, wx, _, ws, _, wt = Q._rules(*_DEFAULT_LEVELS[0])
     assert np.all(wx > 0)
+    assert np.all(ws > 0)
     assert np.all(wt > 0)
     assert np.all((x > 0) & (x < 1))
     assert grid_g1r1.estimated_error <= 1e-10
@@ -214,68 +223,84 @@ def test_grid_node_budget(monkeypatch):
                                            rel=1e-8)
 
 
-@pytest.mark.parametrize("nodes", [(99999999999, 48), (20000, 48), (32, 100000)])
+@pytest.mark.parametrize("nodes", [(99999999999, 48), (20000, 48), (32, 200_000_000)])
 def test_grid_over_budget_builds_no_rule(monkeypatch, cfg_g1r1, nodes):
-    # numpy's companion matrices alone would take 1e22 values, 11.9 GiB or
-    # 298 GiB: refused before any Gauss rule is built
-    monkeypatch.setattr(Q, "_gauss_rules", _never_called)
+    # numpy's Legendre companion matrices alone would take 1e22 values or
+    # 11.9 GiB, and the lattice s-axes 6e8 nodes: refused before any rule
+    # is built
+    monkeypatch.setattr(Q, "_rules", _never_called)
     with pytest.raises(errors.NodeBudgetExceeded, match="Gauss rules"):
         tf.build_grid(cfg_g1r1, compact_nodes=nodes[0], unbounded_nodes=nodes[1])
 
 
-@pytest.mark.parametrize("nodes", [(32, 185), (1, 185)])
+@pytest.mark.parametrize("nodes", [(32, 186), (1, 5000)])
 def test_grid_within_budget_reaches_the_rules(monkeypatch, cfg_g1r1, nodes):
-    # the largest unbounded count whose fine Hermite rule numpy builds
-    # finite passes both checks: the fine rule is the first one asked for
+    # node counts the budget admits reach the rules, base level first:
+    # nothing is refused for lying past the Hermite rule's range
     asked = []
 
     def rules(*counts):
         asked.append(counts)
         raise errors.ValidationError("stub")
 
-    monkeypatch.setattr(Q, "_gauss_rules", rules)
+    monkeypatch.setattr(Q, "_rules", rules)
     with pytest.raises(errors.ValidationError, match="stub"):
         tf.build_grid(cfg_g1r1, compact_nodes=nodes[0], unbounded_nodes=nodes[1])
-    assert asked == [(2 * nodes[0], 2 * nodes[1])]
+    assert asked == [nodes]
 
 
-@pytest.mark.parametrize("nodes", [(32, 186), (32, 5000)])
-def test_hermite_rule_numpy_cannot_build_is_refused_first(monkeypatch, cfg_g1r1, nodes):
-    # a fine Hermite rule of 372 or 10,000 nodes is not finite: refused
-    # before any rule is built (hermgauss(10000) alone takes about a minute)
-    monkeypatch.setattr(Q, "_gauss_rules", _never_called)
-    with pytest.raises(errors.ValidationError, match="not finite"):
-        tf.build_grid(cfg_g1r1, compact_nodes=nodes[0], unbounded_nodes=nodes[1])
+def test_grid_past_the_hermite_range_builds():
+    # 186 unbounded nodes put 372 on the fine level, where numpy's Hermite
+    # weights overflow: the fine lattice s-axes take 372 trapezoid nodes
+    # and the Fock block 370 Hermite nodes per coordinate; the weights are
+    # finite, the Fock weights sum to pi, and the calibration holds
+    cfg = tf.make_config(tf.build_lattice(tf.validate_space(np.eye(2)), [[1.0, 0.0]]),
+                         [0.3], math.pi)
+    grid = tf.build_grid(cfg, requested_tol=1e-10, compact_nodes=8, unbounded_nodes=186)
+    assert grid.base.shape == (8, 186, 186, 186)
+    assert grid.fine.shape == (16, 372, 370, 370)
+    assert grid.fine.lattice.lengths == (16, 372) and grid.fine.fock.lengths == (370**2,)
+    for level in (grid.base, grid.fine):
+        assert np.all(level.lattice.weights > 0) and np.all(level.fock.weights >= 0)
+        assert level.fock.weights.sum() == pytest.approx(math.pi, rel=1e-13)
+    f = S.basis_function(cfg, tf.BasisIndex(n=(1,), k=(3,)))
+    assert tf.inner_product(cfg, f, f, grid).value.real == pytest.approx(
+        tf.basis_norm_sq(cfg, tf.BasisIndex(n=(1,), k=(3,))), rel=1e-12)
 
 
 def test_hermite_threshold_matches_numpy():
-    # the refusal above stands for numpy's own rule: finite up to
-    # _MAX_HERMITE_NODES nodes, not finite one past it, where the check on
-    # what numpy returns still refuses it
+    # the Fock rule's cap stands for numpy's own rule: its weights sum to
+    # sqrt(pi) up to _MAX_HERMITE_NODES nodes, are all 0 one past it and
+    # not finite two past it; a Fock rule asked for more stays at the cap
     with np.errstate(all="ignore"):
-        rules = [np.polynomial.hermite.hermgauss(n)
-                 for n in (Q._MAX_HERMITE_NODES, Q._MAX_HERMITE_NODES + 1)]
-    assert [all(np.isfinite(a).all() for a in rule) for rule in rules] == [True, False]
-    Q._gauss_rules(1, Q._MAX_HERMITE_NODES)
-    with pytest.raises(errors.ValidationError, match="not finite"):
-        Q._gauss_rules(1, Q._MAX_HERMITE_NODES + 1)
+        rules = [np.polynomial.hermite.hermgauss(Q._MAX_HERMITE_NODES + i) for i in range(3)]
+    assert rules[0][1].sum() == pytest.approx(math.sqrt(math.pi), rel=1e-14)
+    assert not rules[1][1].any() and not np.isfinite(rules[2][1]).all()
+    *_, t, w = Q._rules(1, Q._MAX_HERMITE_NODES + 2)
+    assert np.array_equal(t, rules[0][0]) and np.array_equal(w, rules[0][1])
 
 
 def test_grid_budget_counts_the_values_built(monkeypatch):
     # g = 3, r = 2: the budget check counts each level's companion matrices
-    # n_c^2 + n_h^2 and its node sets r (n_c + n_h) + n_h^2, as built
+    # n_c^2 + n_f^2 and its node sets r (n_c + n_h) + n_f^2, as built, with
+    # n_f = min(n_h, 370) Hermite nodes: the fine Fock rule of 186 is capped
     cfg = tf.make_config(tf.build_lattice(tf.validate_space(np.eye(3)), np.eye(3)[:2]),
                          [0.0, 0.5], math.pi)
-    grid = tf.build_grid(cfg, compact_nodes=5, unbounded_nodes=7)
-    for level, (n_c, n_h) in ((grid.base, (5, 7)), (grid.fine, (10, 14))):
-        assert len(level.lattice.weights) == sum(level.lattice.lengths) == 2 * (n_c + n_h)
-        assert len(level.fock.weights) == sum(level.fock.lengths) == n_h**2
-    need = sum(n_c**2 + 2 * n_h**2 + 2 * (n_c + n_h) for n_c, n_h in ((5, 7), (10, 14)))
-    monkeypatch.setattr(Q, "_WORK_BUDGET", need)
-    tf.build_grid(cfg, compact_nodes=5, unbounded_nodes=7)
-    monkeypatch.setattr(Q, "_WORK_BUDGET", need - 1)
-    with pytest.raises(errors.NodeBudgetExceeded, match="Gauss rules"):
-        tf.build_grid(cfg, compact_nodes=5, unbounded_nodes=7)
+    for n in (7, 186):
+        levels = ((5, n), (10, 2 * n))
+        grid = tf.build_grid(cfg, compact_nodes=5, unbounded_nodes=n)
+        for level, (n_c, n_h) in zip((grid.base, grid.fine), levels):
+            n_f = min(n_h, Q._MAX_HERMITE_NODES)
+            assert len(level.lattice.weights) == sum(level.lattice.lengths) == 2 * (n_c + n_h)
+            assert len(level.fock.weights) == sum(level.fock.lengths) == n_f**2
+        need = sum(n_c**2 + 2 * min(n_h, Q._MAX_HERMITE_NODES) ** 2 + 2 * (n_c + n_h)
+                   for n_c, n_h in levels)
+        with monkeypatch.context() as mp:
+            mp.setattr(Q, "_WORK_BUDGET", need)
+            tf.build_grid(cfg, compact_nodes=5, unbounded_nodes=n)
+            mp.setattr(Q, "_WORK_BUDGET", need - 1)
+            with pytest.raises(errors.NodeBudgetExceeded, match="Gauss rules"):
+                tf.build_grid(cfg, compact_nodes=5, unbounded_nodes=n)
 
 
 def test_plain_callable_is_refused(cfg_g1r1, grid_g1r1):
@@ -363,9 +388,9 @@ def test_overflowed_gram_is_out_of_range(overflow_case, action):
 
 
 def test_finite_disagreement_is_still_too_coarse(overflow_case):
-    # at (10, 10) both levels are finite and disagree: the refinement gate
+    # at (7, 7) both levels are finite and disagree: the refinement gate
     cfg, grid = overflow_case
-    e = S.basis_function(cfg, tf.BasisIndex(n=(10,), k=(10,)))
+    e = S.basis_function(cfg, tf.BasisIndex(n=(7,), k=(7,)))
     with pytest.raises(errors.GridTooCoarse):
         tf.inner_product(cfg, e, e, grid)
 
@@ -380,6 +405,32 @@ def test_term_matrix_byte_cap(cfg_g1r1, grid_g1r1, monkeypatch):
     monkeypatch.setattr(Q, "_segment_sums", _never_called)
     with pytest.raises(errors.NodeBudgetExceeded, match="bytes"):
         tf.gram_matrix(cfg_g1r1, fam, grid_g1r1)
+
+
+def test_reduction_holds_the_term_matrices_and_three_more(monkeypatch):
+    # a section-by-section inner product at r = 3 (about 320,000 term pairs)
+    # holds the term matrices of its 2 levels, one block Gram, one segment
+    # sum and its partial: under (2 + 3) N_f N_h complex values plus one
+    # chunk, kept small here so that the term-sized arrays dominate.  A
+    # reducer that holds all 2r segment sums of a level peaks at 17 here
+    cfg = tf.make_config(tf.build_lattice(tf.validate_space(np.eye(3)), np.eye(3)),
+                         [0.1, 0.2, 0.3], 2 * math.pi)
+    u = tf.PointCoordinates(np.array([0.1 + 0.2j, -0.2 + 0.1j, 0.3 - 0.1j]), np.zeros(0))
+    v = tf.PointCoordinates(np.array([-0.3 + 0.1j, 0.1 - 0.2j, 0.2 + 0.3j]), np.zeros(0))
+    f, h = S.kernel_section(cfg, u, 1e-12), S.kernel_section(cfg, v, 1e-12)
+    n_f, n_h = len(f.factored.terms), len(h.factored.terms)
+    assert n_f * n_h > 300_000
+    grid = tf.build_grid(cfg)
+    monkeypatch.setattr(Q, "_CHUNK_BYTES", 1 << 16)
+    tracemalloc.start()
+    try:
+        value = tf.inner_product(cfg, f, h, grid).value
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (2 + 3) * n_f * n_h * 16 + Q._CHUNK_BYTES
+    want = S.kernel_eval(cfg, v, u, 1e-12)
+    assert abs(value - want) <= 1e-10 * abs(want)
 
 
 def test_two_perpendicular_coordinates_with_a_lattice():
@@ -514,20 +565,22 @@ def test_skewed_lattice_battery_reduced_range():
 
 @pytest.fixture(scope="module", params=["g1r1", "g2r0", "g2r1", "g2r2"])
 def small_case(request):
-    nodes = (10, 14)
+    # each case's unbounded count is the least that lets its refined pairs
+    # below pass the refinement gate: at a step of 0.5 the base level's
+    # lattice s-axes span only |s| <= (n_h - 1) / 4
     if request.param == "g1r1":
         lat = tf.build_lattice(tf.validate_space(np.eye(1)), [[1.2]])
         cfg = tf.make_config(lat, [0.2], math.pi)
-        offset = None
+        offset, nodes = None, (10, 20)
     elif request.param == "g2r0":
         lat = tf.build_lattice(tf.validate_space(np.eye(2)), [])
         cfg = tf.make_config(lat, [], 2.5)
-        offset = None
+        offset, nodes = None, (10, 14)
     elif request.param == "g2r1":
         H = np.array([[1.0, 0.2j], [-0.2j, 1.3]])
         lat = tf.build_lattice(tf.validate_space(H), [[1.0, 0.4 + 0.1j]])
         cfg = tf.make_config(lat, [0.3], math.pi)
-        offset = [0.37]
+        offset, nodes = [0.37], (6, 22)
     else:
         # real, non-diagonal B and an offset box: the x/y split of the
         # lattice block must not lean on a diagonal form.  Fewer compact
@@ -535,8 +588,7 @@ def small_case(request):
         lat = tf.build_lattice(tf.validate_space(np.eye(2)), [[1.0, 0.0], [0.4, 1.1]])
         assert abs(lat.B[0, 1]) > 0.1
         cfg = tf.make_config(lat, [0.3, 0.1], 2 * math.pi)
-        offset = [0.37, -0.21]
-        nodes = (6, 12)
+        offset, nodes = [0.37, -0.21], (6, 18)
     return cfg, tf.build_grid(cfg, compact_nodes=nodes[0], unbounded_nodes=nodes[1],
                               box_offset=offset), nodes
 
@@ -547,14 +599,13 @@ _CHUNK = 1 << 14  # tensor nodes per chunk of the reference sum
 def _tensor_chunks(cfg, counts, offset, T):
     # ((Z, Zp), w) over the level's whole tensor grid, _CHUNK nodes at a
     # time: r Legendre axes at x + offset, weighted by exp(-nu x^T B x); r
-    # Hermite axes weighted by exp(t^2 / 2), with y = T s for the
-    # eigen-coordinates s of 2 nu B; two Hermite axes t / sqrt(nu) per
-    # perpendicular coordinate; counts are the level's (n_c, n_h).  Points
-    # are column-major, as the evaluators read them.
+    # trapezoid axes s, with y = T s for the eigen-coordinates s of 2 nu B;
+    # two Hermite axes t / sqrt(nu) per perpendicular coordinate; counts
+    # are the level's (n_c, n_h).  Points are column-major, as the
+    # evaluators read them.
     r, nu = cfg.r, cfg.nu
-    x, wx, t, wt = Q._gauss_rules(*counts)
-    rules = ([(x, wx)] * r + [(t, wt * np.exp(0.5 * t * t))] * r
-             + [(t / math.sqrt(nu), wt)] * (2 * (cfg.g - r)))
+    x, wx, s, ws, t, wt = Q._rules(*counts)
+    rules = [(x, wx)] * r + [(s, ws)] * r + [(t / math.sqrt(nu), wt)] * (2 * (cfg.g - r))
     sizes = [len(nodes) for nodes, _ in rules]
     total = math.prod(sizes)
     for start in range(0, total, _CHUNK):
@@ -577,15 +628,16 @@ def _tensor_gram(cfg, f, h, grid, nodes, refine):
     # the reference for the block-by-block oracle: (G, E) as gram_matrix
     # returns them, from f conj(h) called directly on each level's whole
     # tensor grid (the same nodes and weights, summed as one block), times
-    # the lattice Jacobian and nu^-(g - r); the grid was built at nodes
+    # the lattice Jacobian and nu^-(g - r); h None is f; the grid was built
+    # at nodes
     evals, evecs = np.linalg.eigh(2.0 * cfg.nu * cfg.lattice.B)
     scale = float(np.prod(1.0 / np.sqrt(evals))) / cfg.nu ** (cfg.g - cfg.r)
     T = evecs / np.sqrt(evals)
     levels = [(grid.base, nodes), (grid.fine, (2 * nodes[0], 2 * nodes[1]))]
-    sums = [scale * Q._segment_sums(_tensor_chunks(cfg, counts, grid.box_offset, T),
-                                    [math.prod(level.shape)],
-                                    lambda p: np.atleast_2d(f(*p)),
-                                    lambda p: np.atleast_2d(h(*p)), f is h)[0]
+    sums = [scale * next(Q._segment_sums(_tensor_chunks(cfg, counts, grid.box_offset, T),
+                                         [math.prod(level.shape)],
+                                         lambda p: np.atleast_2d(f(*p)),
+                                         lambda p: np.atleast_2d(h(*p)), h is None))
             for level, counts in (levels if refine else levels[:1])]
     if not refine:
         return sums[0], np.zeros(sums[0].shape)
@@ -603,7 +655,7 @@ def test_factored_matches_one_block(small_case, refine, monkeypatch):
     ]
     fam = S.basis_family(cfg, idxs)
     G, E = tf.gram_matrix(cfg, fam, grid, refine=refine)
-    G1, E1 = _tensor_gram(cfg, fam, fam, grid, nodes, refine)
+    G1, E1 = _tensor_gram(cfg, fam, None, grid, nodes, refine)
     assert np.abs(G - G1).max() <= 1e-13 * np.abs(G1).max()
     assert np.abs(E - E1).max() <= 1e-13 * np.abs(G1).max()
 
@@ -613,12 +665,14 @@ def test_factored_matches_one_block(small_case, refine, monkeypatch):
     f = S.synthesized_function(cfg, coeffs)
     section = S.kernel_section(cfg, v, 1e-10)
     empty = S.synthesized_function(cfg, S.CoefficientField.from_dict({}))
-    for a, b in ((f, f), (f, section), (section, f), (empty, section)):
-        got = tf.inner_product(cfg, a, b, grid, refine=refine).value
-        want = _tensor_gram(cfg, a, b, grid, nodes, refine)[0][0, 0]
-        assert abs(got - want) <= 1e-13 * abs(want)
-        if (a, b) == (f, section):
-            want_section = want
+    # one reference sum of the three as a family evaluates each once per node
+    funcs = (f, section, empty)
+    want = _tensor_gram(cfg, lambda z, zp: np.vstack([a(z, zp) for a in funcs]), None, grid,
+                        nodes, refine)[0]
+    for i, j in ((0, 0), (0, 1), (1, 0), (2, 1)):
+        got = tf.inner_product(cfg, funcs[i], funcs[j], grid, refine=refine).value
+        assert abs(got - want[i, j]) <= 1e-13 * abs(want[i, j])
+    want_section = want[0, 1]
 
     # with no cap, each map is called once per reduction, on the nodes of
     # every level summed: r (n_c + n_h) lattice rows and n_h^2 Fock rows per
