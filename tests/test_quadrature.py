@@ -249,6 +249,26 @@ def test_grid_within_budget_reaches_the_rules(monkeypatch, cfg_g1r1, nodes):
     assert asked == [nodes]
 
 
+@pytest.mark.parametrize("nodes", [(32, 186), (32, 5000)])
+def test_hermite_rule_numpy_cannot_build_is_never_asked_for(monkeypatch, cfg_g1r1, nodes):
+    # fine Hermite rules of 372 or 10,000 nodes, whose weights numpy returns
+    # not finite (hermgauss(10000) alone takes about a minute), are never
+    # asked of numpy: each level's Fock rule stops at the cap, base level
+    # first, and the grid builds with finite weights
+    asked = []
+
+    def hermgauss(n):
+        asked.append(n)
+        return np.polynomial.hermite.hermgauss(n)
+
+    monkeypatch.setattr(Q, "hermgauss", hermgauss)
+    Q._rules.cache_clear()
+    grid = tf.build_grid(cfg_g1r1, compact_nodes=nodes[0], unbounded_nodes=nodes[1])
+    assert asked == [min(nodes[1], Q._MAX_HERMITE_NODES), Q._MAX_HERMITE_NODES]
+    for level in (grid.base, grid.fine):
+        assert np.isfinite(level.lattice.weights).all() and np.isfinite(level.fock.weights).all()
+
+
 def test_grid_past_the_hermite_range_builds():
     # 186 unbounded nodes put 372 on the fine level, where numpy's Hermite
     # weights overflow: the fine lattice s-axes take 372 trapezoid nodes
