@@ -52,8 +52,10 @@ it.  The bytes of the term matrices are checked there against one cap.
 The reducer cuts its rows into chunks so that one map's values stay under
 _CHUNK_BYTES, so memory stays bounded whatever the number of nodes.
 
-The grid calibrates itself on two levels, the requested node counts and
-their doubles, against integrands with closed forms (see _calibrate).
+A grid is judged by the sums run on it: inner_product and gram_matrix
+report the difference between their sums on the requested node counts
+and on their doubles.  Only a caller that passes build_grid a tolerance has the grid
+calibrated against synthetic integrands with closed forms (_calibrate).
 
 This module is the verification oracle: it never consults the closed-form
 norms or kernels it is used to check.  It only evaluates the factors of
@@ -216,15 +218,13 @@ class QuadratureGrid:
 
     Each level holds the node sets of the block-by-block reduction, built
     once with the grid, and the ``shape`` of the tensor grid they factor.
-    ``box_offset`` shifts the compact box [0, 1]^r.  ``estimated_error``
-    is the two-level calibration defect of _calibrate.
+    ``box_offset`` shifts the compact box [0, 1]^r.
     """
 
     config: object
     base: _Level
     fine: _Level
     box_offset: np.ndarray
-    estimated_error: float
 
 
 @dataclass(frozen=True)
@@ -285,18 +285,21 @@ def build_grid(
     unbounded_nodes: int = _DEFAULT_UNBOUNDED_NODES,
     box_offset=None,
 ) -> QuadratureGrid:
-    """Build the tensor grid for a space configuration and self-calibrate it.
+    """Build the tensor grid for a space configuration.
 
     Any g and r are admitted; the work budget (NodeBudgetExceeded) bounds
     the values building both levels asks for (numpy's n x n companion
     matrix of each Gauss rule, the Hermite one capped, and the node sets)
-    and the calibration's reduction; every node count it admits builds.
-    Node counts must be ints >= 1 (ValidationError).  The calibration sums
-    integrands with closed forms on both levels; GridTooCoarse when their
-    defect exceeds requested_tol, ValueError when that is not positive
-    (NaN included).  A box_offset of the wrong length raises
-    DimensionMismatch, one not finite ValidationError.  The arguments and
-    the budget are checked before any rule is built.
+    and the calibration's reduction when there is one; every node count
+    it admits builds.
+    Node counts must be ints >= 1 (ValidationError).  With requested_tol
+    the grid is calibrated: integrands with closed forms are summed on
+    both levels, and GridTooCoarse is raised when their defect exceeds
+    requested_tol; ValueError when that is not positive (NaN included).
+    Without it nothing is calibrated: the refinement of each sum judges
+    the grid.  A box_offset of the wrong length raises DimensionMismatch,
+    one not finite ValidationError.  The arguments and the budget are
+    checked before any rule is built.
     """
     if requested_tol is not None and not requested_tol > 0:  # NaN included
         raise ValueError("requested_tol must be positive")
@@ -319,13 +322,11 @@ def build_grid(
     evals, evecs = np.linalg.eigh(2.0 * config.nu * config.lattice.B)
     axes = (offset, evecs / np.sqrt(evals), float(np.prod(1.0 / np.sqrt(evals))))
     base, fine = [_make_level(config, n_c, n_h, *axes) for n_c, n_h in levels]
-    est = _calibrate(config, base, fine)
-    if requested_tol is not None and est > requested_tol:
+    if requested_tol is not None and (est := _calibrate(config, base, fine)) > requested_tol:
         raise GridTooCoarse(
             f"self-calibration defect {est:.3e} exceeds requested tolerance {requested_tol:.3e}"
         )
-    return QuadratureGrid(config=config, base=base, fine=fine, box_offset=offset,
-                          estimated_error=est)
+    return QuadratureGrid(config=config, base=base, fine=fine, box_offset=offset)
 
 
 def _calibrate(config, base: _Level, fine: _Level) -> float:
@@ -551,18 +552,16 @@ def inner_product(config, f, h, grid: QuadratureGrid, refine: bool = True) -> In
     return InnerProductResult(value=v1, error_estimate=err, work=work)
 
 
-def gram_matrix(config, funcs, grid: QuadratureGrid, refine: bool = True):
+def gram_matrix(config, funcs, grid: QuadratureGrid):
     """All pairwise inner products of ``funcs`` in one sweep.
 
     ``funcs`` is one family with a block form, such as a
     space.basis_family or its ``factored`` attribute; its members are
     the terms scaled by the Factored's ``coeffs`` (a one-function form is
-    a family of one).  Returns (G, E): the Gram matrix from the finest
-    level used and the entrywise difference between levels (zeros when
-    refine=False).  Raises ValidationError, NodeBudgetExceeded and
-    ValueOutOfRange as inner_product does.
+    a family of one).  Returns (G, E): the Gram matrix from the fine
+    level and the entrywise difference from the base level.  Raises
+    ValidationError, NodeBudgetExceeded and ValueOutOfRange as
+    inner_product does.
     """
-    sums, _ = _grid_sums(config, grid, refine, funcs, funcs)
-    if not refine:
-        return sums[0], np.zeros_like(sums[0], dtype=float)
+    sums, _ = _grid_sums(config, grid, True, funcs, funcs)
     return sums[1], np.abs(sums[1] - sums[0])

@@ -387,10 +387,9 @@ def basis_eval(
     return value / math.sqrt(basis_norm_sq(config, idx)) if normalized else value
 
 
-def basis_function(config: SpaceConfig, idx: BasisIndex, normalized: bool = False):
+def basis_function(config: SpaceConfig, idx: BasisIndex):
     """Batch-evaluable closure (z, z_perp) -> values for one basis index."""
-    scale = 1.0 / math.sqrt(basis_norm_sq(config, idx)) if normalized else 1.0
-    return _member(config, *_index_arrays(config, [idx]), [[scale]])
+    return _member(config, *_index_arrays(config, [idx]), [[1.0]])
 
 
 def _norm_exponents(config: SpaceConfig, n: np.ndarray) -> np.ndarray:

@@ -374,7 +374,6 @@ def verify_orthogonality(
     out = []
     compact, unbounded = nodes
     grid = Q.build_grid(config, compact_nodes=compact, unbounded_nodes=unbounded)
-    out.append(_outcome("grid-self-calibration", grid.estimated_error, 1e-9))
 
     battery = norms_battery(config, grid, n_inf, k_max=2)
     out.append(_outcome("norms-match-closed-form", float(battery.defects.max()), 1e-6))

@@ -184,7 +184,6 @@ def test_grid_invariants(grid_g1r1):
     assert np.all(ws > 0)
     assert np.all(wt > 0)
     assert np.all((x > 0) & (x < 1))
-    assert grid_g1r1.estimated_error <= 1e-10
 
 
 def _never_called(*args, **kwargs):
@@ -360,8 +359,7 @@ def test_calibration_reads_an_overflowed_closed_form_as_infinite():
     cfg = tf.make_config(tf.build_lattice(tf.validate_space(np.eye(3)), np.eye(3)),
                          np.zeros(3), 0.2)
     assert np.array_equal(cfg.lattice.B, np.eye(3))
-    assert tf.build_grid(cfg, compact_nodes=8, unbounded_nodes=10).estimated_error == math.inf
-    with pytest.raises(errors.GridTooCoarse):
+    with pytest.raises(errors.GridTooCoarse, match="self-calibration defect inf exceeds"):
         tf.build_grid(cfg, requested_tol=1e-6, compact_nodes=8, unbounded_nodes=10)
 
 
@@ -404,7 +402,7 @@ def test_overflowed_gram_is_out_of_range(overflow_case, action):
     with warnings.catch_warnings():
         warnings.simplefilter(action)
         with pytest.raises(errors.ValueOutOfRange):
-            tf.gram_matrix(cfg, fam, grid, refine=False)
+            tf.gram_matrix(cfg, fam, grid)
 
 
 def test_finite_disagreement_is_still_too_coarse(overflow_case):
@@ -666,7 +664,8 @@ def _tensor_gram(cfg, f, h, grid, nodes, refine):
 
 @pytest.mark.parametrize("refine", [True, False])
 def test_factored_matches_one_block(small_case, refine, monkeypatch):
-    # the oracle's block-by-block sums against the tests-side tensor sum
+    # the oracle's block-by-block sums against the tests-side tensor sum;
+    # gram_matrix always refines, the base level alone is inner_product's
     cfg, grid, nodes = small_case
     idxs = [
         tf.BasisIndex(n=n, k=k)
@@ -674,10 +673,11 @@ def test_factored_matches_one_block(small_case, refine, monkeypatch):
         for k in S._multi_indices(cfg.g - cfg.r, 2)
     ]
     fam = S.basis_family(cfg, idxs)
-    G, E = tf.gram_matrix(cfg, fam, grid, refine=refine)
-    G1, E1 = _tensor_gram(cfg, fam, None, grid, nodes, refine)
-    assert np.abs(G - G1).max() <= 1e-13 * np.abs(G1).max()
-    assert np.abs(E - E1).max() <= 1e-13 * np.abs(G1).max()
+    if refine:
+        G, E = tf.gram_matrix(cfg, fam, grid)
+        G1, E1 = _tensor_gram(cfg, fam, None, grid, nodes, True)
+        assert np.abs(G - G1).max() <= 1e-13 * np.abs(G1).max()
+        assert np.abs(E - E1).max() <= 1e-13 * np.abs(G1).max()
 
     rng = np.random.default_rng(12)
     coeffs = verify.random_field(rng, cfg, max_terms=3, n_inf=1, k_total=1)
@@ -707,25 +707,26 @@ def test_factored_matches_one_block(small_case, refine, monkeypatch):
         {"fock": [n_perp]} if cfg.g > cfg.r else {})
 
     # a byte cap of seven values of the smallest nonzero factor count cuts
-    # every call to at most seven rows, and a chunk of lattice rows
-    # straddles an axis or level boundary; the sums must not move
+    # every call to at most seven rows, and a chunk of the family's lattice
+    # rows straddles an axis or level boundary; the sums must not move
     def seven_rows(a, b):
         counts = map(max, Q._factor_counts(a.factored), Q._factor_counts(b.factored))
         return 16 * 7 * min(c for c in counts if c)
 
     fam_calls, section_calls = {}, {}
     with monkeypatch.context() as mp:
-        mp.setattr(Q, "_CHUNK_BYTES", seven_rows(fam, fam))
-        Gc, Ec = tf.gram_matrix(cfg, _recording(fam, fam_calls), grid, refine=refine)
+        if refine:
+            mp.setattr(Q, "_CHUNK_BYTES", seven_rows(fam, fam))
+            Gc, Ec = tf.gram_matrix(cfg, _recording(fam, fam_calls), grid)
+            assert np.abs(Gc - G1).max() <= 1e-13 * np.abs(G1).max()
+            assert np.abs(Ec - E1).max() <= 1e-13 * np.abs(G1).max()
         mp.setattr(Q, "_CHUNK_BYTES", seven_rows(f, section))
         got = tf.inner_product(cfg, f, _recording(section, section_calls), grid,
                                refine=refine).value
-    assert np.abs(Gc - G1).max() <= 1e-13 * np.abs(G1).max()
-    assert np.abs(Ec - E1).max() <= 1e-13 * np.abs(G1).max()
     assert abs(got - want_section) <= 1e-13 * abs(want_section)
     for rows in (*fam_calls.values(), *section_calls.values()):
         assert max(rows) <= 7 and len(rows) > 1
-    if cfg.r:
+    if cfg.r and refine:
         bounds = set(itertools.accumulate(n for counts in levels for _ in range(cfg.r)
                                           for n in counts))
         starts = list(itertools.accumulate(fam_calls["lattice"], initial=0))
