@@ -76,11 +76,6 @@ def _nonnegative_int(text: str):
     return int(text) if text.isdecimal() else None
 
 
-def _nodes_pair(text: str):
-    parts = tuple(int(p) for p in text.split(","))
-    return parts if len(parts) == 2 and min(parts) >= 1 else None
-
-
 def _vector(values, expected: int, flag: str) -> np.ndarray:
     """Repeated 're,im' flag values, or '@file.json' read as a problem file's arrays are."""
     if values and len(values) == 1 and values[0].startswith("@"):
@@ -97,9 +92,6 @@ _FLAGS = {  # flag: what it expects, its reader, further add_argument keywords
     "--tol": (_POSITIVE, _positive_float, dict(default=1e-10)),
     "--seed": (_COUNT, _nonnegative_int, dict(default=0)),
     "--max-radius": (_POSITIVE, _positive_float, dict(default=None)),
-    "--nodes": ("'compact,unbounded' counts >= 1", _nodes_pair,
-                dict(default=(Q._DEFAULT_COMPACT_NODES, Q._DEFAULT_UNBOUNDED_NODES),
-                     help="quadrature node counts as 'compact,unbounded'")),
     "--n-max": (_COUNT, _nonnegative_int, dict(default=1)),
     "--k-max": (_COUNT, _nonnegative_int, dict(default=1)),
 }
@@ -131,10 +123,9 @@ def build_parser() -> _Parser:
     sp.add_argument("--v", action="append", default=None,
                     help="ambient component 're[,im]' (repeat g times) or '@file.json'")
 
-    verb("norms", "closed-form norms against the quadrature oracle", "--nodes", "--n-max",
-         "--k-max")
+    verb("norms", "closed-form norms against the quadrature oracle", "--n-max", "--k-max")
 
-    sp = verb("verify", "run a named property suite", "--seed", "--nodes")
+    sp = verb("verify", "run a named property suite", "--seed")
     sp.add_argument("--suite", default="all",
                     choices=sorted(verify.SUITES) + ["all"])
     return p
@@ -209,10 +200,11 @@ def cmd_kernel(args, doc: ResultDocument) -> None:
 
 
 def cmd_norms(args, doc: ResultDocument) -> None:
-    problem = _start(args, doc, n_max=args.n_max, k_max=args.k_max, nodes=list(args.nodes))
+    problem = _start(args, doc, n_max=args.n_max, k_max=args.k_max)
     config = build_config(problem)
-    compact, unbounded = args.nodes
-    grid = Q.build_grid(config, compact_nodes=compact, unbounded_nodes=unbounded)
+    idxs = verify.battery_indices(config, args.n_max, args.k_max)
+    grid = Q.build_grid(config, unbounded_nodes=Q.unbounded_nodes(config, *idxs))
+    doc.add("grid_nodes", list(grid.base.shape))  # per axis, base level
     battery = verify.norms_battery(config, grid, args.n_max, args.k_max)
     n, k = battery.indices
     for n_row, k_row, closed, oracle, defect in zip(
@@ -223,9 +215,9 @@ def cmd_norms(args, doc: ResultDocument) -> None:
 
 
 def cmd_verify(args, doc: ResultDocument) -> None:
-    problem = _start(args, doc, suite=args.suite, seed=args.seed, nodes=list(args.nodes))
+    problem = _start(args, doc, suite=args.suite, seed=args.seed)
     config = build_config(problem)
-    for oc in verify.run_suite(config, args.suite, seed=args.seed, nodes=args.nodes):
+    for oc in verify.run_suite(config, args.suite, seed=args.seed):
         doc.add(oc.name, oc.defect, passed=oc.passed, tolerance=oc.tolerance,
                 detail=oc.detail)
 

@@ -35,7 +35,8 @@ lattice Gram is then the entrywise product of one sum per axis, on the
 points (x_j + offset_j) e_j and i s_j T e_j.  On s_j the factor is a
 Gaussian exp(-(s - s*)^2) times a bounded phase, which the trapezoid rule
 of step h sums to an aliasing of about 2 exp(-pi^2 / h^2) wherever its
-nodes reach (Trefethen and Weideman, SIAM Rev. 56, 2014, section 5).
+nodes reach (Trefethen and Weideman, SIAM Rev. 56, 2014, section 5);
+unbounded_nodes sizes the rule so that they reach every s* of a family.
 
 The nodes of each block are built once, with the grid, as one kind of
 node set (_Block): points and weights in segments, and the block's scale.
@@ -92,6 +93,7 @@ __all__ = [
     "Factored",
     "gaussian_integral",
     "build_grid",
+    "unbounded_nodes",
     "inner_product",
     "gram_matrix",
 ]
@@ -218,13 +220,11 @@ class QuadratureGrid:
 
     Each level holds the node sets of the block-by-block reduction, built
     once with the grid, and the ``shape`` of the tensor grid they factor.
-    ``box_offset`` shifts the compact box [0, 1]^r.
     """
 
     config: object
     base: _Level
     fine: _Level
-    box_offset: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -319,14 +319,36 @@ def build_grid(
     if values > _WORK_BUDGET:
         raise NodeBudgetExceeded(f"building the grid's Gauss rules and node sets would ask for "
                                  f"{values} values, over the budget of {_WORK_BUDGET:.3e}")
-    evals, evecs = np.linalg.eigh(2.0 * config.nu * config.lattice.B)
-    axes = (offset, evecs / np.sqrt(evals), float(np.prod(1.0 / np.sqrt(evals))))
-    base, fine = [_make_level(config, n_c, n_h, *axes) for n_c, n_h in levels]
+    T, jacobian = _eigen_axes(config)
+    base, fine = [_make_level(config, n_c, n_h, offset, T, jacobian) for n_c, n_h in levels]
     if requested_tol is not None and (est := _calibrate(config, base, fine)) > requested_tol:
         raise GridTooCoarse(
             f"self-calibration defect {est:.3e} exceeds requested tolerance {requested_tol:.3e}"
         )
-    return QuadratureGrid(config=config, base=base, fine=fine, box_offset=offset)
+    return QuadratureGrid(config=config, base=base, fine=fine)
+
+
+def _eigen_axes(config) -> tuple:
+    """T with y = T s for the eigen-coordinates s of 2 nu B, and the Jacobian of y = T s."""
+    evals, evecs = np.linalg.eigh(2.0 * config.nu * config.lattice.B)
+    return evecs / np.sqrt(evals), float(np.prod(1.0 / np.sqrt(evals)))
+
+
+def unbounded_nodes(config, n, k) -> int:
+    """The least unbounded node count, at least _DEFAULT_UNBOUNDED_NODES, for basis rows (n, k).
+
+    Pair (a, b) of frequencies c = alpha + n is a Gaussian on the s-axes
+    centred at s* = -pi T^T (c_a + c_b): the half-width (n_h - 1) h / 2 at
+    step h = 0.5 reaches 2 pi max |T^T c| + 6.1, a tail below e^-37, and n_h > |k|
+    keeps the Fock Hermite rule exact on the family.  GridTooCoarse when that
+    half-width passes _TRAPEZOID_HALF_WIDTH.  No closed-form norm is read."""
+    c = config.alpha + np.asarray(n, dtype=float)
+    half = 2 * math.pi * float(np.abs(c @ _eigen_axes(config)[0]).max(initial=0.0)) + 6.1
+    if half > _TRAPEZOID_HALF_WIDTH:
+        raise GridTooCoarse(f"the family's frequencies need the lattice s-axes to reach "
+                            f"|s| = {half:.1f}, past {_TRAPEZOID_HALF_WIDTH}")
+    degree = int(np.asarray(k).sum(axis=1).max(initial=0))
+    return max(_DEFAULT_UNBOUNDED_NODES, math.ceil(2 * half / _TRAPEZOID_STEP) + 1, degree + 1)
 
 
 def _calibrate(config, base: _Level, fine: _Level) -> float:

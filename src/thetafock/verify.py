@@ -56,6 +56,7 @@ __all__ = [
     "verify_geometry",
     "verify_theta",
     "NormsBattery",
+    "battery_indices",
     "norms_battery",
     "verify_orthogonality",
     "verify_reproducing",
@@ -333,8 +334,6 @@ def verify_theta(config: S.SpaceConfig, rng) -> list[PropertyOutcome]:
 # ---------------------------------------------------------------------------
 # orthogonality suite
 
-_NODES = (Q._DEFAULT_COMPACT_NODES, Q._DEFAULT_UNBOUNDED_NODES)  # (compact, unbounded) nodes
-
 
 @dataclass(frozen=True)
 class NormsBattery:
@@ -347,60 +346,54 @@ class NormsBattery:
     off_diagonal: float  # worst |G_ij| / sqrt(closed_i closed_j) over i != j
 
 
-def norms_battery(config: S.SpaceConfig, grid, n_max: int, k_max: int) -> NormsBattery:
-    """Gram battery over |n_j| <= n_max, |k| <= k_max on the given grid; NodeBudgetExceeded,
-    before any index is built, when its N x N Gram has more entries than the work budget."""
+def battery_indices(config: S.SpaceConfig, n_max: int, k_max: int) -> tuple:
+    """series_indices over |n_j| <= n_max, |k| <= k_max; NodeBudgetExceeded, before any
+    index is built, when a Gram of those N indices has more entries than the work budget."""
     m = config.g - config.r
     n = (2 * n_max + 1) ** config.r * math.comb(k_max + m, m)
     _counted("the norms battery's Gram matrix", n, n)
-    idxs = S.series_indices(config, n_max, k_max)
+    return S.series_indices(config, n_max, k_max)
+
+
+def norms_battery(config: S.SpaceConfig, grid, n_max: int, k_max: int) -> NormsBattery:
+    """Gram battery over battery_indices(config, n_max, k_max) on the given grid."""
+    idxs = battery_indices(config, n_max, k_max)
     G, _ = Q.gram_matrix(config, S.basis_family(config, idxs), grid)
     closed = S._exp_norms(S._log_norms(config, idxs))
     oracle = np.diag(G).real
     root = np.sqrt(closed)  # the product closed_i closed_j overflows past ~1e154 each
     off = np.abs(G - np.diag(np.diag(G))) / np.outer(root, root)
-    return NormsBattery(
-        indices=idxs,
-        oracle=oracle,
-        closed=closed,
-        defects=np.abs(oracle - closed) / closed,
-        off_diagonal=float(off.max()),
-    )
+    return NormsBattery(indices=idxs, oracle=oracle, closed=closed,
+                        defects=np.abs(oracle - closed) / closed, off_diagonal=float(off.max()))
 
 
-def verify_orthogonality(
-    config: S.SpaceConfig, rng, n_inf: int = 2, nodes: tuple = _NODES
-) -> list[PropertyOutcome]:
+def verify_orthogonality(config: S.SpaceConfig, rng, n_inf: int = 2) -> list[PropertyOutcome]:
+    """The battery and a random field both draw from |n_j| <= n_inf, |k| <= 2; both grids
+    take the unbounded node count sized for that box (quadrature.unbounded_nodes)."""
     out = []
-    compact, unbounded = nodes
-    grid = Q.build_grid(config, compact_nodes=compact, unbounded_nodes=unbounded)
+    unbounded = Q.unbounded_nodes(config, *battery_indices(config, n_inf, 2))
+    grid = Q.build_grid(config, unbounded_nodes=unbounded)
+    nodes = f"grid nodes {list(grid.base.shape)}"  # per axis, base level
 
     battery = norms_battery(config, grid, n_inf, k_max=2)
-    out.append(_outcome("norms-match-closed-form", float(battery.defects.max()), 1e-6))
-    out.append(_outcome("off-diagonal-orthogonality", battery.off_diagonal, 1e-6))
+    out.append(_outcome("norms-match-closed-form", float(battery.defects.max()), 1e-6, nodes))
+    out.append(_outcome("off-diagonal-orthogonality", battery.off_diagonal, 1e-6, nodes))
 
     # Parseval for a random finite field
-    coeffs = random_field(rng, config)
+    coeffs = random_field(rng, config, n_inf=n_inf)
     f = S.synthesized_function(config, coeffs)
     quad_norm = Q.inner_product(config, f, f, grid).value
     closed = S.growth_functional(config, coeffs)
-    out.append(
-        _outcome("parseval", abs(quad_norm.real - closed) / max(closed, 1e-300), 1e-6)
-    )
+    out.append(_outcome("parseval", abs(quad_norm.real - closed) / max(closed, 1e-300), 1e-6,
+                        nodes))
 
     # the norm is independent of where the compact box sits
     shift = rng.uniform(0.1, 0.9, size=config.r)
-    grid_shifted = Q.build_grid(config, compact_nodes=compact, unbounded_nodes=unbounded,
-                                box_offset=shift)
+    grid_shifted = Q.build_grid(config, unbounded_nodes=unbounded, box_offset=shift)
     quad_shifted = Q.inner_product(config, f, f, grid_shifted).value
-    out.append(
-        _outcome(
-            "translation-invariance",
-            abs(quad_shifted - quad_norm) / max(abs(quad_norm), 1e-300),
-            1e-8,
-            detail=f"box offset {np.round(shift, 3).tolist()}",
-        )
-    )
+    out.append(_outcome("translation-invariance",
+                        abs(quad_shifted - quad_norm) / max(abs(quad_norm), 1e-300), 1e-8,
+                        f"box offset {np.round(shift, 3).tolist()}, {nodes}"))
     return out
 
 
@@ -417,10 +410,10 @@ def _kernel_sample(config: S.SpaceConfig, rng):
     return pts, sections, np.column_stack([section(Z, Zp) for section in sections])
 
 
-def verify_reproducing(config: S.SpaceConfig, rng, nodes: tuple = _NODES) -> list[PropertyOutcome]:
-    """Each property is one expression on the sample's kernel matrix, over sqrt(K_ii K_jj)."""
-    compact, unbounded = nodes
-    grid = Q.build_grid(config, compact_nodes=compact, unbounded_nodes=unbounded)
+def verify_reproducing(config: S.SpaceConfig, rng) -> list[PropertyOutcome]:
+    """Each property is one expression on the sample's kernel matrix, over sqrt(K_ii K_jj);
+    the inner products run on build_grid's default nodes."""
+    grid = Q.build_grid(config)
     pts, sections, K = _kernel_sample(config, rng)
     root = np.sqrt(np.diag(K).real)  # |K_ij| <= sqrt(K_ii K_jj), Cauchy-Schwarz on the sections
     scale = np.outer(root, root)
@@ -558,18 +551,9 @@ SUITES = {
 }
 
 
-def run_suite(config: S.SpaceConfig, suite: str, seed: int = 0,
-              nodes: tuple = _NODES) -> list[PropertyOutcome]:
-    """Run one named suite (or 'all'), each with a generator of the same seed.
-
-    The grid suites (orthogonality, reproducing) take the node counts
-    (compact, unbounded) of their grids.
-    """
+def run_suite(config: S.SpaceConfig, suite: str, seed: int = 0) -> list[PropertyOutcome]:
+    """Run one named suite (or 'all'), each with a generator of the same seed."""
     if suite != "all" and suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {sorted(SUITES)} or 'all'")
-    results = []
-    for name, fn in SUITES.items():
-        if suite in ("all", name):
-            grid = {"nodes": nodes} if name in ("orthogonality", "reproducing") else {}
-            results.extend(fn(config, np.random.default_rng(seed), **grid))
-    return results
+    return [outcome for name, fn in SUITES.items() if suite in ("all", name)
+            for outcome in fn(config, np.random.default_rng(seed))]

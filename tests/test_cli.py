@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import os
@@ -114,7 +115,7 @@ def test_validate_non_isotropic(tmp_path):
     code, doc = run(tmp_path, "norms", path, "--n-max", "2")
     assert code == 2
     assert doc["config_digest"] == load_problem(path).digest
-    assert doc["flags"] == {"n_max": 2, "k_max": 1, "nodes": [32, 48]}
+    assert doc["flags"] == {"n_max": 2, "k_max": 1}
 
 
 def test_validate_malformed_row(tmp_path, capsys):
@@ -162,10 +163,9 @@ def test_theta_out_of_range(tmp_path):
     assert doc["flags"]["z"] == [[0.1, 30.0]]
 
 
-@pytest.mark.parametrize("flags", [["--n-max", "99999999999"], ["--nodes", "99999999999,48"]],
-                         ids=["n-max", "nodes"])
+@pytest.mark.parametrize("flags", [["--n-max", "99999999999"]], ids=["n-max"])
 def test_oversized_norms_request_is_budget_failure(tmp_path, capsys, flags):
-    # both asked numpy for terabytes and ended in a MemoryError traceback
+    # it asked numpy for terabytes and ended in a MemoryError traceback
     code, doc = run(tmp_path, "norms", G1R1_FILE, *flags)
     assert code == 3 and capsys.readouterr().err == ""
     assert doc["status"] == "budget-failure"
@@ -173,16 +173,16 @@ def test_oversized_norms_request_is_budget_failure(tmp_path, capsys, flags):
 
 
 def test_norms_term_matrices_over_the_byte_cap_is_budget_failure(tmp_path):
-    # N = 22,001 indices pass the battery's entry count; the family's
-    # coefficient matrix alone asked for 3.61 GiB and, under a 3 GB address
-    # space, ended in a MemoryError traceback (exit 1).  The term matrices'
+    # N = 10,011 indices (|k| <= 140 at g - r = 2) pass the battery's entry
+    # count, and at r = 0 their grid is sized by degree alone (141 nodes);
+    # the term matrices would take 3.2 GB, over a 3 GB address space.  Their
     # bytes are refused before anything that size is built
     cap = 3 * 10**9
     src = str(Path(thetafock.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out_file = tmp_path / "result.json"
     out = subprocess.run(
-        [sys.executable, "-m", "thetafock.cli", "norms", G1R1_FILE, "--n-max", "11000",
+        [sys.executable, "-m", "thetafock.cli", "norms", G2R0_FILE, "--k-max", "140",
          "--out", str(out_file)],
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
         env=env, capture_output=True, text=True, timeout=60)
@@ -196,22 +196,41 @@ def test_norms_term_matrices_over_the_byte_cap_is_budget_failure(tmp_path):
 
 def test_verify_reference_over_budget_is_budget_failure(tmp_path, monkeypatch):
     # the kernel series counts its indices x points (150 x 6 here) against
-    # the work budget; at nodes (4, 4) the grid and inner products fit in it
-    monkeypatch.setattr(thetafock.quadrature, "_WORK_BUDGET", 300)
-    code, doc = run(tmp_path, "verify", G2R1_FILE, "--suite", "reproducing", "--nodes", "4,4")
+    # the work budget; on a (4, 4) grid the grid and inner products fit in it
+    Q = thetafock.quadrature
+    monkeypatch.setattr(Q, "build_grid",
+                        functools.partial(Q.build_grid, compact_nodes=4, unbounded_nodes=4))
+    monkeypatch.setattr(Q, "_WORK_BUDGET", 300)
+    code, doc = run(tmp_path, "verify", G2R1_FILE, "--suite", "reproducing")
     assert code == 3
     assert doc["status"] == "budget-failure"
     assert result(doc, "budget")["value"] == "NodeBudgetExceeded"
     assert "kernel series" in result(doc, "budget")["message"]
 
 
-def test_unbounded_nodes_past_the_hermite_range_run(tmp_path):
+def test_unbounded_nodes_past_the_hermite_range_run(tmp_path, monkeypatch):
     # within the budget, 10,000 fine unbounded nodes were refused because
     # numpy's Hermite weights overflow there; the lattice axes now take the
     # trapezoid rule and the Fock rule stays at its cap, so the battery runs
-    code, doc = run(tmp_path, "norms", G1R1_FILE, "--nodes", "32,5000")
+    monkeypatch.setattr(thetafock.quadrature, "unbounded_nodes", lambda *args: 5000)
+    code, doc = run(tmp_path, "norms", G1R1_FILE)
     assert code == 0 and doc["status"] == "ok"
-    assert doc["results"] and all(r["pass"] for r in doc["results"])
+    assert result(doc, "grid_nodes")["value"] == [32, 5000]
+    assert doc["results"] and all(r.get("pass", True) for r in doc["results"])
+
+
+def test_norms_grid_is_sized_by_the_family(tmp_path, monkeypatch):
+    # |n| <= 8 asks the lattice s-axes for |s| <= 26.2 (106 nodes); the
+    # guessed (32, 48) grid kept 6.4e-9 here.  |n| <= 10 asks for 31.2, past
+    # the reach of the rule, and is refused before any rule is built
+    code, doc = run(tmp_path, "norms", G1R1_FILE, "--n-max", "8", "--k-max", "0")
+    assert code == 0 and result(doc, "grid_nodes")["value"] == [32, 106]
+    assert max(r["rel_defect"] for r in doc["results"] if "rel_defect" in r) <= 1e-13
+    monkeypatch.setattr(thetafock.quadrature, "_rules", lambda *a: pytest.fail("a rule was built"))
+    code, doc = run(tmp_path, "norms", G1R1_FILE, "--n-max", "10", "--k-max", "0")
+    assert code == 3 and doc["status"] == "budget-failure"
+    assert result(doc, "budget")["value"] == "GridTooCoarse"
+    assert "31.2" in result(doc, "budget")["message"]
 
 
 def test_kernel_out_of_range(tmp_path):
@@ -246,11 +265,9 @@ def test_kernel_symmetry_is_measured_on_the_value_scale(tmp_path):
 
 
 def test_norms_table(tmp_path):
-    code, doc = run(
-        tmp_path, "norms", write(tmp_path, G1R1), "--n-max", "1", "--k-max", "0",
-        "--nodes", "16,32",
-    )
+    code, doc = run(tmp_path, "norms", write(tmp_path, G1R1), "--n-max", "1", "--k-max", "0")
     assert code == 0
+    assert result(doc, "grid_nodes")["value"] == [32, 48]  # the family's reach is below 48's
     rows = [e for e in doc["results"] if e["name"].startswith("norm_sq")]
     assert len(rows) == 3
     assert all(r["pass"] for r in rows)
@@ -258,14 +275,14 @@ def test_norms_table(tmp_path):
     assert center["value"] == pytest.approx(math.sqrt(0.5), rel=1e-10)
 
 
-def test_norms_property_failure_with_tiny_grid(tmp_path):
-    code, doc = run(
-        tmp_path, "norms", write(tmp_path, G1R1), "--n-max", "2", "--k-max", "0",
-        "--nodes", "3,4",
-    )
+def test_norms_property_failure_with_tiny_grid(tmp_path, monkeypatch):
+    build_grid = thetafock.quadrature.build_grid
+    monkeypatch.setattr(thetafock.quadrature, "build_grid",
+                        lambda config, **_: build_grid(config, compact_nodes=3, unbounded_nodes=4))
+    code, doc = run(tmp_path, "norms", write(tmp_path, G1R1), "--n-max", "2", "--k-max", "0")
     assert code == 4
     assert doc["status"] == "property-failure"
-    assert doc["flags"]["nodes"] == [3, 4]
+    assert result(doc, "grid_nodes")["value"] == [3, 4]
 
 
 def test_verify_geometry_and_theta(tmp_path):
@@ -275,8 +292,8 @@ def test_verify_geometry_and_theta(tmp_path):
     assert all(entry["pass"] for entry in doc["results"])
     code, doc = run(tmp_path, "verify", path, "--suite", "theta", "--seed", "5")
     assert code == 0
-    # the node counts are recorded, defaults included
-    assert doc["flags"] == {"suite": "theta", "seed": 5, "nodes": [32, 48]}
+    # the flags the verb reads are recorded, defaults included
+    assert doc["flags"] == {"suite": "theta", "seed": 5}
 
 
 def test_verify_all_r0_file(tmp_path):
@@ -436,9 +453,9 @@ def test_wrong_vector_length(tmp_path, capsys):
     ("theta", ["--z", "0.1", "--tol", "0"]),
     ("kernel", ["--u", "0", "--v", "0", "--tol", "-1"]),
     ("theta", ["--z", "0.1", "--tol", "nan"]),
-    ("norms", ["--nodes", "0,0"]),
-    ("norms", ["--nodes", "16,0"]),
-    ("verify", ["--nodes", "0"]),
+    ("norms", ["--n-max", "nan"]),
+    ("norms", ["--k-max", "1e3"]),
+    ("verify", ["--seed", "inf"]),
     ("theta", ["--z", "0.1", "--tol", "inf"]),
     ("kernel", ["--u", "0", "--v", "0", "--tol", "inf"]),
     ("theta", ["--z", "0.1", "--max-radius", "inf"]),
@@ -450,7 +467,7 @@ def test_wrong_vector_length(tmp_path, capsys):
     ("norms", ["--n-max", "1.5"]),
     ("verify", ["--seed", "-1"]),
     ("verify", ["--seed", "1e3"]),
-    ("norms", ["--nodes", "48"]),
+    ("norms", ["--k-max", "+2"]),
     ("theta", ["--z", "1,2,3"]),
 ])
 def test_bad_numeric_flag_is_usage_error(tmp_path, capsys, verb, flags):
@@ -464,7 +481,9 @@ def test_bad_numeric_flag_is_usage_error(tmp_path, capsys, verb, flags):
     ("validate", ["--tol", "1e-3"]),
     ("kernel", ["--u", "0", "--v", "0", "--max-radius", "2"]),
     ("norms", ["--seed", "1"]),
-    ("theta", ["--z", "0.1", "--nodes", "16,24"]),
+    ("theta", ["--z", "0.1", "--n-max", "2"]),
+    ("norms", ["--nodes", "32,48"]),  # the grids are sized by their families
+    ("verify", ["--nodes", "32,48"]),
 ])
 def test_flag_the_verb_does_not_read_is_usage_error(tmp_path, capsys, verb, flags):
     assert main([verb, write(tmp_path, G1R1)] + flags) == 1

@@ -68,10 +68,6 @@ _ALLOWED_PRIVATE_READS = {
     ("verify", "space", "_log_norms"),
     ("verify", "space", "_exp_norms"),
     ("verify", "quadrature", "_WORK_BUDGET"),
-    ("verify", "quadrature", "_DEFAULT_COMPACT_NODES"),
-    ("verify", "quadrature", "_DEFAULT_UNBOUNDED_NODES"),
-    ("cli", "quadrature", "_DEFAULT_COMPACT_NODES"),
-    ("cli", "quadrature", "_DEFAULT_UNBOUNDED_NODES"),
     ("cli", "problem", "_complex_entry"),
     ("cli", "problem", "_positive_number"),
 }

@@ -4,6 +4,7 @@ import itertools
 import math
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,9 @@ from thetafock import errors
 from thetafock import quadrature as Q
 from thetafock import space as S
 from thetafock import verify
+from thetafock.problem import build_config, load_problem
+
+_PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
 
 @pytest.fixture(scope="module")
@@ -322,6 +326,48 @@ def test_grid_budget_counts_the_values_built(monkeypatch):
                 tf.build_grid(cfg, compact_nodes=5, unbounded_nodes=n)
 
 
+# --- sizing the unbounded axes ------------------------------------------------
+
+
+@pytest.mark.parametrize("name, want", [("g1_r1", 48), ("g2_r0", 48), ("g2_r1", 49),
+                                        ("g2_r2", 59), ("g3_r2", 59)])
+def test_unbounded_nodes_on_the_problem_files(name, want):
+    # the orthogonality suite's box |n_j| <= 2, |k| <= 2 on each shipped problem
+    cfg = build_config(load_problem(str(_PROBLEMS / f"{name}.json")))
+    assert Q.unbounded_nodes(cfg, *S.series_indices(cfg, 2, 2)) == want
+
+
+def test_unbounded_nodes_is_the_least_count_reaching_every_centre():
+    # pair (a, b) of frequencies c = alpha + n centres at s* = -pi T^T (c_a + c_b)
+    # on the lattice s-axes: the base level's trapezoid nodes reach the
+    # farthest s* by 6.1, and one node fewer would not (99 nodes here)
+    cfg = verify.random_config(np.random.default_rng([0, 3, 2]), 3, 2)
+    n, k = S.series_indices(cfg, 3, 1)
+    n_h = Q.unbounded_nodes(cfg, n, k)
+    evals, evecs = np.linalg.eigh(2 * cfg.nu * cfg.lattice.B)
+    c = cfg.alpha + n
+    reach = math.pi * np.abs((c[:, None, :] + c[None, :, :]) @ (evecs / np.sqrt(evals))).max()
+    half_width = Q._rules(Q._DEFAULT_COMPACT_NODES, n_h)[2].max()  # the base level's s nodes
+    assert n_h > Q._DEFAULT_UNBOUNDED_NODES
+    assert half_width >= reach + 6.1 > half_width - Q._TRAPEZOID_STEP / 2
+
+
+def test_unbounded_nodes_keeps_the_hermite_rule_exact_on_the_family():
+    # at r = 0 only degrees enter: an m-node Hermite rule is exact on the
+    # products of monomials of degree < m, so |k| <= 60 takes 61 nodes
+    cfg = build_config(load_problem(str(_PROBLEMS / "g2_r0.json")))
+    assert Q.unbounded_nodes(cfg, *S.series_indices(cfg, 0, 60)) == 61
+    assert Q.unbounded_nodes(cfg, *S.series_indices(cfg, 0, 2)) == Q._DEFAULT_UNBOUNDED_NODES
+
+
+def test_unbounded_nodes_past_the_trapezoid_reach_is_grid_too_coarse(cfg_g1r1):
+    # |n| <= 10 asks for a half-width of 31.2, past _TRAPEZOID_HALF_WIDTH;
+    # |n| <= 9 asks for 28.7, which 116 nodes reach
+    assert Q.unbounded_nodes(cfg_g1r1, *S.series_indices(cfg_g1r1, 9, 0)) == 116
+    with pytest.raises(errors.GridTooCoarse, match=r"\|s\| = 31.2, past 30"):
+        Q.unbounded_nodes(cfg_g1r1, *S.series_indices(cfg_g1r1, 10, 0))
+
+
 def test_plain_callable_is_refused(cfg_g1r1, grid_g1r1):
     # only integrands with a block form are summed; a bare callable is
     # refused, as f, as h or as a Gram family, before it is called
@@ -608,7 +654,7 @@ def small_case(request):
         cfg = tf.make_config(lat, [0.3, 0.1], 2 * math.pi)
         offset, nodes = [0.37, -0.21], (6, 18)
     return cfg, tf.build_grid(cfg, compact_nodes=nodes[0], unbounded_nodes=nodes[1],
-                              box_offset=offset), nodes
+                              box_offset=offset), nodes, offset
 
 
 _CHUNK = 1 << 14  # tensor nodes per chunk of the reference sum
@@ -616,7 +662,7 @@ _CHUNK = 1 << 14  # tensor nodes per chunk of the reference sum
 
 def _tensor_chunks(cfg, counts, offset, T):
     # ((Z, Zp), w) over the level's whole tensor grid, _CHUNK nodes at a
-    # time: r Legendre axes at x + offset, weighted by exp(-nu x^T B x); r
+    # time: r Legendre axes at x + offset (None is 0), weighted by exp(-nu x^T B x); r
     # trapezoid axes s, with y = T s for the eigen-coordinates s of 2 nu B;
     # two Hermite axes t / sqrt(nu) per perpendicular coordinate; counts
     # are the level's (n_c, n_h).  Points are column-major, as the
@@ -634,7 +680,7 @@ def _tensor_chunks(cfg, counts, offset, T):
             P[:, a] = rules[a][0][i]
             w *= rules[a][1][i]
         Z = np.zeros((n, r), dtype=complex, order="F")
-        xs = P[:, :r] + offset
+        xs = P[:, :r] + (offset or 0.0)
         Z.real = xs
         w *= np.exp(-nu * np.einsum("ij,jk,ik->i", xs, cfg.lattice.B, xs))
         Z.imag = P[:, r:2 * r] @ T.T
@@ -642,17 +688,17 @@ def _tensor_chunks(cfg, counts, offset, T):
         yield (Z, q[:, 0::2] + 1j * q[:, 1::2]), w
 
 
-def _tensor_gram(cfg, f, h, grid, nodes, refine):
+def _tensor_gram(cfg, f, h, grid, nodes, offset, refine):
     # the reference for the block-by-block oracle: (G, E) as gram_matrix
     # returns them, from f conj(h) called directly on each level's whole
     # tensor grid (the same nodes and weights, summed as one block), times
     # the lattice Jacobian and nu^-(g - r); h None is f; the grid was built
-    # at nodes
+    # at nodes and box offset
     evals, evecs = np.linalg.eigh(2.0 * cfg.nu * cfg.lattice.B)
     scale = float(np.prod(1.0 / np.sqrt(evals))) / cfg.nu ** (cfg.g - cfg.r)
     T = evecs / np.sqrt(evals)
     levels = [(grid.base, nodes), (grid.fine, (2 * nodes[0], 2 * nodes[1]))]
-    sums = [scale * next(Q._segment_sums(_tensor_chunks(cfg, counts, grid.box_offset, T),
+    sums = [scale * next(Q._segment_sums(_tensor_chunks(cfg, counts, offset, T),
                                          [math.prod(level.shape)],
                                          lambda p: np.atleast_2d(f(*p)),
                                          lambda p: np.atleast_2d(h(*p)), h is None))
@@ -666,7 +712,7 @@ def _tensor_gram(cfg, f, h, grid, nodes, refine):
 def test_factored_matches_one_block(small_case, refine, monkeypatch):
     # the oracle's block-by-block sums against the tests-side tensor sum;
     # gram_matrix always refines, the base level alone is inner_product's
-    cfg, grid, nodes = small_case
+    cfg, grid, nodes, offset = small_case
     idxs = [
         tf.BasisIndex(n=n, k=k)
         for n in S._integer_box(cfg.r, 1)
@@ -675,7 +721,7 @@ def test_factored_matches_one_block(small_case, refine, monkeypatch):
     fam = S.basis_family(cfg, idxs)
     if refine:
         G, E = tf.gram_matrix(cfg, fam, grid)
-        G1, E1 = _tensor_gram(cfg, fam, None, grid, nodes, True)
+        G1, E1 = _tensor_gram(cfg, fam, None, grid, nodes, offset, True)
         assert np.abs(G - G1).max() <= 1e-13 * np.abs(G1).max()
         assert np.abs(E - E1).max() <= 1e-13 * np.abs(G1).max()
 
@@ -688,7 +734,7 @@ def test_factored_matches_one_block(small_case, refine, monkeypatch):
     # one reference sum of the three as a family evaluates each once per node
     funcs = (f, section, empty)
     want = _tensor_gram(cfg, lambda z, zp: np.vstack([a(z, zp) for a in funcs]), None, grid,
-                        nodes, refine)[0]
+                        nodes, offset, refine)[0]
     for i, j in ((0, 0), (0, 1), (1, 0), (2, 1)):
         got = tf.inner_product(cfg, funcs[i], funcs[j], grid, refine=refine).value
         assert abs(got - want[i, j]) <= 1e-13 * abs(want[i, j])
@@ -775,7 +821,7 @@ def test_work_counts_the_factor_values_computed(small_case, refine):
     # values, per distinct factor of the block and level; one
     # function on each side: f is e_(first index) with every other factor of
     # the index box at coefficient 0, so it computes all of their values
-    cfg, grid, _ = small_case
+    cfg, grid, *_ = small_case
     idxs = [tf.BasisIndex(n=n, k=k) for n in S._integer_box(cfg.r, 1)
             for k in S._multi_indices(cfg.g - cfg.r, 2)]
     fam = S.synthesized_function(
@@ -791,7 +837,7 @@ def test_work_counts_the_factor_values_computed(small_case, refine):
 
 
 def test_oracle_never_reads_closed_forms(small_case, monkeypatch):
-    cfg, _, _ = small_case
+    cfg, *_ = small_case
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the oracle consulted a closed form")
@@ -799,6 +845,7 @@ def test_oracle_never_reads_closed_forms(small_case, monkeypatch):
     for name in ("basis_norm_sq", "basis_norm_sq_log", "growth_functional",
                  "kernel_eval", "kernel_diagonal"):
         monkeypatch.setattr(S, name, forbidden)
+    assert Q.unbounded_nodes(cfg, *S.series_indices(cfg, 1, 1)) >= Q._DEFAULT_UNBOUNDED_NODES
     grid = tf.build_grid(cfg, compact_nodes=8, unbounded_nodes=12)
     idxs = [tf.BasisIndex(n=(0,) * cfg.r, k=k) for k in S._multi_indices(cfg.g - cfg.r, 1)]
     G, _ = tf.gram_matrix(cfg, S.basis_family(cfg, idxs), grid)
@@ -813,7 +860,7 @@ def test_oracle_never_reads_closed_forms(small_case, monkeypatch):
 def test_wrapped_family_keeps_block_path(small_case):
     # functools.wraps copies the attributes but not the closure itself,
     # as tracing wrappers do; the block path must still be taken
-    cfg, grid, _ = small_case
+    cfg, grid, *_ = small_case
     idxs = [tf.BasisIndex(n=(n,) * cfg.r, k=(1,) * (cfg.g - cfg.r)) for n in (-1, 0, 1)]
     fam = S.basis_family(cfg, idxs)
 
@@ -831,11 +878,11 @@ def test_kernel_expansion_mutation_is_caught(small_case, monkeypatch):
     # dropping the conjugate of z_v in the expansion coefficients
     # c_t = C exp(l_v + 2 pi i (1/2 t F t - t.conj z_v)) must move the
     # value, so the agreement test above would catch such a slip
-    cfg, grid, nodes = small_case
+    cfg, grid, nodes, offset = small_case
     v = tf.PointCoordinates(np.full(cfg.r, 0.1 + 0.2j), np.full(cfg.g - cfg.r, 0.2 - 0.1j))
     f = S.basis_function(cfg, tf.BasisIndex(n=(1,) * cfg.r, k=(1,) * (cfg.g - cfg.r)))
     section = S.kernel_section(cfg, v, 1e-10)
-    want = _tensor_gram(cfg, f, section, grid, nodes, refine=False)[0][0, 0]
+    want = _tensor_gram(cfg, f, section, grid, nodes, offset, refine=False)[0][0, 0]
     log_terms = S._theta.log_terms
     with monkeypatch.context() as mp:
         # the coefficients take the exponents at -conj z_v; conjugating gives -z_v

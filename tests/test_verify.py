@@ -126,17 +126,22 @@ def test_outcome_names_by_rank(problem, geometry, theta):
         assert [o.name for o in verify.run_suite(cfg, suite)] == names, suite
 
 
-def test_run_suite_passes_nodes_to_the_grid_suites(monkeypatch, cfg):
+def test_run_suite_builds_each_grid_suite_at_its_counts(monkeypatch):
+    # orthogonality sizes both its grids for its box |n_j| <= 2, |k| <= 2
+    # (59 unbounded nodes on g2_r2), reproducing takes build_grid's defaults
+    cfg = build_config(load_problem(G3R2_FILE.with_name("g2_r2.json")))
     asked = []
     build_grid = verify.Q.build_grid
 
     def recording(config, **kwargs):
-        asked.append((kwargs["compact_nodes"], kwargs["unbounded_nodes"]))
-        return build_grid(config, **kwargs)
+        grid = build_grid(config, **kwargs)
+        asked.append(grid.base.shape)
+        return grid
 
     monkeypatch.setattr(verify.Q, "build_grid", recording)
-    verify.run_suite(cfg, "all", nodes=(24, 40))
-    assert asked == [(24, 40)] * 3  # orthogonality's two grids, then reproducing's
+    for suite in ("orthogonality", "reproducing"):
+        _assert_all_pass(verify.run_suite(cfg, suite))
+    assert asked == [(32, 32, 59, 59)] * 2 + [(32, 32, 48, 48)]
 
 
 def test_random_point_draws_real_parts_then_imaginary_parts():
@@ -302,15 +307,15 @@ def test_g3r3_calibration_reads_the_grid_at_nu_pi():
 
 def test_under_resolved_g3_config_is_flagged():
     # (32, 48) nodes leave this lattice's calibration defect at 0.11, and
-    # the base level misses the battery's Gram by about its own size
+    # the refinement of the suite's Parseval norm changes it by 3.5e69; the
+    # grid sized for the suite's box (102 unbounded nodes) resolves both
     cfg = verify.random_config(np.random.default_rng([18, 3, 3]), 3, 3)
     with pytest.raises(errors.GridTooCoarse):
         tf.build_grid(cfg, requested_tol=1e-9)
-    try:
-        passed = all(o.passed for o in verify.verify_orthogonality(cfg, np.random.default_rng(0)))
-    except errors.GridTooCoarse:
-        passed = False
-    assert not passed
+    f = verify.S.synthesized_function(cfg, verify.random_field(np.random.default_rng(0), cfg))
+    with pytest.raises(errors.GridTooCoarse, match="refinement"):
+        tf.inner_product(cfg, f, f, tf.build_grid(cfg))
+    _assert_all_pass(verify.verify_orthogonality(cfg, np.random.default_rng(0)))
 
 
 def test_only_a_requested_tolerance_calibrates(monkeypatch, tmp_path):
@@ -334,13 +339,24 @@ def test_only_a_requested_tolerance_calibrates(monkeypatch, tmp_path):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("g, r", [(3, 2), (3, 3), (4, 3), (4, 4), (5, 3), (5, 4)])
+_RANDOM_SHAPES = [(3, 2), (3, 3), (4, 3), (4, 4), (5, 3), (5, 4)]
+
+
+@pytest.mark.parametrize("g, r", _RANDOM_SHAPES)
 def test_orthogonality_suite_passes_on_random_configs(g, r):
-    # at (32, 64) nodes every outcome passes on seeds 0-1 of each shape; the
-    # synthetic calibration alone failed [1, 4, 4] and [1, 5, 4] here
+    # on grids sized for the suite's box every outcome passes on seeds 0-1
+    # of each shape; the guessed (32, 48) grids failed 6 of seeds 0-4
     for s in range(2):
         cfg = verify.random_config(np.random.default_rng([s, g, r]), g, r)
-        _assert_all_pass(verify.run_suite(cfg, "orthogonality", seed=s, nodes=(32, 64)))
+        _assert_all_pass(verify.run_suite(cfg, "orthogonality", seed=s))
+
+
+@pytest.mark.parametrize("g, r", _RANDOM_SHAPES)
+def test_reproducing_suite_passes_on_random_configs(g, r):
+    # build_grid's default (32, 48) grid: the reproducing defects read about 1e-15
+    for s in range(2):
+        cfg = verify.random_config(np.random.default_rng([s, g, r]), g, r)
+        _assert_all_pass(verify.run_suite(cfg, "reproducing", seed=s))
 
 
 @pytest.mark.parametrize("name", ["g2_r2.json", "g3_r2.json"])
@@ -355,14 +371,13 @@ def test_characteristic_shift_is_measured_on_the_value_scale(name):
     assert outcome.defect <= 1e-13
 
 
-@pytest.mark.parametrize("key, nodes", [((1, 3, 3), (32, 160)), ((0, 2, 2), (32, 48))],
-                         ids=["g3r3", "g2r2"])
-def test_reproducing_property_reads_the_kernel_scale(key, nodes):
+@pytest.mark.parametrize("key", [(1, 3, 3), (0, 2, 2)], ids=["g3r3", "g2r2"])
+def test_reproducing_property_reads_the_kernel_scale(key):
     # with random fields, <f, K_v> - f(v) over 1 + |f(v)| read 2.04 and 7.8e2
     # here: the section's plan omits indices of norm far beyond |f(v)|.  Between
     # two kernel sections <K_u, K_v> = K(v, u), on the scale sqrt(K(u,u) K(v,v))
     cfg = verify.random_config(np.random.default_rng(list(key)), key[1], key[2])
-    outcomes = verify.verify_reproducing(cfg, np.random.default_rng(0), nodes=nodes)
+    outcomes = verify.verify_reproducing(cfg, np.random.default_rng(0))
     _assert_all_pass(outcomes)
     assert outcomes[0].name == "reproducing-property" and outcomes[0].defect <= 1e-12
 
