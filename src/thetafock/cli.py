@@ -205,7 +205,7 @@ def cmd_norms(args, doc: ResultDocument) -> None:
     idxs = verify.battery_indices(config, args.n_max, args.k_max)
     grid = Q.build_grid(config, unbounded_nodes=Q.unbounded_nodes(config, *idxs))
     doc.add("grid_nodes", list(grid.base.shape))  # per axis, base level
-    battery = verify.norms_battery(config, grid, args.n_max, args.k_max)
+    battery = verify.norms_battery(config, grid, idxs)
     n, k = battery.indices
     for n_row, k_row, closed, oracle, defect in zip(
         n.tolist(), k.tolist(), battery.closed, battery.oracle, battery.defects

@@ -47,9 +47,11 @@ reducer (_segment_sums) hands on each segment's sum as it completes.
 
 The cost of a reduction is the number of factor values it computes: each
 distinct factor once per node of its block.  That count depends on
-node and factor counts alone, so it is checked against one budget before
-any factor map is called; the dimension g and rank r enter only through
-it.  The bytes of the term matrices are checked there against one cap.
+node and factor counts alone; the dimension g and rank r enter only
+through it.  One check, _check_work, holds it to the work budget before
+any factor map is called, as it holds build_grid's rules and node sets
+and thetafock.verify's references before they build anything.  The bytes
+of the term matrices are checked in the reduction against one cap.
 The reducer cuts its rows into chunks so that one map's values stay under
 _CHUNK_BYTES, so memory stays bounded whatever the number of nodes.
 
@@ -99,7 +101,7 @@ __all__ = [
 ]
 
 _CHUNK_BYTES = 1 << 24  # bytes of (factors x nodes) complex values per chunk of a Factored map
-_WORK_BUDGET = 1 << 29  # factor values per call; factored maps run 27-52M values/s on 2 vCPUs
+_WORK_BUDGET = 1 << 29  # values per call, see _check_work; factor maps run 27-52M/s on 2 vCPUs
 _TERM_BYTES = 1 << 30  # bytes of the per-level (terms of f) x (terms of h) matrices per call
 _DEFAULT_COMPACT_NODES = 32
 _DEFAULT_UNBOUNDED_NODES = 48
@@ -107,6 +109,14 @@ _MAX_HERMITE_NODES = 370  # the Fock rule's cap: numpy's Hermite weights are 0 a
 _TRAPEZOID_STEP = 0.5  # lattice s-axes: aliasing about 2 exp(-pi^2 / h^2) = 1e-17
 _TRAPEZOID_HALF_WIDTH = 30.0  # past |s| = 30 basis factors overflow before their weights apply
 _COARSE_RTOL = 1e-3  # inner_product accepts a refinement change up to this times |value| + 1
+
+
+def _check_work(what: str, values: int) -> None:
+    """The one work-budget check: NodeBudgetExceeded, naming what was counted, when its
+    values pass _WORK_BUDGET.  Every caller counts before it builds anything."""
+    if values > _WORK_BUDGET:
+        raise NodeBudgetExceeded(f"{what} would take {values} values, over the work budget "
+                                 f"of {_WORK_BUDGET}")
 
 
 def gaussian_integral(a: float, A, b) -> complex:
@@ -316,9 +326,7 @@ def build_grid(
     levels = ((compact_nodes, unbounded_nodes), (2 * compact_nodes, 2 * unbounded_nodes))
     values = sum(n_c**2 + min(n_h, _MAX_HERMITE_NODES) ** 2
                  + sum(map(sum, _block_lengths(r, n_c, n_h))) for n_c, n_h in levels)
-    if values > _WORK_BUDGET:
-        raise NodeBudgetExceeded(f"building the grid's Gauss rules and node sets would ask for "
-                                 f"{values} values, over the budget of {_WORK_BUDGET:.3e}")
+    _check_work("building the grid's Gauss rules and node sets", values)
     T, jacobian = _eigen_axes(config)
     base, fine = [_make_level(config, n_c, n_h, offset, T, jacobian) for n_c, n_h in levels]
     if requested_tol is not None and (est := _calibrate(config, base, fine)) > requested_tol:
@@ -456,18 +464,14 @@ def _reduce(levels, fs, hs) -> tuple:
 
     The one check on an integrand pair, before any factor map is called:
     ValidationError when either has no block form (_factored), then
-    NodeBudgetExceeded when the work exceeds _WORK_BUDGET or the term
+    NodeBudgetExceeded when the work fails _check_work or the term
     matrices of the levels, one (terms of f) x (terms of h) each, take more
     than _TERM_BYTES.  Besides them a reduction holds one block Gram, one
     segment sum with one product into it, and one chunk of each map.
     """
     ff, hf = _factored(fs), _factored(hs)
     work = _work(levels, ff, hf)
-    if work > _WORK_BUDGET:
-        raise NodeBudgetExceeded(
-            f"the quadrature would compute {work:.3e} factor values, over the budget of "
-            f"{_WORK_BUDGET:.3e}; use fewer nodes or fewer factors"
-        )
+    _check_work("the quadrature's factor maps", work)
     nbytes = 16 * len(levels) * len(ff.terms) * len(hf.terms)
     if nbytes > _TERM_BYTES:
         raise NodeBudgetExceeded(f"the quadrature's term matrices would take {nbytes:.3e} "

@@ -16,9 +16,9 @@ the kernel series (_kernel_series) the indices of one theta plan of the
 F/2 series over its points, with |k| up to the degree where the Poisson
 tail of the perpendicular factor ends, and plan-soundness the closed-form
 bounding box of the ellipsoid where a theta term exceeds its cap.  Each
-counts its indices times points against the quadrature work budget
-before it builds its index arrays (NodeBudgetExceeded), then builds and
-evaluates them in blocks, so its memory stays bounded.
+counts its indices times points, and the norms battery its N x N Gram,
+through quadrature's one work-budget check (_check_work) before any index
+array is built (NodeBudgetExceeded); the references evaluate in blocks.
 Random configurations are sampled here as well: isotropic generators are
 built as real combinations of an H-orthonormal frame, with a Gram
 spectrum in the fixed range [0.5, 1.5], so no draw is rejected.
@@ -34,7 +34,6 @@ import numpy as np
 from . import quadrature as Q
 from . import space as S
 from . import theta as T
-from .errors import NodeBudgetExceeded
 from .geometry import (
     HermitianSpace,
     PointCoordinates,
@@ -89,15 +88,6 @@ def _relative(lhs, rhs) -> float:
 
 # index values over points that a reference evaluates at a time
 _BLOCK = 1 << 16
-
-
-def _counted(what: str, indices: int, points: int) -> int:
-    """indices, once its indices x points values are within the work budget;
-    NodeBudgetExceeded, before any index is built, when they are not."""
-    if indices * points > Q._WORK_BUDGET:
-        raise NodeBudgetExceeded(f"{what} would take {indices} x {points} values, more than "
-                                 f"the budget of {Q._WORK_BUDGET:.3e}")
-    return indices
 
 
 def _blocks(count: int, points: int):
@@ -316,11 +306,12 @@ def verify_theta(config: S.SpaceConfig, rng) -> list[PropertyOutcome]:
     # q is widened by 1e-6 against the rounding of the exponents theta sums
     plan = T.truncation_plan(params, z, 1e-6)
     cap = plan.tail_bound / max(plan.index_set.shape[0], 1)
-    (c,), (log_pref,) = _centers(params, z[None, :])
+    c, log_pref = plan.center, plan.log_prefactor
     w = np.sqrt(max((log_pref - math.log(cap)) / math.pi + 1e-6, 0.0) * np.diag(params.y_inv))
     lo = np.ceil(c - w)
     sides = [int(side) for side in np.floor(c + w) - lo + 1]  # floor(c + w) >= ceil(c - w) - 1
-    count = _counted("plan-soundness", math.prod(sides), 1)
+    count = math.prod(sides)
+    Q._check_work("plan-soundness", count)
     planned = {tuple(row) for row in plan.index_set.tolist()}
     missing = 0
     for block in _blocks(count, 1):
@@ -351,13 +342,12 @@ def battery_indices(config: S.SpaceConfig, n_max: int, k_max: int) -> tuple:
     index is built, when a Gram of those N indices has more entries than the work budget."""
     m = config.g - config.r
     n = (2 * n_max + 1) ** config.r * math.comb(k_max + m, m)
-    _counted("the norms battery's Gram matrix", n, n)
+    Q._check_work("the norms battery's Gram matrix", n * n)
     return S.series_indices(config, n_max, k_max)
 
 
-def norms_battery(config: S.SpaceConfig, grid, n_max: int, k_max: int) -> NormsBattery:
-    """Gram battery over battery_indices(config, n_max, k_max) on the given grid."""
-    idxs = battery_indices(config, n_max, k_max)
+def norms_battery(config: S.SpaceConfig, grid, idxs: tuple) -> NormsBattery:
+    """Gram battery on the given grid over the (n, k) box idxs of battery_indices."""
     G, _ = Q.gram_matrix(config, S.basis_family(config, idxs), grid)
     closed = S._exp_norms(S._log_norms(config, idxs))
     oracle = np.diag(G).real
@@ -371,11 +361,12 @@ def verify_orthogonality(config: S.SpaceConfig, rng, n_inf: int = 2) -> list[Pro
     """The battery and a random field both draw from |n_j| <= n_inf, |k| <= 2; both grids
     take the unbounded node count sized for that box (quadrature.unbounded_nodes)."""
     out = []
-    unbounded = Q.unbounded_nodes(config, *battery_indices(config, n_inf, 2))
+    idxs = battery_indices(config, n_inf, 2)
+    unbounded = Q.unbounded_nodes(config, *idxs)
     grid = Q.build_grid(config, unbounded_nodes=unbounded)
     nodes = f"grid nodes {list(grid.base.shape)}"  # per axis, base level
 
-    battery = norms_battery(config, grid, n_inf, k_max=2)
+    battery = norms_battery(config, grid, idxs)
     out.append(_outcome("norms-match-closed-form", float(battery.defects.max()), 1e-6, nodes))
     out.append(_outcome("off-diagonal-orthogonality", battery.off_diagonal, 1e-6, nodes))
 
@@ -470,7 +461,8 @@ def _kernel_series(config: S.SpaceConfig, us, vs) -> np.ndarray:
                 + 0.5 * math.log(_SERIES_SHARE))[1]
     degree = _poisson_degree(config.nu * float(np.max(np.sum(np.abs(Zp) ** 2, axis=1))))
     m = config.g - config.r
-    count = _counted("the kernel series", len(ns) * math.comb(degree + m, m), len(points))
+    count = len(ns) * math.comb(degree + m, m)
+    Q._check_work("the kernel series", count * len(points))
     ks = S.series_indices(config, 0, degree)[1]
     out = np.zeros((len(us), len(vs)), dtype=complex)
     for block in _blocks(count, len(points)):

@@ -67,7 +67,7 @@ def test_only_theta_reads_its_private_names(path):
 _ALLOWED_PRIVATE_READS = {
     ("verify", "space", "_log_norms"),
     ("verify", "space", "_exp_norms"),
-    ("verify", "quadrature", "_WORK_BUDGET"),
+    ("verify", "quadrature", "_check_work"),
     ("cli", "problem", "_complex_entry"),
     ("cli", "problem", "_positive_number"),
 }

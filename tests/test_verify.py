@@ -176,8 +176,8 @@ def test_plan_soundness_catches_a_dropped_term(monkeypatch):
 
 def test_plan_soundness_magnitudes_are_the_summed_terms():
     # plan-soundness ranks terms by theta's own term formula, and that
-    # formula's real part is log_prefactor - pi |U(n - c)|^2, with c and the
-    # log prefactor as verify computes them from the parameters
+    # formula's real part is log_prefactor - pi |U(n - c)|^2, with the plan's
+    # c and log prefactor, which verify._centers gives the kernel series too
     cfg = build_config(load_problem(G3R2_FILE.with_name("g2_r2.json")))
     params = cfg.theta_params
     z = np.array([0.3 - 0.8j, -0.5 + 1.1j])
@@ -217,7 +217,7 @@ def test_norms_battery_closed_norms_past_the_square_root_range():
     # the grid still resolves every norm
     cfg = tf.make_config(tf.build_lattice(tf.validate_space(np.eye(1)), [[0.5]]), [0.5], math.pi)
     grid = tf.build_grid(cfg, compact_nodes=40, unbounded_nodes=180)
-    battery = verify.norms_battery(cfg, grid, 4, 0)
+    battery = verify.norms_battery(cfg, grid, verify.battery_indices(cfg, 4, 0))
     assert battery.closed.max() > 1e154
     assert battery.defects.max() <= 1e-6
     assert 0.0 < battery.off_diagonal <= 1e-6
@@ -234,11 +234,10 @@ def _never_called(*args, **kwargs):
 ])
 def test_norms_battery_over_budget_builds_no_index(monkeypatch, problem, n_max, k_max):
     cfg = build_config(load_problem(G3R2_FILE.with_name(f"{problem}.json")))
-    grid = tf.build_grid(cfg, compact_nodes=4, unbounded_nodes=4)
     for name in ("series_indices", "_integer_box", "_multi_indices", "basis_family"):
         monkeypatch.setattr(verify.S, name, _never_called)
     with pytest.raises(errors.NodeBudgetExceeded, match="norms battery"):
-        verify.norms_battery(cfg, grid, n_max, k_max)
+        verify.battery_indices(cfg, n_max, k_max)
 
 
 def test_norms_battery_budget_counts_the_indices_it_builds(monkeypatch):
@@ -246,19 +245,34 @@ def test_norms_battery_budget_counts_the_indices_it_builds(monkeypatch):
     # entry short of its N x N Gram refuses it before any index is built
     cfg = build_config(load_problem(G3R2_FILE.with_name("g2_r1.json")))
     grid = tf.build_grid(cfg, compact_nodes=8, unbounded_nodes=12)
-    n = len(verify.norms_battery(cfg, grid, 1, 2).indices[0])
+    n = len(verify.norms_battery(cfg, grid, verify.battery_indices(cfg, 1, 2)).indices[0])
     assert n == 3 * 3
     monkeypatch.setattr(verify.Q, "_WORK_BUDGET", n * n - 1)
     monkeypatch.setattr(verify.S, "series_indices", _never_called)
     with pytest.raises(errors.NodeBudgetExceeded):
-        verify.norms_battery(cfg, grid, 1, 2)
+        verify.battery_indices(cfg, 1, 2)
+
+
+def test_battery_box_is_built_once_per_battery(monkeypatch, tmp_path):
+    # `thetafock norms` and the orthogonality suite count and build the
+    # battery's index box once, then size the grid and run the battery on it
+    g1r1 = str(G3R2_FILE.with_name("g1_r1.json"))
+    series_indices, calls = verify.S.series_indices, []
+    monkeypatch.setattr(verify.S, "series_indices",
+                        lambda *a: calls.append(a[1:]) or series_indices(*a))
+    assert main(["norms", g1r1, "--n-max", "3", "--out", str(tmp_path / "result.json")]) == 0
+    assert calls == [(3, 1)]
+    calls.clear()
+    _assert_all_pass(verify.verify_orthogonality(build_config(load_problem(g1r1)),
+                                                 np.random.default_rng(0)))
+    assert calls == [(2, 2)]
 
 
 def test_norms_battery_indices_are_the_series_box():
     # the battery and `thetafock norms` read one index box
     cfg = build_config(load_problem(str(G3R2_FILE)))
     grid = tf.build_grid(cfg, compact_nodes=8, unbounded_nodes=12)
-    n, k = verify.norms_battery(cfg, grid, 1, 2).indices
+    n, k = verify.norms_battery(cfg, grid, verify.battery_indices(cfg, 1, 2)).indices
     want_n, want_k = tf.series_indices(cfg, 1, 2)
     assert len(n) == 9 * 3  # r = 2, g - r = 1
     np.testing.assert_array_equal(n, want_n)
@@ -440,6 +454,43 @@ def test_references_over_budget_build_no_index(monkeypatch, name):
         monkeypatch.setattr(verify.Q, "_WORK_BUDGET", soundness - 1)
         with pytest.raises(errors.NodeBudgetExceeded, match="plan-soundness"):
             verify.run_suite(cfg, "theta")
+
+
+def test_every_budget_site_checks_before_it_builds(monkeypatch):
+    # the grid's rules, a reduction's factor maps, the battery's box and
+    # the two references' index arrays each follow one call of the one
+    # work-budget check, naming what it counted
+    cfg = build_config(load_problem(G3R2_FILE.with_name("g2_r1.json")))
+    grid = tf.build_grid(cfg, compact_nodes=8, unbounded_nodes=12)
+    pts = verify._kernel_sample(cfg, np.random.default_rng(0))[0]
+    form = verify.S.basis_family(cfg, verify.battery_indices(cfg, 1, 1)).factored
+    events = []
+
+    def recorded(kind, fn):
+        return lambda *a: events.append(kind) or fn(*a)
+
+    maps = [recorded("factor map", m) for m in (form.lattice, form.fock)]
+    family = verify.Q.Factored(*maps, terms=form.terms, coeffs=form.coeffs)
+    check_work = verify.Q._check_work
+    monkeypatch.setattr(verify.Q, "_check_work",
+                        lambda what, values: events.append(what) or check_work(what, values))
+    monkeypatch.setattr(verify.Q, "_rules", recorded("rules", verify.Q._rules))
+    monkeypatch.setattr(verify.S, "series_indices",
+                        recorded("index array", verify.S.series_indices))
+    monkeypatch.setattr(verify, "_blocks", recorded("index array", verify._blocks))
+    sites = [
+        ("Gauss rules", "rules", lambda: tf.build_grid(cfg)),
+        ("factor maps", "factor map", lambda: tf.gram_matrix(cfg, family, grid)),
+        ("norms battery", "index array", lambda: verify.battery_indices(cfg, 1, 1)),
+        ("plan-soundness", "index array",
+         lambda: verify.verify_theta(cfg, np.random.default_rng(0))),
+        ("kernel series", "index array", lambda: verify._kernel_series(cfg, pts, pts)),
+    ]
+    for what, built, run in sites:
+        events.clear()
+        run()
+        assert len(events) > 1 and what in events[0], (what, events)
+        assert set(events[1:]) == {built}, (what, events)
 
 
 @pytest.mark.parametrize("suite", ["theta", "reproducing", "bounds"])
